@@ -6,6 +6,7 @@ stored as per-element bitmasks so that comparisons, bound scans and subset
 role checks are plain integer operations.
 """
 
+from bisect import bisect
 from dataclasses import dataclass
 
 from .errors import CycleDetected, EmptySet, NotALattice, NotBounded, NotComparable
@@ -19,12 +20,59 @@ def iter_bits(mask):
         mask ^= low
 
 
+def _no_bound(names, a, b, kind):
+    return NotALattice(f"{names[a]!r} and {names[b]!r} have no {kind} bound",
+                       witness=(names[a], names[b]))
+
+
+def _owner_checked(reach, names, kind):
+    """The element owning each reach mask, once every pair has a bound.
+
+    In a lattice the common bounds of (a, b) are exactly the bounds of
+    their join/meet, so `reach[a] & reach[b]` must itself be a reach mask;
+    a dict lookup finds the bound or proves there is none.
+    """
+    owner = {mask: v for v, mask in enumerate(reach)}
+    n = len(reach)
+    for a in range(n):
+        reach_a = reach[a]
+        for b in range(a + 1, n):
+            if reach_a & reach[b] not in owner:
+                raise _no_bound(names, a, b, kind)
+    return owner
+
+
+class _Rows(dict):
+    """Join (or meet) rows, each built on first use and then kept.
+
+    Row a lists the bound of a with every b as the owner of
+    `reach[a] & reach[b]`.  A row is a pure function of immutable masks, so
+    concurrent readers at worst build the same row twice.  Only the masks
+    and their owners are held, never the lattice, so a dropped lattice is
+    freed by reference counting alone.
+    """
+
+    __slots__ = ("reach", "owner")
+
+    def __init__(self, reach, owner):
+        super().__init__()
+        self.reach = reach
+        self.owner = owner
+
+    def __missing__(self, a):
+        reach, owner = self.reach, self.owner
+        reach_a = reach[a]
+        row = self[a] = tuple([owner[reach_a & r] for r in reach])
+        return row
+
+
 class Lattice:
-    """A finite bounded lattice: cover pairs plus derived order tables.
+    """A finite bounded lattice: cover pairs plus derived order masks.
 
     Construction validates every axiom (acyclicity, unique bounds, the
     input pairs being genuine covers, existence of all joins and meets)
-    and raises a diagnostic naming the first violation.  Instances are
+    and raises a diagnostic naming the first violation.  `join[a][b]` and
+    `meet[a][b]` are computed a row at a time on first use.  Instances are
     immutable after construction and safe to share.
     """
 
@@ -110,8 +158,8 @@ class Lattice:
                     height[w] = height[v] + 1
         self.height = tuple(height)
 
-        self.join = self._bound_table(self.up, highest=False)
-        self.meet = self._bound_table(self.down, highest=True)
+        self.join = _Rows(self.up, _owner_checked(self.up, self.names, "least upper"))
+        self.meet = _Rows(self.down, _owner_checked(self.down, self.names, "greatest lower"))
 
     def _topo_order(self):
         indeg = [len(self.lower_covers[v]) for v in range(self.n)]
@@ -129,26 +177,74 @@ class Lattice:
             raise CycleDetected(f"cover relation has a cycle through {stuck[:4]!r}")
         return order
 
-    def _bound_table(self, reach, highest):
-        # In a lattice the common bounds of (a, b) are exactly the bounds of
-        # their join/meet, so `reach[a] & reach[b]` must itself be a reach
-        # mask; a dict lookup finds the bound or proves there is none.
-        n = self.n
-        owner = {mask: v for v, mask in enumerate(reach)}
-        kind = "greatest lower" if highest else "least upper"
-        table = [[0] * n for _ in range(n)]
-        for a in range(n):
-            row = table[a]
-            row[a] = a
-            reach_a = reach[a]
-            for b in range(a + 1, n):
-                c = owner.get(reach_a & reach[b])
-                if c is None:
-                    raise NotALattice(
-                        f"{self.names[a]!r} and {self.names[b]!r} have no "
-                        f"{kind} bound", witness=(self.names[a], self.names[b]))
-                row[b] = table[b][a] = c
-        return tuple(map(tuple, table))
+    def _plus_doubly_irreducible(self, a, c, label):
+        """This lattice plus a new element `label` with a ≺ label ≺ c.
+
+        For a < c this takes O(n) and raises what a full build from the
+        extended cover list would, checking only what can newly fail: the
+        label is fresh, (a, c) is not a cover, and the new element t has a
+        join and a meet with every x.  Old pairs keep their bounds: if
+        x, y ≤ a then x ∨ y ≤ a < t, so t is only one more upper bound of
+        x ∨ y, and dually for meets.  Heights stay, because c lies at least
+        two levels above a.  Otherwise t would change the old order (a
+        cycle, or a newly below c), so the lattice is built in full.
+        """
+        names = self.names
+        if label in self.index:
+            raise ValueError("duplicate element labels")
+        if not self.lt(a, c):
+            covers = [(names[u], names[v]) for u, v in self.covers]
+            covers += [(names[a], label), (label, names[c])]
+            return Lattice(covers, elements=names + (label,))
+        if self.is_cover(a, c):
+            raise NotALattice(
+                f"({names[a]!r}, {names[c]!r}) is not a cover: {label!r} lies between",
+                witness=(names[a], names[c]))
+
+        t = self.n
+        bit = 1 << t
+        up = list(self.up)
+        for v in iter_bits(self.down[a]):
+            up[v] |= bit
+        up.append(bit | self.up[c])
+        down = list(self.down)
+        for v in iter_bits(self.up[c]):
+            down[v] |= bit
+        down.append(bit | self.down[a])
+
+        new = Lattice.__new__(Lattice)
+        new.names = names + (label,)
+        owners = []
+        for reach, kind in ((up, "least upper"), (down, "greatest lower")):
+            owner = {mask: v for v, mask in enumerate(reach)}
+            for x in range(t):
+                if reach[x] & reach[t] not in owner:
+                    raise _no_bound(new.names, x, t, kind)
+            owners.append(owner)
+
+        new.n = t + 1
+        new.index = dict(self.index)
+        new.index[label] = t
+        i = bisect(self.covers, (a, t))
+        new.covers = self.covers[:i] + ((a, t),) + self.covers[i:] + ((t, c),)
+        new._cover_set = self._cover_set | {(a, t), (t, c)}
+        upper = list(self.upper_covers)
+        upper[a] += (t,)
+        upper.append((c,))
+        lower = list(self.lower_covers)
+        lower[c] += (t,)
+        lower.append((a,))
+        new.upper_covers = tuple(upper)
+        new.lower_covers = tuple(lower)
+        new.up = tuple(up)
+        new.down = tuple(down)
+        new.full_mask = (bit << 1) - 1
+        new.bottom = self.bottom
+        new.top = self.top
+        new.height = self.height + (self.height[a] + 1,)
+        new.join = _Rows(new.up, owners[0])
+        new.meet = _Rows(new.down, owners[1])
+        return new
 
     # -- order queries ---------------------------------------------------
 

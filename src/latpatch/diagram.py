@@ -19,7 +19,7 @@ class Diagram:
     """A lattice together with an exact planar drawing."""
 
     def __init__(self, lattice, xcoord):
-        xcoord = tuple(Fraction(x) for x in xcoord)
+        xcoord = tuple(x if type(x) is Fraction else Fraction(x) for x in xcoord)
         if len(xcoord) != lattice.n:
             raise ValueError("one x coordinate per element required")
         self.lattice = lattice
@@ -162,6 +162,12 @@ def _compute_boundaries(diag):
             chain.append(_next_on_boundary(diag, chain[-1], side))
         return tuple(chain)
 
+    return _boundary_data(lat, walk("left"), walk("right"))
+
+
+def _boundary_data(lat, left, right):
+    """Boundary data of the given chains; weak corners counted from covers."""
+
     def corners(chain):
         out = []
         for v in chain:
@@ -171,11 +177,34 @@ def _compute_boundaries(diag):
                 out.append(v)
         return tuple(out)
 
-    left, right = walk("left"), walk("right")
     lc, rc = corners(left), corners(right)
     return BoundaryData(left, right, lc, rc,
                         lc[0] if len(lc) == 1 else None,
                         rc[0] if len(rc) == 1 else None)
+
+
+def _outer_extension(diag, lattice, site):
+    """Draw `lattice`, which is diag's lattice plus a last element t with
+    a ≺ t ≺ c for the boundary site (a, b, c, side), with t one unit
+    outside the drawing on that side, and carry the boundary over.
+
+    t is one level above a and strictly outside every other element, so
+    that side's walk turns from a to t and then to c, t's only upper
+    cover; the other walk still leaves a by b.  So t replaces b and all
+    else stays; only the corners are recounted.
+    """
+    a, b, c, side = site
+    t = diag.lattice.n
+    left, right = diag.boundary.left_chain, diag.boundary.right_chain
+    if side == "left":
+        x = min(diag.xcoord) - 1
+        left = tuple(t if v == b else v for v in left)
+    else:
+        x = max(diag.xcoord) + 1
+        right = tuple(t if v == b else v for v in right)
+    after = Diagram(lattice, diag.xcoord + (x,))
+    after.boundary = _boundary_data(lattice, left, right)
+    return after
 
 
 def boundaries(diag):

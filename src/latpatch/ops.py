@@ -9,10 +9,11 @@ slim rectangular lattice at a boundary element.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Lattice, classify_subset, irreducibility, iter_bits
-from .diagram import (Diagram, is_patch, is_rectangular, is_slim, subdiagram,
-                      synthesize_embedding, upper_left_boundary,
-                      upper_right_boundary, validate_diagram)
+from .core import Lattice, classify_subset, iter_bits
+from .diagram import (Diagram, _outer_extension, is_patch, is_rectangular,
+                      is_slim, subdiagram, synthesize_embedding,
+                      upper_left_boundary, upper_right_boundary,
+                      validate_diagram)
 from .errors import (AssertionFailed, BadX, ChainWasSingletonT, EmbeddingFailed,
                      ImproperWitness, InvalidSite, IsPatch,
                      IterationBoundExceeded, NotAChain, NotAFilter, NotAnIdeal,
@@ -199,15 +200,34 @@ def find_extension_sites(diag):
     """Boundary triples a < b < c with a meet-irreducible and c
     join-irreducible; left-boundary sites bottom-up, then right."""
     lat = diag.lattice
+    upper, lower = lat.upper_covers, lat.lower_covers
     sites = []
     for side, chain in (("left", diag.boundary.left_chain),
                         ("right", diag.boundary.right_chain)):
         for a, b, c in zip(chain, chain[1:], chain[2:]):
-            if (irreducibility(lat, a).meet_irreducible
-                    and irreducibility(lat, c).join_irreducible):
+            if len(upper[a]) == 1 and len(lower[c]) == 1:
                 sites.append((a, b, c, side))
-    sites.sort(key=lambda s: (s[3] != "left", diag.lattice.height[s[0]]))
+    sites.sort(key=lambda s: (s[3] != "left", lat.height[s[0]]))
     return sites
+
+
+def _is_extension_site(diag, site):
+    """`site in find_extension_sites(diag)`, looking only at the site."""
+    if not isinstance(site, tuple) or len(site) != 4:
+        return False
+    a, b, c, side = site
+    if side == "left":
+        chain = diag.boundary.left_chain
+    elif side == "right":
+        chain = diag.boundary.right_chain
+    else:
+        return False
+    if a not in chain:
+        return False
+    i = chain.index(a)
+    lat = diag.lattice
+    return (chain[i + 1:i + 3] == (b, c) and len(lat.upper_covers[a]) == 1
+            and len(lat.lower_covers[c]) == 1)
 
 
 def _fresh_t(lat):
@@ -221,21 +241,15 @@ def one_step_extension(diag, site):
     """Add a fresh doubly irreducible t with a < t < c beside the boundary.
 
     t goes strictly outside the drawing on the chosen side, one level above
-    a; the new edges hug the boundary, so the drawing stays planar.
+    a; the new edges hug the boundary, so the drawing stays planar.  The
+    lattice and the boundary are derived from the old ones in O(n).
     """
-    if site not in find_extension_sites(diag):
+    if not _is_extension_site(diag, site):
         raise InvalidSite(f"{site!r} is not an extension site")
     a, b, c, side = site
     lat = diag.lattice
     t = _fresh_t(lat)
-    if side == "left":
-        x = min(diag.xcoord) - 1
-    else:
-        x = max(diag.xcoord) + 1
-    covers = [(lat.names[u], lat.names[v]) for u, v in lat.covers]
-    covers += [(lat.names[a], t), (t, lat.names[c])]
-    extended = Lattice(covers, elements=list(lat.names) + [t])
-    after = Diagram(extended, list(diag.xcoord) + [x])
+    after = _outer_extension(diag, lat._plus_doubly_irreducible(a, c, t), site)
     step = ExtensionStep(lat.names[a], lat.names[b], lat.names[c], side,
                          t, diag, after)
     return after, step
@@ -245,16 +259,23 @@ def restrict_gluing(witness, step):
     """Drop t from a witness for the extended lattice, giving one for the
     original: A' = A - {t}, B' = B - {t}, C' = C - {t}."""
     after = step.after.lattice
-    before = step.before.lattice
     if witness.ambient is not after and witness.ambient != after:
         raise ImproperWitness("witness does not live on the extended lattice")
-    t = after.id_of(step.t)
-    if witness.C == {t}:
+    if witness.C == {after.id_of(step.t)}:
         raise ChainWasSingletonT(
             "overlap chain is exactly {t}; no valid witness can do that")
     reason = validate_witness(witness)
     if reason is not None:
         raise ImproperWitness(reason)
+    return _restrict_valid(witness, step)
+
+
+def _restrict_valid(witness, step):
+    """`restrict_gluing` for a witness on `step.after` already known to be
+    valid: only the restricted witness is checked."""
+    after = step.after.lattice
+    before = step.before.lattice
+    t = after.id_of(step.t)
     restricted = GluingWitness(
         before,
         frozenset(before.id_of(after.names[v]) for v in witness.A if v != t),

@@ -12,9 +12,10 @@ from typing import Optional
 from .core import Lattice, classify_subset, is_isomorphic, is_semimodular, iter_bits
 from .diagram import (Diagram, is_patch, is_rectangular, slim, subdiagram,
                       validate_diagram)
-from .errors import (NoDecomposition, NotSemimodular, SizeBoundExceeded)
-from .ops import (DecompositionCut, GluingWitness, choose_x, decompose_at,
-                  rectangularize, restrict_gluing, validate_witness,
+from .errors import (ImproperWitness, NoDecomposition, NotSemimodular,
+                     SizeBoundExceeded)
+from .ops import (DecompositionCut, GluingWitness, _restrict_valid, choose_x,
+                  decompose_at, rectangularize, validate_witness,
                   witness_from_cut)
 
 
@@ -78,10 +79,11 @@ def _enumerate_ideals(lat, dual=False):
     if dual:
         order.reverse()
         need = [lat.mask_of(lat.upper_covers[v]) for v in range(n)]
-        table = lat.meet
+        bounds = lat.meet
     else:
         need = [lat.mask_of(lat.lower_covers[v]) for v in range(n)]
-        table = lat.join
+        bounds = lat.join
+    table = tuple(bounds[v] for v in range(n))  # the loop below indexes a tuple
     found = []
     for mask in _downsets(order, need):
         if not mask:
@@ -177,8 +179,14 @@ def _decompose_step(diag):
         x, mode = choose_x(rect)
         cut = decompose_at(rect, x, mode)
         witness = witness_from_cut(cut)
+        if steps:
+            # pulled back like restrict_gluing, but each witness is checked
+            # once: the cut's here, every restricted one as it is made
+            reason = validate_witness(witness)
+            if reason is not None:
+                raise ImproperWitness(reason)
         for step in reversed(steps):
-            witness = restrict_gluing(witness, step)
+            witness = _restrict_valid(witness, step)
         fallback = False
     lifted = _lift_through_eyes(witness, slimmed, eyes, diag)
     trace = PipelineTrace(tuple(eyes), tuple(steps), cut, fallback, slimmed, rect)

@@ -1,10 +1,13 @@
+import gc
+import weakref
 from itertools import combinations
 
 import pytest
 
 import oracles
-from latpatch import (build_lattice, classify_subset, interval, irreducibility,
-                      is_isomorphic, is_semimodular)
+from latpatch import (Lattice, build_lattice, classify_subset, generate,
+                      interval, irreducibility, is_isomorphic, is_semimodular,
+                      rectangularize, slim)
 from latpatch.core import iter_bits
 from latpatch.errors import (CycleDetected, EmptySet, NotALattice, NotBounded,
                              NotComparable)
@@ -165,3 +168,88 @@ def test_semimodular_corpus_is_graded(corpus):
         lat = diag.lattice
         for a, b in lat.covers:
             assert lat.height[b] == lat.height[a] + 1, name
+
+
+# -- lattices derived by adding one doubly irreducible element -----------------
+
+LATTICE_FIELDS = ("names", "n", "index", "covers", "_cover_set", "upper_covers",
+                  "lower_covers", "up", "down", "full_mask", "height",
+                  "bottom", "top")
+
+
+def full_build_plus(lat, a, c, label):
+    """`lat` plus `label` with a < label < c, built and validated from scratch."""
+    covers = [(lat.names[u], lat.names[v]) for u, v in lat.covers]
+    covers += [(lat.names[a], label), (label, lat.names[c])]
+    return Lattice(covers, elements=list(lat.names) + [label])
+
+
+def test_derived_extension_equals_full_build(corpus, random_corpus_small):
+    checked = 0
+    for name, diag in corpus + random_corpus_small:
+        slimmed, _ = slim(diag)
+        if slimmed.lattice.n <= 2:
+            continue
+        _, steps = rectangularize(slimmed)
+        for step in steps:
+            before, derived = step.before.lattice, step.after.lattice
+            full = full_build_plus(before, before.id_of(step.a),
+                                   before.id_of(step.c), step.t)
+            for field in LATTICE_FIELDS:
+                assert getattr(derived, field) == getattr(full, field), (name, field)
+            for v in range(full.n):
+                assert derived.join[v] == full.join[v], name
+                assert derived.meet[v] == full.meet[v], name
+            checked += 1
+    assert checked > 100
+
+
+def test_derived_extension_raises_like_full_build(b2, c4):
+    lat = c4.lattice
+    bottom, a, b = (lat.id_of(x) for x in ("0", "a", "b"))
+    square = b2.lattice
+    l, r = square.id_of("l"), square.id_of("r")
+    grid = generate("grid", [3, 3]).lattice
+    cases = [
+        (lat, bottom, b, "a"),          # reused label
+        (lat, b, a, "t"),               # c below a: a cycle
+        (lat, a, a, "t"),               # a = c: a cycle
+        (square, l, r, "t"),            # a not below c: l lies inside (0, r)
+        (grid, grid.id_of("1,0"), grid.id_of("0,2"), "t"),  # joins fail
+        (lat, a, b, "t"),               # (a, b) is a cover
+    ]
+    for base, lo, hi, label in cases:
+        with pytest.raises(Exception) as full:
+            full_build_plus(base, lo, hi, label)
+        with pytest.raises(full.type) as derived:
+            base._plus_doubly_irreducible(lo, hi, label)
+        assert str(derived.value) == str(full.value), (lo, hi, label)
+        assert (getattr(derived.value, "witness", None)
+                == getattr(full.value, "witness", None)), (lo, hi, label)
+
+
+def test_derived_extension_off_the_fast_path_is_a_full_build():
+    # in the hexagon a and c are incomparable, and a < t < c still gives a
+    # lattice, in which a newly lies below c
+    hexagon = build_lattice([("0", "a"), ("a", "x"), ("x", "1"),
+                             ("0", "p"), ("p", "c"), ("c", "1")])
+    a, c = hexagon.id_of("a"), hexagon.id_of("c")
+    derived = hexagon._plus_doubly_irreducible(a, c, "t")
+    full = full_build_plus(hexagon, a, c, "t")
+    for field in LATTICE_FIELDS:
+        assert getattr(derived, field) == getattr(full, field), field
+    assert derived.leq(a, c)
+
+
+def test_dropped_lattice_needs_no_cycle_collector():
+    lat = build_lattice([("0", "a"), ("a", "b"), ("b", "1")])
+    derived = lat._plus_doubly_irreducible(lat.bottom, lat.id_of("b"), "t")
+    rows = lat.join[0], lat.meet[lat.top], derived.join[0], derived.meet[derived.top]
+    assert all(rows)
+    refs = [weakref.ref(lat), weakref.ref(derived)]
+    gc.disable()
+    try:
+        del lat, derived
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()

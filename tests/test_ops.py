@@ -7,10 +7,12 @@ from latpatch import (Diagram, GluingWitness, choose_x,
                       restrict_gluing, slim, upper_left_boundary,
                       validate_diagram, validate_witness, witness_from_cut)
 from latpatch.core import irreducibility, iter_bits
+from latpatch.diagram import _compute_boundaries
 from latpatch.errors import (BadX, ChainWasSingletonT, EmbeddingFailed,
                              ImproperWitness, InvalidSite, IsPatch,
                              IterationBoundExceeded, NotAChain, NotAFilter,
                              NotAnIdeal, NotIso, StuckNotRectangular)
+from latpatch.ops import _is_extension_site
 
 
 def site_names(diag, sites):
@@ -132,6 +134,34 @@ def test_extension_preserves_class_on_corpus(corpus):
             lat = after.lattice
             assert lat.restrict([v for v in range(lat.n) if v != t]) \
                 == slimmed.lattice, name
+
+
+def test_site_check_agrees_with_the_site_scan(corpus):
+    for name, diag in corpus:
+        slimmed, _ = slim(diag)
+        sites = find_extension_sites(slimmed)
+        n = slimmed.lattice.n
+        for a in range(n):
+            for b in range(n):
+                for c in range(n):
+                    for side in ("left", "right", "up"):
+                        site = (a, b, c, side)
+                        assert _is_extension_site(slimmed, site) == (site in sites), name
+        for site in sites:
+            assert not _is_extension_site(slimmed, list(site)), name
+            assert not _is_extension_site(slimmed, site[:3]), name
+
+
+def test_carried_boundary_matches_a_fresh_walk(corpus, random_corpus_small):
+    for name, diag in corpus + random_corpus_small:
+        slimmed, _ = slim(diag)
+        extended = [one_step_extension(slimmed, site)[0]
+                    for site in find_extension_sites(slimmed)]
+        if slimmed.lattice.n > 2:
+            extended += [step.after for step in rectangularize(slimmed)[1]]
+        for after in extended:
+            fresh = Diagram(after.lattice, after.xcoord)
+            assert after.boundary == _compute_boundaries(fresh), name
 
 
 def test_extension_is_conservative(c4):
