@@ -118,7 +118,7 @@ def cmd_verify(args):
 
 def cmd_oracle(args):
     diag = _load_diagram(args.file, args)
-    witness = brute_force_gluing_search(diag, bound=args.max_oracle)
+    witness = brute_force_gluing_search(diag)
     if witness is None:
         print("none")
     else:
@@ -146,8 +146,6 @@ def _build_parser():
                     "lattices glued over chains")
     parser.add_argument("--max-synth", type=int, default=16, metavar="N",
                         help="size bound for embedding synthesis (default 16)")
-    parser.add_argument("--max-oracle", type=int, default=14, metavar="N",
-                        help="size bound for the brute-force oracle (default 14)")
     parser.add_argument("--trace", action="store_true",
                         help="report pipeline statistics on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -176,7 +174,7 @@ def _build_parser():
     p.add_argument("tree")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("oracle", help="search for a chain gluing exhaustively")
+    p = sub.add_parser("oracle", help="search for a chain gluing")
     p.add_argument("file")
     p.set_defaults(func=cmd_oracle)
 

@@ -3,13 +3,15 @@
 `decompose` produces a certificate tree whose leaves are patch lattices
 and whose inner nodes carry (ideal, filter, chain) witnesses; `verify_tree`
 re-checks such a tree from scratch; `brute_force_gluing_search` is the
-independent oracle that looks for a witness by exhaustive enumeration.
+independent oracle that looks for a witness by scanning the O(n²) principal
+ideal/filter pairs (↓x, ↑y).  That scan is complete, because every nonempty
+ideal of a finite lattice is some ↓x and every nonempty filter some ↑y.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Lattice, classify_subset, is_isomorphic, is_semimodular, iter_bits
+from .core import classify_subset, is_isomorphic, is_semimodular, iter_bits
 from .diagram import (Diagram, is_patch, is_rectangular, slim, subdiagram,
                       validate_diagram)
 from .errors import (ImproperWitness, NoDecomposition, NotSemimodular,
@@ -53,82 +55,33 @@ class TreeViolation:
 
 # -- the independent oracle -------------------------------------------------
 
-def _downsets(order, need):
-    """All downset bitmasks: walk a linear extension, including an element
-    only once everything it requires is already in.  Excluding an element
-    silently forbids all elements above it."""
-    out = []
-
-    def extend(i, mask):
-        if i == len(order):
-            out.append(mask)
-            return
-        extend(i + 1, mask)
-        v = order[i]
-        if need[v] & ~mask == 0:
-            extend(i + 1, mask | (1 << v))
-
-    extend(0, 0)
-    return out
+def _by_size_then_members(mask):
+    return bin(mask).count("1"), tuple(iter_bits(mask))
 
 
-def _enumerate_ideals(lat, dual=False):
-    """Nonempty join-closed downsets (or meet-closed upsets when dual)."""
-    n = lat.n
-    order = sorted(range(n), key=lambda v: lat.height[v])
-    if dual:
-        order.reverse()
-        need = [lat.mask_of(lat.upper_covers[v]) for v in range(n)]
-        bounds = lat.meet
-    else:
-        need = [lat.mask_of(lat.lower_covers[v]) for v in range(n)]
-        bounds = lat.join
-    table = tuple(bounds[v] for v in range(n))  # the loop below indexes a tuple
-    found = []
-    for mask in _downsets(order, need):
-        if not mask:
-            continue
-        members = list(iter_bits(mask))
-        closed = True
-        for i, a in enumerate(members):
-            row = table[a]
-            for b in members[i + 1:]:
-                if not mask >> row[b] & 1:
-                    closed = False
-                    break
-            if not closed:
-                break
-        if closed:
-            found.append((bin(mask).count("1"), tuple(members), mask))
-    found.sort()
-    return found
+def brute_force_gluing_search(diag, bound=None):
+    """First proper witness (ideal, filter, nonempty chain overlap), smallest
+    ideal first; None when there is none.
 
-
-def brute_force_gluing_search(diag, bound=14):
-    """First proper witness (ideal, filter, nonempty chain overlap) found by
-    exhaustive enumeration, smallest ideal first; None when there is none.
-
-    Pass bound=None to lift the size gate (the pipeline's fallback does).
+    A scan of the principal ideal/filter pairs (↓x, ↑y) with x not the top
+    and y not the bottom, each side ordered by (size, members).  `bound`,
+    when given, is a size gate.
     """
     lat = diag.lattice
     if bound is not None and lat.n > bound:
         raise SizeBoundExceeded(f"{lat.n} elements exceeds the oracle bound {bound}")
     full = lat.full_mask
-    ideals = _enumerate_ideals(lat)
-    filters = _enumerate_ideals(lat, dual=True)
-    for _, a_members, a_mask in ideals:
-        if a_mask == full:
-            continue
-        for _, b_members, b_mask in filters:
-            if b_mask == full or a_mask | b_mask != full:
-                continue
+    ideals = sorted((m for m in lat.down if m != full), key=_by_size_then_members)
+    filters = sorted((m for m in lat.up if m != full), key=_by_size_then_members)
+    for a_mask in ideals:
+        for b_mask in filters:
             c_mask = a_mask & b_mask
-            if not c_mask:
+            if a_mask | b_mask != full or not c_mask:
                 continue
-            c_members = list(iter_bits(c_mask))
+            c_members = frozenset(iter_bits(c_mask))
             if classify_subset(lat, c_members).is_chain:
-                return GluingWitness(lat, frozenset(a_members),
-                                     frozenset(b_members), frozenset(c_members))
+                return GluingWitness(lat, frozenset(iter_bits(a_mask)),
+                                     frozenset(iter_bits(b_mask)), c_members)
     return None
 
 
@@ -167,8 +120,8 @@ def _decompose_step(diag):
         rect, steps = rectangularize(slimmed)
     if steps and is_patch(rect):
         # the extension collapsed to a patch although the slim lattice was
-        # not rectangular (e.g. a chain): fall back to exhaustive search
-        witness = brute_force_gluing_search(slimmed, bound=None)
+        # not rectangular (e.g. a chain): fall back to the oracle's search
+        witness = brute_force_gluing_search(slimmed)
         if witness is None:
             raise NoDecomposition(
                 f"no proper chain gluing of the {slimmed.lattice.n}-element "
@@ -225,12 +178,9 @@ def decompose(diag):
 
 # -- verification --------------------------------------------------------------
 
-def _reglue_labels(left_lat, right_lat):
-    covers = [(left_lat.names[a], left_lat.names[b]) for a, b in left_lat.covers]
-    covers += [(right_lat.names[a], right_lat.names[b]) for a, b in right_lat.covers]
-    elements = list(left_lat.names)
-    elements += [n for n in right_lat.names if n not in left_lat.index]
-    return Lattice(covers, elements=elements)
+def _labeled_covers(lat):
+    names = lat.names
+    return {(names[a], names[b]) for a, b in lat.covers}
 
 
 def _verify_node(node, path):
@@ -257,14 +207,14 @@ def _verify_node(node, path):
     if node.chain_size != len(c_labels):
         return TreeViolation(path, "chain_size",
                              f"recorded {node.chain_size}, actual {len(c_labels)}")
-    try:
-        reglued = _reglue_labels(node.left.diagram.lattice,
-                                 node.right.diagram.lattice)
-    except Exception as exc:
-        return TreeViolation(path, "reglue", f"gluing the children failed: {exc}")
-    if is_isomorphic(reglued, amb) is None:
+    # a valid witness puts every cover of the node inside A or inside B
+    # (a ≤ b across the parts passes a ∨ (b ∧ c) ∈ C for any c ∈ C), so the
+    # children, which carry the node's labels, must split its covers exactly
+    reglued = (_labeled_covers(node.left.diagram.lattice)
+               | _labeled_covers(node.right.diagram.lattice))
+    if reglued != _labeled_covers(amb):
         return TreeViolation(path, "reglue",
-                             "gluing the children does not rebuild the node")
+                             "the children's covers do not rebuild the node")
     for child, tag in ((node.left, "left"), (node.right, "right")):
         bad = _verify_node(child, f"{path}.{tag}")
         if bad is not None:

@@ -1,8 +1,8 @@
 """Independent reference implementations used to compute expected values.
 
 Everything here works on labeled cover lists from first principles
-(closure by repeated squaring, bound scans, permutation search) and never
-touches the package's derived tables.
+(closure by repeated squaring, bound scans, downset enumeration,
+permutation search) and never touches the package's derived tables.
 """
 
 from itertools import permutations, product
@@ -47,6 +47,62 @@ def glb(leq, elements, a, b):
     lowers = [z for z in elements if (z, a) in leq and (z, b) in leq]
     greatest = [u for u in lowers if all((v, u) in leq for v in lowers)]
     return greatest[0] if len(greatest) == 1 else None
+
+
+def _closed_parts(leq, elements, below, bound):
+    """Nonempty sets closed downward under `below` and under `bound`,
+    found by walking a linear extension and adding an element only when
+    everything below it is already in; each set is a list in the order
+    of `elements`."""
+    order = sorted(elements, key=lambda e: sum(below(z, e) for z in elements))
+    found = []
+
+    def extend(i, chosen):
+        if i == len(order):
+            if chosen:
+                found.append(chosen)
+            return
+        extend(i + 1, chosen)
+        e = order[i]
+        if all(z in chosen for z in elements if z != e and below(z, e)):
+            extend(i + 1, chosen | {e})
+
+    extend(0, frozenset())
+    closed = [p for p in found
+              if all(bound(leq, elements, a, b) in p for a in p for b in p)]
+    return [[e for e in elements if e in p] for p in closed]
+
+
+def ideals_and_filters(leq, elements):
+    """All ideals (join-closed downsets) and all filters (meet-closed
+    upsets), each a label list in the order of `elements`."""
+    ideals = _closed_parts(leq, elements, lambda z, e: (z, e) in leq, lub)
+    filters = _closed_parts(leq, elements, lambda z, e: (e, z) in leq, glb)
+    return ideals, filters
+
+
+def gluing_witnesses(covers, elements):
+    """Every proper chain-gluing witness (A, B, C) of the lattice, each part
+    a label list in the order of `elements`.  Smallest ideal first: ideals
+    and filters are ordered by size, then by their members' positions."""
+    leq = closure_leq(covers, elements)
+    ideals, filters = ideals_and_filters(leq, elements)
+    position = {e: i for i, e in enumerate(elements)}
+
+    def key(part):
+        return len(part), [position[e] for e in part]
+
+    out = []
+    for a in sorted(ideals, key=key):
+        for b in sorted(filters, key=key):
+            if len(a) == len(elements) or len(b) == len(elements):
+                continue
+            if set(a) | set(b) != set(elements):
+                continue
+            c = [e for e in a if e in b]
+            if c and all((x, y) in leq or (y, x) in leq for x in c for y in c):
+                out.append((a, b, c))
+    return out
 
 
 def brute_semimodular(covers, elements):

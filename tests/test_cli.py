@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from latpatch import generate, serialize
+from latpatch import brute_force_gluing_search, generate, serialize
 from latpatch.cli import cli
 
 
@@ -114,3 +114,18 @@ def test_usage_and_io_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{]")
     assert cli(["check", str(bad)]) == 2
+
+
+def test_oracle_has_no_size_gate(tmp_path, capsys):
+    g = generate("grid", [4, 4])
+    path = tmp_path / "g44.json"
+    path.write_text(serialize(g))
+    assert cli(["oracle", str(path)]) == 0
+    a, b, c = brute_force_gluing_search(g).labels()
+    assert json.loads(capsys.readouterr().out) == {"A": a, "B": b, "C": c}
+
+
+def test_max_oracle_flag_is_gone(tmp_path):
+    path = tmp_path / "c3.json"
+    path.write_text(serialize(generate("chain", [3])))
+    assert cli(["--max-oracle", "5", "oracle", str(path)]) == 2

@@ -1,11 +1,19 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from latpatch import (DecompGlue, DecompLeaf, brute_force_gluing_search,
                       decompose, generate, is_isomorphic, is_patch,
-                      sequence_of, slim, validate_witness, verify_tree)
+                      parse_tree_document, sequence_of, serialize_tree, slim,
+                      validate_witness, verify_tree)
+from latpatch.core import iter_bits
 from latpatch.errors import NotSemimodular, SizeBoundExceeded
-from latpatch.pipeline import _enumerate_ideals
+
+
+def labeled(lat):
+    return [(lat.names[a], lat.names[b]) for a, b in lat.covers], list(lat.names)
 
 
 def leaves_of(tree):
@@ -91,10 +99,12 @@ def test_witnesses_in_tree_are_proper(corpus, random_corpus_small):
 
 # -- verify_tree -------------------------------------------------------------
 
-def test_verify_round_trip(corpus):
-    for name, diag in corpus:
+def test_verify_round_trip(corpus, random_corpus_small):
+    for name, diag in list(corpus) + list(random_corpus_small)[:40]:
         tree, _ = decompose(diag)
         assert verify_tree(tree, diag) is None, name
+        parsed = parse_tree_document(serialize_tree(tree))
+        assert verify_tree(parsed, diag) is None, name
 
 
 def test_verify_rejects_non_patch_leaf(c3):
@@ -127,6 +137,36 @@ def test_verify_rejects_swapped_children():
     assert verify_tree(swapped, g) is not None
 
 
+def _swap_labels(doc, a, b):
+    """The tree document with labels a and b exchanged everywhere in it."""
+    swap = {a: b, b: a}
+    lattice = doc["lattice"]
+    out = dict(doc, lattice=dict(
+        lattice,
+        elements=[swap.get(e, e) for e in lattice["elements"]],
+        embedding={swap.get(k, k): x for k, x in lattice["embedding"].items()}))
+    if doc["kind"] == "glue":
+        out["chain"] = [swap.get(e, e) for e in doc["chain"]]
+        out["children"] = [_swap_labels(child, a, b) for child in doc["children"]]
+    return out
+
+
+def test_verify_rejects_relabeled_subtree():
+    # the left subtree of chain 4 is the chain 0 < 1 < 2; swapping 0 and 1
+    # in it keeps every label set and every shape but orders 1 < 0 < 2
+    c4 = generate("chain", [4])
+    tree, _ = decompose(c4)
+    doc = json.loads(serialize_tree(tree))
+    left = doc["children"][0]
+    assert left["lattice"]["elements"] == ["0", "1", "2"]
+    doc["children"][0] = _swap_labels(left, "0", "1")
+    tampered = parse_tree_document(json.dumps(doc))
+    assert verify_tree(tampered.left, tampered.left.diagram) is None
+    violation = verify_tree(tampered, c4)
+    assert violation is not None
+    assert (violation.path, violation.clause) == ("root", "reglue")
+
+
 # -- the oracle -----------------------------------------------------------------
 
 def test_oracle_three_chain(c3):
@@ -141,29 +181,51 @@ def test_oracle_square_and_diamond(b2, m3):
 
 def test_oracle_respects_bound():
     big = generate("grid", [4, 4])
+    witness = brute_force_gluing_search(big)
+    assert witness is not None and validate_witness(witness) is None
     with pytest.raises(SizeBoundExceeded):
-        brute_force_gluing_search(big)
-    assert brute_force_gluing_search(big, bound=None) is not None
+        brute_force_gluing_search(big, bound=14)
 
 
 def test_oracle_witnesses_are_valid(corpus):
     for name, diag in corpus:
-        if diag.lattice.n > 14:
-            continue
         witness = brute_force_gluing_search(diag)
         if witness is not None:
             assert validate_witness(witness) is None, name
 
 
 def test_ideal_enumeration_is_principal(corpus):
-    # every join-closed downset of a finite lattice has a maximum
+    # every ideal of a finite lattice is some ↓x and every filter some ↑y,
+    # which is what lets the oracle scan element pairs only
     for name, diag in corpus:
         lat = diag.lattice
-        ideals = _enumerate_ideals(lat)
-        assert len(ideals) == lat.n, name
-        for _, members, mask in ideals:
-            top = max(members, key=lambda v: lat.height[v])
-            assert mask == lat.down[top], name
+        covers, elements = labeled(lat)
+        leq = oracles.closure_leq(covers, elements)
+        ideals, filters = oracles.ideals_and_filters(leq, elements)
+        assert sorted(ideals) == sorted(lat.labels(iter_bits(m)) for m in lat.down), name
+        assert sorted(filters) == sorted(lat.labels(iter_bits(m)) for m in lat.up), name
+
+
+def test_oracle_returns_the_first_reference_witness(corpus, random_corpus_small):
+    # together these are the acceptance suite's oracle corpus
+    members = [(name, d) for name, d in corpus if d.lattice.n <= 12]
+    for name, diag in members + list(random_corpus_small):
+        expected = oracles.gluing_witnesses(*labeled(diag.lattice))
+        witness = brute_force_gluing_search(diag)
+        if not expected:
+            assert witness is None, name
+        else:
+            assert witness is not None, name
+            assert witness.labels() == expected[0], name
+
+
+@pytest.mark.parametrize("kind, params, seed", [("grid", [9, 9], 0),
+                                                ("random-sps", [80], 7)])
+def test_oracle_at_scale(kind, params, seed):
+    diag = generate(kind, params, seed=seed)
+    witness = brute_force_gluing_search(diag)
+    assert not is_patch(diag)
+    assert witness is not None and validate_witness(witness) is None
 
 
 def test_dichotomy_on_small_corpus(corpus):
