@@ -4,12 +4,21 @@ A diagram is a lattice plus an exact rational x coordinate per element;
 the y coordinate is always the element's height.  Planarity is never
 decided abstractly: it is established by exhibiting an embedding that
 passes `validate_diagram`, whose crossing tests use exact arithmetic.
+
+Crossings, duplicate positions and boundary turns are decided on integers:
+each x is multiplied by D, the lcm of the x denominators (`_scaled_points`).
+Scaling x by a positive constant multiplies every orientation determinant
+by D and keeps the order of x values, so every sign, collinearity,
+betweenness and lexicographic comparison, and hence every answer, is the
+same as on the rational points.  `Diagram` keeps its `Fraction` coordinates
+for documents and equality.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
+from math import lcm
 
 from .core import Lattice
 from .errors import MissingAnchor, NotRectangular, SizeBoundExceeded
@@ -74,6 +83,14 @@ class EyeRecord:
 
 # -- exact segment geometry ----------------------------------------------
 
+def _scaled_points(diag):
+    """Each element's point as (x·D, height), D the lcm of the x denominators."""
+    xs = diag.xcoord
+    d = lcm(*(x.denominator for x in xs))
+    return [(x.numerator * (d // x.denominator), h)
+            for x, h in zip(xs, diag.lattice.height)]
+
+
 def _orient(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
@@ -105,13 +122,13 @@ def _segments_conflict(p1, q1, p2, q2):
 def validate_diagram(diag):
     """Check the drawing invariants; None when valid, else the first violation."""
     lat = diag.lattice
+    points = _scaled_points(diag)
     seen = {}
-    for v in range(lat.n):
-        pt = diag.point(v)
+    for v, pt in enumerate(points):
         if pt in seen:
             return DiagramViolation(
                 "duplicate_position",
-                f"{lat.names[seen[pt]]!r} and {lat.names[v]!r} share {pt}")
+                f"{lat.names[seen[pt]]!r} and {lat.names[v]!r} share {diag.point(v)}")
         seen[pt] = v
     for a, b in lat.covers:
         if lat.height[b] <= lat.height[a]:
@@ -120,7 +137,6 @@ def validate_diagram(diag):
                 f"edge ({lat.names[a]!r}, {lat.names[b]!r}) does not rise")
     # edges with disjoint height ranges cannot conflict: sweep a y-window
     edges = sorted(lat.covers, key=lambda e: (lat.height[e[0]], e))
-    points = [diag.point(v) for v in range(lat.n)]
     for i, (a, b) in enumerate(edges):
         pa, pb = points[a], points[b]
         top = lat.height[b]
@@ -138,16 +154,14 @@ def validate_diagram(diag):
 
 # -- boundaries and corner predicates ------------------------------------
 
-def _next_on_boundary(diag, v, side):
+def _next_on_boundary(lat, points, v, side):
     """The angularly leftmost (or rightmost) upper cover of v."""
-    lat = diag.lattice
     best = None
     for w in lat.upper_covers[v]:
         if best is None:
             best = w
             continue
-        cross = ((diag.xcoord[best] - diag.xcoord[v]) * (lat.height[w] - lat.height[v])
-                 - (lat.height[best] - lat.height[v]) * (diag.xcoord[w] - diag.xcoord[v]))
+        cross = _orient(points[v], points[best], points[w])
         if cross > 0 if side == "left" else cross < 0:
             best = w
     return best
@@ -155,11 +169,12 @@ def _next_on_boundary(diag, v, side):
 
 def _compute_boundaries(diag):
     lat = diag.lattice
+    points = _scaled_points(diag)
 
     def walk(side):
         chain = [lat.bottom]
         while chain[-1] != lat.top:
-            chain.append(_next_on_boundary(diag, chain[-1], side))
+            chain.append(_next_on_boundary(lat, points, chain[-1], side))
         return tuple(chain)
 
     return _boundary_data(lat, walk("left"), walk("right"))
@@ -361,7 +376,9 @@ def synthesize_embedding(lat, max_size=16):
     """Search per-level left-to-right orders for a valid drawing.
 
     Exhaustive and deterministic; returns the first diagram found or None.
-    Inputs beyond `max_size` elements are refused.
+    Inputs beyond `max_size` elements are refused.  Slot i of a level of
+    `width` elements is x = (2i - (width - 1)) / 2; candidates are tested
+    on the doubled, integer x.
     """
     if lat.n > max_size:
         raise SizeBoundExceeded(
@@ -384,7 +401,7 @@ def synthesize_embedding(lat, max_size=16):
         width = len(members)
         for perm in permutations(members):
             for i, v in enumerate(perm):
-                xs[v] = Fraction(2 * i - (width - 1), 2)
+                xs[v] = 2 * i - (width - 1)
             new = level_edges(set(members))
             pts = {v: (xs[v], lat.height[v]) for v in xs}
             ok = True
@@ -406,7 +423,7 @@ def synthesize_embedding(lat, max_size=16):
 
     if not place(0):
         return None
-    return Diagram(lat, [xs[v] for v in range(lat.n)])
+    return Diagram(lat, [Fraction(xs[v], 2) for v in range(lat.n)])
 
 
 def subdiagram(diag, members):

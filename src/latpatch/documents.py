@@ -19,6 +19,8 @@ def _format_rational(x):
 
 
 def _parse_rational(text, path):
+    if not isinstance(text, str):
+        raise SchemaError(path, f"not a rational: {text!r}")
     try:
         if "/" in text:
             num, den = text.split("/")
@@ -61,7 +63,7 @@ def _diagram_from_dict(doc, path, max_synth=16):
     pairs = []
     for k, entry in enumerate(covers):
         if (not isinstance(entry, list) or len(entry) != 2
-                or not all(isinstance(i, int) for i in entry)):
+                or not all(type(i) is int for i in entry)):
             raise SchemaError(f"{path}.covers[{k}]", "expected [lower, upper]")
         a, b = entry
         if not (0 <= a < len(elements) and 0 <= b < len(elements)):
@@ -138,7 +140,7 @@ def _tree_from_dict(doc, path, max_synth=16):
     if not isinstance(children, list) or len(children) != 2:
         raise SchemaError(f"{path}.children", "expected [ideal part, filter part]")
     chain = doc.get("chain")
-    if not isinstance(chain, list):
+    if not isinstance(chain, list) or not all(isinstance(n, str) for n in chain):
         raise SchemaError(f"{path}.chain", "expected a list of labels")
     left = _tree_from_dict(children[0], f"{path}.children[0]", max_synth=max_synth)
     right = _tree_from_dict(children[1], f"{path}.children[1]", max_synth=max_synth)

@@ -3,6 +3,8 @@
 Everything here works on labeled cover lists from first principles
 (closure by repeated squaring, bound scans, downset enumeration,
 permutation search) and never touches the package's derived tables.
+The drawing references take element ids, cover pairs of ids and
+`Fraction` x coordinates, and do their geometry on the rational points.
 """
 
 from itertools import permutations, product
@@ -164,3 +166,77 @@ def segments_cross(p1, q1, p2, q2):
                 return True
         return False
     return (o1 > 0) != (o2 > 0) and (o3 > 0) != (o4 > 0)
+
+
+def heights(n, covers):
+    """Length of the longest cover chain from a minimal element to each element."""
+    height = [0] * n
+    changed = True
+    while changed:
+        changed = False
+        for a, b in covers:
+            if height[a] + 1 > height[b]:
+                height[b] = height[a] + 1
+                changed = True
+    return height
+
+
+def drawing_violation(names, covers, xs):
+    """The first violation of a drawing as (kind, detail, edges), or None.
+
+    The rational formulation of the drawing check: duplicate positions in
+    element order, then rising covers, then every pair of covers, ordered
+    by their lower heights, tested with `segments_cross`.  Covers whose
+    height ranges are disjoint cannot meet, so a sweep that skips them
+    finds the same first pair.
+    """
+    height = heights(len(names), covers)
+    points = [(x, height[v]) for v, x in enumerate(xs)]
+    seen = {}
+    for v, pt in enumerate(points):
+        if pt in seen:
+            return ("duplicate_position",
+                    f"{names[seen[pt]]!r} and {names[v]!r} share {pt}", ())
+        seen[pt] = v
+    covers = sorted(covers)
+    for a, b in covers:
+        if height[b] <= height[a]:
+            return ("non_monotone_edge",
+                    f"edge ({names[a]!r}, {names[b]!r}) does not rise", ())
+    edges = sorted(covers, key=lambda e: (height[e[0]], e))
+    for i, (a, b) in enumerate(edges):
+        for c, d in edges[i + 1:]:
+            if segments_cross(points[a], points[b], points[c], points[d]):
+                return ("edge_crossing",
+                        f"edges ({names[a]!r}, {names[b]!r}) and "
+                        f"({names[c]!r}, {names[d]!r}) intersect",
+                        ((a, b), (c, d)))
+    return None
+
+
+def boundary_chains(n, covers, xs):
+    """The left and right boundary chains: from the bottom, always step to
+    the angularly leftmost (rightmost) upper cover; among equal directions
+    the smallest id wins."""
+    height = heights(n, covers)
+    upper = [sorted(b for a, b in covers if a == v) for v in range(n)]
+    bottom = next(v for v in range(n) if all(b != v for _, b in covers))
+    top = next(v for v in range(n) if not upper[v])
+
+    def walk(side):
+        chain = [bottom]
+        while chain[-1] != top:
+            v = chain[-1]
+            best = None
+            for w in upper[v]:
+                if best is None:
+                    best = w
+                    continue
+                cross = ((xs[best] - xs[v]) * (height[w] - height[v])
+                         - (height[best] - height[v]) * (xs[w] - xs[v]))
+                if cross > 0 if side == "left" else cross < 0:
+                    best = w
+            chain.append(best)
+        return tuple(chain)
+
+    return walk("left"), walk("right")

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -129,3 +133,16 @@ def test_max_oracle_flag_is_gone(tmp_path):
     path = tmp_path / "c3.json"
     path.write_text(serialize(generate("chain", [3])))
     assert cli(["--max-oracle", "5", "oracle", str(path)]) == 2
+
+
+def test_check_non_string_coordinate_is_a_schema_error(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"elements": ["a"], "covers": [], "embedding": {"a": 0}}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "latpatch.cli", "check", str(path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == ["error: $.embedding.a: not a rational: 0"]

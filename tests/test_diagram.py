@@ -1,12 +1,14 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from latpatch import (Diagram, EyeRecord, boundaries, build_lattice, find_eyes,
-                      generate, is_isomorphic, is_patch, is_rectangular,
-                      is_slim, reflect, restore_eyes, slim,
-                      synthesize_embedding, upper_left_boundary,
-                      validate_diagram)
+from latpatch import (Diagram, DiagramViolation, EyeRecord, boundaries,
+                      build_lattice, find_eyes, generate, is_isomorphic,
+                      is_patch, is_rectangular, is_slim, reflect,
+                      restore_eyes, slim, synthesize_embedding,
+                      upper_left_boundary, validate_diagram)
 from latpatch.diagram import _segments_conflict
 from latpatch.errors import MissingAnchor, NotRectangular, SizeBoundExceeded
 
@@ -53,6 +55,81 @@ def test_segment_conflict_matches_oracle(xs, ybase, yoffs):
     if p1 == q1 or p2 == q2:
         return
     assert _segments_conflict(p1, q1, p2, q2) == oracles.segments_cross(p1, q1, p2, q2)
+
+
+def assert_geometry_matches_reference(lat, xs):
+    """validate_diagram and a fresh boundary walk agree with the rational
+    references in tests/oracles.py."""
+    diag = Diagram(lat, xs)
+    want = oracles.drawing_violation(lat.names, lat.covers, diag.xcoord)
+    assert validate_diagram(diag) == (want and DiagramViolation(*want))
+    assert ((diag.boundary.left_chain, diag.boundary.right_chain)
+            == oracles.boundary_chains(lat.n, lat.covers, diag.xcoord))
+
+
+_GRADED_POOL = [generate(kind, params).lattice for kind, params in
+                [("chain", (3,)), ("grid", (2, 3)), ("grid", (3, 3)),
+                 ("diamond", (4,))]]
+_GRADED_POOL += [generate("random-sps", [size], seed=size).lattice
+                 for size in (7, 10, 12)]
+# covers that skip heights, such as z < 1 in the pentagon, are where an
+# element can lie inside an edge: endpoint touches and collinear overlaps
+_SKIPPING_POOL = [build_lattice(covers) for covers in [
+    [("0", "x"), ("x", "y"), ("y", "1"), ("0", "z"), ("z", "1")],
+    [("0", "a"), ("a", "b"), ("b", "c"), ("c", "1"), ("0", "z"), ("z", "1")],
+    [("0", "a"), ("0", "c"), ("c", "d"), ("d", "b"), ("a", "b"), ("a", "v"),
+     ("v", "1"), ("b", "1")],
+]]
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_geometry_matches_rational_reference(data):
+    lat = data.draw(st.one_of(st.sampled_from(_GRADED_POOL),
+                              st.sampled_from(_SKIPPING_POOL)))
+    height = lat.height
+    levels = {}
+    for v in range(lat.n):
+        levels.setdefault(height[v], []).append(v)
+    width = max(len(level) for level in levels.values())
+    # few x values with mixed denominators, shared across levels, so that
+    # points line up often; within a level they repeat only when allowed
+    pool = data.draw(st.lists(st.fractions(-2, 2, max_denominator=6),
+                              min_size=width, max_size=width + 3, unique=True))
+    distinct = data.draw(st.booleans())
+    xs = [None] * lat.n
+    for level in levels.values():
+        row = data.draw(st.lists(st.sampled_from(pool), min_size=len(level),
+                                 max_size=len(level), unique=distinct))
+        for v, x in zip(level, row):
+            xs[v] = x
+    long = [(a, b) for a, b in lat.covers if height[b] - height[a] > 1]
+    if long and data.draw(st.booleans()):
+        a, b = data.draw(st.sampled_from(long))
+        v = data.draw(st.sampled_from(
+            [v for v in range(lat.n) if height[a] < height[v] < height[b]]))
+        xs[v] = xs[a] + (xs[b] - xs[a]) * Fraction(height[v] - height[a],
+                                                   height[b] - height[a])
+    assert_geometry_matches_reference(lat, xs)
+
+
+def test_element_inside_an_edge_matches_rational_reference():
+    pentagon, _, skew = _SKIPPING_POOL
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    # y = (1/2, 2) lies inside z -> 1, from (1, 1) to (0, 3): an endpoint touch
+    touch = [0, -1, half, 0, 1]
+    # a -> v runs along a -> b, from (1/3, 1) to (-1, 3): a collinear overlap
+    overlap = [0, third, 1, 1, -1, -third, 0]
+    for lat, xs, edges in ((pentagon, touch, ((1, 2), (4, 3))),
+                           (skew, overlap, ((1, 4), (1, 5)))):
+        assert validate_diagram(Diagram(lat, xs)).edges == edges
+        assert_geometry_matches_reference(lat, xs)
+
+
+def test_geometry_matches_rational_reference_on_corpus(corpus, random_corpus_small):
+    for _, diag in list(corpus) + list(random_corpus_small):
+        assert_geometry_matches_reference(diag.lattice, diag.xcoord)
+        assert validate_diagram(diag) is None
 
 
 # -- boundaries --------------------------------------------------------------

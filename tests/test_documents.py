@@ -49,6 +49,21 @@ def test_parse_rejects_bad_shapes():
                                    "embedding": {"a": "one half"}}))
 
 
+def test_parse_rejects_non_string_coordinate():
+    doc = {"elements": ["a"], "covers": [], "embedding": {"a": 0}}
+    with pytest.raises(SchemaError) as info:
+        parse_document(json.dumps(doc))
+    assert info.value.path == "$.embedding.a"
+
+
+def test_parse_rejects_boolean_cover_indices():
+    # isinstance(True, int) holds, so these once parsed as covers 0->1, 1->2
+    doc = {"elements": ["a", "b", "c"], "covers": [[False, True], [True, 2]]}
+    with pytest.raises(SchemaError, match="expected \\[lower, upper\\]") as info:
+        parse_document(json.dumps(doc))
+    assert info.value.path == "$.covers[0]"
+
+
 def test_parse_rejects_crossing_embedding(hexagon):
     doc = json.loads(serialize(hexagon))
     doc["embedding"]["p"], doc["embedding"]["u"] = "-1", "1"
@@ -94,6 +109,15 @@ def test_tree_document_rejects_unknown_chain_label():
     doc["chain"] = ["nope"]
     with pytest.raises(SchemaError):
         parse_tree_document(json.dumps(doc))
+
+
+def test_tree_document_rejects_non_string_chain_label():
+    tree, _ = decompose(generate("grid", [3, 3]))
+    doc = json.loads(serialize_tree(tree))
+    doc["chain"] = [["x"]]
+    with pytest.raises(SchemaError) as info:
+        parse_tree_document(json.dumps(doc))
+    assert info.value.path == "$.chain"
 
 
 # -- generators -----------------------------------------------------------------
