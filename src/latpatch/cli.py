@@ -11,7 +11,7 @@ import os
 import sys
 
 from . import diagram as dg
-from .core import build_lattice, is_semimodular
+from .core import is_semimodular
 from .documents import (export_dot, parse_document, parse_tree_document,
                         serialize, serialize_tree)
 from .errors import EmbeddingFailed, LatpatchError, SchemaError
@@ -40,20 +40,15 @@ def _load_diagram(path, args):
 def cmd_check(args):
     flags = {"lattice": False, "semimodular": False, "planar": False,
              "slim": False, "rectangular": False, "patch": False}
-    text = _read(args.file)
     diag = None
     try:
-        diag = parse_document(text, max_synth=args.max_synth)
+        diag = parse_document(_read(args.file), max_synth=args.max_synth)
     except SchemaError:
         raise
-    except EmbeddingFailed:
+    except EmbeddingFailed as exc:
         # the lattice itself is fine; it just admits no drawing at this bound
-        doc = json.loads(text)
-        lat = build_lattice([(doc["elements"][a], doc["elements"][b])
-                             for a, b in doc["covers"]],
-                            elements=doc["elements"])
         flags["lattice"] = True
-        flags["semimodular"] = is_semimodular(lat)
+        flags["semimodular"] = is_semimodular(exc.lattice)
     except LatpatchError:
         pass
     if diag is not None:

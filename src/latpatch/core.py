@@ -71,9 +71,11 @@ class Lattice:
 
     Construction validates every axiom (acyclicity, unique bounds, the
     input pairs being genuine covers, existence of all joins and meets)
-    and raises a diagnostic naming the first violation.  `join[a][b]` and
-    `meet[a][b]` are computed a row at a time on first use.  Instances are
-    immutable after construction and safe to share.
+    and raises a diagnostic naming the first violation.  The private
+    derived constructors skip what cannot fail for their shape (see
+    `restrict`).  `join[a][b]` and `meet[a][b]` are computed a row at a
+    time on first use.  Instances are immutable after construction and
+    safe to share.
     """
 
     def __init__(self, covers, elements=None):
@@ -212,38 +214,91 @@ class Lattice:
             down[v] |= bit
         down.append(bit | self.down[a])
 
-        new = Lattice.__new__(Lattice)
-        new.names = names + (label,)
         owners = []
         for reach, kind in ((up, "least upper"), (down, "greatest lower")):
             owner = {mask: v for v, mask in enumerate(reach)}
             for x in range(t):
                 if reach[x] & reach[t] not in owner:
-                    raise _no_bound(new.names, x, t, kind)
+                    raise _no_bound(names + (label,), x, t, kind)
             owners.append(owner)
 
-        new.n = t + 1
-        new.index = dict(self.index)
-        new.index[label] = t
+        index = dict(self.index)
+        index[label] = t
         i = bisect(self.covers, (a, t))
-        new.covers = self.covers[:i] + ((a, t),) + self.covers[i:] + ((t, c),)
-        new._cover_set = self._cover_set | {(a, t), (t, c)}
         upper = list(self.upper_covers)
         upper[a] += (t,)
         upper.append((c,))
         lower = list(self.lower_covers)
         lower[c] += (t,)
         lower.append((a,))
-        new.upper_covers = tuple(upper)
-        new.lower_covers = tuple(lower)
-        new.up = tuple(up)
-        new.down = tuple(down)
-        new.full_mask = (bit << 1) - 1
-        new.bottom = self.bottom
-        new.top = self.top
-        new.height = self.height + (self.height[a] + 1,)
-        new.join = _Rows(new.up, owners[0])
-        new.meet = _Rows(new.down, owners[1])
+        return Lattice._trusted(
+            names + (label,), self.covers[:i] + ((a, t),) + self.covers[i:] + ((t, c),),
+            tuple(upper), tuple(lower), tuple(up), tuple(down),
+            self.height + (self.height[a] + 1,), self.bottom, self.top,
+            index=index, cover_set=self._cover_set | {(a, t), (t, c)}, owners=owners)
+
+    def _minus_doubly_irreducible(self, v):
+        """This lattice without v, where o ≺ v ≺ i and (o, i) keeps another
+        element between; O(n).
+
+        Every chain through v can go through that other element instead, so
+        the order of the rest, its heights and its covers stay (only (o, i)
+        could have become a cover), and v, being doubly irreducible, is no
+        join or meet of two others.  So bit v is compacted out of every
+        mask.  Any other v is removed by a full build of the remaining
+        covers.
+        """
+        lower, upper, names = self.lower_covers, self.upper_covers, self.names
+        if len(lower[v]) == 1 and len(upper[v]) == 1:
+            o, i = lower[v][0], upper[v][0]
+            others = self.up[o] & self.down[i] & ~(1 << o | 1 << v | 1 << i)
+        else:
+            others = 0
+        if not others:
+            covers = [(names[a], names[b]) for a, b in self.covers if v not in (a, b)]
+            return Lattice(covers, elements=names[:v] + names[v + 1:])
+        low = (1 << v) - 1
+
+        def drop(mask):
+            return mask & low | mask >> 1 & ~low
+
+        def shift(ids):
+            return tuple(u - (u > v) for u in ids if u != v)
+
+        return Lattice._trusted(
+            names[:v] + names[v + 1:],
+            tuple((a - (a > v), b - (b > v)) for a, b in self.covers if v != a and v != b),
+            tuple(shift(ws) for ws in upper[:v] + upper[v + 1:]),
+            tuple(shift(ws) for ws in lower[:v] + lower[v + 1:]),
+            tuple(drop(m) for m in self.up[:v] + self.up[v + 1:]),
+            tuple(drop(m) for m in self.down[:v] + self.down[v + 1:]),
+            self.height[:v] + self.height[v + 1:],
+            self.bottom - (self.bottom > v), self.top - (self.top > v))
+
+    @staticmethod
+    def _trusted(names, covers, upper_covers, lower_covers, up, down, height,
+                 bottom, top, index=None, cover_set=None, owners=None):
+        """A lattice from parts derived from a validated one; nothing is
+        checked, and `covers` must already be sorted."""
+        new = Lattice.__new__(Lattice)
+        new.names = names
+        new.n = len(names)
+        new.index = {lab: i for i, lab in enumerate(names)} if index is None else index
+        new.covers = covers
+        new._cover_set = frozenset(covers) if cover_set is None else cover_set
+        new.upper_covers = upper_covers
+        new.lower_covers = lower_covers
+        new.up = up
+        new.down = down
+        new.full_mask = (1 << new.n) - 1
+        new.height = height
+        new.bottom = bottom
+        new.top = top
+        if owners is None:
+            owners = ({mask: v for v, mask in enumerate(up)},
+                      {mask: v for v, mask in enumerate(down)})
+        new.join = _Rows(up, owners[0])
+        new.meet = _Rows(down, owners[1])
         return new
 
     # -- order queries ---------------------------------------------------
@@ -270,13 +325,29 @@ class Lattice:
         return m
 
     def restrict(self, members):
-        """Sublattice induced on the given ids, covers recomputed.
+        """Sublattice induced on the given ids, in ascending id order.
 
-        Intended for subsets that are sublattices (ideals, filters,
-        intervals); the result is validated like any other lattice.
+        An interval [y, x] of this lattice is derived in O(k) for k members:
+        its covers are the covers of this lattice inside it, and every join
+        and meet of two members stays inside, so nothing can fail.  The
+        pipeline's parts (↓x, ↑y) are all intervals.  Any other subset gets
+        its covers recomputed and is validated in full.
+
+        Derived lattices, made from one already validated: one-step
+        extensions and eye insertions (`_plus_doubly_irreducible`),
+        intervals (here) and eye removals (`_minus_doubly_irreducible`).
+        Validated in full: lattices from documents, `build_lattice`, the
+        generators' chains, grids, diamonds and gluings, and non-interval
+        subsets.
         """
         members = sorted(members)
         mask = self.mask_of(members)
+        if members and len(members) == mask.bit_count():
+            # in [y, x] every other member lies strictly above y and below x
+            y = min(members, key=self.height.__getitem__)
+            x = max(members, key=self.height.__getitem__)
+            if self.up[y] & self.down[x] == mask:
+                return self._interval(members, y, x)
         covers = []
         for u in members:
             for v in iter_bits(self.up[u] & mask & ~(1 << u)):
@@ -284,6 +355,37 @@ class Lattice:
                 if not between:
                     covers.append((self.names[u], self.names[v]))
         return Lattice(covers, elements=[self.names[v] for v in members])
+
+    def _interval(self, members, y, x):
+        """`restrict` for the sorted members of [y, x]."""
+        pos = {v: i for i, v in enumerate(members)}
+        upper = tuple(tuple(pos[w] for w in self.upper_covers[v] if w in pos)
+                      for v in members)
+        lower = tuple(tuple(pos[w] for w in self.lower_covers[v] if w in pos)
+                      for v in members)
+        k = len(members)
+        order = sorted(range(k), key=lambda i: self.height[members[i]])
+        up = [0] * k
+        for i in reversed(order):
+            m = 1 << i
+            for w in upper[i]:
+                m |= up[w]
+            up[i] = m
+        down = [0] * k
+        height = [0] * k
+        for i in order:
+            m = 1 << i
+            h = 0
+            for w in lower[i]:
+                m |= down[w]
+                if height[w] >= h:
+                    h = height[w] + 1
+            down[i] = m
+            height[i] = h
+        return Lattice._trusted(
+            tuple(self.names[v] for v in members),
+            tuple((i, w) for i in range(k) for w in upper[i]),
+            upper, lower, tuple(up), tuple(down), tuple(height), pos[y], pos[x])
 
     def __eq__(self, other):
         return (isinstance(other, Lattice)

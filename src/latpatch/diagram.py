@@ -20,7 +20,6 @@ from functools import cached_property
 from itertools import permutations
 from math import lcm
 
-from .core import Lattice
 from .errors import MissingAnchor, NotRectangular, SizeBoundExceeded
 
 
@@ -44,6 +43,11 @@ class Diagram:
     @cached_property
     def boundary(self):
         return _compute_boundaries(self)
+
+    @cached_property
+    def x_extent(self):
+        """(min x, max x) of the drawing."""
+        return min(self.xcoord), max(self.xcoord)
 
     def __eq__(self, other):
         return (isinstance(other, Diagram)
@@ -135,14 +139,20 @@ def validate_diagram(diag):
             return DiagramViolation(
                 "non_monotone_edge",
                 f"edge ({lat.names[a]!r}, {lat.names[b]!r}) does not rise")
-    # edges with disjoint height ranges cannot conflict: sweep a y-window
-    edges = sorted(lat.covers, key=lambda e: (lat.height[e[0]], e))
-    for i, (a, b) in enumerate(edges):
+    # edges with disjoint height ranges cannot conflict: sweep a y-window;
+    # inside it, edges whose closed x ranges are disjoint cannot meet either
+    sweep = []
+    for a, b in sorted(lat.covers, key=lambda e: (lat.height[e[0]], e)):
+        xa, xb = points[a][0], points[b][0]
+        sweep.append((lat.height[a], min(xa, xb), max(xa, xb), a, b))
+    for i, (_, lo, hi, a, b) in enumerate(sweep):
         pa, pb = points[a], points[b]
         top = lat.height[b]
-        for c, d in edges[i + 1:]:
-            if lat.height[c] > top:
+        for h, c_lo, c_hi, c, d in sweep[i + 1:]:
+            if h > top:
                 break
+            if c_lo > hi or c_hi < lo:
+                continue
             if _segments_conflict(pa, pb, points[c], points[d]):
                 return DiagramViolation(
                     "edge_crossing",
@@ -201,7 +211,8 @@ def _boundary_data(lat, left, right):
 def _outer_extension(diag, lattice, site):
     """Draw `lattice`, which is diag's lattice plus a last element t with
     a ≺ t ≺ c for the boundary site (a, b, c, side), with t one unit
-    outside the drawing on that side, and carry the boundary over.
+    outside the drawing on that side, and carry the boundary and the x
+    extent over.
 
     t is one level above a and strictly outside every other element, so
     that side's walk turns from a to t and then to c, t's only upper
@@ -211,14 +222,18 @@ def _outer_extension(diag, lattice, site):
     a, b, c, side = site
     t = diag.lattice.n
     left, right = diag.boundary.left_chain, diag.boundary.right_chain
+    lo, hi = diag.x_extent
     if side == "left":
-        x = min(diag.xcoord) - 1
+        lo -= 1
+        x = lo
         left = tuple(t if v == b else v for v in left)
     else:
-        x = max(diag.xcoord) + 1
+        hi += 1
+        x = hi
         right = tuple(t if v == b else v for v in right)
     after = Diagram(lattice, diag.xcoord + (x,))
     after.boundary = _boundary_data(lattice, left, right)
+    after.x_extent = lo, hi
     return after
 
 
@@ -308,11 +323,9 @@ def find_eyes(diag):
 
 
 def _without_element(diag, v):
-    lat = diag.lattice
-    keep = [u for u in range(lat.n) if u != v]
-    covers = [(lat.names[a], lat.names[b]) for a, b in lat.covers if v not in (a, b)]
-    sub = Lattice(covers, elements=[lat.names[u] for u in keep])
-    return Diagram(sub, [diag.xcoord[u] for u in keep])
+    """The diagram without the eye v; its lattice is derived, not rebuilt."""
+    xs = diag.xcoord
+    return Diagram(diag.lattice._minus_doubly_irreducible(v), xs[:v] + xs[v + 1:])
 
 
 def slim(diag):
@@ -356,10 +369,8 @@ def insert_middle(diag, rec):
             f"[{rec.lower!r}, {rec.upper!r}] is not an interval that can "
             f"host {rec.label!r} at slot {rec.slot}", record=rec)
     x = (diag.xcoord[mids[rec.slot - 1]] + diag.xcoord[mids[rec.slot]]) / 2
-    covers = [(lat.names[a], lat.names[b]) for a, b in lat.covers]
-    covers += [(rec.lower, rec.label), (rec.label, rec.upper)]
-    new = Lattice(covers, elements=list(lat.names) + [rec.label])
-    return Diagram(new, list(diag.xcoord) + [x])
+    new = lat._plus_doubly_irreducible(lo, hi, rec.label)
+    return Diagram(new, diag.xcoord + (x,))
 
 
 def restore_eyes(diag, records):
@@ -431,8 +442,7 @@ def subdiagram(diag, members):
     lat = diag.lattice
     members = sorted(members)
     sub = lat.restrict(members)
-    ambient = {(lat.names[a], lat.names[b]) for a, b in lat.covers}
     for a, b in sub.covers:
-        if (sub.names[a], sub.names[b]) not in ambient:
+        if not lat.is_cover(members[a], members[b]):
             raise ValueError("subset does not inherit the ambient covers")
     return Diagram(sub, [diag.xcoord[v] for v in members])

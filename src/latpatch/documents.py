@@ -1,11 +1,13 @@
 """JSON documents for diagrams and decomposition trees, plus DOT export.
 
-Rationals are serialized as strings in lowest terms so that round trips
-are bit-exact; a document without an embedding gets one synthesized.
+Rationals are serialized as strings in lowest terms, and parsing accepts
+only that canonical text, so round trips are bit-exact; a document without
+an embedding gets one synthesized.
 """
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .core import Lattice
 from .diagram import Diagram, validate_diagram, synthesize_embedding
@@ -24,10 +26,14 @@ def _parse_rational(text, path):
     try:
         if "/" in text:
             num, den = text.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
+            value = Fraction(int(num), int(den))
+        else:
+            value = Fraction(int(text))
     except (ValueError, ZeroDivisionError):
         raise SchemaError(path, f"not a rational: {text!r}")
+    if _format_rational(value) != text:
+        raise SchemaError(path, f"not a rational in canonical form: {text!r}")
+    return value
 
 
 def _diagram_to_dict(diag):
@@ -41,12 +47,55 @@ def _diagram_to_dict(diag):
     }
 
 
+def _emit(value, pad, out):
+    """Append `json.dumps(value, sort_keys=True, indent=2)`, its lines
+    indented by `pad`, to `out`.
+
+    `json.dumps` with an indent always runs the pure-Python encoder, which
+    yields through one generator per nesting level; this writes the shapes
+    documents are made of (dicts with string keys, lists, strings and
+    plain ints) directly and leaves any other value to `json.dumps`.
+    """
+    kind = type(value)
+    if kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is list and value:
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _emit(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "]")
+    elif kind is dict and value and all(type(key) is str for key in value):
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key in sorted(value):
+            out.append(sep)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _emit(value[key], inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    else:
+        out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + pad))
+
+
+def _dumps(doc):
+    out = []
+    _emit(doc, "", out)
+    out.append("\n")
+    return "".join(out)
+
+
 def serialize(diag, meta=None):
     """Serialize a diagram; keys sorted, rationals in lowest terms."""
     doc = _diagram_to_dict(diag)
     if meta:
         doc["meta"] = dict(meta)
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return _dumps(doc)
 
 
 def _diagram_from_dict(doc, path, max_synth=16):
@@ -81,10 +130,11 @@ def _diagram_from_dict(doc, path, max_synth=16):
         try:
             diag = synthesize_embedding(lat, max_size=max_synth)
         except SizeBoundExceeded as exc:
-            raise EmbeddingFailed(str(exc))
+            raise EmbeddingFailed(str(exc), lattice=lat)
         if diag is None:
             raise EmbeddingFailed(
-                f"no planar drawing exists for the {lat.n}-element lattice")
+                f"no planar drawing exists for the {lat.n}-element lattice",
+                lattice=lat)
         return diag
     if not isinstance(embedding, dict):
         raise SchemaError(f"{path}.embedding", "expected an object")
@@ -123,7 +173,7 @@ def _tree_to_dict(node):
 
 
 def serialize_tree(tree):
-    return json.dumps(_tree_to_dict(tree), sort_keys=True, indent=2) + "\n"
+    return _dumps(_tree_to_dict(tree))
 
 
 def _tree_from_dict(doc, path, max_synth=16):

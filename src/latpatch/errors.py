@@ -62,7 +62,12 @@ class NotIso(LatpatchError):
 
 
 class EmbeddingFailed(LatpatchError):
-    pass
+    """No drawing was found; `lattice` is the validated lattice when the
+    failure came from synthesizing one for a parsed document."""
+
+    def __init__(self, message, lattice=None):
+        super().__init__(message)
+        self.lattice = lattice
 
 
 class InvalidSite(LatpatchError):

@@ -5,12 +5,13 @@ from itertools import combinations
 import pytest
 
 import oracles
-from latpatch import (Lattice, build_lattice, classify_subset, generate,
-                      interval, irreducibility, is_isomorphic, is_semimodular,
-                      rectangularize, slim)
+from latpatch import (EyeRecord, Lattice, build_lattice, classify_subset,
+                      find_eyes, generate, interval, irreducibility,
+                      is_isomorphic, is_semimodular, rectangularize, slim)
 from latpatch.core import iter_bits
-from latpatch.errors import (CycleDetected, EmptySet, NotALattice, NotBounded,
-                             NotComparable)
+from latpatch.diagram import _without_element, insert_middle
+from latpatch.errors import (CycleDetected, EmptySet, MissingAnchor, NotALattice,
+                             NotBounded, NotComparable)
 
 
 def test_three_chain():
@@ -184,6 +185,15 @@ def full_build_plus(lat, a, c, label):
     return Lattice(covers, elements=list(lat.names) + [label])
 
 
+def assert_same_lattice(derived, full, name):
+    """Every field and every join and meet row agree."""
+    for field in LATTICE_FIELDS:
+        assert getattr(derived, field) == getattr(full, field), (name, field)
+    for v in range(full.n):
+        assert derived.join[v] == full.join[v], name
+        assert derived.meet[v] == full.meet[v], name
+
+
 def test_derived_extension_equals_full_build(corpus, random_corpus_small):
     checked = 0
     for name, diag in corpus + random_corpus_small:
@@ -195,11 +205,7 @@ def test_derived_extension_equals_full_build(corpus, random_corpus_small):
             before, derived = step.before.lattice, step.after.lattice
             full = full_build_plus(before, before.id_of(step.a),
                                    before.id_of(step.c), step.t)
-            for field in LATTICE_FIELDS:
-                assert getattr(derived, field) == getattr(full, field), (name, field)
-            for v in range(full.n):
-                assert derived.join[v] == full.join[v], name
-                assert derived.meet[v] == full.meet[v], name
+            assert_same_lattice(derived, full, name)
             checked += 1
     assert checked > 100
 
@@ -250,6 +256,170 @@ def test_dropped_lattice_needs_no_cycle_collector():
     gc.disable()
     try:
         del lat, derived
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+# -- lattices derived as intervals and by removing or inserting an eye ---------
+
+def full_build_restrict(lat, members):
+    """The sublattice on `members`, covers recomputed and validated from scratch."""
+    members = sorted(members)
+    mask = lat.mask_of(members)
+    covers = [(lat.names[u], lat.names[v]) for u in members for v in members
+              if lat.lt(u, v) and not lat.up[u] & lat.down[v] & mask
+              & ~(1 << u | 1 << v)]
+    return Lattice(covers, elements=[lat.names[v] for v in members])
+
+
+def full_build_minus(lat, v):
+    """`lat` without v, built and validated from scratch."""
+    covers = [(lat.names[a], lat.names[b]) for a, b in lat.covers if v not in (a, b)]
+    return Lattice(covers, elements=[x for u, x in enumerate(lat.names) if u != v])
+
+
+def test_derived_interval_equals_full_build(corpus, random_corpus_small, n5,
+                                            hexagon, monkeypatch):
+    full_builds = []
+    real_init = Lattice.__init__
+
+    def counting_init(self, *args, **kwargs):
+        full_builds.append(1)
+        real_init(self, *args, **kwargs)
+
+    # N5, two stacked N5s and the hexagon are not graded: heights inside an
+    # interval are not the ambient heights shifted
+    n5_twice = build_lattice([("0", "x"), ("x", "y"), ("y", "1"), ("0", "z"),
+                              ("z", "1"), ("1", "x2"), ("x2", "y2"), ("y2", "2"),
+                              ("1", "z2"), ("z2", "2")])
+    lattices = [(name, diag.lattice) for name, diag in corpus + random_corpus_small]
+    lattices += [("n5", n5.lattice), ("hexagon", hexagon.lattice),
+                 ("n5 twice", n5_twice)]
+    checked = 0
+    for name, lat in lattices:
+        for y in range(lat.n):
+            for x in iter_bits(lat.up[y]):
+                members = list(iter_bits(lat.up[y] & lat.down[x]))
+                full = full_build_restrict(lat, members)
+                monkeypatch.setattr(Lattice, "__init__", counting_init)
+                derived = lat.restrict(reversed(members))
+                monkeypatch.undo()
+                assert_same_lattice(derived, full, (name, y, x))
+                checked += 1
+    assert not full_builds
+    assert checked > 5000
+
+
+def test_non_interval_subset_is_built_in_full(b2, c4, monkeypatch):
+    monkeypatch.setattr(Lattice, "_interval", None)  # never reached
+    square = b2.lattice
+    bottom, l, top = square.id_of("0"), square.id_of("l"), square.id_of("1")
+    chain = square.restrict([bottom, l, top])  # a sublattice, not an interval
+    assert_same_lattice(chain, build_lattice([("0", "l"), ("l", "1")]), "chain")
+    grid = generate("grid", [3, 3]).lattice
+    corners = [grid.id_of(x) for x in ("0,0", "2,0", "0,2", "2,2")]
+    assert_same_lattice(grid.restrict(corners),
+                        full_build_restrict(grid, corners), "corners")
+    lat = c4.lattice
+    assert_same_lattice(lat.restrict([lat.bottom, lat.top]),
+                        full_build_restrict(lat, [lat.bottom, lat.top]), "ends")
+    cases = [
+        (square, [l, square.id_of("r")], NotBounded),  # two minimal elements
+        (square, [bottom, l, square.id_of("r")], NotBounded),
+        (lat, [], NotBounded),
+        (lat, [lat.bottom, lat.bottom, lat.top], ValueError),  # repeated id
+    ]
+    for base, members, error in cases:
+        with pytest.raises(error) as full:
+            full_build_restrict(base, members)
+        with pytest.raises(error) as derived:
+            base.restrict(members)
+        assert str(derived.value) == str(full.value), members
+
+
+def test_derived_eye_removal_equals_full_build(corpus, random_corpus_small):
+    checked = 0
+    for name, diag in corpus + random_corpus_small:
+        cur = diag
+        while True:
+            eyes = find_eyes(cur)
+            if not eyes:
+                break
+            m, _ = eyes[0]
+            lat = cur.lattice
+            assert_same_lattice(lat._minus_doubly_irreducible(m),
+                                full_build_minus(lat, m), name)
+            cur = _without_element(cur, m)
+            checked += 1
+        assert cur == slim(diag)[0], name
+    assert checked > 50
+
+
+def test_eye_removal_off_the_fast_path_is_a_full_build(c3, m3):
+    # b is the only element of (0, 1): without it 0 and 1 are unrelated
+    lat = c3.lattice
+    with pytest.raises(NotBounded) as full:
+        full_build_minus(lat, lat.id_of("b"))
+    with pytest.raises(NotBounded) as derived:
+        lat._minus_doubly_irreducible(lat.id_of("b"))
+    assert str(derived.value) == str(full.value)
+    # the bottom of M3 is not doubly irreducible
+    lat = m3.lattice
+    with pytest.raises(NotBounded):
+        lat._minus_doubly_irreducible(lat.bottom)
+    # an atom of the square leaves the other atom in (0, 1): a 3-chain
+    square = build_lattice([("0", "l"), ("0", "r"), ("l", "1"), ("r", "1")])
+    assert_same_lattice(square._minus_doubly_irreducible(square.id_of("l")),
+                        build_lattice([("0", "r"), ("r", "1")]), "square")
+
+
+def test_insert_middle_equals_full_build(corpus, random_corpus_small):
+    checked = 0
+    for name, diag in corpus + random_corpus_small:
+        slimmed, records = slim(diag)
+        cur = slimmed
+        for rec in reversed(records):
+            lat = cur.lattice
+            full = Lattice([(lat.names[a], lat.names[b]) for a, b in lat.covers]
+                           + [(rec.lower, rec.label), (rec.label, rec.upper)],
+                           elements=lat.names + (rec.label,))
+            cur = insert_middle(cur, rec)
+            assert_same_lattice(cur.lattice, full, name)
+            checked += 1
+    assert checked > 50
+
+
+def test_insert_middle_errors(b2, m3):
+    cases = [
+        (b2, EyeRecord("0", "nope", 1, "m"), "anchor of 'm' is gone"),
+        (b2, EyeRecord("0", "1", 1, "l"), "label 'l' already in use"),
+        (b2, EyeRecord("1", "0", 1, "m"), "'1' no longer lies below '0'"),
+        (b2, EyeRecord("0", "l", 1, "m"),
+         "['0', 'l'] is not an interval that can host 'm' at slot 1"),
+        (b2, EyeRecord("0", "1", 2, "m"),
+         "['0', '1'] is not an interval that can host 'm' at slot 2"),
+        (m3, EyeRecord("0", "1", 0, "e"),
+         "['0', '1'] is not an interval that can host 'e' at slot 0"),
+    ]
+    for diag, rec, message in cases:
+        with pytest.raises(MissingAnchor) as info:
+            insert_middle(diag, rec)
+        assert str(info.value) == message
+        assert info.value.record == rec
+
+
+def test_dropped_derived_lattices_need_no_cycle_collector(m3):
+    grid = generate("grid", [3, 3]).lattice
+    part = grid.restrict(iter_bits(grid.down[grid.id_of("2,1")]))
+    lat = m3.lattice
+    smaller = lat._minus_doubly_irreducible(lat.id_of("m"))
+    assert part.join[0] and part.meet[part.top]
+    assert smaller.join[0] and smaller.meet[smaller.top]
+    refs = [weakref.ref(part), weakref.ref(smaller)]
+    gc.disable()
+    try:
+        del part, smaller
         assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()

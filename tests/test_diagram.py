@@ -126,6 +126,16 @@ def test_element_inside_an_edge_matches_rational_reference():
         assert_geometry_matches_reference(lat, xs)
 
 
+def test_edges_whose_x_ranges_touch_are_still_tested():
+    pentagon = _SKIPPING_POOL[0]
+    # z -> 1 runs up x = 0 through y = (0, 2), the upper end of x -> y, whose
+    # x range [-1, 0] meets z -> 1's only at 0; y -> 1 overlaps z -> 1 later
+    xs = [0, -1, 0, 0, 0]
+    violation = validate_diagram(Diagram(pentagon, xs))
+    assert violation.edges == ((1, 2), (4, 3))
+    assert_geometry_matches_reference(pentagon, xs)
+
+
 def test_geometry_matches_rational_reference_on_corpus(corpus, random_corpus_small):
     for _, diag in list(corpus) + list(random_corpus_small):
         assert_geometry_matches_reference(diag.lattice, diag.xcoord)

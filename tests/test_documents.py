@@ -3,9 +3,11 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latpatch import (decompose, export_dot, generate, is_rectangular, is_slim,
-                      is_semimodular, parse_document, parse_tree_document,
-                      serialize, serialize_tree, validate_diagram, verify_tree)
+from latpatch import (Diagram, build_lattice, decompose, export_dot, generate,
+                      is_rectangular, is_slim, is_semimodular, parse_document,
+                      parse_tree_document, serialize, serialize_tree,
+                      validate_diagram, verify_tree)
+from latpatch.documents import _diagram_to_dict, _tree_to_dict
 from latpatch.errors import BadParams, EmbeddingFailed, SchemaError
 
 
@@ -80,8 +82,14 @@ def test_parse_unembeddable_lattice_fails():
             if sum(x != y for x, y in zip(a, b)) == 1 and a < b:
                 covers.append([a_idx, b_idx])
     doc = {"elements": labels, "covers": covers, "meta": {}}
-    with pytest.raises(EmbeddingFailed):
+    with pytest.raises(EmbeddingFailed) as info:
         parse_document(json.dumps(doc))
+    # the validated lattice rides along, so callers need not parse again
+    lat = info.value.lattice
+    assert lat.names == tuple(labels) and len(lat.covers) == 12
+    with pytest.raises(EmbeddingFailed, match="exceeds the synthesis bound") as info:
+        parse_document(json.dumps(doc), max_synth=4)
+    assert info.value.lattice.names == tuple(labels)
 
 
 @given(st.integers(min_value=0, max_value=5000))
@@ -89,6 +97,83 @@ def test_parse_unembeddable_lattice_fails():
 def test_round_trip_on_random_lattices(seed):
     diag = generate("random-sps", [2 + seed % 15], seed=seed)
     assert parse_document(serialize(diag)) == diag
+
+
+@pytest.mark.parametrize("text", ["1_0", " 3 ", "3/6", "4/2", "3/1", "+3", "-0",
+                                  "007", "1/-2", "-2/4"])
+def test_parse_rejects_non_canonical_coordinate(text):
+    # each parses as a number, but `serialize` would write it differently
+    doc = {"elements": ["a"], "covers": [], "embedding": {"a": text}}
+    with pytest.raises(SchemaError) as info:
+        parse_document(json.dumps(doc))
+    assert info.value.path == "$.embedding.a"
+
+
+@pytest.mark.parametrize("text", ["0", "7", "-3", "1/2", "-5/3"])
+def test_parse_accepts_canonical_coordinate(text):
+    doc = {"elements": ["a"], "covers": [], "embedding": {"a": text}}
+    assert serialize(parse_document(json.dumps(doc))) == json.dumps(
+        dict(doc, meta={}), sort_keys=True, indent=2) + "\n"
+
+
+def test_corpus_documents_round_trip(corpus, random_corpus_small):
+    for name, diag in corpus + random_corpus_small:
+        text = serialize(diag)
+        again = parse_document(text)
+        assert again == diag, name
+        assert serialize(again) == text, name
+
+
+# -- the JSON emitter ------------------------------------------------------------
+
+def json_reference(doc):
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_serializers_match_json_dumps_on_corpus(corpus, random_corpus_small):
+    for name, diag in corpus + random_corpus_small:
+        assert serialize(diag) == json_reference(_diagram_to_dict(diag)), name
+        if diag.lattice.n > 1:
+            tree, _ = decompose(diag)
+            assert serialize_tree(tree) == json_reference(_tree_to_dict(tree)), name
+
+
+def test_serialize_escapes_labels_like_json_dumps():
+    labels = ['"q"', "back\\slash", "ctl\x01\x1f\n\t\x7f", "é", "日本",
+              "\U0001f600", "\ud800", "</script>", ""]
+    lat = build_lattice(list(zip(labels, labels[1:])), elements=labels)
+    diag = Diagram(lat, [0] * lat.n)
+    meta = {label: label for label in labels}
+    doc = _diagram_to_dict(diag)
+    doc["meta"] = meta
+    text = serialize(diag, meta=meta)
+    assert text == json_reference(doc)
+    assert text.isascii()
+    assert parse_document(text) == diag
+    tree, _ = decompose(diag)
+    assert serialize_tree(tree) == json_reference(_tree_to_dict(tree))
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.text(max_size=6))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+                   | st.dictionaries(st.integers(), inner, max_size=3)),
+    max_leaves=16)
+
+
+@given(st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=5)
+       | st.dictionaries(st.integers(), JSON_VALUES, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_serialize_meta_matches_json_dumps(meta):
+    diag = generate("grid", [2, 2])
+    doc = _diagram_to_dict(diag)
+    if meta:
+        doc["meta"] = dict(meta)
+    assert serialize(diag, meta=meta) == json_reference(doc)
 
 
 # -- tree documents ------------------------------------------------------------

@@ -162,6 +162,7 @@ def test_carried_boundary_matches_a_fresh_walk(corpus, random_corpus_small):
         for after in extended:
             fresh = Diagram(after.lattice, after.xcoord)
             assert after.boundary == _compute_boundaries(fresh), name
+            assert after.x_extent == (min(after.xcoord), max(after.xcoord)), name
 
 
 def test_extension_is_conservative(c4):
