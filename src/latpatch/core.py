@@ -524,21 +524,25 @@ def is_isomorphic(lat1, lat2):
                 return False
         return True
 
-    def search(i):
-        if i == lat1.n:
-            return True
-        v = order[i]
-        for w in candidates[v]:
-            if not used[w] and consistent(v, w):
-                mapping[v] = w
-                used[w] = True
-                if search(i + 1):
-                    return True
-                mapping[v] = -1
-                used[w] = False
-        return False
-
-    if not search(0):
+    # depth-first over `order`, candidates in list order; next_try[i] is
+    # where order[i] resumes, an explicit stack instead of recursion
+    next_try = [0] * lat1.n
+    i = 0
+    while 0 <= i < lat1.n:
+        v, cands = order[i], candidates[order[i]]
+        if mapping[v] != -1:  # back from a dead end: undo v's choice
+            used[mapping[v]] = False
+            mapping[v] = -1
+        k = next_try[i]
+        while k < len(cands) and (used[cands[k]] or not consistent(v, cands[k])):
+            k += 1
+        if k == len(cands):
+            next_try[i] = 0
+            i -= 1
+        else:
+            mapping[v], used[cands[k]], next_try[i] = cands[k], True, k + 1
+            i += 1
+    if i < 0:
         return None
     image = {(mapping[a], mapping[b]) for a, b in lat1.covers}
     if image != set(lat2.covers):

@@ -211,12 +211,16 @@ def _tree_from_dict(doc, path, max_synth=16):
 
 
 def parse_tree_document(text, max_synth=16):
-    """Parse a decomposition-tree document produced by `serialize_tree`."""
+    """Parse a decomposition-tree document produced by `serialize_tree`.
+
+    A document nested deeper than the interpreter's recursion limit allows
+    is a `SchemaError` at `$`."""
     try:
-        doc = json.loads(text)
+        return _tree_from_dict(json.loads(text), "$", max_synth=max_synth)
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"not valid JSON: {exc}")
-    return _tree_from_dict(doc, "$", max_synth=max_synth)
+    except RecursionError:
+        raise SchemaError("$", "document nests too deeply") from None
 
 
 # -- DOT export ----------------------------------------------------------

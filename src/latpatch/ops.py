@@ -22,14 +22,13 @@ from .errors import (AssertionFailed, BadX, ChainWasSingletonT, EmbeddingFailed,
 
 @dataclass(frozen=True)
 class ExtensionStep:
-    """One boundary extension: the new element t with a < t < c only."""
+    """One boundary extension, by labels: the site a ≺ b ≺ c on `side` and
+    the new element t with a ≺ t ≺ c only."""
     a: object
     b: object
     c: object
     side: str
     t: object
-    before: Diagram
-    after: Diagram
 
 
 @dataclass(frozen=True)
@@ -250,41 +249,46 @@ def one_step_extension(diag, site):
     lat = diag.lattice
     t = _fresh_t(lat)
     after = _outer_extension(diag, lat._plus_doubly_irreducible(a, c, t), site)
-    step = ExtensionStep(lat.names[a], lat.names[b], lat.names[c], side,
-                         t, diag, after)
+    step = ExtensionStep(lat.names[a], lat.names[b], lat.names[c], side, t)
     return after, step
 
 
 def restrict_gluing(witness, step):
     """Drop t from a witness for the extended lattice, giving one for the
-    original: A' = A - {t}, B' = B - {t}, C' = C - {t}."""
-    after = step.after.lattice
-    if witness.ambient is not after and witness.ambient != after:
+    original: A' = A - {t}, B' = B - {t}, C' = C - {t}.
+
+    The witness must live on a lattice where t is a ≺ t ≺ c with no other
+    covers and a ≺ b ≺ c, as `step` left it."""
+    amb = witness.ambient
+    a, b, c, t = (amb.index.get(x) for x in (step.a, step.b, step.c, step.t))
+    if (t is None or amb.lower_covers[t] != (a,) or amb.upper_covers[t] != (c,)
+            or b is None or not amb.is_cover(a, b) or not amb.is_cover(b, c)):
         raise ImproperWitness("witness does not live on the extended lattice")
-    if witness.C == {after.id_of(step.t)}:
+    if witness.C == {t}:
         raise ChainWasSingletonT(
             "overlap chain is exactly {t}; no valid witness can do that")
     reason = validate_witness(witness)
     if reason is not None:
         raise ImproperWitness(reason)
-    return _restrict_valid(witness, step)
+    return _pull_back(witness, amb._minus_doubly_irreducible(t))
 
 
-def _restrict_valid(witness, step):
-    """`restrict_gluing` for a witness on `step.after` already known to be
-    valid: only the restricted witness is checked."""
-    after = step.after.lattice
-    before = step.before.lattice
-    t = after.id_of(step.t)
-    restricted = GluingWitness(
-        before,
-        frozenset(before.id_of(after.names[v]) for v in witness.A if v != t),
-        frozenset(before.id_of(after.names[v]) for v in witness.B if v != t),
-        frozenset(before.id_of(after.names[v]) for v in witness.C if v != t))
-    reason = validate_witness(restricted)
+def _pull_back(witness, base):
+    """The witness restricted to the labels of `base`, a lattice the
+    witness's ambient extends by doubly irreducible elements only.
+
+    Each added t has a ≺ t ≺ c with a < c still in `base`, so dropping all
+    of them at once gives the same sets as dropping them one at a time."""
+    names, index = witness.ambient.names, base.index
+
+    def keep(ids):
+        return frozenset(index[names[v]] for v in ids if names[v] in index)
+
+    pulled = GluingWitness(base, keep(witness.A), keep(witness.B), keep(witness.C))
+    reason = validate_witness(pulled)
     if reason is not None:
         raise AssertionFailed(f"restricted witness is invalid: {reason}")
-    return restricted
+    return pulled
 
 
 def rectangularize(diag, max_rounds=None):

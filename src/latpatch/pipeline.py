@@ -14,9 +14,8 @@ from typing import Optional
 from .core import classify_subset, is_isomorphic, is_semimodular, iter_bits
 from .diagram import (Diagram, is_patch, is_rectangular, slim, subdiagram,
                       validate_diagram)
-from .errors import (ImproperWitness, NoDecomposition, NotSemimodular,
-                     SizeBoundExceeded)
-from .ops import (DecompositionCut, GluingWitness, _restrict_valid, choose_x,
+from .errors import NoDecomposition, NotSemimodular, SizeBoundExceeded
+from .ops import (DecompositionCut, GluingWitness, _pull_back, choose_x,
                   decompose_at, rectangularize, validate_witness,
                   witness_from_cut)
 
@@ -42,8 +41,6 @@ class PipelineTrace:
     extension_steps: tuple
     cut: Optional[DecompositionCut]
     fallback_used: bool
-    slim_diagram: Optional[Diagram]
-    rectangular_diagram: Optional[Diagram]
 
 
 @dataclass(frozen=True)
@@ -133,16 +130,10 @@ def _decompose_step(diag):
         cut = decompose_at(rect, x, mode)
         witness = witness_from_cut(cut)
         if steps:
-            # pulled back like restrict_gluing, but each witness is checked
-            # once: the cut's here, every restricted one as it is made
-            reason = validate_witness(witness)
-            if reason is not None:
-                raise ImproperWitness(reason)
-        for step in reversed(steps):
-            witness = _restrict_valid(witness, step)
+            witness = _pull_back(witness, slimmed.lattice)
         fallback = False
     lifted = _lift_through_eyes(witness, slimmed, eyes, diag)
-    trace = PipelineTrace(tuple(eyes), tuple(steps), cut, fallback, slimmed, rect)
+    trace = PipelineTrace(tuple(eyes), tuple(steps), cut, fallback)
     return lifted, trace
 
 
@@ -150,7 +141,7 @@ def _decompose(diag):
     step = _decompose_step(diag)
     if step is None:
         leaf = DecompLeaf(diag)
-        trace = PipelineTrace((), (), None, False, None, None)
+        trace = PipelineTrace((), (), None, False)
         return leaf, trace
     witness, trace = step
     left = subdiagram(diag, witness.A)

@@ -1,6 +1,6 @@
 import pytest
 
-from latpatch import Diagram, build_lattice, generate
+from latpatch import Diagram, build_lattice, generate, one_step_extension
 
 
 @pytest.fixture
@@ -67,3 +67,23 @@ def random_corpus_small():
         size = 2 + seed % 11
         out.append((f"sps[{size}]#{seed}", generate("random-sps", [size], seed=seed)))
     return out
+
+
+def _replay(diag, steps):
+    """(before, after) diagrams of each recorded extension step, re-derived
+    by extending at the step's site; each re-derived record must equal the
+    recorded one."""
+    out = []
+    for step in steps:
+        lat = diag.lattice
+        site = (lat.id_of(step.a), lat.id_of(step.b), lat.id_of(step.c), step.side)
+        after, again = one_step_extension(diag, site)
+        assert again == step
+        out.append((diag, after))
+        diag = after
+    return out
+
+
+@pytest.fixture(scope="session")
+def replay():
+    return _replay

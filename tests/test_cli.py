@@ -135,14 +135,33 @@ def test_max_oracle_flag_is_gone(tmp_path):
     assert cli(["--max-oracle", "5", "oracle", str(path)]) == 2
 
 
-def test_check_non_string_coordinate_is_a_schema_error(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"elements": ["a"], "covers": [], "embedding": {"a": 0}}))
+def run_cli(*args):
+    """The CLI in a fresh interpreter, importing latpatch from this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "latpatch.cli", "check", str(path)],
+    return subprocess.run([sys.executable, "-m", "latpatch.cli", *args],
                           env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_check_non_string_coordinate_is_a_schema_error(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"elements": ["a"], "covers": [], "embedding": {"a": 0}}))
+    proc = run_cli("check", str(path))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines() == ["error: $.embedding.a: not a rational: 0"]
+
+
+def test_verify_deeply_nested_tree_is_a_schema_error(tmp_path):
+    c2 = serialize(generate("chain", [2]))
+    lattice = tmp_path / "c2.json"
+    lattice.write_text(c2)
+    leaf = f'{{"kind": "leaf", "lattice": {c2}}}'
+    glue = f'{{"kind": "glue", "lattice": {c2}, "chain": ["0"], "children": ['
+    tree = tmp_path / "deep.json"
+    tree.write_text(glue * 1200 + leaf + f", {leaf}]}}" * 1200)
+    proc = run_cli("verify", str(lattice), str(tree))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == ["error: $: document nests too deeply"]

@@ -142,6 +142,17 @@ def test_isomorphic_distinguishes_same_size():
     assert is_isomorphic(c5, square_with_top) is None
 
 
+def test_isomorphic_long_chains_need_no_recursion():
+    # one full build; the chains compared are intervals of it with different
+    # labels, derived without another n² build
+    lat = build_lattice([(f"c{i}", f"c{i + 1}") for i in range(2000)])
+    for n in (1500, 2000):
+        low = interval(lat, 0, lat.id_of(f"c{n - 1}"))
+        high = interval(lat, lat.id_of(f"c{2001 - n}"), lat.top)
+        assert low.names != high.names
+        assert is_isomorphic(low, high) == {v: v for v in range(n)}
+
+
 def test_isomorphic_reflexive_and_symmetric(corpus):
     for name, diag in corpus:
         assert is_isomorphic(diag.lattice, diag.lattice) is not None, name
@@ -194,19 +205,20 @@ def assert_same_lattice(derived, full, name):
         assert derived.meet[v] == full.meet[v], name
 
 
-def test_derived_extension_equals_full_build(corpus, random_corpus_small):
+def test_derived_extension_equals_full_build(corpus, random_corpus_small, replay):
     checked = 0
     for name, diag in corpus + random_corpus_small:
         slimmed, _ = slim(diag)
         if slimmed.lattice.n <= 2:
             continue
-        _, steps = rectangularize(slimmed)
-        for step in steps:
-            before, derived = step.before.lattice, step.after.lattice
-            full = full_build_plus(before, before.id_of(step.a),
-                                   before.id_of(step.c), step.t)
-            assert_same_lattice(derived, full, name)
+        hull, steps = rectangularize(slimmed)
+        after = slimmed
+        for (before, after), step in zip(replay(slimmed, steps), steps):
+            lat = before.lattice
+            full = full_build_plus(lat, lat.id_of(step.a), lat.id_of(step.c), step.t)
+            assert_same_lattice(after.lattice, full, name)
             checked += 1
+        assert after == hull, name
     assert checked > 100
 
 

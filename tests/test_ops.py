@@ -8,11 +8,12 @@ from latpatch import (Diagram, GluingWitness, choose_x,
                       validate_diagram, validate_witness, witness_from_cut)
 from latpatch.core import irreducibility, iter_bits
 from latpatch.diagram import _compute_boundaries
-from latpatch.errors import (BadX, ChainWasSingletonT, EmbeddingFailed,
-                             ImproperWitness, InvalidSite, IsPatch,
-                             IterationBoundExceeded, NotAChain, NotAFilter,
-                             NotAnIdeal, NotIso, StuckNotRectangular)
-from latpatch.ops import _is_extension_site
+from latpatch.errors import (AssertionFailed, BadX, ChainWasSingletonT,
+                             EmbeddingFailed, ImproperWitness, InvalidSite,
+                             IsPatch, IterationBoundExceeded, NotAChain,
+                             NotAFilter, NotAnIdeal, NotIso,
+                             StuckNotRectangular)
+from latpatch.ops import _is_extension_site, _pull_back
 
 
 def site_names(diag, sites):
@@ -152,13 +153,16 @@ def test_site_check_agrees_with_the_site_scan(corpus):
             assert not _is_extension_site(slimmed, site[:3]), name
 
 
-def test_carried_boundary_matches_a_fresh_walk(corpus, random_corpus_small):
+def test_carried_boundary_matches_a_fresh_walk(corpus, random_corpus_small, replay):
     for name, diag in corpus + random_corpus_small:
         slimmed, _ = slim(diag)
         extended = [one_step_extension(slimmed, site)[0]
                     for site in find_extension_sites(slimmed)]
         if slimmed.lattice.n > 2:
-            extended += [step.after for step in rectangularize(slimmed)[1]]
+            hull, steps = rectangularize(slimmed)
+            replayed = [after for _, after in replay(slimmed, steps)]
+            assert not steps or replayed[-1] == hull, name
+            extended += replayed
         for after in extended:
             fresh = Diagram(after.lattice, after.xcoord)
             assert after.boundary == _compute_boundaries(fresh), name
@@ -218,6 +222,52 @@ def test_restricted_witnesses_stay_valid(corpus):
         for step in reversed(steps):
             w = restrict_gluing(w, step)
             assert validate_witness(w) is None, name
+
+
+def test_one_pull_back_equals_the_per_step_fold(corpus, random_corpus_small):
+    checked = 0
+    for name, diag in corpus + random_corpus_small:
+        slimmed, _ = slim(diag)
+        if is_rectangular(slimmed) or is_patch(slimmed):
+            continue
+        rect, steps = rectangularize(slimmed)
+        if is_patch(rect):
+            continue
+        cut_witness = witness_from_cut(decompose_at(rect, *choose_x(rect)))
+        folded = cut_witness
+        for step in reversed(steps):
+            folded = restrict_gluing(folded, step)
+        pulled = _pull_back(cut_witness, slimmed.lattice)
+        assert pulled.ambient is slimmed.lattice and folded.ambient == pulled.ambient, name
+        assert (pulled.A, pulled.B, pulled.C) == (folded.A, folded.B, folded.C), name
+        assert pulled.labels() == folded.labels(), name
+        checked += 1
+    assert checked > 100
+
+
+def test_pull_back_rejects_an_invalid_restriction(c4):
+    after, _ = one_step_extension(c4, find_extension_sites(c4)[0])
+    w = witness_of(after, ["0", "t1"], ["t1", "a", "b", "1"])
+    with pytest.raises(AssertionFailed, match="overlap is empty"):
+        _pull_back(w, c4.lattice)
+
+
+def test_restrict_rejects_a_witness_on_the_unextended_lattice(c4):
+    _, step = one_step_extension(c4, find_extension_sites(c4)[0])
+    w = witness_of(c4, ["0", "a"], ["a", "b", "1"])
+    assert validate_witness(w) is None
+    with pytest.raises(ImproperWitness, match="does not live on the extended"):
+        restrict_gluing(w, step)
+
+
+def test_restrict_rejects_t_with_other_covers(c4):
+    first, second = [site for site in find_extension_sites(c4) if site[3] == "left"]
+    _, step = one_step_extension(c4, first)        # 0 < t1 < b
+    other, _ = one_step_extension(c4, second)      # a < t1 < 1
+    w = witness_of(other, ["0", "a"], ["a", "b", "t1", "1"])
+    assert validate_witness(w) is None
+    with pytest.raises(ImproperWitness, match="does not live on the extended"):
+        restrict_gluing(w, step)
 
 
 # -- rectangularize ----------------------------------------------------------------

@@ -1,4 +1,9 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -67,19 +72,19 @@ def test_decompose_rejects_non_semimodular(n5):
         decompose(n5)
 
 
-def test_trace_replays_exactly(corpus):
+def test_trace_replays_exactly(corpus, replay):
     for name, diag in corpus:
         tree, trace = decompose(diag)
         if isinstance(tree, DecompLeaf):
             continue
         slimmed, records = slim(diag)
-        assert slimmed == trace.slim_diagram, name
         assert tuple(records) == trace.eyes, name
-        replay = slimmed
-        for step in trace.extension_steps:
-            assert step.before == replay, name
-            replay = step.after
-        assert replay == trace.rectangular_diagram, name
+        pairs = replay(slimmed, trace.extension_steps)
+        hull = pairs[-1][1] if pairs else slimmed
+        if trace.fallback_used:
+            assert trace.cut is None and is_patch(hull), name
+        else:
+            assert hull == trace.cut.ambient, name
 
 
 def test_witnesses_in_tree_are_proper(corpus, random_corpus_small):
@@ -226,6 +231,31 @@ def test_oracle_at_scale(kind, params, seed):
     witness = brute_force_gluing_search(diag)
     assert not is_patch(diag)
     assert witness is not None and validate_witness(witness) is None
+
+
+SCALING_RUN = """
+import sys
+from latpatch import decompose, generate, verify_tree
+diag = generate("random-sps", [int(sys.argv[1])], seed=7)
+tree, _ = decompose(diag)
+print(verify_tree(tree, diag))
+"""
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [120, 160])
+def test_decompose_and_verify_at_scale(n):
+    # a child process, so that its peak RSS is its own: RUSAGE_CHILDREN
+    # reports the largest child this process has waited for
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", SCALING_RUN, str(n)], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "None"
+    peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    assert peak_mb < 300
 
 
 def test_dichotomy_on_small_corpus(corpus):
