@@ -6,7 +6,6 @@ stored as per-element bitmasks so that comparisons, bound scans and subset
 role checks are plain integer operations.
 """
 
-from bisect import bisect
 from dataclasses import dataclass
 
 from .errors import CycleDetected, EmptySet, NotALattice, NotBounded, NotComparable
@@ -25,20 +24,25 @@ def _no_bound(names, a, b, kind):
                        witness=(names[a], names[b]))
 
 
-def _owner_checked(reach, names, kind):
+def _owner_checked(reach, comparable, names, kind):
     """The element owning each reach mask, once every pair has a bound.
 
     In a lattice the common bounds of (a, b) are exactly the bounds of
     their join/meet, so `reach[a] & reach[b]` must itself be a reach mask;
-    a dict lookup finds the bound or proves there is none.
+    a dict lookup finds the bound or proves there is none.  Comparable
+    pairs always have one, so only the b > a outside `comparable[a]`
+    (↑a ∪ ↓a) are looked up.
     """
     owner = {mask: v for v, mask in enumerate(reach)}
-    n = len(reach)
-    for a in range(n):
-        reach_a = reach[a]
-        for b in range(a + 1, n):
+    full = (1 << len(reach)) - 1
+    for a, reach_a in enumerate(reach):
+        rest = full & ~((2 << a) - 1) & ~comparable[a]
+        while rest:
+            low = rest & -rest
+            b = low.bit_length() - 1
             if reach_a & reach[b] not in owner:
                 raise _no_bound(names, a, b, kind)
+            rest ^= low
     return owner
 
 
@@ -160,8 +164,11 @@ class Lattice:
                     height[w] = height[v] + 1
         self.height = tuple(height)
 
-        self.join = _Rows(self.up, _owner_checked(self.up, self.names, "least upper"))
-        self.meet = _Rows(self.down, _owner_checked(self.down, self.names, "greatest lower"))
+        comparable = [u | d for u, d in zip(up, down)]
+        self.join = _Rows(self.up, _owner_checked(self.up, comparable, self.names,
+                                                  "least upper"))
+        self.meet = _Rows(self.down, _owner_checked(self.down, comparable, self.names,
+                                                    "greatest lower"))
 
     def _topo_order(self):
         indeg = [len(self.lower_covers[v]) for v in range(self.n)]
@@ -179,64 +186,6 @@ class Lattice:
             raise CycleDetected(f"cover relation has a cycle through {stuck[:4]!r}")
         return order
 
-    def _plus_doubly_irreducible(self, a, c, label):
-        """This lattice plus a new element `label` with a ≺ label ≺ c.
-
-        For a < c this takes O(n) and raises what a full build from the
-        extended cover list would, checking only what can newly fail: the
-        label is fresh, (a, c) is not a cover, and the new element t has a
-        join and a meet with every x.  Old pairs keep their bounds: if
-        x, y ≤ a then x ∨ y ≤ a < t, so t is only one more upper bound of
-        x ∨ y, and dually for meets.  Heights stay, because c lies at least
-        two levels above a.  Otherwise t would change the old order (a
-        cycle, or a newly below c), so the lattice is built in full.
-        """
-        names = self.names
-        if label in self.index:
-            raise ValueError("duplicate element labels")
-        if not self.lt(a, c):
-            covers = [(names[u], names[v]) for u, v in self.covers]
-            covers += [(names[a], label), (label, names[c])]
-            return Lattice(covers, elements=names + (label,))
-        if self.is_cover(a, c):
-            raise NotALattice(
-                f"({names[a]!r}, {names[c]!r}) is not a cover: {label!r} lies between",
-                witness=(names[a], names[c]))
-
-        t = self.n
-        bit = 1 << t
-        up = list(self.up)
-        for v in iter_bits(self.down[a]):
-            up[v] |= bit
-        up.append(bit | self.up[c])
-        down = list(self.down)
-        for v in iter_bits(self.up[c]):
-            down[v] |= bit
-        down.append(bit | self.down[a])
-
-        owners = []
-        for reach, kind in ((up, "least upper"), (down, "greatest lower")):
-            owner = {mask: v for v, mask in enumerate(reach)}
-            for x in range(t):
-                if reach[x] & reach[t] not in owner:
-                    raise _no_bound(names + (label,), x, t, kind)
-            owners.append(owner)
-
-        index = dict(self.index)
-        index[label] = t
-        i = bisect(self.covers, (a, t))
-        upper = list(self.upper_covers)
-        upper[a] += (t,)
-        upper.append((c,))
-        lower = list(self.lower_covers)
-        lower[c] += (t,)
-        lower.append((a,))
-        return Lattice._trusted(
-            names + (label,), self.covers[:i] + ((a, t),) + self.covers[i:] + ((t, c),),
-            tuple(upper), tuple(lower), tuple(up), tuple(down),
-            self.height + (self.height[a] + 1,), self.bottom, self.top,
-            index=index, cover_set=self._cover_set | {(a, t), (t, c)}, owners=owners)
-
     def _minus_doubly_irreducible(self, v):
         """This lattice without v, where o ≺ v ≺ i and (o, i) keeps another
         element between; O(n).
@@ -245,18 +194,10 @@ class Lattice:
         the order of the rest, its heights and its covers stay (only (o, i)
         could have become a cover), and v, being doubly irreducible, is no
         join or meet of two others.  So bit v is compacted out of every
-        mask.  Any other v is removed by a full build of the remaining
-        covers.
+        mask.  Both callers guarantee the shape: an eye has a single lower
+        and upper cover and at least two other middles, and
+        `restrict_gluing` checks a ≺ b ≺ c for t with a ≺ t ≺ c.
         """
-        lower, upper, names = self.lower_covers, self.upper_covers, self.names
-        if len(lower[v]) == 1 and len(upper[v]) == 1:
-            o, i = lower[v][0], upper[v][0]
-            others = self.up[o] & self.down[i] & ~(1 << o | 1 << v | 1 << i)
-        else:
-            others = 0
-        if not others:
-            covers = [(names[a], names[b]) for a, b in self.covers if v not in (a, b)]
-            return Lattice(covers, elements=names[:v] + names[v + 1:])
         low = (1 << v) - 1
 
         def drop(mask):
@@ -265,6 +206,7 @@ class Lattice:
         def shift(ids):
             return tuple(u - (u > v) for u in ids if u != v)
 
+        names, upper, lower = self.names, self.upper_covers, self.lower_covers
         return Lattice._trusted(
             names[:v] + names[v + 1:],
             tuple((a - (a > v), b - (b > v)) for a, b in self.covers if v != a and v != b),
@@ -277,7 +219,7 @@ class Lattice:
 
     @staticmethod
     def _trusted(names, covers, upper_covers, lower_covers, up, down, height,
-                 bottom, top, index=None, cover_set=None, owners=None):
+                 bottom, top, index=None):
         """A lattice from parts derived from a validated one; nothing is
         checked, and `covers` must already be sorted."""
         new = Lattice.__new__(Lattice)
@@ -285,7 +227,7 @@ class Lattice:
         new.n = len(names)
         new.index = {lab: i for i, lab in enumerate(names)} if index is None else index
         new.covers = covers
-        new._cover_set = frozenset(covers) if cover_set is None else cover_set
+        new._cover_set = frozenset(covers)
         new.upper_covers = upper_covers
         new.lower_covers = lower_covers
         new.up = up
@@ -294,11 +236,8 @@ class Lattice:
         new.height = height
         new.bottom = bottom
         new.top = top
-        if owners is None:
-            owners = ({mask: v for v, mask in enumerate(up)},
-                      {mask: v for v, mask in enumerate(down)})
-        new.join = _Rows(up, owners[0])
-        new.meet = _Rows(down, owners[1])
+        new.join = _Rows(up, {mask: v for v, mask in enumerate(up)})
+        new.meet = _Rows(down, {mask: v for v, mask in enumerate(down)})
         return new
 
     # -- order queries ---------------------------------------------------
@@ -333,8 +272,8 @@ class Lattice:
         pipeline's parts (↓x, ↑y) are all intervals.  Any other subset gets
         its covers recomputed and is validated in full.
 
-        Derived lattices, made from one already validated: one-step
-        extensions and eye insertions (`_plus_doubly_irreducible`),
+        Derived lattices, made from one already validated: hulls, one-step
+        extensions and eye insertions (grown in place by `_Growing`),
         intervals (here) and eye removals (`_minus_doubly_irreducible`).
         Validated in full: lattices from documents, `build_lattice`, the
         generators' chains, grids, diamonds and gluings, and non-interval
@@ -395,6 +334,67 @@ class Lattice:
 
     def __repr__(self):
         return f"Lattice({self.n} elements, {len(self.covers)} covers)"
+
+
+class _Growing:
+    """A lattice grown in place by doubly irreducible elements.
+
+    It holds mutable lists under `Lattice`'s field names.  `add(a, c,
+    label)` adds a new last element t with a ≺ t ≺ c in O(|↓a| + |↑c|), by
+    ORing bit t into the up-masks of ↓a and the down-masks of ↑c;
+    `lattice()` freezes the result once, unchecked.
+
+    Nothing can fail when a < c and (a, c) is not a cover, which every
+    caller guarantees.  The old order is kept, since a < c already, and
+    so are the old covers, since (a, c) was none.  t has a join and a meet
+    with every x: x ∨ t is t when x ≤ a and x ∨ c otherwise, and x ∧ t is
+    t when x ≥ c and x ∧ a otherwise.  Old pairs keep their bounds: if
+    x, y ≤ a then x ∨ y ≤ a < t, so t is only one more upper bound of
+    x ∨ y, and dually.  Heights stay, because c lies at least two levels
+    above a.
+    """
+
+    def __init__(self, lat):
+        self.names = list(lat.names)
+        self.index = dict(lat.index)
+        self.upper_covers = [list(ws) for ws in lat.upper_covers]
+        self.lower_covers = [list(ws) for ws in lat.lower_covers]
+        self.up = list(lat.up)
+        self.down = list(lat.down)
+        self.height = list(lat.height)
+        self.bottom = lat.bottom
+        self.top = lat.top
+
+    def add(self, a, c, label):
+        """Add `label` as the new element t with a ≺ t ≺ c only; t's id."""
+        up, down = self.up, self.down
+        t = len(up)
+        bit = 1 << t
+        for reach, mask in ((up, down[a]), (down, up[c])):
+            while mask:
+                low = mask & -mask
+                reach[low.bit_length() - 1] |= bit
+                mask ^= low
+        up.append(bit | up[c])
+        down.append(bit | down[a])
+        self.names.append(label)
+        self.index[label] = t
+        self.upper_covers[a].append(t)
+        self.upper_covers.append([c])
+        self.lower_covers[c].append(t)
+        self.lower_covers.append([a])
+        self.height.append(self.height[a] + 1)
+        return t
+
+    def lattice(self):
+        """The grown lattice; call once, when growing is done.  Cover lists
+        stay sorted, because every new id is the largest so far."""
+        upper = tuple(map(tuple, self.upper_covers))
+        return Lattice._trusted(
+            tuple(self.names), tuple((v, w) for v, ws in enumerate(upper) for w in ws),
+            upper, tuple(map(tuple, self.lower_covers)), tuple(self.up),
+            tuple(self.down), tuple(self.height), self.bottom, self.top,
+            index=self.index)
 
 
 def build_lattice(covers, elements=None):

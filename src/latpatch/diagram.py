@@ -20,6 +20,7 @@ from functools import cached_property
 from itertools import permutations
 from math import lcm
 
+from .core import _Growing
 from .errors import MissingAnchor, NotRectangular, SizeBoundExceeded
 
 
@@ -43,11 +44,6 @@ class Diagram:
     @cached_property
     def boundary(self):
         return _compute_boundaries(self)
-
-    @cached_property
-    def x_extent(self):
-        """(min x, max x) of the drawing."""
-        return min(self.xcoord), max(self.xcoord)
 
     def __eq__(self, other):
         return (isinstance(other, Diagram)
@@ -208,50 +204,23 @@ def _boundary_data(lat, left, right):
                         rc[0] if len(rc) == 1 else None)
 
 
-def _outer_extension(diag, lattice, site):
-    """Draw `lattice`, which is diag's lattice plus a last element t with
-    a ≺ t ≺ c for the boundary site (a, b, c, side), with t one unit
-    outside the drawing on that side, and carry the boundary and the x
-    extent over.
-
-    t is one level above a and strictly outside every other element, so
-    that side's walk turns from a to t and then to c, t's only upper
-    cover; the other walk still leaves a by b.  So t replaces b and all
-    else stays; only the corners are recounted.
-    """
-    a, b, c, side = site
-    t = diag.lattice.n
-    left, right = diag.boundary.left_chain, diag.boundary.right_chain
-    lo, hi = diag.x_extent
-    if side == "left":
-        lo -= 1
-        x = lo
-        left = tuple(t if v == b else v for v in left)
-    else:
-        hi += 1
-        x = hi
-        right = tuple(t if v == b else v for v in right)
-    after = Diagram(lattice, diag.xcoord + (x,))
-    after.boundary = _boundary_data(lattice, left, right)
-    after.x_extent = lo, hi
-    return after
-
-
 def boundaries(diag):
     """Boundary chains, weak corners and the distinguished corners u_l, u_r."""
     return diag.boundary
 
 
+def _rectangular(lat, b):
+    """`is_rectangular` on a lattice's masks (or a `_Growing`'s) and the
+    boundary data `b`: u_l ∨ u_r = 1 and u_l ∧ u_r = 0 read off ↑ and ↓."""
+    u, v = b.u_l, b.u_r
+    return (u is not None and v is not None
+            and lat.up[u] & lat.up[v] == 1 << lat.top
+            and lat.down[u] & lat.down[v] == 1 << lat.bottom)
+
+
 def is_rectangular(diag):
     """Exactly one weak corner per side, and the two are complementary."""
-    lat = diag.lattice
-    if lat.n <= 1:
-        return False
-    b = diag.boundary
-    if len(b.left_corners) != 1 or len(b.right_corners) != 1:
-        return False
-    return (lat.join[b.u_l][b.u_r] == lat.top
-            and lat.meet[b.u_l][b.u_r] == lat.bottom)
+    return _rectangular(diag.lattice, diag.boundary)
 
 
 def is_patch(diag):
@@ -369,8 +338,9 @@ def insert_middle(diag, rec):
             f"[{rec.lower!r}, {rec.upper!r}] is not an interval that can "
             f"host {rec.label!r} at slot {rec.slot}", record=rec)
     x = (diag.xcoord[mids[rec.slot - 1]] + diag.xcoord[mids[rec.slot]]) / 2
-    new = lat._plus_doubly_irreducible(lo, hi, rec.label)
-    return Diagram(new, diag.xcoord + (x,))
+    grown = _Growing(lat)
+    grown.add(lo, hi, rec.label)  # lo < hi with two middles: not a cover
+    return Diagram(grown.lattice(), diag.xcoord + (x,))
 
 
 def restore_eyes(diag, records):

@@ -9,11 +9,11 @@ slim rectangular lattice at a boundary element.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Lattice, classify_subset, iter_bits
-from .diagram import (Diagram, _outer_extension, is_patch, is_rectangular,
-                      is_slim, subdiagram, synthesize_embedding,
-                      upper_left_boundary, upper_right_boundary,
-                      validate_diagram)
+from .core import Lattice, _Growing, classify_subset, iter_bits
+from .diagram import (Diagram, _boundary_data, _rectangular, is_patch,
+                      is_rectangular, is_slim, subdiagram,
+                      synthesize_embedding, upper_left_boundary,
+                      upper_right_boundary, validate_diagram)
 from .errors import (AssertionFailed, BadX, ChainWasSingletonT, EmbeddingFailed,
                      ImproperWitness, InvalidSite, IsPatch,
                      IterationBoundExceeded, NotAChain, NotAFilter, NotAnIdeal,
@@ -195,45 +195,77 @@ def glue_over_chain(lower, upper, iso, max_synth=16):
 
 # -- one-step extensions ----------------------------------------------------
 
+def _sites(lat, left, right):
+    """Boundary triples a ≺ b ≺ c with a meet-irreducible and c
+    join-irreducible, on the left chain bottom-up, then on the right."""
+    upper, lower = lat.upper_covers, lat.lower_covers
+    for side, chain in (("left", left), ("right", right)):
+        for a, b, c in zip(chain, chain[1:], chain[2:]):
+            if len(upper[a]) == 1 and len(lower[c]) == 1:
+                yield a, b, c, side
+
+
 def find_extension_sites(diag):
     """Boundary triples a < b < c with a meet-irreducible and c
     join-irreducible; left-boundary sites bottom-up, then right."""
-    lat = diag.lattice
-    upper, lower = lat.upper_covers, lat.lower_covers
-    sites = []
-    for side, chain in (("left", diag.boundary.left_chain),
-                        ("right", diag.boundary.right_chain)):
-        for a, b, c in zip(chain, chain[1:], chain[2:]):
-            if len(upper[a]) == 1 and len(lower[c]) == 1:
-                sites.append((a, b, c, side))
-    sites.sort(key=lambda s: (s[3] != "left", lat.height[s[0]]))
-    return sites
+    b = diag.boundary
+    return list(_sites(diag.lattice, b.left_chain, b.right_chain))
 
 
-def _is_extension_site(diag, site):
-    """`site in find_extension_sites(diag)`, looking only at the site."""
-    if not isinstance(site, tuple) or len(site) != 4:
-        return False
-    a, b, c, side = site
-    if side == "left":
-        chain = diag.boundary.left_chain
-    elif side == "right":
-        chain = diag.boundary.right_chain
-    else:
-        return False
-    if a not in chain:
-        return False
-    i = chain.index(a)
-    lat = diag.lattice
-    return (chain[i + 1:i + 3] == (b, c) and len(lat.upper_covers[a]) == 1
-            and len(lat.lower_covers[c]) == 1)
+class _Hull:
+    """A diagram grown in place at its boundary sites: the lattice as a
+    `_Growing`, the x coordinates, the two boundary chains, the x extent
+    and a running counter for the fresh labels t1, t2, ... (the smallest
+    unused k only grows, since labels are only ever added)."""
 
+    def __init__(self, diag):
+        self.lat = _Growing(diag.lattice)
+        self.xcoord = list(diag.xcoord)
+        self.lo, self.hi = min(self.xcoord), max(self.xcoord)
+        self.left = list(diag.boundary.left_chain)
+        self.right = list(diag.boundary.right_chain)
+        self.k = 1
 
-def _fresh_t(lat):
-    k = 1
-    while f"t{k}" in lat.index:
-        k += 1
-    return f"t{k}"
+    def sites(self):
+        return _sites(self.lat, self.left, self.right)
+
+    def is_rectangular(self):
+        return _rectangular(self.lat, _boundary_data(self.lat, self.left, self.right))
+
+    def extend(self, site):
+        """Add a fresh t with a ≺ t ≺ c at a site from `sites()`, one unit
+        outside the drawing on the site's side and one level above a.
+
+        a ≺ b ≺ c lie on a maximal chain, so a < c is not a cover and the
+        lattice grows without checks.  t is strictly outside every other
+        element, so that side's walk turns from a to t and then to c, t's
+        only upper cover; the other walk still leaves a by b.  So t
+        replaces b in that chain and all else stays.
+        """
+        a, b, c, side = site
+        lat = self.lat
+        while f"t{self.k}" in lat.index:
+            self.k += 1
+        label = f"t{self.k}"
+        t = lat.add(a, c, label)
+        if side == "left":
+            self.lo -= 1
+            self.xcoord.append(self.lo)
+            chain = self.left
+        else:
+            self.hi += 1
+            self.xcoord.append(self.hi)
+            chain = self.right
+        chain[chain.index(b)] = t
+        names = lat.names
+        return ExtensionStep(names[a], names[b], names[c], side, label)
+
+    def diagram(self):
+        """The grown diagram, with its boundary carried over; call once."""
+        lattice = self.lat.lattice()
+        after = Diagram(lattice, self.xcoord)
+        after.boundary = _boundary_data(lattice, tuple(self.left), tuple(self.right))
+        return after
 
 
 def one_step_extension(diag, site):
@@ -243,14 +275,11 @@ def one_step_extension(diag, site):
     a; the new edges hug the boundary, so the drawing stays planar.  The
     lattice and the boundary are derived from the old ones in O(n).
     """
-    if not _is_extension_site(diag, site):
+    hull = _Hull(diag)
+    if site not in hull.sites():
         raise InvalidSite(f"{site!r} is not an extension site")
-    a, b, c, side = site
-    lat = diag.lattice
-    t = _fresh_t(lat)
-    after = _outer_extension(diag, lat._plus_doubly_irreducible(a, c, t), site)
-    step = ExtensionStep(lat.names[a], lat.names[b], lat.names[c], side, t)
-    return after, step
+    step = hull.extend(site)
+    return hull.diagram(), step
 
 
 def restrict_gluing(witness, step):
@@ -297,23 +326,24 @@ def rectangularize(diag, max_rounds=None):
     Deterministic: left sites bottom-up are tried before right ones.  The
     round bound defaults to n²; hitting it, or running out of sites, means
     the input was not a slim planar semimodular lattice and is reported.
+    The hull grows in place and is frozen into one lattice and one diagram
+    at the end; a diagram that is already rectangular is returned as is.
     """
     if max_rounds is None:
         max_rounds = diag.lattice.n ** 2
+    hull = _Hull(diag)
     steps = []
-    cur = diag
-    while not is_rectangular(cur):
+    while not hull.is_rectangular():
         if len(steps) >= max_rounds:
             raise IterationBoundExceeded(
                 f"still not rectangular after {max_rounds} extensions")
-        sites = find_extension_sites(cur)
-        if not sites:
+        site = next(hull.sites(), None)
+        if site is None:
             raise StuckNotRectangular(
                 f"no extension site on a non-rectangular "
-                f"{cur.lattice.n}-element lattice")
-        cur, step = one_step_extension(cur, sites[0])
-        steps.append(step)
-    return cur, steps
+                f"{len(hull.lat.names)}-element lattice")
+        steps.append(hull.extend(site))
+    return (hull.diagram() if steps else diag), steps
 
 
 # -- the rectangular cut -----------------------------------------------------

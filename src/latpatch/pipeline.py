@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import classify_subset, is_isomorphic, is_semimodular, iter_bits
-from .diagram import (Diagram, is_patch, is_rectangular, slim, subdiagram,
-                      validate_diagram)
+from .diagram import Diagram, is_patch, slim, subdiagram, validate_diagram
 from .errors import NoDecomposition, NotSemimodular, SizeBoundExceeded
 from .ops import (DecompositionCut, GluingWitness, _pull_back, choose_x,
                   decompose_at, rectangularize, validate_witness,
@@ -111,10 +110,7 @@ def _decompose_step(diag):
     if is_patch(diag):
         return None
     slimmed, eyes = slim(diag)
-    if is_rectangular(slimmed):
-        rect, steps = slimmed, []
-    else:
-        rect, steps = rectangularize(slimmed)
+    rect, steps = rectangularize(slimmed)
     if steps and is_patch(rect):
         # the extension collapsed to a patch although the slim lattice was
         # not rectangular (e.g. a chain): fall back to the oracle's search

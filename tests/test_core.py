@@ -5,11 +5,12 @@ from itertools import combinations
 import pytest
 
 import oracles
-from latpatch import (EyeRecord, Lattice, build_lattice, classify_subset,
-                      find_eyes, generate, interval, irreducibility,
-                      is_isomorphic, is_semimodular, rectangularize, slim)
-from latpatch.core import iter_bits
-from latpatch.diagram import _without_element, insert_middle
+from latpatch import (Diagram, EyeRecord, Lattice, build_lattice,
+                      classify_subset, find_eyes, generate, interval,
+                      irreducibility, is_isomorphic, is_semimodular,
+                      rectangularize, slim)
+from latpatch.core import _Growing, iter_bits
+from latpatch.diagram import _compute_boundaries, _without_element, insert_middle
 from latpatch.errors import (CycleDetected, EmptySet, MissingAnchor, NotALattice,
                              NotBounded, NotComparable)
 
@@ -62,6 +63,18 @@ def test_missing_bound_rejected():
     with pytest.raises(NotALattice) as err:
         build_lattice(covers)
     assert err.value.witness is not None
+
+
+def test_first_missing_bound_after_comparable_pairs():
+    # ids 0, a, b, c, ...: every pair before (a, c) is comparable, and a, c
+    # have the two minimal upper bounds x and y
+    covers = [("0", "a"), ("a", "b"), ("0", "c"), ("b", "x"), ("c", "x"),
+              ("b", "y"), ("c", "y"), ("x", "1"), ("y", "1")]
+    with pytest.raises(NotALattice) as err:
+        build_lattice(covers)
+    assert type(err.value) is NotALattice
+    assert str(err.value) == "'a' and 'c' have no least upper bound"
+    assert err.value.witness == ("a", "c")
 
 
 def test_semimodular_examples(n5, m3):
@@ -222,52 +235,59 @@ def test_derived_extension_equals_full_build(corpus, random_corpus_small, replay
     assert checked > 100
 
 
-def test_derived_extension_raises_like_full_build(b2, c4):
-    lat = c4.lattice
-    bottom, a, b = (lat.id_of(x) for x in ("0", "a", "b"))
-    square = b2.lattice
-    l, r = square.id_of("l"), square.id_of("r")
-    grid = generate("grid", [3, 3]).lattice
-    cases = [
-        (lat, bottom, b, "a"),          # reused label
-        (lat, b, a, "t"),               # c below a: a cycle
-        (lat, a, a, "t"),               # a = c: a cycle
-        (square, l, r, "t"),            # a not below c: l lies inside (0, r)
-        (grid, grid.id_of("1,0"), grid.id_of("0,2"), "t"),  # joins fail
-        (lat, a, b, "t"),               # (a, b) is a cover
-    ]
-    for base, lo, hi, label in cases:
-        with pytest.raises(Exception) as full:
-            full_build_plus(base, lo, hi, label)
-        with pytest.raises(full.type) as derived:
-            base._plus_doubly_irreducible(lo, hi, label)
-        assert str(derived.value) == str(full.value), (lo, hi, label)
-        assert (getattr(derived.value, "witness", None)
-                == getattr(full.value, "witness", None)), (lo, hi, label)
+def test_hull_equals_the_fold_of_full_builds(corpus, random_corpus_small):
+    checked = 0
+    for name, diag in corpus + random_corpus_small:
+        slimmed, _ = slim(diag)
+        if slimmed.lattice.n <= 2:
+            continue
+        hull, steps = rectangularize(slimmed)
+        folded = slimmed.lattice
+        for step in steps:
+            folded = full_build_plus(folded, folded.id_of(step.a),
+                                     folded.id_of(step.c), step.t)
+        assert_same_lattice(hull.lattice, folded, name)
+        fresh = Diagram(hull.lattice, hull.xcoord)
+        assert hull.boundary == _compute_boundaries(fresh), name
+        checked += len(steps) > 0
+    assert checked > 100
 
 
-def test_derived_extension_off_the_fast_path_is_a_full_build():
-    # in the hexagon a and c are incomparable, and a < t < c still gives a
-    # lattice, in which a newly lies below c
-    hexagon = build_lattice([("0", "a"), ("a", "x"), ("x", "1"),
-                             ("0", "p"), ("p", "c"), ("c", "1")])
-    a, c = hexagon.id_of("a"), hexagon.id_of("c")
-    derived = hexagon._plus_doubly_irreducible(a, c, "t")
-    full = full_build_plus(hexagon, a, c, "t")
-    for field in LATTICE_FIELDS:
-        assert getattr(derived, field) == getattr(full, field), field
-    assert derived.leq(a, c)
+def test_rectangularize_builds_one_lattice_and_one_diagram(monkeypatch):
+    slimmed, _ = slim(generate("random-sps", [30], seed=7))
+    real_trusted, real_diagram = Lattice._trusted, Diagram.__init__
+    built = []
+
+    def counting_trusted(*args, **kwargs):
+        built.append("lattice")
+        return real_trusted(*args, **kwargs)
+
+    def counting_diagram(self, *args, **kwargs):
+        built.append("diagram")
+        real_diagram(self, *args, **kwargs)
+
+    for base in (generate("chain", [4]), slimmed):
+        built.clear()
+        monkeypatch.setattr(Lattice, "_trusted", staticmethod(counting_trusted))
+        monkeypatch.setattr(Lattice, "__init__", None)  # no full build either
+        monkeypatch.setattr(Diagram, "__init__", counting_diagram)
+        hull, steps = rectangularize(base)
+        monkeypatch.undo()
+        assert len(steps) >= 2
+        assert sorted(built) == ["diagram", "lattice"]
 
 
 def test_dropped_lattice_needs_no_cycle_collector():
     lat = build_lattice([("0", "a"), ("a", "b"), ("b", "1")])
-    derived = lat._plus_doubly_irreducible(lat.bottom, lat.id_of("b"), "t")
+    grown = _Growing(lat)
+    grown.add(lat.bottom, lat.id_of("b"), "t")
+    derived = grown.lattice()
     rows = lat.join[0], lat.meet[lat.top], derived.join[0], derived.meet[derived.top]
     assert all(rows)
     refs = [weakref.ref(lat), weakref.ref(derived)]
     gc.disable()
     try:
-        del lat, derived
+        del lat, derived, grown
         assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()
@@ -366,24 +386,6 @@ def test_derived_eye_removal_equals_full_build(corpus, random_corpus_small):
             checked += 1
         assert cur == slim(diag)[0], name
     assert checked > 50
-
-
-def test_eye_removal_off_the_fast_path_is_a_full_build(c3, m3):
-    # b is the only element of (0, 1): without it 0 and 1 are unrelated
-    lat = c3.lattice
-    with pytest.raises(NotBounded) as full:
-        full_build_minus(lat, lat.id_of("b"))
-    with pytest.raises(NotBounded) as derived:
-        lat._minus_doubly_irreducible(lat.id_of("b"))
-    assert str(derived.value) == str(full.value)
-    # the bottom of M3 is not doubly irreducible
-    lat = m3.lattice
-    with pytest.raises(NotBounded):
-        lat._minus_doubly_irreducible(lat.bottom)
-    # an atom of the square leaves the other atom in (0, 1): a 3-chain
-    square = build_lattice([("0", "l"), ("0", "r"), ("l", "1"), ("r", "1")])
-    assert_same_lattice(square._minus_doubly_irreducible(square.id_of("l")),
-                        build_lattice([("0", "r"), ("r", "1")]), "square")
 
 
 def test_insert_middle_equals_full_build(corpus, random_corpus_small):
