@@ -2,7 +2,8 @@
 oracle, gen, dot.
 
 Exit codes: 0 success, 1 failed check or verification, 2 usage and IO
-errors (including malformed documents).
+errors (including malformed documents), 3 an input too large for the
+interpreter (its recursion limit or the memory ran out).
 """
 
 import argparse
@@ -206,6 +207,13 @@ def cli(argv=None):
     except LatpatchError as exc:
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:
+        print("error: input too large: the interpreter's recursion limit was "
+              "reached", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: input too large: out of memory", file=sys.stderr)
+        return 3
 
 
 def main():

@@ -19,29 +19,25 @@ def iter_bits(mask):
         mask ^= low
 
 
-def _no_bound(names, a, b, kind):
-    return NotALattice(f"{names[a]!r} and {names[b]!r} have no {kind} bound",
-                       witness=(names[a], names[b]))
+def _join_owner_checked(up, comparable, names):
+    """The element owning each up-mask, once every pair has a join.
 
-
-def _owner_checked(reach, comparable, names, kind):
-    """The element owning each reach mask, once every pair has a bound.
-
-    In a lattice the common bounds of (a, b) are exactly the bounds of
-    their join/meet, so `reach[a] & reach[b]` must itself be a reach mask;
-    a dict lookup finds the bound or proves there is none.  Comparable
-    pairs always have one, so only the b > a outside `comparable[a]`
-    (↑a ∪ ↓a) are looked up.
+    In a lattice the common upper bounds of (a, b) are exactly ↑(a ∨ b),
+    so `up[a] & up[b]` must itself be an up-mask; a dict lookup finds the
+    join or proves there is none.  Comparable pairs always have one, so
+    only the b > a outside `comparable[a]` (↑a ∪ ↓a) are looked up.
     """
-    owner = {mask: v for v, mask in enumerate(reach)}
-    full = (1 << len(reach)) - 1
-    for a, reach_a in enumerate(reach):
+    owner = {mask: v for v, mask in enumerate(up)}
+    full = (1 << len(up)) - 1
+    for a, up_a in enumerate(up):
         rest = full & ~((2 << a) - 1) & ~comparable[a]
         while rest:
             low = rest & -rest
             b = low.bit_length() - 1
-            if reach_a & reach[b] not in owner:
-                raise _no_bound(names, a, b, kind)
+            if up_a & up[b] not in owner:
+                raise NotALattice(
+                    f"{names[a]!r} and {names[b]!r} have no least upper bound",
+                    witness=(names[a], names[b]))
             rest ^= low
     return owner
 
@@ -74,9 +70,13 @@ class Lattice:
     """A finite bounded lattice: cover pairs plus derived order masks.
 
     Construction validates every axiom (acyclicity, unique bounds, the
-    input pairs being genuine covers, existence of all joins and meets)
-    and raises a diagnostic naming the first violation.  The private
-    derived constructors skip what cannot fail for their shape (see
+    input pairs being genuine covers, existence of all joins) and raises a
+    diagnostic naming the first violation.  Meets need no scan: in a
+    finite poset with a bottom where every pair has a join, every pair
+    (a, b) has a meet, the join of its common lower bounds (there is at
+    least the bottom), and those common lower bounds are exactly ↓(a ∧ b),
+    so `down[a] & down[b]` is always some element's down-mask.  The
+    private derived constructors skip what cannot fail for their shape (see
     `restrict`).  `join[a][b]` and `meet[a][b]` are computed a row at a
     time on first use.  Instances are immutable after construction and
     safe to share.
@@ -165,10 +165,9 @@ class Lattice:
         self.height = tuple(height)
 
         comparable = [u | d for u, d in zip(up, down)]
-        self.join = _Rows(self.up, _owner_checked(self.up, comparable, self.names,
-                                                  "least upper"))
-        self.meet = _Rows(self.down, _owner_checked(self.down, comparable, self.names,
-                                                    "greatest lower"))
+        self.join = _Rows(self.up, _join_owner_checked(self.up, comparable, self.names))
+        # meets exist once joins do (see the class docstring)
+        self.meet = _Rows(self.down, {mask: v for v, mask in enumerate(self.down)})
 
     def _topo_order(self):
         indeg = [len(self.lower_covers[v]) for v in range(self.n)]
@@ -274,19 +273,19 @@ class Lattice:
 
         Derived lattices, made from one already validated: hulls, one-step
         extensions and eye insertions (grown in place by `_Growing`),
-        intervals (here) and eye removals (`_minus_doubly_irreducible`).
-        Validated in full: lattices from documents, `build_lattice`, the
-        generators' chains, grids, diamonds and gluings, and non-interval
-        subsets.
+        intervals (here, and the children of tree documents that match an
+        interval of their parent node, see `parse_tree_document`) and eye
+        removals (`_minus_doubly_irreducible`).  Validated in full: lattice
+        documents, the roots of tree documents and any child that does not
+        match its parent, `build_lattice`, the generators' chains, grids,
+        diamonds and gluings, and non-interval subsets.
         """
         members = sorted(members)
         mask = self.mask_of(members)
         if members and len(members) == mask.bit_count():
-            # in [y, x] every other member lies strictly above y and below x
-            y = min(members, key=self.height.__getitem__)
-            x = max(members, key=self.height.__getitem__)
-            if self.up[y] & self.down[x] == mask:
-                return self._interval(members, y, x)
+            ends = self._interval_ends(members, mask)
+            if ends is not None:
+                return self._interval(members, *ends)
         covers = []
         for u in members:
             for v in iter_bits(self.up[u] & mask & ~(1 << u)):
@@ -294,6 +293,16 @@ class Lattice:
                 if not between:
                     covers.append((self.names[u], self.names[v]))
         return Lattice(covers, elements=[self.names[v] for v in members])
+
+    def _interval_ends(self, members, mask):
+        """(y, x) when the distinct ids `members`, whose bits make `mask`,
+        are exactly the interval [y, x]; else None.  O(k) for k members."""
+        # in [y, x] every other member lies strictly above y and below x
+        y = min(members, key=self.height.__getitem__)
+        x = max(members, key=self.height.__getitem__)
+        if self.up[y] & self.down[x] == mask:
+            return y, x
+        return None
 
     def _interval(self, members, y, x):
         """`restrict` for the sorted members of [y, x]."""

@@ -98,7 +98,46 @@ def serialize(diag, meta=None):
     return _dumps(doc)
 
 
-def _diagram_from_dict(doc, path, max_synth=16):
+def _derived_child(parent, elements, pairs, embedding):
+    """The diagram of a tree node derived from its parent node's, or None.
+
+    `parent` is the parent's parsed diagram and raw embedding.  A node is
+    derived when its elements are parent labels in ascending parent-id
+    order forming an interval [y, x], its covers are the parent's covers
+    inside it, every coordinate is the parent's text for that label, and
+    the heights the interval recomputes are the parent's minus one
+    constant.  An interval of a lattice is a lattice with exactly those
+    covers, and the drawing is then a vertical translate of part of the
+    parent's validated drawing, so no points coincide, every edge rises and
+    no edges meet: parsing it in full would give the same diagram.
+    """
+    pdiag, pembedding = parent
+    if not elements or pembedding is None or not isinstance(embedding, dict):
+        return None
+    plat = pdiag.lattice
+    members = []
+    last = -1
+    for name in elements:
+        v = plat.index.get(name)
+        if v is None or v <= last or embedding.get(name) != pembedding[name]:
+            return None
+        members.append(v)
+        last = v
+    ends = plat._interval_ends(members, plat.mask_of(members))
+    if ends is None:
+        return None
+    lat = plat._interval(members, *ends)
+    if set(pairs) != lat._cover_set:
+        return None
+    heights = plat.height
+    shift = heights[ends[0]]
+    if any(heights[v] - shift != h for v, h in zip(members, lat.height)):
+        return None
+    xs = pdiag.xcoord
+    return Diagram(lat, [xs[v] for v in members])
+
+
+def _diagram_from_dict(doc, path, max_synth=16, parent=None):
     if not isinstance(doc, dict):
         raise SchemaError(path, "expected an object")
     elements = doc.get("elements")
@@ -117,15 +156,19 @@ def _diagram_from_dict(doc, path, max_synth=16):
         a, b = entry
         if not (0 <= a < len(elements) and 0 <= b < len(elements)):
             raise SchemaError(f"{path}.covers[{k}]", "index out of range")
-        pairs.append((elements[a], elements[b]))
+        pairs.append((a, b))
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise SchemaError(f"{path}.meta", "expected an object")
+    embedding = doc.get("embedding")
+    if parent is not None:
+        diag = _derived_child(parent, elements, pairs, embedding)
+        if diag is not None:
+            return diag
     try:
-        lat = Lattice(pairs, elements=elements)
+        lat = Lattice([(elements[a], elements[b]) for a, b in pairs], elements=elements)
     except CycleDetected as exc:
         raise SchemaError(f"{path}.covers", f"cycle: {exc}")
-    embedding = doc.get("embedding")
     if embedding is None:
         try:
             diag = synthesize_embedding(lat, max_size=max_synth)
@@ -176,12 +219,13 @@ def serialize_tree(tree):
     return _dumps(_tree_to_dict(tree))
 
 
-def _tree_from_dict(doc, path, max_synth=16):
+def _tree_from_dict(doc, path, max_synth=16, parent=None):
     if not isinstance(doc, dict):
         raise SchemaError(path, "expected an object")
     kind = doc.get("kind")
-    diag = _diagram_from_dict(doc.get("lattice"), f"{path}.lattice",
-                              max_synth=max_synth)
+    lattice = doc.get("lattice")
+    diag = _diagram_from_dict(lattice, f"{path}.lattice", max_synth=max_synth,
+                              parent=parent)
     if kind == "leaf":
         return DecompLeaf(diag)
     if kind != "glue":
@@ -192,8 +236,11 @@ def _tree_from_dict(doc, path, max_synth=16):
     chain = doc.get("chain")
     if not isinstance(chain, list) or not all(isinstance(n, str) for n in chain):
         raise SchemaError(f"{path}.chain", "expected a list of labels")
-    left = _tree_from_dict(children[0], f"{path}.children[0]", max_synth=max_synth)
-    right = _tree_from_dict(children[1], f"{path}.children[1]", max_synth=max_synth)
+    here = (diag, lattice.get("embedding"))
+    left = _tree_from_dict(children[0], f"{path}.children[0]", max_synth=max_synth,
+                           parent=here)
+    right = _tree_from_dict(children[1], f"{path}.children[1]", max_synth=max_synth,
+                            parent=here)
     lat = diag.lattice
     for group, where in ((left.diagram.lattice.names, "children[0]"),
                          (right.diagram.lattice.names, "children[1]"),
@@ -212,6 +259,15 @@ def _tree_from_dict(doc, path, max_synth=16):
 
 def parse_tree_document(text, max_synth=16):
     """Parse a decomposition-tree document produced by `serialize_tree`.
+
+    The root's lattice is parsed and validated in full, like a lattice
+    document.  A child whose lattice is an interval of its parent node's,
+    drawn with the parent's coordinate text and heights shifted by one
+    constant, as every child `serialize_tree` writes is, is derived from
+    the parent in O(k) (`Lattice._interval`) without a full lattice build
+    or a crossing check; any other child is parsed and validated in full,
+    with the same result or error as on its own.  Whether the children
+    really split their parent is `verify_tree`'s question, not parsing's.
 
     A document nested deeper than the interpreter's recursion limit allows
     is a `SchemaError` at `$`."""

@@ -215,7 +215,12 @@ def verify_tree(tree, diag):
     bad = _verify_node(tree, "root")
     if bad is not None:
         return bad
-    if is_isomorphic(tree.diagram.lattice, diag.lattice) is None:
+    root, given = tree.diagram.lattice, diag.lattice
+    # with equal labels and labeled covers, the label identity is the
+    # isomorphism; only a relabeled input needs the search
+    same_labels = (set(root.names) == set(given.names)
+                   and _labeled_covers(root) == _labeled_covers(given))
+    if not same_labels and is_isomorphic(root, given) is None:
         return TreeViolation("root", "root_isomorphism",
                              "tree root is not isomorphic to the input")
     return None

@@ -69,6 +69,20 @@ def random_corpus_small():
     return out
 
 
+LATTICE_FIELDS = ("names", "n", "index", "covers", "_cover_set", "upper_covers",
+                  "lower_covers", "up", "down", "full_mask", "height",
+                  "bottom", "top")
+
+
+def assert_same_lattice(derived, full, name):
+    """Every field and every join and meet row agree."""
+    for field in LATTICE_FIELDS:
+        assert getattr(derived, field) == getattr(full, field), (name, field)
+    for v in range(full.n):
+        assert derived.join[v] == full.join[v], name
+        assert derived.meet[v] == full.meet[v], name
+
+
 def _replay(diag, steps):
     """(before, after) diagrams of each recorded extension step, re-derived
     by extending at the step's site; each re-derived record must equal the

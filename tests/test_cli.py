@@ -165,3 +165,27 @@ def test_verify_deeply_nested_tree_is_a_schema_error(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines() == ["error: $: document nests too deeply"]
+
+
+def test_recursion_limit_is_one_error_line(tmp_path):
+    # synthesizing a drawing recurses once per level, so a 1100-element
+    # chain without an embedding passes the default recursion limit
+    n = 1100
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"elements": [str(i) for i in range(n)],
+                                "covers": [[i, i + 1] for i in range(n - 1)]}))
+    proc = run_cli("--max-synth", str(n), "check", str(path))
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        "error: input too large: the interpreter's recursion limit was reached"]
+
+
+def test_memory_error_is_one_error_line(grid_file, monkeypatch, capsys):
+    def exhausted(diag):
+        raise MemoryError
+
+    monkeypatch.setattr("latpatch.cli.decompose", exhausted)
+    assert cli(["decompose", grid_file]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: input too large: out of memory"]

@@ -1,10 +1,12 @@
 import gc
+import random
 import weakref
 from itertools import combinations
 
 import pytest
 
 import oracles
+from conftest import assert_same_lattice
 from latpatch import (Diagram, EyeRecord, Lattice, build_lattice,
                       classify_subset, find_eyes, generate, interval,
                       irreducibility, is_isomorphic, is_semimodular,
@@ -75,6 +77,40 @@ def test_first_missing_bound_after_comparable_pairs():
     assert type(err.value) is NotALattice
     assert str(err.value) == "'a' and 'c' have no least upper bound"
     assert err.value.witness == ("a", "c")
+
+
+def random_bounded_poset(rng, n):
+    """Cover pairs of a random order on 0..n-1 with bottom 0 and top n-1."""
+    below = [set() for _ in range(n)]  # strict down-sets
+    for j in range(1, n):
+        below[j].add(0)
+        for i in range(1, j):
+            if j == n - 1 or rng.random() < 0.4:
+                below[j] |= below[i] | {i}
+    return [(str(i), str(j)) for j in range(n) for i in below[j]
+            if not any(i in below[k] for k in below[j])]
+
+
+def test_meets_exist_whenever_joins_do():
+    # the full build scans joins only: with one bottom, all joins give all
+    # meets, so every down[a] & down[b] must be some element's down-mask
+    rng = random.Random(5)
+    built = rejected = 0
+    for _ in range(3000):
+        n = rng.randint(3, 9)
+        covers = random_bounded_poset(rng, n)
+        try:
+            lat = build_lattice(covers, elements=[str(i) for i in range(n)])
+        except NotALattice:
+            rejected += 1
+            continue
+        built += 1
+        downs = set(lat.down)
+        for a in range(n):
+            for b in range(n):
+                assert lat.down[a] & lat.down[b] in downs, covers
+                assert lat.down[lat.meet[a][b]] == lat.down[a] & lat.down[b]
+    assert built > 1000 and rejected > 100
 
 
 def test_semimodular_examples(n5, m3):
@@ -197,25 +233,11 @@ def test_semimodular_corpus_is_graded(corpus):
 
 # -- lattices derived by adding one doubly irreducible element -----------------
 
-LATTICE_FIELDS = ("names", "n", "index", "covers", "_cover_set", "upper_covers",
-                  "lower_covers", "up", "down", "full_mask", "height",
-                  "bottom", "top")
-
-
 def full_build_plus(lat, a, c, label):
     """`lat` plus `label` with a < label < c, built and validated from scratch."""
     covers = [(lat.names[u], lat.names[v]) for u, v in lat.covers]
     covers += [(lat.names[a], label), (label, lat.names[c])]
     return Lattice(covers, elements=list(lat.names) + [label])
-
-
-def assert_same_lattice(derived, full, name):
-    """Every field and every join and meet row agree."""
-    for field in LATTICE_FIELDS:
-        assert getattr(derived, field) == getattr(full, field), (name, field)
-    for v in range(full.n):
-        assert derived.join[v] == full.join[v], name
-        assert derived.meet[v] == full.meet[v], name
 
 
 def test_derived_extension_equals_full_build(corpus, random_corpus_small, replay):

@@ -1,14 +1,16 @@
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latpatch import (Diagram, build_lattice, decompose, export_dot, generate,
-                      is_rectangular, is_slim, is_semimodular, parse_document,
-                      parse_tree_document, serialize, serialize_tree,
-                      validate_diagram, verify_tree)
-from latpatch.documents import _diagram_to_dict, _tree_to_dict
-from latpatch.errors import BadParams, EmbeddingFailed, SchemaError
+from conftest import assert_same_lattice
+from latpatch import (DecompGlue, Diagram, Lattice, build_lattice, decompose,
+                      documents, export_dot, generate, is_rectangular, is_slim,
+                      is_semimodular, parse_document, parse_tree_document,
+                      serialize, serialize_tree, validate_diagram, verify_tree)
+from latpatch.documents import _diagram_to_dict, _format_rational, _tree_to_dict
+from latpatch.errors import BadParams, EmbeddingFailed, LatpatchError, SchemaError
 
 
 # -- diagram documents -------------------------------------------------------
@@ -203,6 +205,182 @@ def test_tree_document_rejects_non_string_chain_label():
     with pytest.raises(SchemaError) as info:
         parse_tree_document(json.dumps(doc))
     assert info.value.path == "$.chain"
+
+
+# -- tree documents: children derived from their parent -------------------------
+
+def tree_nodes(doc, node, path="$"):
+    """(path, node document, parsed node) for every node of a tree, pre-order."""
+    yield path, doc, node
+    if doc["kind"] == "glue":
+        for k, (child, sub) in enumerate(zip(doc["children"], (node.left, node.right))):
+            yield from tree_nodes(child, sub, f"{path}.children[{k}]")
+
+
+def test_tree_nodes_parse_like_lone_documents(corpus, random_corpus_small):
+    for name, diag in corpus + random_corpus_small:
+        text = serialize_tree(decompose(diag)[0])
+        for path, doc, node in tree_nodes(json.loads(text), parse_tree_document(text)):
+            alone = parse_document(json.dumps(doc["lattice"]))
+            assert_same_lattice(node.diagram.lattice, alone.lattice, (name, path))
+            assert node.diagram.xcoord == alone.xcoord, (name, path)
+
+
+@pytest.mark.parametrize("kind, params, seed", [("grid", [5, 5], 0),
+                                                ("random-sps", [30], 7)])
+def test_tree_parse_validates_the_root_only(kind, params, seed, monkeypatch):
+    text = serialize_tree(decompose(generate(kind, params, seed=seed))[0])
+    real_init, real_validate = Lattice.__init__, documents.validate_diagram
+    calls = []
+
+    def counting_init(self, *args, **kwargs):
+        calls.append("lattice")
+        real_init(self, *args, **kwargs)
+
+    def counting_validate(diag):
+        calls.append("validate")
+        return real_validate(diag)
+
+    monkeypatch.setattr(Lattice, "__init__", counting_init)
+    monkeypatch.setattr(documents, "validate_diagram", counting_validate)
+    parsed = parse_tree_document(text)
+    monkeypatch.undo()
+    assert sorted(calls) == ["lattice", "validate"]
+    assert sum(1 for _ in tree_nodes(json.loads(text), parsed)) > 20
+    assert serialize_tree(parsed) == text
+
+
+def parse_outcome(text):
+    """The parsed tree, or the error's class, path and message."""
+    try:
+        return parse_tree_document(text)
+    except LatpatchError as exc:
+        return type(exc), getattr(exc, "path", None), str(exc)
+
+
+def assert_same_outcome(text, monkeypatch):
+    """Parsing with derived children gives what parsing every node in full gives."""
+    derived = parse_outcome(text)
+    with monkeypatch.context() as m:
+        m.setattr(documents, "_derived_child", lambda *args: None)
+        full = parse_outcome(text)
+    if isinstance(full, tuple):
+        assert derived == full
+        return
+    assert not isinstance(derived, tuple), derived
+    doc = json.loads(text)
+    for (path, _, a), (_, _, b) in zip(tree_nodes(doc, derived), tree_nodes(doc, full)):
+        assert_same_lattice(a.diagram.lattice, b.diagram.lattice, path)
+        assert a.diagram.xcoord == b.diagram.xcoord, path
+        if isinstance(b, DecompGlue):
+            assert (a.witness.A, a.witness.B, a.witness.C) == (
+                b.witness.A, b.witness.B, b.witness.C), path
+
+
+def with_elements(lattice, elements):
+    """`lattice` (a lattice document) on a new element list; covers follow
+    the labels, and covers touching a dropped label are dropped."""
+    pos = {e: i for i, e in enumerate(elements)}
+    old = lattice["elements"]
+    covers = [[pos[old[a]], pos[old[b]]] for a, b in lattice["covers"]
+              if old[a] in pos and old[b] in pos]
+    return dict(lattice, elements=elements, covers=covers)
+
+
+def missing_cover(lat):
+    return dict(lat, covers=lat["covers"][1:])
+
+
+def extra_cover(lat):
+    k = len(lat["elements"])
+    extra = [0, k - 1] if [0, k - 1] not in lat["covers"] else [k - 1, 0]
+    return dict(lat, covers=lat["covers"] + [extra])
+
+
+def moved_coordinate(lat):
+    name = lat["elements"][-1]
+    moved = _format_rational(Fraction(lat["embedding"][name]) + 1)
+    return dict(lat, embedding=dict(lat["embedding"], **{name: moved}))
+
+
+def rewritten_coordinate(lat):
+    name = lat["elements"][0]
+    x = Fraction(lat["embedding"][name])
+    same = f"{2 * x.numerator}/{2 * x.denominator}"
+    return dict(lat, embedding=dict(lat["embedding"], **{name: same}))
+
+
+def non_interval(lat):
+    # the interval without one of its middles: both ends stay, so the rest
+    # is not the interval between them
+    parsed = parse_document(json.dumps(lat)).lattice
+    ends = {parsed.names[parsed.bottom], parsed.names[parsed.top]}
+    middle = next(e for e in lat["elements"] if e not in ends)
+    return with_elements(lat, [e for e in lat["elements"] if e != middle])
+
+
+def reordered(lat):
+    return with_elements(lat, lat["elements"][::-1])
+
+
+def without_embedding(lat):
+    return {key: value for key, value in lat.items() if key != "embedding"}
+
+
+def foreign_label(lat):
+    name = lat["elements"][-1]
+    embedding = dict(lat["embedding"])
+    embedding["new-" + name] = embedding.pop(name)
+    elements = lat["elements"][:-1] + ["new-" + name]
+    return dict(lat, elements=elements, embedding=embedding)
+
+
+TAMPERINGS = [missing_cover, extra_cover, moved_coordinate, rewritten_coordinate,
+              non_interval, reordered, without_embedding, foreign_label]
+
+
+@pytest.mark.parametrize("tamper", TAMPERINGS, ids=lambda f: f.__name__)
+def test_tampered_children_parse_as_in_full(tamper, monkeypatch):
+    checked = 0
+    for diag in (generate("grid", [3, 4]), generate("random-sps", [14], seed=3),
+                 generate("random-sps", [12], seed=8)):
+        doc = json.loads(serialize_tree(decompose(diag)[0]))
+        for path, node, _ in list(tree_nodes(doc, parse_tree_document(json.dumps(doc)))):
+            if path == "$" or len(node["lattice"]["elements"]) < 3:
+                continue
+            original = node["lattice"]
+            node["lattice"] = tamper(original)
+            assert node["lattice"] != original
+            assert_same_outcome(json.dumps(doc), monkeypatch)
+            node["lattice"] = original
+            checked += 1
+    assert checked > 10
+
+
+def test_non_uniform_height_shift_is_validated_in_full(monkeypatch):
+    # 0 < y < a < x and y < b < x with b also above q1 < q2, so b sits a level
+    # higher in the parent than a; in the interval [y, x] both are atoms
+    covers = [("0", "y"), ("0", "q1"), ("q1", "q2"), ("y", "a"), ("y", "b"),
+              ("q2", "b"), ("a", "x"), ("b", "x")]
+    elements = ["0", "y", "q1", "q2", "a", "b", "x"]
+    interval = ["y", "a", "b", "x"]
+    for a_x, fails in (("0", True), ("1/2", False)):
+        xs = {"0": "-1", "y": "-1", "q1": "-2", "q2": "-2", "a": a_x, "b": "0", "x": "1"}
+        parent = Diagram(build_lattice(covers, elements=elements),
+                         [Fraction(xs[e]) for e in elements])
+        assert validate_diagram(parent) is None
+        child = with_elements(_diagram_to_dict(parent), interval)
+        child["embedding"] = {e: xs[e] for e in interval}
+        leaf = {"kind": "leaf", "lattice": child}
+        text = json.dumps({"kind": "glue", "lattice": _diagram_to_dict(parent),
+                           "chain": ["y"], "children": [leaf, leaf]})
+        assert_same_outcome(text, monkeypatch)
+        outcome = parse_outcome(text)
+        if fails:
+            # a and b share x = 0 and, in the interval, their height
+            assert outcome[:2] == (SchemaError, "$.children[0].lattice.embedding")
+        else:
+            assert outcome.left.diagram.lattice.height == (0, 1, 1, 2)
 
 
 # -- generators -----------------------------------------------------------------

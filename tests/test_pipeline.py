@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import latpatch.pipeline
 import oracles
-from latpatch import (DecompGlue, DecompLeaf, brute_force_gluing_search,
-                      decompose, generate, is_isomorphic, is_patch,
+from latpatch import (DecompGlue, DecompLeaf, Diagram, brute_force_gluing_search,
+                      build_lattice, decompose, generate, is_isomorphic, is_patch,
                       parse_tree_document, sequence_of, serialize_tree, slim,
                       validate_witness, verify_tree)
 from latpatch.core import iter_bits
@@ -123,6 +124,39 @@ def test_verify_rejects_wrong_root():
     tree, _ = decompose(g33)
     violation = verify_tree(tree, g23)
     assert violation is not None and violation.clause == "root_isomorphism"
+
+
+def relabeled(diag, rename):
+    lat = diag.lattice
+    covers = [(rename[lat.names[a]], rename[lat.names[b]]) for a, b in lat.covers]
+    return Diagram(build_lattice(covers, elements=[rename[x] for x in lat.names]),
+                   diag.xcoord)
+
+
+def test_verify_root_check_follows_the_labels(monkeypatch):
+    g = generate("grid", [3, 3])
+    tree, _ = decompose(g)
+    names = list(g.lattice.names)
+
+    def no_search(*args):
+        raise AssertionError("the label identity needs no isomorphism search")
+
+    with monkeypatch.context() as m:
+        m.setattr(latpatch.pipeline, "is_isomorphic", no_search)
+        assert verify_tree(tree, g) is None
+    # relabeled but isomorphic inputs verify, fresh labels or the same ones
+    # moved around (equal label sets, different labeled covers)
+    assert verify_tree(tree, relabeled(g, {x: "v" + x for x in names})) is None
+    rotated = relabeled(g, dict(zip(names, names[1:] + names[:1])))
+    assert set(rotated.lattice.names) == set(names)
+    assert set(labeled(rotated.lattice)[0]) != set(labeled(g.lattice)[0])
+    assert verify_tree(tree, rotated) is None
+    # the same label set on a non-isomorphic lattice is rejected
+    chain = Diagram(build_lattice(list(zip(names, names[1:])), elements=names),
+                    [0] * len(names))
+    violation = verify_tree(tree, chain)
+    assert violation is not None
+    assert (violation.path, violation.clause) == ("root", "root_isomorphism")
 
 
 def test_verify_rejects_tampered_chain_size():
