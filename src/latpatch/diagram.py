@@ -159,11 +159,24 @@ def validate_diagram(diag):
 
 
 # -- boundaries and corner predicates ------------------------------------
+#
+# The walk, the corner count, the complementarity test and the slim test
+# all work on an interval [y, x] of a lattice, given by its ends or by its
+# mask ↑y ∩ ↓x; a whole diagram is the interval [bottom, top] with the full
+# mask.  So the parts of a cut are checked on their ambient's masks, in
+# ambient ids, without being built.  The walk reads the ambient heights,
+# which in a graded lattice (every semimodular one) differ from the
+# interval's own by a constant, and a translation changes no orientation.
 
-def _next_on_boundary(lat, points, v, side):
-    """The angularly leftmost (or rightmost) upper cover of v."""
+def _next_on_boundary(lat, points, v, side, mask):
+    """The angularly leftmost (or rightmost) upper cover of v in `mask`."""
+    ups = lat.upper_covers[v]
+    if len(ups) == 1:  # below the interval's top, v has a cover inside it
+        return ups[0]
     best = None
-    for w in lat.upper_covers[v]:
+    for w in ups:
+        if not mask >> w & 1:
+            continue
         if best is None:
             best = w
             continue
@@ -173,28 +186,41 @@ def _next_on_boundary(lat, points, v, side):
     return best
 
 
-def _compute_boundaries(diag):
-    lat = diag.lattice
-    points = _scaled_points(diag)
+def _interval_boundary(lat, points, y, x):
+    """Boundary data of the interval [y, x] drawn at `points`, in ids of `lat`."""
+    mask = lat.up[y] & lat.down[x]
 
     def walk(side):
-        chain = [lat.bottom]
-        while chain[-1] != lat.top:
-            chain.append(_next_on_boundary(lat, points, chain[-1], side))
+        chain = [y]
+        while chain[-1] != x:
+            chain.append(_next_on_boundary(lat, points, chain[-1], side, mask))
         return tuple(chain)
 
-    return _boundary_data(lat, walk("left"), walk("right"))
+    return _boundary_data(lat, walk("left"), walk("right"), mask)
 
 
-def _boundary_data(lat, left, right):
-    """Boundary data of the given chains; weak corners counted from covers."""
+def _compute_boundaries(diag):
+    lat = diag.lattice
+    return _interval_boundary(lat, _scaled_points(diag), lat.bottom, lat.top)
+
+
+def _boundary_data(lat, left, right, mask):
+    """Boundary data of the chains `left` and `right` from y to x of the
+    interval [y, x] that `mask` holds: the weak corners are the inner chain
+    elements with one upper and one lower cover inside the interval."""
+    upper, lower = lat.upper_covers, lat.lower_covers
+    whole = mask == (1 << len(upper)) - 1  # every cover lies inside
+
+    def inside(ws):
+        return sum([mask >> w & 1 for w in ws])
 
     def corners(chain):
+        # an inner element has at least one upper and one lower cover inside
         out = []
-        for v in chain:
-            if v in (lat.bottom, lat.top):
-                continue
-            if len(lat.upper_covers[v]) == 1 and len(lat.lower_covers[v]) == 1:
+        for v in chain[1:-1]:
+            ups, downs = upper[v], lower[v]
+            if (len(ups) == 1 == len(downs)
+                    or not whole and inside(ups) == 1 == inside(downs)):
                 out.append(v)
         return tuple(out)
 
@@ -209,18 +235,25 @@ def boundaries(diag):
     return diag.boundary
 
 
-def _rectangular(lat, b):
-    """`is_rectangular` on a lattice's masks (or a `_Growing`'s) and the
-    boundary data `b`: u_l ∨ u_r = 1 and u_l ∧ u_r = 0 read off ↑ and ↓."""
-    u, v = b.u_l, b.u_r
+def _rectangular(lat, u, v, y, x):
+    """u ∨ v = x and u ∧ v = y in the interval [y, x], read off ↑ and ↓ of
+    a lattice or a `_Growing`, for its weak corners u and v (None where a
+    side has not exactly one)."""
     return (u is not None and v is not None
-            and lat.up[u] & lat.up[v] == 1 << lat.top
-            and lat.down[u] & lat.down[v] == 1 << lat.bottom)
+            and lat.up[u] & lat.up[v] & lat.down[x] == 1 << x
+            and lat.down[u] & lat.down[v] & lat.up[y] == 1 << y)
+
+
+def _interval_rectangular(lat, points, y, x):
+    """`is_rectangular` of the interval [y, x] drawn at `points`."""
+    b = _interval_boundary(lat, points, y, x)
+    return _rectangular(lat, b.u_l, b.u_r, y, x)
 
 
 def is_rectangular(diag):
     """Exactly one weak corner per side, and the two are complementary."""
-    return _rectangular(diag.lattice, diag.boundary)
+    lat, b = diag.lattice, diag.boundary
+    return _rectangular(lat, b.u_l, b.u_r, lat.bottom, lat.top)
 
 
 def is_patch(diag):
@@ -234,20 +267,29 @@ def is_patch(diag):
     return lat.is_cover(b.u_l, lat.top) and lat.is_cover(b.u_r, lat.top)
 
 
-def is_slim(diag):
-    """No cover-preserving diamond: no interval has three or more middles."""
-    lat = diag.lattice
-    for o in range(lat.n):
-        ups = lat.upper_covers[o]
+def _slim(lat, mask):
+    """`is_slim` of the interval that `mask` holds: no three upper covers
+    of one element inside it share an upper cover.  Two upper covers of o
+    inside the interval meet in o and join in any upper cover they share,
+    so o and that cover lie inside too: only the covers need the mask."""
+    upper = lat.upper_covers
+    for ups in upper:
         if len(ups) < 3:
             continue
         shared = {}
         for z in ups:
-            for i in lat.upper_covers[z]:
+            if not mask >> z & 1:
+                continue
+            for i in upper[z]:
                 shared[i] = shared.get(i, 0) + 1
                 if shared[i] >= 3:
                     return False
     return True
+
+
+def is_slim(diag):
+    """No cover-preserving diamond: no interval has three or more middles."""
+    return _slim(diag.lattice, diag.lattice.full_mask)
 
 
 def upper_left_boundary(diag):

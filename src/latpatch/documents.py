@@ -61,7 +61,9 @@ def _emit(value, pad, out):
         out.append(encode_basestring_ascii(value))
     elif kind is int:
         out.append(int.__repr__(value))
-    elif kind is list and value:
+    elif not value and (kind is list or kind is dict):
+        out.append("[]" if kind is list else "{}")  # as json.dumps writes them
+    elif kind is list:
         inner = pad + "  "
         sep = "[\n" + inner
         for item in value:
@@ -69,7 +71,7 @@ def _emit(value, pad, out):
             _emit(item, inner, out)
             sep = ",\n" + inner
         out.append("\n" + pad + "]")
-    elif kind is dict and value and all(type(key) is str for key in value):
+    elif kind is dict and all(type(key) is str for key in value):
         inner = pad + "  "
         sep = "{\n" + inner
         for key in sorted(value):
@@ -194,11 +196,16 @@ def _diagram_from_dict(doc, path, max_synth=16, parent=None):
 
 
 def parse_document(text, max_synth=16):
-    """Parse a diagram document; inverse of `serialize`."""
+    """Parse a diagram document; inverse of `serialize`.
+
+    A document nested deeper than the interpreter's recursion limit allows
+    is a `SchemaError` at `$`."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"not valid JSON: {exc}")
+    except RecursionError:
+        raise SchemaError("$", "document nests too deeply") from None
     return _diagram_from_dict(doc, "$", max_synth=max_synth)
 
 

@@ -8,9 +8,11 @@ slim rectangular lattice at a boundary element.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .core import Lattice, _Growing, classify_subset, iter_bits
-from .diagram import (Diagram, _boundary_data, _rectangular, is_patch,
+from .diagram import (Diagram, _boundary_data, _interval_rectangular,
+                      _rectangular, _scaled_points, _slim, is_patch,
                       is_rectangular, is_slim, subdiagram,
                       synthesize_embedding, upper_left_boundary,
                       upper_right_boundary, validate_diagram)
@@ -52,14 +54,22 @@ class GluingWitness:
 
 @dataclass(frozen=True)
 class DecompositionCut:
-    """A cut of a slim rectangular diagram at a boundary element x."""
+    """A cut of a slim rectangular diagram at a boundary element x into the
+    parts [0, x] and [pivot, 1], which overlap in the chain [pivot, x].  The
+    parts' diagrams are built when first read."""
     x: int
     pivot: int
     ambient: Diagram
-    bottom_part: Diagram
-    top_part: Diagram
     chain: tuple
     mode: str
+
+    @cached_property
+    def bottom_part(self):
+        return subdiagram(self.ambient, iter_bits(self.ambient.lattice.down[self.x]))
+
+    @cached_property
+    def top_part(self):
+        return subdiagram(self.ambient, iter_bits(self.ambient.lattice.up[self.pivot]))
 
 
 def _is_chain_mask(lat, mask):
@@ -195,68 +205,99 @@ def glue_over_chain(lower, upper, iso, max_synth=16):
 
 # -- one-step extensions ----------------------------------------------------
 
-def _sites(lat, left, right):
+def _sites(lat, chains, start=(0, 0)):
     """Boundary triples a ≺ b ≺ c with a meet-irreducible and c
-    join-irreducible, on the left chain bottom-up, then on the right."""
+    join-irreducible, each with a's position in its chain: on the left
+    chain bottom-up from position start[0], then on the right from start[1]."""
     upper, lower = lat.upper_covers, lat.lower_covers
-    for side, chain in (("left", left), ("right", right)):
-        for a, b, c in zip(chain, chain[1:], chain[2:]):
-            if len(upper[a]) == 1 and len(lower[c]) == 1:
-                yield a, b, c, side
+    for side, chain, first in zip(("left", "right"), chains, start):
+        for i in range(first, len(chain) - 2):
+            if len(upper[chain[i]]) == 1 and len(lower[chain[i + 2]]) == 1:
+                yield i, (chain[i], chain[i + 1], chain[i + 2], side)
 
 
 def find_extension_sites(diag):
     """Boundary triples a < b < c with a meet-irreducible and c
     join-irreducible; left-boundary sites bottom-up, then right."""
     b = diag.boundary
-    return list(_sites(diag.lattice, b.left_chain, b.right_chain))
+    return [site for _, site in _sites(diag.lattice, (b.left_chain, b.right_chain))]
 
 
 class _Hull:
     """A diagram grown in place at its boundary sites: the lattice as a
-    `_Growing`, the x coordinates, the two boundary chains, the x extent
-    and a running counter for the fresh labels t1, t2, ... (the smallest
-    unused k only grows, since labels are only ever added)."""
+    `_Growing`, the x coordinates, the x extent, the left and right
+    boundary chains with their weak corners, each side's scan position
+    (no site lies before it) and a running counter for the fresh labels
+    t1, t2, ... (the smallest unused k only grows, since labels are only
+    ever added)."""
 
     def __init__(self, diag):
+        b = diag.boundary
         self.lat = _Growing(diag.lattice)
         self.xcoord = list(diag.xcoord)
         self.lo, self.hi = min(self.xcoord), max(self.xcoord)
-        self.left = list(diag.boundary.left_chain)
-        self.right = list(diag.boundary.right_chain)
+        self.chains = (list(b.left_chain), list(b.right_chain))
+        self.corners = (set(b.left_corners), set(b.right_corners))
+        self.scan = [0, 0]
         self.k = 1
 
-    def sites(self):
-        return _sites(self.lat, self.left, self.right)
+    def first_site(self):
+        """The first site in `_sites` order with its position, or None.
+
+        An extension at position i only adds covers to a and c and puts t,
+        whose one lower cover is a, at position i + 1 of its side's chain.
+        So it makes new sites only from position i - 1 of that chain on,
+        and none on the other chain: each side's scan resumes where
+        `extend` left it, and a left chain without sites is not scanned
+        again."""
+        found = next(_sites(self.lat, self.chains, self.scan), None)
+        if found is not None:
+            i, (_, _, _, side) = found
+            if side == "right":
+                self.scan[0] = len(self.chains[0])
+            self.scan[side == "right"] = i
+        return found
 
     def is_rectangular(self):
-        return _rectangular(self.lat, _boundary_data(self.lat, self.left, self.right))
+        left, right = self.corners
+        lat = self.lat
+        return (len(left) == 1 and len(right) == 1
+                and _rectangular(lat, *left, *right, lat.bottom, lat.top))
 
-    def extend(self, site):
-        """Add a fresh t with a ≺ t ≺ c at a site from `sites()`, one unit
-        outside the drawing on the site's side and one level above a.
+    def extend(self, i, site):
+        """Add a fresh t with a ≺ t ≺ c at a site from `_sites` at position
+        i, one unit outside the drawing on the site's side and one level
+        above a.
 
         a ≺ b ≺ c lie on a maximal chain, so a < c is not a cover and the
         lattice grows without checks.  t is strictly outside every other
         element, so that side's walk turns from a to t and then to c, t's
         only upper cover; the other walk still leaves a by b.  So t
-        replaces b in that chain and all else stays.
+        replaces b in that chain and all else stays.  Only four elements
+        change their corner status: t becomes one on its side, b leaves
+        that chain, and a and c, with a second cover now, are corners on
+        neither chain.
         """
         a, b, c, side = site
+        s = side == "right"
         lat = self.lat
         while f"t{self.k}" in lat.index:
             self.k += 1
         label = f"t{self.k}"
         t = lat.add(a, c, label)
-        if side == "left":
-            self.lo -= 1
-            self.xcoord.append(self.lo)
-            chain = self.left
-        else:
+        if s:
             self.hi += 1
             self.xcoord.append(self.hi)
-            chain = self.right
-        chain[chain.index(b)] = t
+        else:
+            self.lo -= 1
+            self.xcoord.append(self.lo)
+        self.chains[s][i + 1] = t
+        self.corners[s].discard(b)
+        self.corners[s].add(t)
+        for corners in self.corners:
+            corners.discard(a)
+            corners.discard(c)
+        self.scan[s] = min(self.scan[s], max(i - 1, 0))
         names = lat.names
         return ExtensionStep(names[a], names[b], names[c], side, label)
 
@@ -264,7 +305,8 @@ class _Hull:
         """The grown diagram, with its boundary carried over; call once."""
         lattice = self.lat.lattice()
         after = Diagram(lattice, self.xcoord)
-        after.boundary = _boundary_data(lattice, tuple(self.left), tuple(self.right))
+        left, right = map(tuple, self.chains)
+        after.boundary = _boundary_data(lattice, left, right, lattice.full_mask)
         return after
 
 
@@ -276,10 +318,11 @@ def one_step_extension(diag, site):
     lattice and the boundary are derived from the old ones in O(n).
     """
     hull = _Hull(diag)
-    if site not in hull.sites():
-        raise InvalidSite(f"{site!r} is not an extension site")
-    step = hull.extend(site)
-    return hull.diagram(), step
+    for i, found in _sites(hull.lat, hull.chains):
+        if found == site:
+            step = hull.extend(i, found)
+            return hull.diagram(), step
+    raise InvalidSite(f"{site!r} is not an extension site")
 
 
 def restrict_gluing(witness, step):
@@ -326,8 +369,10 @@ def rectangularize(diag, max_rounds=None):
     Deterministic: left sites bottom-up are tried before right ones.  The
     round bound defaults to n²; hitting it, or running out of sites, means
     the input was not a slim planar semimodular lattice and is reported.
-    The hull grows in place and is frozen into one lattice and one diagram
-    at the end; a diagram that is already rectangular is returned as is.
+    The hull grows in place, keeping its weak corners and each side's scan
+    position up to date, so a step costs no recount and no rescan from the
+    bottom; it is frozen into one lattice and one diagram at the end.  A
+    diagram that is already rectangular is returned as is.
     """
     if max_rounds is None:
         max_rounds = diag.lattice.n ** 2
@@ -337,12 +382,12 @@ def rectangularize(diag, max_rounds=None):
         if len(steps) >= max_rounds:
             raise IterationBoundExceeded(
                 f"still not rectangular after {max_rounds} extensions")
-        site = next(hull.sites(), None)
-        if site is None:
+        found = hull.first_site()
+        if found is None:
             raise StuckNotRectangular(
                 f"no extension site on a non-rectangular "
                 f"{len(hull.lat.names)}-element lattice")
-        steps.append(hull.extend(site))
+        steps.append(hull.extend(*found))
     return (hull.diagram() if steps else diag), steps
 
 
@@ -374,21 +419,22 @@ def decompose_at(diag, x, mode):
         raise AssertionFailed("the cut pivot fell to the bottom element")
     if lat.join[corner][pivot] != x:
         raise AssertionFailed("x is not the join of the corner and the pivot")
-    chain_ids = sorted(iter_bits(lat.up[pivot] & lat.down[x]))
-    if not classify_subset(lat, chain_ids).is_chain:
+    chain_mask = lat.up[pivot] & lat.down[x]
+    if not _is_chain_mask(lat, chain_mask):
         raise AssertionFailed("the overlap [pivot, x] is not a chain")
+    chain_ids = tuple(iter_bits(chain_mask))
 
-    bottom_part = subdiagram(diag, iter_bits(lat.down[x]))
-    top_part = subdiagram(diag, iter_bits(lat.up[pivot]))
-    if bottom_part.lattice.n + top_part.lattice.n - len(chain_ids) != lat.n:
+    # the parts are the intervals [0, x] and [pivot, 1], checked on this
+    # lattice's masks; `DecompositionCut` builds their diagrams when read
+    if lat.down[x].bit_count() + lat.up[pivot].bit_count() - len(chain_ids) != lat.n:
         raise AssertionFailed("the two parts do not cover the lattice")
-    for part in (bottom_part, top_part):
-        if not is_rectangular(part):
+    points = _scaled_points(diag)
+    for y, top in ((lat.bottom, x), (pivot, lat.top)):
+        if not _interval_rectangular(lat, points, y, top):
             raise AssertionFailed("a part of the cut is not rectangular")
-        if not is_slim(part):
+        if not _slim(lat, lat.up[y] & lat.down[top]):
             raise AssertionFailed("a part of the cut is not slim")
-    return DecompositionCut(x, pivot, diag, bottom_part, top_part,
-                            tuple(chain_ids), mode)
+    return DecompositionCut(x, pivot, diag, chain_ids, mode)
 
 
 def choose_x(diag):

@@ -230,21 +230,25 @@ def sequence_of(tree):
     """Post-order linearization L_1 .. L_n (root last).
 
     Returns the diagrams and a map {i: (j, k)} giving, for every glued
-    entry, the 1-based indices of its ideal and filter parts.
+    entry, the 1-based indices of its ideal and filter parts.  The walk
+    keeps an explicit stack, so the depth of the tree is not bounded by
+    the interpreter's recursion limit.
     """
     entries = []
     parts = {}
-
-    def walk(node):
+    finished = []  # the index of each finished subtree whose parent is open
+    stack = [(tree, False)]
+    while stack:
+        node, opened = stack.pop()
         if isinstance(node, DecompLeaf):
             entries.append(node.diagram)
-            return len(entries)
-        j = walk(node.left)
-        k = walk(node.right)
-        entries.append(node.diagram)
-        i = len(entries)
-        parts[i] = (j, k)
-        return i
-
-    walk(tree)
+            finished.append(len(entries))
+        elif not opened:
+            stack += [(node, True), (node.right, False), (node.left, False)]
+        else:
+            k = finished.pop()
+            j = finished.pop()
+            entries.append(node.diagram)
+            parts[len(entries)] = (j, k)
+            finished.append(len(entries))
     return entries, parts

@@ -167,6 +167,17 @@ def test_verify_deeply_nested_tree_is_a_schema_error(tmp_path):
     assert proc.stderr.splitlines() == ["error: $: document nests too deeply"]
 
 
+def test_check_deeply_nested_lattice_document_is_a_schema_error(tmp_path):
+    doc = json.loads(serialize(generate("chain", [2])))
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc)[:-1] + ', "meta": {"deep": '
+                    + "[" * 100000 + "]" * 100000 + "}}")
+    proc = run_cli("check", str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == ["error: $: document nests too deeply"]
+
+
 def test_recursion_limit_is_one_error_line(tmp_path):
     # synthesizing a drawing recurses once per level, so a 1100-element
     # chain without an embedding passes the default recursion limit

@@ -6,10 +6,13 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from latpatch import (Diagram, DiagramViolation, EyeRecord, boundaries,
                       build_lattice, find_eyes, generate, is_isomorphic,
-                      is_patch, is_rectangular, is_slim, reflect,
-                      restore_eyes, slim, synthesize_embedding,
-                      upper_left_boundary, validate_diagram)
-from latpatch.diagram import _segments_conflict
+                      is_patch, is_rectangular, is_slim, rectangularize,
+                      reflect, restore_eyes, slim, subdiagram,
+                      synthesize_embedding, upper_left_boundary,
+                      validate_diagram)
+from latpatch.core import iter_bits
+from latpatch.diagram import (_interval_boundary, _interval_rectangular,
+                              _scaled_points, _segments_conflict, _slim)
 from latpatch.errors import MissingAnchor, NotRectangular, SizeBoundExceeded
 
 
@@ -192,6 +195,37 @@ def test_patch_implies_rectangular_or_two_elements(corpus, random_corpus_small):
     for name, diag in list(corpus) + list(random_corpus_small):
         if is_patch(diag):
             assert is_rectangular(diag) or diag.lattice.n == 2, name
+
+
+def test_interval_predicates_match_the_built_part(corpus, random_corpus_small, m3):
+    diagrams = []
+    for name, diag in corpus + random_corpus_small:
+        slimmed, _ = slim(diag)
+        if slimmed.lattice.n > 2:
+            diagrams.append((f"hull of {name}", rectangularize(slimmed)[0]))
+    # not rectangular, or not slim, as a whole
+    diagrams += [(name, diag) for name, diag in corpus + random_corpus_small[:40]
+                 if not (is_rectangular(diag) and is_slim(diag))]
+    diagrams.append(("m3", m3))
+    seen = {}
+    for name, diag in diagrams:
+        lat = diag.lattice
+        points = _scaled_points(diag)
+        for y in range(lat.n):
+            for x in iter_bits(lat.up[y]):
+                mask = lat.up[y] & lat.down[x]
+                members = list(iter_bits(mask))
+                part = subdiagram(diag, members)
+                b = _interval_boundary(lat, points, y, x)
+                pb = part.boundary
+                for field in ("left_chain", "right_chain", "left_corners",
+                              "right_corners"):
+                    assert tuple(members[v] for v in getattr(pb, field)) \
+                        == getattr(b, field), (name, y, x, field)
+                answers = (_interval_rectangular(lat, points, y, x), _slim(lat, mask))
+                assert answers == (is_rectangular(part), is_slim(part)), (name, y, x)
+                seen[answers] = seen.get(answers, 0) + 1
+    assert len(seen) == 4  # every combination of the two answers occurs
 
 
 def test_is_slim(m3, c4):

@@ -178,6 +178,21 @@ def test_serialize_meta_matches_json_dumps(meta):
     assert serialize(diag, meta=meta) == json_reference(doc)
 
 
+def test_dumps_matches_json_dumps_on_empty_containers():
+    docs = [
+        {"meta": {}},
+        {"meta": {"a": {}, "b": [], "c": [{}, [], [[]], {"d": {}}]}},
+        {"elements": [], "covers": [], "embedding": {}, "meta": {}},
+        {"kind": "glue", "chain": [], "children": [{"meta": {}}, {"meta": {"x": []}}]},
+        {"meta": {1: [], 2: {}, 3: {"e": []}}},
+        {"meta": {"k": {1: {}, 2: [[], {}]}}},
+        [],
+        {},
+    ]
+    for doc in docs:
+        assert documents._dumps(doc) == json_reference(doc), doc
+
+
 # -- tree documents ------------------------------------------------------------
 
 def test_tree_round_trip_verifies():

@@ -6,14 +6,17 @@ from latpatch import (Diagram, GluingWitness, choose_x,
                       is_slim, one_step_extension, rectangularize,
                       restrict_gluing, slim, upper_left_boundary,
                       validate_diagram, validate_witness, witness_from_cut)
+import latpatch.diagram
+import latpatch.ops
+from latpatch import Lattice, subdiagram
 from latpatch.core import irreducibility, iter_bits
-from latpatch.diagram import _compute_boundaries
+from latpatch.diagram import _boundary_data, _compute_boundaries, _rectangular
 from latpatch.errors import (AssertionFailed, BadX, ChainWasSingletonT,
                              EmbeddingFailed, ImproperWitness, InvalidSite,
                              IsPatch, IterationBoundExceeded, NotAChain,
                              NotAFilter, NotAnIdeal, NotIso,
                              StuckNotRectangular)
-from latpatch.ops import _pull_back
+from latpatch.ops import _Hull, _pull_back, _sites
 
 
 def site_names(diag, sites):
@@ -315,6 +318,53 @@ def test_rectangularize_replay_reproduces(corpus):
         assert replay == rect, name
 
 
+def test_kept_corners_and_scan_match_a_recount(corpus, random_corpus_small):
+    sides = set()
+    for name, diag in corpus + random_corpus_small:
+        slimmed, _ = slim(diag)
+        if slimmed.lattice.n <= 2:
+            continue
+        hull = _Hull(slimmed)
+        while True:
+            lat = hull.lat
+            left, right = map(tuple, hull.chains)
+            fresh = _boundary_data(lat, left, right, (1 << len(lat.names)) - 1)
+            assert hull.corners == (set(fresh.left_corners), set(fresh.right_corners)), name
+            rectangular = _rectangular(lat, fresh.u_l, fresh.u_r, lat.bottom, lat.top)
+            assert hull.is_rectangular() == rectangular, name
+            first = next(_sites(lat, hull.chains), None)
+            assert hull.first_site() == first, name
+            if first is not None and first[1][3] == "right":
+                # the left chain holds no site, and is not scanned again
+                assert hull.scan[0] >= len(hull.chains[0]) - 2, name
+            if rectangular:
+                break
+            sides.add(first[1][3])
+            hull.extend(*first)
+    assert sides == {"left", "right"}
+
+
+def test_rectangularize_recounts_corners_once(monkeypatch):
+    calls = []
+    real = _boundary_data
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    slimmed, _ = slim(generate("random-sps", [30], seed=7))
+    for base, steps_at_least in ((generate("chain", [12]), 10), (slimmed, 2),
+                                 (generate("grid", [3, 3]), 0)):
+        base.boundary  # the input's own boundary is not the hull's work
+        calls.clear()
+        monkeypatch.setattr(latpatch.diagram, "_boundary_data", counting)
+        monkeypatch.setattr(latpatch.ops, "_boundary_data", counting)
+        hull, steps = rectangularize(base)
+        monkeypatch.undo()
+        assert len(steps) >= steps_at_least
+        assert len(calls) == (1 if steps else 0)
+
+
 def test_rectangularize_two_chain_is_stuck():
     with pytest.raises(StuckNotRectangular):
         rectangularize(generate("chain", [2]))
@@ -381,3 +431,31 @@ def test_every_left_cut_obeys_the_decomposition_claims(corpus):
             reglued = glue_over_chain(cut.bottom_part, cut.top_part,
                                       {c: c for c in chain_labels})
             assert is_isomorphic(reglued.lattice, lat) is not None, name
+
+
+def test_cut_builds_its_parts_only_when_read(monkeypatch):
+    slimmed, _ = slim(generate("random-sps", [30], seed=7))
+    for diag in (generate("grid", [4, 3]), rectangularize(slimmed)[0]):
+        x, mode = choose_x(diag)
+        lat = diag.lattice
+        built = []
+        real_interval, real_trusted = Lattice._interval, Lattice._trusted
+
+        def counting_interval(*args):
+            built.append("interval")
+            return real_interval(*args)
+
+        def counting_trusted(*args, **kwargs):
+            built.append("trusted")
+            return real_trusted(*args, **kwargs)
+
+        monkeypatch.setattr(Lattice, "_interval", counting_interval)
+        monkeypatch.setattr(Lattice, "_trusted", staticmethod(counting_trusted))
+        cut = decompose_at(diag, x, mode)
+        assert built == []
+        bottom = cut.bottom_part
+        assert built and cut.bottom_part is bottom
+        top = cut.top_part
+        monkeypatch.undo()
+        assert bottom == subdiagram(diag, iter_bits(lat.down[x]))
+        assert top == subdiagram(diag, iter_bits(lat.up[cut.pivot]))

@@ -322,3 +322,54 @@ def test_sequence_indices_precede(corpus, random_corpus_small):
         for idx, entry in enumerate(entries, start=1):
             if idx not in parts:
                 assert is_patch(entry), name
+
+
+def recursive_sequence_of(tree):
+    """The recursive post-order walk, as a reference on shallow trees."""
+    entries, parts = [], {}
+
+    def walk(node):
+        if isinstance(node, DecompLeaf):
+            entries.append(node.diagram)
+            return len(entries)
+        j, k = walk(node.left), walk(node.right)
+        entries.append(node.diagram)
+        parts[len(entries)] = (j, k)
+        return len(entries)
+
+    walk(tree)
+    return entries, parts
+
+
+def test_sequence_matches_the_recursive_walk(corpus, random_corpus_small):
+    for name, diag in list(corpus) + list(random_corpus_small)[:40]:
+        tree, _ = decompose(diag)
+        entries, parts = sequence_of(tree)
+        expected = recursive_sequence_of(tree)
+        assert [id(e) for e in entries] == [id(e) for e in expected[0]], name
+        assert parts == expected[1], name
+
+
+def test_sequence_of_a_3000_level_tree():
+    # built directly, node by node; the "diagrams" are labels, which is all
+    # the linearization reads
+    depth = 3000
+    left_spine = DecompLeaf("leaf0")
+    right_spine = DecompLeaf("leaf0")
+    for i in range(1, depth + 1):
+        left_spine = DecompGlue(left_spine, DecompLeaf(f"leaf{i}"), 1, None, f"glue{i}")
+        right_spine = DecompGlue(DecompLeaf(f"leaf{i}"), right_spine, 1, None, f"glue{i}")
+
+    entries, parts = sequence_of(left_spine)
+    expected = ["leaf0"]
+    for i in range(1, depth + 1):
+        expected += [f"leaf{i}", f"glue{i}"]
+    assert entries == expected
+    # glue i joins glue i - 1 (or leaf0, entry 1) with leaf i
+    assert parts == {2 * i + 1: (2 * i - 1, 2 * i) for i in range(1, depth + 1)}
+
+    entries, parts = sequence_of(right_spine)
+    assert entries == ([f"leaf{i}" for i in range(depth, -1, -1)]
+                       + [f"glue{i}" for i in range(1, depth + 1)])
+    # glue i joins leaf i with glue i - 1 (or leaf0, entry depth + 1)
+    assert parts == {depth + 1 + i: (depth - i + 1, depth + i) for i in range(1, depth + 1)}
