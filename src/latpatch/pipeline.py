@@ -133,25 +133,54 @@ def _decompose_step(diag):
     return lifted, trace
 
 
-def _decompose(diag):
-    step = _decompose_step(diag)
-    if step is None:
-        leaf = DecompLeaf(diag)
-        trace = PipelineTrace((), (), None, False)
-        return leaf, trace
-    witness, trace = step
-    left = subdiagram(diag, witness.A)
-    right = subdiagram(diag, witness.B)
-    left_tree, _ = _decompose(left)
-    right_tree, _ = _decompose(right)
-    node = DecompGlue(left_tree, right_tree, len(witness.C), witness, diag)
-    return node, trace
+def _decompose(root):
+    """Post-order walk with an explicit stack, so the depth of the tree is
+    not bounded by the interpreter's recursion limit.  Returns the tree and
+    the root's trace.
+
+    The ideal and filter parts of a node overlap, so the walk reaches the
+    same interval of the root again and again.  `built` keeps the subtree of
+    each interval, keyed by its labels, and a repeat gets the same object.
+    A node is an interval of the root kept in ascending root-id order, so
+    equal labels mean an equal diagram; each hit is confirmed anyway.
+    """
+    built = {}
+    finished = []  # each finished subtree whose parent is open
+    root_trace = None
+    stack = [(root, None)]
+    while stack:
+        diag, witness = stack.pop()
+        if witness is None:
+            node = built.get(diag.lattice.names)
+            if node is not None and node.diagram == diag:
+                finished.append(node)
+                continue
+            step = _decompose_step(diag)
+            if root_trace is None:
+                root_trace = (PipelineTrace((), (), None, False) if step is None
+                              else step[1])
+            if step is not None:
+                witness = step[0]
+                stack += [(diag, witness), (subdiagram(diag, witness.B), None),
+                          (subdiagram(diag, witness.A), None)]
+                continue
+            node = DecompLeaf(diag)
+        else:
+            right = finished.pop()
+            left = finished.pop()
+            node = DecompGlue(left, right, len(witness.C), witness, diag)
+        built[diag.lattice.names] = node
+        finished.append(node)
+    return finished.pop(), root_trace
 
 
 def decompose(diag):
     """Decompose a planar semimodular diagram into a certificate tree.
 
-    Returns the tree and the trace of the top-level step.
+    Returns the tree and the trace of the top-level step.  Each distinct
+    interval is decomposed once: in memory, equal subtrees of the returned
+    certificate are one shared object.  Documents, `sequence_of` and
+    `verify_tree` still see every occurrence.
     """
     if diag.lattice.n <= 1:
         raise NoDecomposition("nothing to decompose in a one-element lattice")
@@ -171,6 +200,7 @@ def _labeled_covers(lat):
 
 
 def _verify_node(node, path):
+    """The first violated clause of this node on its own, or None."""
     if isinstance(node, DecompLeaf):
         if not is_patch(node.diagram):
             return TreeViolation(path, "leaf_patch",
@@ -202,19 +232,24 @@ def _verify_node(node, path):
     if reglued != _labeled_covers(amb):
         return TreeViolation(path, "reglue",
                              "the children's covers do not rebuild the node")
-    for child, tag in ((node.left, "left"), (node.right, "right")):
-        bad = _verify_node(child, f"{path}.{tag}")
-        if bad is not None:
-            return bad
     return None
 
 
 def verify_tree(tree, diag):
     """Re-check every certificate clause from scratch; None when the tree is
-    a valid decomposition of the given diagram, else the first violation."""
-    bad = _verify_node(tree, "root")
-    if bad is not None:
-        return bad
+    a valid decomposition of the given diagram, else the first violation.
+
+    Nodes are checked in pre-order (a node, then its left subtree, then its
+    right one) on an explicit stack, so the depth of the tree is not bounded
+    by the interpreter's recursion limit."""
+    stack = [(tree, "root")]
+    while stack:
+        node, path = stack.pop()
+        bad = _verify_node(node, path)
+        if bad is not None:
+            return bad
+        if not isinstance(node, DecompLeaf):
+            stack += [(node.right, f"{path}.right"), (node.left, f"{path}.left")]
     root, given = tree.diagram.lattice, diag.lattice
     # with equal labels and labeled covers, the label identity is the
     # isomorphism; only a relabeled input needs the search

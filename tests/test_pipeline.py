@@ -13,7 +13,7 @@ import oracles
 from latpatch import (DecompGlue, DecompLeaf, Diagram, brute_force_gluing_search,
                       build_lattice, decompose, generate, is_isomorphic, is_patch,
                       parse_tree_document, sequence_of, serialize_tree, slim,
-                      validate_witness, verify_tree)
+                      subdiagram, validate_witness, verify_tree)
 from latpatch.core import iter_bits
 from latpatch.errors import NotSemimodular, SizeBoundExceeded
 
@@ -26,6 +26,13 @@ def leaves_of(tree):
     if isinstance(tree, DecompLeaf):
         return [tree]
     return leaves_of(tree.left) + leaves_of(tree.right)
+
+
+def occurrences_of(tree):
+    """Every node of the tree, a shared subtree once per occurrence."""
+    if isinstance(tree, DecompLeaf):
+        return [tree]
+    return [tree] + occurrences_of(tree.left) + occurrences_of(tree.right)
 
 
 def chain_sizes_of(tree):
@@ -86,6 +93,80 @@ def test_trace_replays_exactly(corpus, replay):
             assert trace.cut is None and is_patch(hull), name
         else:
             assert hull == trace.cut.ambient, name
+
+
+def recursive_decompose(diag):
+    """The memo-free recursive decomposition, as a reference on shallow trees:
+    every occurrence of an interval is decomposed on its own."""
+    step = latpatch.pipeline._decompose_step(diag)
+    if step is None:
+        return DecompLeaf(diag)
+    witness, _ = step
+    return DecompGlue(recursive_decompose(subdiagram(diag, witness.A)),
+                      recursive_decompose(subdiagram(diag, witness.B)),
+                      len(witness.C), witness, diag)
+
+
+def test_shared_subtrees_match_the_memo_free_reference(corpus, random_corpus_small):
+    for name, diag in list(corpus) + list(random_corpus_small):
+        tree, trace = decompose(diag)
+        expected = recursive_decompose(diag)
+        assert serialize_tree(tree) == serialize_tree(expected), name
+        entries, parts = sequence_of(tree)
+        expected_entries, expected_parts = sequence_of(expected)
+        assert parts == expected_parts, name
+        assert entries == expected_entries, name
+        step = latpatch.pipeline._decompose_step(diag)
+        if step is None:
+            assert trace == latpatch.pipeline.PipelineTrace((), (), None, False), name
+        else:
+            assert trace == step[1], name
+
+
+def test_each_distinct_interval_is_decomposed_once(monkeypatch):
+    diag = generate("random-sps", [24], seed=7)
+    calls = []
+    step = latpatch.pipeline._decompose_step
+
+    def counted(d):
+        calls.append(d)
+        return step(d)
+
+    with monkeypatch.context() as m:
+        m.setattr(latpatch.pipeline, "_decompose_step", counted)
+        tree, _ = decompose(diag)
+    nodes = occurrences_of(tree)
+    assert (len(calls), len(nodes)) == (67, 245)
+    by_labels = {}
+    for node in nodes:
+        first = by_labels.setdefault(frozenset(node.diagram.lattice.names), node)
+        assert first is node
+    assert len(by_labels) == 67
+    # a document spells out every occurrence, and parsing it shares nothing
+    text = serialize_tree(tree)
+    parsed = parse_tree_document(text)
+    assert len({id(node) for node in occurrences_of(parsed)}) == 245
+    assert verify_tree(parsed, diag) is None
+    assert serialize_tree(parsed) == text
+
+
+def test_a_repeat_with_another_drawing_is_decomposed_afresh(monkeypatch):
+    # shift each part's drawing by a different amount: equal labels no
+    # longer mean an equal diagram, so nothing may be shared
+    diag = generate("random-sps", [24], seed=7)
+    shifts = []
+
+    def shifted(d, members):
+        part = subdiagram(d, members)
+        shifts.append(len(shifts) + 1)
+        return Diagram(part.lattice, [x + shifts[-1] for x in part.xcoord])
+
+    with monkeypatch.context() as m:
+        m.setattr(latpatch.pipeline, "subdiagram", shifted)
+        tree, _ = decompose(diag)
+    nodes = occurrences_of(tree)
+    assert len({id(node) for node in nodes}) == len(nodes) == 245
+    assert verify_tree(tree, diag) is None
 
 
 def test_witnesses_in_tree_are_proper(corpus, random_corpus_small):
@@ -166,6 +247,28 @@ def test_verify_rejects_tampered_chain_size():
                           tree.witness, tree.diagram)
     violation = verify_tree(tampered, g)
     assert violation is not None and violation.clause == "chain_size"
+
+
+def test_verify_reports_the_first_violation_in_pre_order():
+    # the 3x3 grid's root glues two gluings; a node is checked before its
+    # children, and a left subtree before the right one
+    g = generate("grid", [3, 3])
+    tree, _ = decompose(g)
+
+    def bump(node):
+        return DecompGlue(node.left, node.right, node.chain_size + 1,
+                          node.witness, node.diagram)
+
+    both = DecompGlue(bump(tree.left), bump(tree.right), tree.chain_size,
+                      tree.witness, tree.diagram)
+    violation = verify_tree(both, g)
+    assert (violation.path, violation.clause) == ("root.left", "chain_size")
+    violation = verify_tree(bump(both), g)
+    assert (violation.path, violation.clause) == ("root", "chain_size")
+    right_only = DecompGlue(tree.left, bump(tree.right), tree.chain_size,
+                            tree.witness, tree.diagram)
+    violation = verify_tree(right_only, g)
+    assert (violation.path, violation.clause) == ("root.right", "chain_size")
 
 
 def test_verify_rejects_swapped_children():
@@ -290,6 +393,28 @@ def test_decompose_and_verify_at_scale(n):
     assert proc.stdout.strip() == "None"
     peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
     assert peak_mb < 300
+
+
+LOW_RECURSION_LIMIT_RUN = """
+import sys
+from latpatch import decompose, generate, verify_tree
+diag = generate("chain", [200])
+# a recursive walk needs a frame per tree level, about 100 here
+sys.setrecursionlimit(80)
+tree, _ = decompose(diag)
+print(verify_tree(tree, diag))
+"""
+
+
+def test_chain_200_under_a_low_recursion_limit():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", LOW_RECURSION_LIMIT_RUN], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert "RecursionError" not in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "None"
 
 
 def test_dichotomy_on_small_corpus(corpus):
