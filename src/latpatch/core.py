@@ -19,18 +19,43 @@ def iter_bits(mask):
         mask ^= low
 
 
-def _join_owner_checked(up, comparable, names):
-    """The element owning each up-mask, once every pair has a join.
+def _closure(upper, lower, order):
+    """↑ and ↓ masks and heights (longest cover chain from below) of every
+    element, from the upper and lower cover lists and `order`, any linear
+    extension of the order they generate.  The only place they are built."""
+    n = len(upper)
+    up = [0] * n
+    for v in reversed(order):
+        m = 1 << v
+        for w in upper[v]:
+            m |= up[w]
+        up[v] = m
+    down = [0] * n
+    height = [0] * n
+    for v in order:
+        m = 1 << v
+        h = 0
+        for w in lower[v]:
+            m |= down[w]
+            if height[w] >= h:
+                h = height[w] + 1
+        down[v] = m
+        height[v] = h
+    return tuple(up), tuple(down), tuple(height)
+
+
+def _check_joins(up, down, names, owner):
+    """Raise unless every pair has a join; `owner` maps each up-mask to its
+    element.
 
     In a lattice the common upper bounds of (a, b) are exactly ↑(a ∨ b),
     so `up[a] & up[b]` must itself be an up-mask; a dict lookup finds the
     join or proves there is none.  Comparable pairs always have one, so
-    only the b > a outside `comparable[a]` (↑a ∪ ↓a) are looked up.
+    only the b > a outside ↑a ∪ ↓a are looked up.
     """
-    owner = {mask: v for v, mask in enumerate(up)}
     full = (1 << len(up)) - 1
     for a, up_a in enumerate(up):
-        rest = full & ~((2 << a) - 1) & ~comparable[a]
+        rest = full & ~((2 << a) - 1) & ~(up_a | down[a])
         while rest:
             low = rest & -rest
             b = low.bit_length() - 1
@@ -39,7 +64,24 @@ def _join_owner_checked(up, comparable, names):
                     f"{names[a]!r} and {names[b]!r} have no least upper bound",
                     witness=(names[a], names[b]))
             rest ^= low
-    return owner
+
+
+def _topo_order(upper, lower, names):
+    """A topological order of the cover graph; raises on a cycle."""
+    indeg = [len(ws) for ws in lower]
+    order = [v for v, d in enumerate(indeg) if d == 0]
+    i = 0
+    while i < len(order):
+        v = order[i]
+        i += 1
+        for w in upper[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                order.append(w)
+    if len(order) != len(names):
+        stuck = [names[v] for v, d in enumerate(indeg) if d > 0]
+        raise CycleDetected(f"cover relation has a cycle through {stuck[:4]!r}")
+    return order
 
 
 class _Rows(dict):
@@ -96,147 +138,67 @@ class Lattice:
             raise NotBounded("a lattice needs at least one element")
         if len(set(names)) != len(names):
             raise ValueError("duplicate element labels")
-        self.names = tuple(names)
-        self.n = n = len(names)
-        self.index = {lab: i for i, lab in enumerate(names)}
-
+        index = {lab: i for i, lab in enumerate(names)}
         pairs = set()
         for lo, hi in covers:
-            if lo not in self.index or hi not in self.index:
+            if lo not in index or hi not in index:
                 raise NotALattice(f"cover ({lo!r}, {hi!r}) uses an unknown element")
-            a, b = self.index[lo], self.index[hi]
+            a, b = index[lo], index[hi]
             if a == b:
                 raise CycleDetected(f"self-loop at {lo!r}")
             pairs.add((a, b))
-        self.covers = tuple(sorted(pairs))
-        self._cover_set = frozenset(self.covers)
-
-        above = [[] for _ in range(n)]
-        below = [[] for _ in range(n)]
-        for a, b in self.covers:
+        above = [[] for _ in names]
+        below = [[] for _ in names]
+        for a, b in sorted(pairs):
             above[a].append(b)
             below[b].append(a)
-        self.upper_covers = tuple(tuple(sorted(v)) for v in above)
-        self.lower_covers = tuple(tuple(sorted(v)) for v in below)
+        upper, lower = tuple(map(tuple, above)), tuple(map(tuple, below))
+        order = _topo_order(upper, lower, names)
 
-        topo = self._topo_order()
-
-        up = [0] * n
-        for v in reversed(topo):
-            m = 1 << v
-            for w in self.upper_covers[v]:
-                m |= up[w]
-            up[v] = m
-        down = [0] * n
-        for v in topo:
-            m = 1 << v
-            for w in self.lower_covers[v]:
-                m |= down[w]
-            down[v] = m
-        self.up = tuple(up)
-        self.down = tuple(down)
-        self.full_mask = (1 << n) - 1
-
-        minima = [v for v in range(n) if not self.lower_covers[v]]
-        maxima = [v for v in range(n) if not self.upper_covers[v]]
+        minima = [v for v, ws in enumerate(lower) if not ws]
+        maxima = [v for v, ws in enumerate(upper) if not ws]
         if len(minima) != 1:
             raise NotBounded(
-                f"{len(minima)} minimal elements: {[self.names[v] for v in minima]!r}")
+                f"{len(minima)} minimal elements: {[names[v] for v in minima]!r}")
         if len(maxima) != 1:
             raise NotBounded(
-                f"{len(maxima)} maximal elements: {[self.names[v] for v in maxima]!r}")
-        self.bottom = minima[0]
-        self.top = maxima[0]
+                f"{len(maxima)} maximal elements: {[names[v] for v in maxima]!r}")
+        self._fill(tuple(names), upper, lower, order, minima[0], maxima[0], index)
 
         for a, b in self.covers:
             between = self.up[a] & self.down[b] & ~((1 << a) | (1 << b))
             if between:
                 z = next(iter_bits(between))
                 raise NotALattice(
-                    f"({self.names[a]!r}, {self.names[b]!r}) is not a cover: "
-                    f"{self.names[z]!r} lies between",
-                    witness=(self.names[a], self.names[b]))
+                    f"({names[a]!r}, {names[b]!r}) is not a cover: "
+                    f"{names[z]!r} lies between",
+                    witness=(names[a], names[b]))
+        _check_joins(self.up, self.down, self.names, self.join.owner)
 
-        height = [0] * n
-        for v in topo:
-            for w in self.upper_covers[v]:
-                if height[v] + 1 > height[w]:
-                    height[w] = height[v] + 1
-        self.height = tuple(height)
-
-        comparable = [u | d for u, d in zip(up, down)]
-        self.join = _Rows(self.up, _join_owner_checked(self.up, comparable, self.names))
+    def _fill(self, names, upper_covers, lower_covers, order, bottom, top, index=None):
+        """Set every field from the cover lists, which must be sorted (so the
+        cover pairs come out sorted), and `order`, a linear extension; the
+        masks and heights come from `_closure`."""
+        self.names = names
+        self.n = len(names)
+        self.index = {lab: i for i, lab in enumerate(names)} if index is None else index
+        self.covers = tuple((v, w) for v, ws in enumerate(upper_covers) for w in ws)
+        self._cover_set = frozenset(self.covers)
+        self.upper_covers = upper_covers
+        self.lower_covers = lower_covers
+        self.up, self.down, self.height = _closure(upper_covers, lower_covers, order)
+        self.full_mask = (1 << self.n) - 1
+        self.bottom = bottom
+        self.top = top
+        self.join = _Rows(self.up, {mask: v for v, mask in enumerate(self.up)})
         # meets exist once joins do (see the class docstring)
         self.meet = _Rows(self.down, {mask: v for v, mask in enumerate(self.down)})
 
-    def _topo_order(self):
-        indeg = [len(self.lower_covers[v]) for v in range(self.n)]
-        order = [v for v in range(self.n) if indeg[v] == 0]
-        i = 0
-        while i < len(order):
-            v = order[i]
-            i += 1
-            for w in self.upper_covers[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    order.append(w)
-        if len(order) != self.n:
-            stuck = [self.names[v] for v in range(self.n) if indeg[v] > 0]
-            raise CycleDetected(f"cover relation has a cycle through {stuck[:4]!r}")
-        return order
-
-    def _minus_doubly_irreducible(self, v):
-        """This lattice without v, where o ≺ v ≺ i and (o, i) keeps another
-        element between; O(n).
-
-        Every chain through v can go through that other element instead, so
-        the order of the rest, its heights and its covers stay (only (o, i)
-        could have become a cover), and v, being doubly irreducible, is no
-        join or meet of two others.  So bit v is compacted out of every
-        mask.  Both callers guarantee the shape: an eye has a single lower
-        and upper cover and at least two other middles, and
-        `restrict_gluing` checks a ≺ b ≺ c for t with a ≺ t ≺ c.
-        """
-        low = (1 << v) - 1
-
-        def drop(mask):
-            return mask & low | mask >> 1 & ~low
-
-        def shift(ids):
-            return tuple(u - (u > v) for u in ids if u != v)
-
-        names, upper, lower = self.names, self.upper_covers, self.lower_covers
-        return Lattice._trusted(
-            names[:v] + names[v + 1:],
-            tuple((a - (a > v), b - (b > v)) for a, b in self.covers if v != a and v != b),
-            tuple(shift(ws) for ws in upper[:v] + upper[v + 1:]),
-            tuple(shift(ws) for ws in lower[:v] + lower[v + 1:]),
-            tuple(drop(m) for m in self.up[:v] + self.up[v + 1:]),
-            tuple(drop(m) for m in self.down[:v] + self.down[v + 1:]),
-            self.height[:v] + self.height[v + 1:],
-            self.bottom - (self.bottom > v), self.top - (self.top > v))
-
     @staticmethod
-    def _trusted(names, covers, upper_covers, lower_covers, up, down, height,
-                 bottom, top, index=None):
-        """A lattice from parts derived from a validated one; nothing is
-        checked, and `covers` must already be sorted."""
+    def _trusted(*fields, index=None):
+        """A lattice derived from a validated one, by `_fill`; unchecked."""
         new = Lattice.__new__(Lattice)
-        new.names = names
-        new.n = len(names)
-        new.index = {lab: i for i, lab in enumerate(names)} if index is None else index
-        new.covers = covers
-        new._cover_set = frozenset(covers)
-        new.upper_covers = upper_covers
-        new.lower_covers = lower_covers
-        new.up = up
-        new.down = down
-        new.full_mask = (1 << new.n) - 1
-        new.height = height
-        new.bottom = bottom
-        new.top = top
-        new.join = _Rows(up, {mask: v for v, mask in enumerate(up)})
-        new.meet = _Rows(down, {mask: v for v, mask in enumerate(down)})
+        new._fill(*fields, index=index)
         return new
 
     # -- order queries ---------------------------------------------------
@@ -272,10 +234,11 @@ class Lattice:
         its covers recomputed and is validated in full.
 
         Derived lattices, made from one already validated: hulls, one-step
-        extensions and eye insertions (grown in place by `_Growing`),
-        intervals (here, and the children of tree documents that match an
-        interval of their parent node, see `parse_tree_document`) and eye
-        removals (`_minus_doubly_irreducible`).  Validated in full: lattice
+        extensions and eye insertions (grown in place by `_Growing`), and,
+        by `_derived`, intervals (here, and the children of tree documents
+        that match an interval of their parent node, see
+        `parse_tree_document`), slimmed lattices (all eyes removed at once)
+        and the removal of one added t.  Validated in full: lattice
         documents, the roots of tree documents and any child that does not
         match its parent, `build_lattice`, the generators' chains, grids,
         diamonds and gluings, and non-interval subsets.
@@ -285,7 +248,7 @@ class Lattice:
         if members and len(members) == mask.bit_count():
             ends = self._interval_ends(members, mask)
             if ends is not None:
-                return self._interval(members, *ends)
+                return self._derived(members, *ends)
         covers = []
         for u in members:
             for v in iter_bits(self.up[u] & mask & ~(1 << u)):
@@ -304,36 +267,29 @@ class Lattice:
             return y, x
         return None
 
-    def _interval(self, members, y, x):
-        """`restrict` for the sorted members of [y, x]."""
+    def _derived(self, members, bottom, top):
+        """The lattice on the sorted ids `members`, holding `bottom` and
+        `top`, whose covers are this lattice's covers among them; unchecked.
+
+        Every caller guarantees those are the covers of a sublattice: an
+        interval [y, x] (`restrict`), or this lattice without doubly
+        irreducible elements v, each with o ≺ v ≺ i and another kept
+        element between o and i (`slim` drops eyes, `restrict_gluing` an
+        added t).  Every chain through such a v can go through that other
+        element instead, so the order, heights and covers of the rest stay
+        (only (o, i) could have become a cover), and v is no join or meet
+        of two others.  Ids keep their relative order, so the cover lists
+        stay sorted, and this lattice's heights order the members linearly.
+        """
         pos = {v: i for i, v in enumerate(members)}
         upper = tuple(tuple(pos[w] for w in self.upper_covers[v] if w in pos)
                       for v in members)
         lower = tuple(tuple(pos[w] for w in self.lower_covers[v] if w in pos)
                       for v in members)
-        k = len(members)
-        order = sorted(range(k), key=lambda i: self.height[members[i]])
-        up = [0] * k
-        for i in reversed(order):
-            m = 1 << i
-            for w in upper[i]:
-                m |= up[w]
-            up[i] = m
-        down = [0] * k
-        height = [0] * k
-        for i in order:
-            m = 1 << i
-            h = 0
-            for w in lower[i]:
-                m |= down[w]
-                if height[w] >= h:
-                    h = height[w] + 1
-            down[i] = m
-            height[i] = h
-        return Lattice._trusted(
-            tuple(self.names[v] for v in members),
-            tuple((i, w) for i in range(k) for w in upper[i]),
-            upper, lower, tuple(up), tuple(down), tuple(height), pos[y], pos[x])
+        height = self.height
+        order = sorted(range(len(members)), key=lambda i: height[members[i]])
+        return Lattice._trusted(tuple(self.names[v] for v in members), upper, lower,
+                                order, pos[bottom], pos[top])
 
     def __eq__(self, other):
         return (isinstance(other, Lattice)
@@ -348,10 +304,10 @@ class Lattice:
 class _Growing:
     """A lattice grown in place by doubly irreducible elements.
 
-    It holds mutable lists under `Lattice`'s field names.  `add(a, c,
-    label)` adds a new last element t with a ≺ t ≺ c in O(|↓a| + |↑c|), by
-    ORing bit t into the up-masks of ↓a and the down-masks of ↑c;
-    `lattice()` freezes the result once, unchecked.
+    It holds mutable names, cover lists and heights under `Lattice`'s field
+    names, and no masks.  `add(a, c, label)` appends a new element t with
+    a ≺ t ≺ c in O(1) amortized; `lattice()` freezes the result once,
+    unchecked, and builds every mask in one closure pass in height order.
 
     Nothing can fail when a < c and (a, c) is not a cover, which every
     caller guarantees.  The old order is kept, since a < c already, and
@@ -360,7 +316,7 @@ class _Growing:
     t when x ≥ c and x ∧ a otherwise.  Old pairs keep their bounds: if
     x, y ≤ a then x ∨ y ≤ a < t, so t is only one more upper bound of
     x ∨ y, and dually.  Heights stay, because c lies at least two levels
-    above a.
+    above a, so height order stays a linear extension.
     """
 
     def __init__(self, lat):
@@ -368,24 +324,13 @@ class _Growing:
         self.index = dict(lat.index)
         self.upper_covers = [list(ws) for ws in lat.upper_covers]
         self.lower_covers = [list(ws) for ws in lat.lower_covers]
-        self.up = list(lat.up)
-        self.down = list(lat.down)
         self.height = list(lat.height)
         self.bottom = lat.bottom
         self.top = lat.top
 
     def add(self, a, c, label):
         """Add `label` as the new element t with a ≺ t ≺ c only; t's id."""
-        up, down = self.up, self.down
-        t = len(up)
-        bit = 1 << t
-        for reach, mask in ((up, down[a]), (down, up[c])):
-            while mask:
-                low = mask & -mask
-                reach[low.bit_length() - 1] |= bit
-                mask ^= low
-        up.append(bit | up[c])
-        down.append(bit | down[a])
+        t = len(self.names)
         self.names.append(label)
         self.index[label] = t
         self.upper_covers[a].append(t)
@@ -398,12 +343,12 @@ class _Growing:
     def lattice(self):
         """The grown lattice; call once, when growing is done.  Cover lists
         stay sorted, because every new id is the largest so far."""
-        upper = tuple(map(tuple, self.upper_covers))
+        height = self.height
         return Lattice._trusted(
-            tuple(self.names), tuple((v, w) for v, ws in enumerate(upper) for w in ws),
-            upper, tuple(map(tuple, self.lower_covers)), tuple(self.up),
-            tuple(self.down), tuple(self.height), self.bottom, self.top,
-            index=self.index)
+            tuple(self.names), tuple(map(tuple, self.upper_covers)),
+            tuple(map(tuple, self.lower_covers)),
+            sorted(range(len(height)), key=height.__getitem__),
+            self.bottom, self.top, index=self.index)
 
 
 def build_lattice(covers, elements=None):

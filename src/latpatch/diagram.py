@@ -14,7 +14,8 @@ same as on the rational points.  `Diagram` keeps its `Fraction` coordinates
 for documents and equality.
 """
 
-from dataclasses import dataclass
+from bisect import bisect_right, insort
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
@@ -236,9 +237,9 @@ def boundaries(diag):
 
 
 def _rectangular(lat, u, v, y, x):
-    """u ∨ v = x and u ∧ v = y in the interval [y, x], read off ↑ and ↓ of
-    a lattice or a `_Growing`, for its weak corners u and v (None where a
-    side has not exactly one)."""
+    """u ∨ v = x and u ∧ v = y in the interval [y, x], read off the masks
+    of a lattice, for its weak corners u and v (None where a side has not
+    exactly one)."""
     return (u is not None and v is not None
             and lat.up[u] & lat.up[v] & lat.down[x] == 1 << x
             and lat.down[u] & lat.down[v] & lat.up[y] == 1 << y)
@@ -333,26 +334,39 @@ def find_eyes(diag):
     return out
 
 
-def _without_element(diag, v):
-    """The diagram without the eye v; its lattice is derived, not rebuilt."""
-    xs = diag.xcoord
-    return Diagram(diag.lattice._minus_doubly_irreducible(v), xs[:v] + xs[v + 1:])
-
-
 def slim(diag):
-    """Remove eyes (smallest id first) until none remain.
+    """Remove every eye, smallest id first, in one derived build.
 
     Returns the slim diagram and the replay records in removal order.
+
+    Removing an eye changes no other element's covers (see
+    `Lattice._derived`), and the two outer atoms of an interval [o, i]
+    (upper covers of o below i) are eyes of no interval: an eye of
+    [o, i'] ⊆ [o, i] has atoms of [o, i'] on both sides.  So removing the
+    first eye of each round's scan drops exactly the eyes of the first
+    scan, in id order.  An eye m of [o, i] is recorded at its first-scan
+    slot less the atoms of [o, i] removed before it that sort before it:
+    the eyes with x at most m's of the intervals [o, i'] with i' ≤ i,
+    counted per interval (in a graded lattice, such as a semimodular one,
+    only [o, i] itself).
     """
+    eyes = find_eyes(diag)
+    if not eyes:
+        return diag, []
+    lat, xs = diag.lattice, diag.xcoord
+    removed = {}  # o -> i -> the sorted x of the removed eyes of [o, i]
     records = []
-    cur = diag
-    while True:
-        eyes = find_eyes(cur)
-        if not eyes:
-            return cur, records
-        m, rec = eyes[0]
-        records.append(rec)
-        cur = _without_element(cur, m)
+    for m, rec in eyes:
+        (o,), (i,) = lat.lower_covers[m], lat.upper_covers[m]
+        by_upper = removed.setdefault(o, {})
+        before = sum(bisect_right(done, xs[m]) for top, done in by_upper.items()
+                     if lat.down[i] >> top & 1)
+        records.append(replace(rec, slot=rec.slot - before))
+        insort(by_upper.setdefault(i, []), xs[m])
+    gone = {m for m, _ in eyes}
+    kept = [v for v in range(lat.n) if v not in gone]
+    return (Diagram(lat._derived(kept, lat.bottom, lat.top), [xs[v] for v in kept]),
+            records)
 
 
 def insert_middle(diag, rec):

@@ -128,7 +128,7 @@ def _derived_child(parent, elements, pairs, embedding):
     ends = plat._interval_ends(members, plat.mask_of(members))
     if ends is None:
         return None
-    lat = plat._interval(members, *ends)
+    lat = plat._derived(members, *ends)
     if set(pairs) != lat._cover_set:
         return None
     heights = plat.height
@@ -271,7 +271,7 @@ def parse_tree_document(text, max_synth=16):
     document.  A child whose lattice is an interval of its parent node's,
     drawn with the parent's coordinate text and heights shifted by one
     constant, as every child `serialize_tree` writes is, is derived from
-    the parent in O(k) (`Lattice._interval`) without a full lattice build
+    the parent in O(k) (`Lattice._derived`) without a full lattice build
     or a crossing check; any other child is parsed and validated in full,
     with the same result or error as on its own.  Whether the children
     really split their parent is `verify_tree`'s question, not parsing's.

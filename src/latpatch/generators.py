@@ -9,7 +9,7 @@ boundary extensions.  Equal seeds give byte-identical output.
 import random
 from fractions import Fraction
 
-from .core import Lattice, is_semimodular
+from .core import Lattice, is_semimodular, iter_bits
 from .diagram import Diagram, EyeRecord, insert_middle, validate_diagram
 from .errors import BadParams, EmbeddingFailed
 from .ops import find_extension_sites, glue_over_chain, one_step_extension
@@ -76,12 +76,14 @@ def _fresh_eye_label(lat, counter):
 
 
 def _filter_chains(lat):
-    """Elements b whose up-set [b, 1] is a chain, ascending by chain length."""
-    out = []
-    for b in range(lat.n):
-        members = [v for v in range(lat.n) if lat.leq(b, v)]
-        if all(lat.leq(u, v) or lat.leq(v, u) for u in members for v in members):
-            out.append((len(members), b))
+    """Elements b whose up-set [b, 1] is a chain, ascending by chain length.
+
+    ↑b is a chain exactly when none of its elements has two upper covers:
+    two covers of one element are incomparable, and otherwise every
+    element of ↑b lies on the one cover path from b to the top."""
+    upper = lat.upper_covers
+    out = [(lat.up[b].bit_count(), b) for b in range(lat.n)
+           if all(len(upper[v]) < 2 for v in iter_bits(lat.up[b]))]
     out.sort()
     return out
 

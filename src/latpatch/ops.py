@@ -12,7 +12,7 @@ from functools import cached_property
 
 from .core import Lattice, _Growing, classify_subset, iter_bits
 from .diagram import (Diagram, _boundary_data, _interval_rectangular,
-                      _rectangular, _scaled_points, _slim, is_patch,
+                      _scaled_points, _slim, is_patch,
                       is_rectangular, is_slim, subdiagram,
                       synthesize_embedding, upper_left_boundary,
                       upper_right_boundary, validate_diagram)
@@ -223,6 +223,18 @@ def find_extension_sites(diag):
     return [site for _, site in _sites(diag.lattice, (b.left_chain, b.right_chain))]
 
 
+def _reach(covers, v):
+    """v and every element reached from it over `covers`, as a set."""
+    seen = {v}
+    todo = [v]
+    while todo:
+        for w in covers[todo.pop()]:
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
+
+
 class _Hull:
     """A diagram grown in place at its boundary sites: the lattice as a
     `_Growing`, the x coordinates, the x extent, the left and right
@@ -259,10 +271,16 @@ class _Hull:
         return found
 
     def is_rectangular(self):
+        """One weak corner per side, and the two complementary: only ↑
+        and ↓ of the two corners are walked, over the cover lists."""
         left, right = self.corners
+        if len(left) != 1 or len(right) != 1:
+            return False
+        (u,), (v,) = left, right
         lat = self.lat
-        return (len(left) == 1 and len(right) == 1
-                and _rectangular(lat, *left, *right, lat.bottom, lat.top))
+        upper, lower = lat.upper_covers, lat.lower_covers
+        return (_reach(upper, u) & _reach(upper, v) == {lat.top}
+                and _reach(lower, u) & _reach(lower, v) == {lat.bottom})
 
     def extend(self, i, site):
         """Add a fresh t with a ≺ t ≺ c at a site from `_sites` at position
@@ -342,7 +360,8 @@ def restrict_gluing(witness, step):
     reason = validate_witness(witness)
     if reason is not None:
         raise ImproperWitness(reason)
-    return _pull_back(witness, amb._minus_doubly_irreducible(t))
+    kept = [v for v in range(amb.n) if v != t]
+    return _pull_back(witness, amb._derived(kept, amb.bottom, amb.top))
 
 
 def _pull_back(witness, base):

@@ -179,8 +179,8 @@ def decompose(diag):
 
     Returns the tree and the trace of the top-level step.  Each distinct
     interval is decomposed once: in memory, equal subtrees of the returned
-    certificate are one shared object.  Documents, `sequence_of` and
-    `verify_tree` still see every occurrence.
+    certificate are one shared object.  Documents and `sequence_of` still
+    see every occurrence; `verify_tree` checks each object once.
     """
     if diag.lattice.n <= 1:
         raise NoDecomposition("nothing to decompose in a one-element lattice")
@@ -241,10 +241,17 @@ def verify_tree(tree, diag):
 
     Nodes are checked in pre-order (a node, then its left subtree, then its
     right one) on an explicit stack, so the depth of the tree is not bounded
-    by the interpreter's recursion limit."""
+    by the interpreter's recursion limit.  A subtree shared in memory (see
+    `decompose`) is checked once, at its first occurrence, keyed by object
+    identity: checking it again would give the same answer, so the first
+    violation and its path stay the same."""
+    checked = set()  # ids of passed nodes, all kept alive by `tree`
     stack = [(tree, "root")]
     while stack:
         node, path = stack.pop()
+        if id(node) in checked:
+            continue
+        checked.add(id(node))
         bad = _verify_node(node, path)
         if bad is not None:
             return bad

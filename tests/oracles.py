@@ -5,9 +5,13 @@ Everything here works on labeled cover lists from first principles
 permutation search) and never touches the package's derived tables.
 The drawing references take element ids, cover pairs of ids and
 `Fraction` x coordinates, and do their geometry on the rational points.
+The slimming reference removes one eye per round, each time rebuilding and
+validating the lattice in full from its labeled covers.
 """
 
 from itertools import permutations, product
+
+from latpatch import Diagram, Lattice, find_eyes
 
 
 def closure_leq(covers, elements):
@@ -240,3 +244,26 @@ def boundary_chains(n, covers, xs):
         return tuple(chain)
 
     return walk("left"), walk("right")
+
+
+def without_element(diag, v):
+    """The diagram without element v, its lattice built and validated in
+    full from the covers that do not touch v."""
+    lat = diag.lattice
+    covers = [(lat.names[a], lat.names[b]) for a, b in lat.covers if v not in (a, b)]
+    names = lat.names[:v] + lat.names[v + 1:]
+    return Diagram(Lattice(covers, elements=names), diag.xcoord[:v] + diag.xcoord[v + 1:])
+
+
+def slim_by_rounds(diag):
+    """Remove eyes one round at a time: scan with `find_eyes`, drop the
+    first eye found, repeat until none is left.  The slim diagram and the
+    records of the rounds, in order."""
+    records = []
+    while True:
+        eyes = find_eyes(diag)
+        if not eyes:
+            return diag, records
+        m, rec = eyes[0]
+        records.append(rec)
+        diag = without_element(diag, m)

@@ -12,7 +12,7 @@ from latpatch import (Diagram, EyeRecord, Lattice, build_lattice,
                       irreducibility, is_isomorphic, is_semimodular,
                       rectangularize, slim)
 from latpatch.core import _Growing, iter_bits
-from latpatch.diagram import _compute_boundaries, _without_element, insert_middle
+from latpatch.diagram import _compute_boundaries, insert_middle
 from latpatch.errors import (CycleDetected, EmptySet, MissingAnchor, NotALattice,
                              NotBounded, NotComparable)
 
@@ -366,7 +366,7 @@ def test_derived_interval_equals_full_build(corpus, random_corpus_small, n5,
 
 
 def test_non_interval_subset_is_built_in_full(b2, c4, monkeypatch):
-    monkeypatch.setattr(Lattice, "_interval", None)  # never reached
+    monkeypatch.setattr(Lattice, "_derived", None)  # never reached
     square = b2.lattice
     bottom, l, top = square.id_of("0"), square.id_of("l"), square.id_of("1")
     chain = square.restrict([bottom, l, top])  # a sublattice, not an interval
@@ -402,9 +402,10 @@ def test_derived_eye_removal_equals_full_build(corpus, random_corpus_small):
                 break
             m, _ = eyes[0]
             lat = cur.lattice
-            assert_same_lattice(lat._minus_doubly_irreducible(m),
-                                full_build_minus(lat, m), name)
-            cur = _without_element(cur, m)
+            derived = lat._derived([v for v in range(lat.n) if v != m],
+                                   lat.bottom, lat.top)
+            assert_same_lattice(derived, full_build_minus(lat, m), name)
+            cur = Diagram(derived, cur.xcoord[:m] + cur.xcoord[m + 1:])
             checked += 1
         assert cur == slim(diag)[0], name
     assert checked > 50
@@ -449,7 +450,8 @@ def test_dropped_derived_lattices_need_no_cycle_collector(m3):
     grid = generate("grid", [3, 3]).lattice
     part = grid.restrict(iter_bits(grid.down[grid.id_of("2,1")]))
     lat = m3.lattice
-    smaller = lat._minus_doubly_irreducible(lat.id_of("m"))
+    smaller = lat._derived([v for v in range(lat.n) if v != lat.id_of("m")],
+                           lat.bottom, lat.top)
     assert part.join[0] and part.meet[part.top]
     assert smaller.join[0] and smaller.meet[smaller.top]
     refs = [weakref.ref(part), weakref.ref(smaller)]

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from conftest import assert_same_lattice
 from latpatch import (Diagram, DiagramViolation, EyeRecord, boundaries,
                       build_lattice, find_eyes, generate, is_isomorphic,
                       is_patch, is_rectangular, is_slim, rectangularize,
@@ -268,14 +270,41 @@ def test_slim_output_properties(corpus, random_corpus_small):
         assert validate_diagram(slimmed) is None, name
 
 
+def test_one_pass_slim_equals_removing_one_eye_per_round(corpus, random_corpus_small):
+    # not graded: the eye b of [0, p] is also an atom of [0, i], left of the
+    # eye d of [0, i], so removing b moves d's slot
+    lat = build_lattice([("0", "a"), ("0", "b"), ("0", "d"), ("0", "c"),
+                         ("0", "e"), ("a", "p"), ("b", "p"), ("c", "p"),
+                         ("p", "i"), ("d", "i"), ("e", "i")],
+                        elements=["0", "a", "b", "d", "c", "e", "p", "i"])
+    ungraded = Diagram(lat, [0, -2, -1, 0, 1, 2, -1, 0])
+    # random-sps puts at most one eye into an interval; these put several
+    # into one interval, or into two over one bottom, in every x order
+    fans = build_lattice([("0", a) for a in "abcdef"] + [(a, "i") for a in "abc"]
+                         + [(a, "j") for a in "def"] + [("i", "1"), ("j", "1")],
+                         elements=["0", *"abcdef", "i", "j", "1"])
+    m5 = generate("diamond", [5]).lattice
+    orders = [(f"fans {p}", Diagram(fans, [0, *p, -1, 1, 0])) for p in permutations(range(6))]
+    orders += [(f"m5 {p}", Diagram(m5, [0, *p, 0])) for p in permutations(range(5))]
+    with_eyes = 0
+    for name, diag in corpus + random_corpus_small + [("ungraded", ungraded)] + orders:
+        expected, expected_records = oracles.slim_by_rounds(diag)
+        got, records = slim(diag)
+        assert records == expected_records, name
+        assert_same_lattice(got.lattice, expected.lattice, name)
+        assert got.xcoord == expected.xcoord, name
+        with_eyes += bool(records)
+    assert with_eyes > 50
+    assert [r.slot for r in slim(ungraded)[1]] == [1, 1]
+
+
 def _slim_in_every_order(diag):
     eyes = find_eyes(diag)
     if not eyes:
         return [diag]
     out = []
     for m, _ in eyes:
-        from latpatch.diagram import _without_element
-        out.extend(_slim_in_every_order(_without_element(diag, m)))
+        out.extend(_slim_in_every_order(oracles.without_element(diag, m)))
     return out
 
 

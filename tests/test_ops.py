@@ -330,7 +330,10 @@ def test_kept_corners_and_scan_match_a_recount(corpus, random_corpus_small):
             left, right = map(tuple, hull.chains)
             fresh = _boundary_data(lat, left, right, (1 << len(lat.names)) - 1)
             assert hull.corners == (set(fresh.left_corners), set(fresh.right_corners)), name
-            rectangular = _rectangular(lat, fresh.u_l, fresh.u_r, lat.bottom, lat.top)
+            # the growing hull holds no masks: test a frozen copy
+            frozen = lat.lattice()
+            rectangular = _rectangular(frozen, fresh.u_l, fresh.u_r,
+                                       frozen.bottom, frozen.top)
             assert hull.is_rectangular() == rectangular, name
             first = next(_sites(lat, hull.chains), None)
             assert hull.first_site() == first, name
@@ -342,6 +345,37 @@ def test_kept_corners_and_scan_match_a_recount(corpus, random_corpus_small):
             sides.add(first[1][3])
             hull.extend(*first)
     assert sides == {"left", "right"}
+
+
+def test_corners_are_walked_only_with_one_corner_per_side(
+        corpus, random_corpus_small, monkeypatch):
+    walks, calls = [], []
+    real_reach, real_is_rectangular = latpatch.ops._reach, _Hull.is_rectangular
+
+    def counting_reach(covers, v):
+        walks.append(v)
+        return real_reach(covers, v)
+
+    def recording(self):
+        before, sizes = len(walks), tuple(map(len, self.corners))
+        result = real_is_rectangular(self)
+        calls.append((sizes, len(walks) - before, result))
+        return result
+
+    monkeypatch.setattr(latpatch.ops, "_reach", counting_reach)
+    monkeypatch.setattr(_Hull, "is_rectangular", recording)
+    for name, diag in corpus + random_corpus_small:
+        slimmed, _ = slim(diag)
+        if slimmed.lattice.n > 2:
+            rectangularize(slimmed)
+    monkeypatch.undo()
+    assert sum(walked for _, walked, _ in calls) == len(walks)  # none outside
+    one_each = [(walked, result) for sizes, walked, result in calls if sizes == (1, 1)]
+    assert all(walked == 0 for sizes, walked, _ in calls if sizes != (1, 1))
+    # two walks up; two more down only when the corners join in the top
+    assert all(walked in (2, 4) for walked, _ in one_each)
+    assert all(walked == 4 for walked, result in one_each if result)
+    assert 0 < len(one_each) < len(calls)
 
 
 def test_rectangularize_recounts_corners_once(monkeypatch):
@@ -439,17 +473,17 @@ def test_cut_builds_its_parts_only_when_read(monkeypatch):
         x, mode = choose_x(diag)
         lat = diag.lattice
         built = []
-        real_interval, real_trusted = Lattice._interval, Lattice._trusted
+        real_derived, real_trusted = Lattice._derived, Lattice._trusted
 
-        def counting_interval(*args):
-            built.append("interval")
-            return real_interval(*args)
+        def counting_derived(*args):
+            built.append("derived")
+            return real_derived(*args)
 
         def counting_trusted(*args, **kwargs):
             built.append("trusted")
             return real_trusted(*args, **kwargs)
 
-        monkeypatch.setattr(Lattice, "_interval", counting_interval)
+        monkeypatch.setattr(Lattice, "_derived", counting_derived)
         monkeypatch.setattr(Lattice, "_trusted", staticmethod(counting_trusted))
         cut = decompose_at(diag, x, mode)
         assert built == []

@@ -271,6 +271,68 @@ def test_verify_reports_the_first_violation_in_pre_order():
     assert (violation.path, violation.clause) == ("root.right", "chain_size")
 
 
+def preorder(tree):
+    """(node, path) for every occurrence, in the order `verify_tree` checks."""
+    stack = [(tree, "root")]
+    while stack:
+        node, path = stack.pop()
+        yield node, path
+        if isinstance(node, DecompGlue):
+            stack += [(node.right, f"{path}.right"), (node.left, f"{path}.left")]
+
+
+def test_verify_checks_each_shared_node_once(monkeypatch):
+    diag = generate("random-sps", [24], seed=7)
+    tree, _ = decompose(diag)
+    checked = []
+    check = latpatch.pipeline._verify_node
+
+    def counted(node, path):
+        checked.append(path)
+        return check(node, path)
+
+    monkeypatch.setattr(latpatch.pipeline, "_verify_node", counted)
+    assert verify_tree(tree, diag) is None
+    assert len(checked) == 67  # distinct nodes, of 245 occurrences
+    checked.clear()
+    assert verify_tree(parse_tree_document(serialize_tree(tree)), diag) is None
+    assert len(checked) == 245  # a parsed certificate shares nothing
+
+    # break the glue node that occurs more than once and is reached last,
+    # in place of every occurrence: once as one shared object, once as a
+    # copy per occurrence; the walk skips other repeats before reaching it
+    paths = {}
+    for node, path in preorder(tree):
+        paths.setdefault(id(node), (node, []))[1].append(path)
+    target, target_paths = [(node, ps) for node, ps in paths.values()
+                            if len(ps) > 1 and isinstance(node, DecompGlue)][-1]
+
+    def broken(node, memo):
+        if memo is not None and id(node) in memo:
+            return memo[id(node)]
+        if isinstance(node, DecompLeaf):
+            return node if memo is not None else DecompLeaf(node.diagram)
+        out = DecompGlue(broken(node.left, memo), broken(node.right, memo),
+                         node.chain_size + (node is target), node.witness,
+                         node.diagram)
+        if memo is not None:
+            memo[id(node)] = out
+        return out
+
+    shared, unshared = broken(tree, {}), broken(tree, None)
+    copies = [(node, path) for node, path in preorder(shared)
+              if node.diagram is target.diagram]
+    assert [path for _, path in copies] == target_paths
+    assert len({id(node) for node, _ in copies}) == 1
+    checked.clear()
+    violation = verify_tree(shared, diag)
+    shared_checks = len(checked)
+    checked.clear()
+    assert verify_tree(unshared, diag) == violation
+    assert (violation.path, violation.clause) == (target_paths[0], "chain_size")
+    assert shared_checks < len(checked)
+
+
 def test_verify_rejects_swapped_children():
     g = generate("grid", [3, 3])
     tree, _ = decompose(g)
