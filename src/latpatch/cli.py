@@ -23,7 +23,11 @@ from .pipeline import brute_force_gluing_search, decompose, sequence_of, verify_
 
 def _read(path):
     with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise SchemaError("$", f"{path} is not UTF-8 text: {exc.reason} "
+                                   f"at byte {exc.start}") from None
 
 
 def _write(path, text):
@@ -177,8 +181,10 @@ def _build_parser():
     p = sub.add_parser("gen", help="generate a corpus lattice")
     p.add_argument("kind", choices=["chain", "grid", "diamond", "random-sps"])
     p.add_argument("params", nargs="+", type=int)
+    # a string default goes through `type` only when gen runs without
+    # --seed, so a malformed LATPATCH_SEED is a usage error of gen alone
     p.add_argument("--seed", type=int,
-                   default=int(os.environ.get("LATPATCH_SEED", "0")))
+                   default=os.environ.get("LATPATCH_SEED", "0"))
     p.add_argument("-o", "--output", default="-")
     p.set_defaults(func=cmd_gen)
 

@@ -397,14 +397,31 @@ class SubsetRole:
     is_sublattice: bool
 
 
+def _is_ideal_mask(lat, mask):
+    """Whether the nonempty `mask` is an ideal.  In a finite lattice every
+    ideal is ↓ of its greatest member, the join of all members, which is
+    also its unique highest one; and every ↓v is an ideal."""
+    return lat.down[max(iter_bits(mask), key=lat.height.__getitem__)] == mask
+
+
+def _is_filter_mask(lat, mask):
+    """Whether the nonempty `mask` is a filter: ↑ of its lowest member,
+    dually to `_is_ideal_mask`."""
+    return lat.up[min(iter_bits(mask), key=lat.height.__getitem__)] == mask
+
+
+def _is_chain_mask(lat, mask):
+    """Whether `mask` is a chain: each member, by height, lies below the next."""
+    members = sorted(iter_bits(mask), key=lat.height.__getitem__)
+    return all(lat.leq(a, b) for a, b in zip(members, members[1:]))
+
+
 def classify_subset(lat, members):
     """Report which of ideal / filter / chain / sublattice hold for a subset."""
     members = frozenset(members)
     if not members:
         raise EmptySet("cannot classify the empty subset")
     mask = lat.mask_of(members)
-    downset = all(lat.down[v] & ~mask == 0 for v in members)
-    upset = all(lat.up[v] & ~mask == 0 for v in members)
     join_closed = meet_closed = True
     ms = sorted(members)
     for i, a in enumerate(ms):
@@ -416,10 +433,8 @@ def classify_subset(lat, members):
                 meet_closed = False
         if not (join_closed or meet_closed):
             break
-    by_height = sorted(members, key=lambda v: lat.height[v])
-    chain = all(lat.leq(a, b) for a, b in zip(by_height, by_height[1:]))
-    return SubsetRole(members, downset and join_closed, upset and meet_closed,
-                      chain, join_closed and meet_closed)
+    return SubsetRole(members, _is_ideal_mask(lat, mask), _is_filter_mask(lat, mask),
+                      _is_chain_mask(lat, mask), join_closed and meet_closed)
 
 
 # -- isomorphism ---------------------------------------------------------

@@ -58,7 +58,7 @@ class Diagram:
 
 @dataclass(frozen=True)
 class DiagramViolation:
-    kind: str          # duplicate_position | non_monotone_edge | edge_crossing
+    kind: str          # duplicate_position | edge_crossing
     detail: str
     edges: tuple = ()
 
@@ -131,13 +131,10 @@ def validate_diagram(diag):
                 "duplicate_position",
                 f"{lat.names[seen[pt]]!r} and {lat.names[v]!r} share {diag.point(v)}")
         seen[pt] = v
-    for a, b in lat.covers:
-        if lat.height[b] <= lat.height[a]:
-            return DiagramViolation(
-                "non_monotone_edge",
-                f"edge ({lat.names[a]!r}, {lat.names[b]!r}) does not rise")
-    # edges with disjoint height ranges cannot conflict: sweep a y-window;
-    # inside it, edges whose closed x ranges are disjoint cannot meet either
+    # every edge rises, since y is the height and `core._closure` puts each
+    # element above its lower covers.  Edges with disjoint height ranges
+    # cannot conflict: sweep a y-window; inside it, edges whose closed x
+    # ranges are disjoint cannot meet either
     sweep = []
     for a, b in sorted(lat.covers, key=lambda e: (lat.height[e[0]], e)):
         xa, xb = points[a][0], points[b][0]

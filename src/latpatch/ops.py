@@ -10,7 +10,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .core import Lattice, _Growing, classify_subset, iter_bits
+from .core import (Lattice, _Growing, _is_chain_mask, _is_filter_mask,
+                   _is_ideal_mask, iter_bits)
 from .diagram import (Diagram, _boundary_data, _interval_rectangular,
                       _scaled_points, _slim, is_patch,
                       is_rectangular, is_slim, subdiagram,
@@ -72,42 +73,19 @@ class DecompositionCut:
         return subdiagram(self.ambient, iter_bits(self.ambient.lattice.up[self.pivot]))
 
 
-def _is_chain_mask(lat, mask):
-    members = sorted(iter_bits(mask), key=lambda v: lat.height[v])
-    for a, b in zip(members, members[1:]):
-        if not lat.leq(a, b):
-            return False
-    return True
-
-
-def validate_witness(w, require_proper=True):
-    """None when the witness is valid (and proper, unless waived); else a reason."""
+def validate_witness(w):
+    """None when the witness is valid and proper; else a reason.  A and B are
+    decided by their generators: A must be ↓ of its highest member and B ↑
+    of its lowest (see `core._is_ideal_mask`)."""
     amb = w.ambient
     if not w.A or not w.B:
         return "empty part"
     a_mask = amb.mask_of(w.A)
     b_mask = amb.mask_of(w.B)
-    reach = 0
-    for v in w.A:
-        reach |= amb.down[v]
-    if reach != a_mask:
+    if not _is_ideal_mask(amb, a_mask):
         return "A is not an ideal"
-    # a downset is join-closed iff its maximal elements join inside it
-    maxes = [v for v in w.A if amb.up[v] & a_mask == 1 << v]
-    for i, x in enumerate(maxes):
-        for y in maxes[i + 1:]:
-            if not a_mask >> amb.join[x][y] & 1:
-                return "A is not an ideal"
-    reach = 0
-    for v in w.B:
-        reach |= amb.up[v]
-    if reach != b_mask:
+    if not _is_filter_mask(amb, b_mask):
         return "B is not a filter"
-    mins = [v for v in w.B if amb.down[v] & b_mask == 1 << v]
-    for i, x in enumerate(mins):
-        for y in mins[i + 1:]:
-            if not b_mask >> amb.meet[x][y] & 1:
-                return "B is not a filter"
     c_mask = a_mask & b_mask
     if amb.mask_of(w.C) != c_mask:
         return "C is not A ∩ B"
@@ -117,7 +95,7 @@ def validate_witness(w, require_proper=True):
         return "overlap is not a chain"
     if a_mask | b_mask != amb.full_mask:
         return "A ∪ B does not cover the lattice"
-    if require_proper and not w.proper:
+    if not w.proper:
         return "witness is not proper"
     return None
 
@@ -149,15 +127,14 @@ def glue_over_chain(lower, upper, iso, max_synth=16):
         raise NotIso(f"isomorphism mentions unknown element {exc.args[0]!r}")
     if len(set(img)) != len(img):
         raise NotIso("isomorphism is not injective")
-    roles = classify_subset(la, dom)
-    if not roles.is_filter:
+    dom_mask, img_mask = la.mask_of(dom), lb.mask_of(img)
+    if not _is_filter_mask(la, dom_mask):
         raise NotAFilter("domain of the overlap is not a filter of the lower piece")
-    if not roles.is_chain:
+    if not _is_chain_mask(la, dom_mask):
         raise NotAChain("domain of the overlap is not a chain")
-    roles = classify_subset(lb, img)
-    if not roles.is_ideal:
+    if not _is_ideal_mask(lb, img_mask):
         raise NotAnIdeal("image of the overlap is not an ideal of the upper piece")
-    if not roles.is_chain:
+    if not _is_chain_mask(lb, img_mask):
         raise NotAChain("image of the overlap is not a chain")
     dom_sorted = sorted(dom, key=lambda v: la.height[v])
     img_sorted = sorted(img, key=lambda v: lb.height[v])
@@ -468,10 +445,9 @@ def choose_x(diag):
     if not lat.is_cover(b.u_l, lat.top):
         chain = diag.boundary.left_chain
         return chain[chain.index(b.u_l) + 1], "left"
-    if not lat.is_cover(b.u_r, lat.top):
-        chain = diag.boundary.right_chain
-        return chain[chain.index(b.u_r) + 1], "mirrored"
-    raise IsPatch("both corners are dual atoms")
+    # rectangular and no patch: with u_l a dual atom, u_r is none
+    chain = diag.boundary.right_chain
+    return chain[chain.index(b.u_r) + 1], "mirrored"
 
 
 def witness_from_cut(cut):

@@ -11,7 +11,7 @@ ideal of a finite lattice is some ↓x and every nonempty filter some ↑y.
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import classify_subset, is_isomorphic, is_semimodular, iter_bits
+from .core import _is_chain_mask, is_isomorphic, is_semimodular, iter_bits
 from .diagram import Diagram, is_patch, slim, subdiagram, validate_diagram
 from .errors import NoDecomposition, NotSemimodular, SizeBoundExceeded
 from .ops import (DecompositionCut, GluingWitness, _pull_back, choose_x,
@@ -74,31 +74,31 @@ def brute_force_gluing_search(diag, bound=None):
             c_mask = a_mask & b_mask
             if a_mask | b_mask != full or not c_mask:
                 continue
-            c_members = frozenset(iter_bits(c_mask))
-            if classify_subset(lat, c_members).is_chain:
+            if _is_chain_mask(lat, c_mask):
                 return GluingWitness(lat, frozenset(iter_bits(a_mask)),
-                                     frozenset(iter_bits(b_mask)), c_members)
+                                     frozenset(iter_bits(b_mask)),
+                                     frozenset(iter_bits(c_mask)))
     return None
 
 
 # -- decomposition ------------------------------------------------------------
 
-def _lift_through_eyes(witness, slim_diag, eyes, full_diag):
-    """Re-add removed eyes to a witness for the slimmed lattice: an eye
-    follows its upper cover into A and its lower cover into B."""
-    a_labels = set(slim_diag.lattice.labels(witness.A))
-    b_labels = set(slim_diag.lattice.labels(witness.B))
-    for rec in eyes:  # anchors are never eyes, so order does not matter
-        if rec.upper in a_labels:
-            a_labels.add(rec.label)
-        if rec.lower in b_labels:
-            b_labels.add(rec.label)
-    lat = full_diag.lattice
-    lifted = GluingWitness(
-        lat,
-        frozenset(lat.id_of(x) for x in a_labels),
-        frozenset(lat.id_of(x) for x in b_labels),
-        frozenset(lat.id_of(x) for x in a_labels & b_labels))
+def _lift_through_eyes(witness, full_diag):
+    """A witness for the slimmed lattice, lifted to the full one as ↓a and ↑b,
+    a the highest member of its A and b the lowest of its B.
+
+    Exact: every removed eye has one upper cover and one lower cover, both
+    kept, so an eye lies below a exactly when its upper cover does and above
+    b exactly when its lower cover does, and the kept elements keep their
+    order."""
+    slim_lat, lat = witness.ambient, full_diag.lattice
+    height = slim_lat.height
+    a = lat.index[slim_lat.names[max(witness.A, key=height.__getitem__)]]
+    b = lat.index[slim_lat.names[min(witness.B, key=height.__getitem__)]]
+    a_mask, b_mask = lat.down[a], lat.up[b]
+    lifted = GluingWitness(lat, frozenset(iter_bits(a_mask)),
+                           frozenset(iter_bits(b_mask)),
+                           frozenset(iter_bits(a_mask & b_mask)))
     reason = validate_witness(lifted)
     if reason is not None:
         raise NoDecomposition(f"eye lifting produced an invalid witness: {reason}")
@@ -128,7 +128,7 @@ def _decompose_step(diag):
         if steps:
             witness = _pull_back(witness, slimmed.lattice)
         fallback = False
-    lifted = _lift_through_eyes(witness, slimmed, eyes, diag)
+    lifted = _lift_through_eyes(witness, diag)
     trace = PipelineTrace(tuple(eyes), tuple(steps), cut, fallback)
     return lifted, trace
 

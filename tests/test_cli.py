@@ -100,6 +100,19 @@ def test_env_seed_is_default(tmp_path, monkeypatch):
     assert a.read_text() == b.read_text()
 
 
+def test_malformed_env_seed_fails_gen_alone(grid_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("LATPATCH_SEED", "abc")
+    assert cli(["check", grid_file]) == 0
+    capsys.readouterr()
+    assert cli(["gen", "chain", "3"]) == 2
+    assert "argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert cli(["gen", "random-sps", "10", "--seed", "7", "-o", str(a)]) == 0
+    monkeypatch.delenv("LATPATCH_SEED")
+    assert cli(["gen", "random-sps", "10", "--seed", "7", "-o", str(b)]) == 0
+    assert a.read_text() == b.read_text()
+
+
 def test_check_nonplanar_lattice(tmp_path, capsys):
     labels = [f"{i}{j}{k}" for i in (0, 1) for j in (0, 1) for k in (0, 1)]
     covers = [[a, b] for a, x in enumerate(labels) for b, y in enumerate(labels)
@@ -118,6 +131,16 @@ def test_usage_and_io_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{]")
     assert cli(["check", str(bad)]) == 2
+
+
+def test_non_utf8_input_is_one_error_line(grid_file, tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"elements": ["\xe9"], "covers": []}')
+    assert cli(["check", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: $: {path} is not UTF-8 text: invalid continuation byte at byte 15"]
+    assert cli(["verify", grid_file, str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: $: {path} is not UTF-8")
 
 
 def test_oracle_has_no_size_gate(tmp_path, capsys):

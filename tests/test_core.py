@@ -176,6 +176,37 @@ def test_classify_interval_members_is_sublattice(corpus):
         assert classify_subset(lat, members).is_sublattice, name
 
 
+def subset_roles_reference(lat):
+    """(ideal, filter, chain) for every nonempty subset of ids, straight
+    from the labeled covers."""
+    covers = [(lat.names[a], lat.names[b]) for a, b in lat.covers]
+    elements = list(lat.names)
+    leq = oracles.closure_leq(covers, elements)
+    ideals, filters = oracles.ideals_and_filters(leq, elements)
+    ideals = {frozenset(map(lat.id_of, p)) for p in ideals}
+    filters = {frozenset(map(lat.id_of, p)) for p in filters}
+    for k in range(1, lat.n + 1):
+        for members in map(frozenset, combinations(range(lat.n), k)):
+            chain = all((lat.names[a], lat.names[b]) in leq
+                        or (lat.names[b], lat.names[a]) in leq
+                        for a, b in combinations(members, 2))
+            yield members, (members in ideals, members in filters, chain)
+
+
+def test_subset_roles_match_the_definitions(corpus, random_corpus_small, n5, hexagon):
+    checked = 0
+    for name, diag in corpus + random_corpus_small + [("n5", n5), ("hexagon", hexagon)]:
+        lat = diag.lattice
+        if lat.n > 8:
+            continue
+        for members, expected in subset_roles_reference(lat):
+            roles = classify_subset(lat, members)
+            assert (roles.is_ideal, roles.is_filter, roles.is_chain) == expected, (
+                name, lat.labels(members))
+            checked += 1
+    assert checked > 9000
+
+
 def test_isomorphic_relabeled_square(b2):
     other = build_lattice([("bot", "p"), ("bot", "q"), ("p", "top"), ("q", "top")])
     send = is_isomorphic(b2.lattice, other)

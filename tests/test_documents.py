@@ -1,3 +1,4 @@
+import copy
 import json
 from fractions import Fraction
 
@@ -124,6 +125,87 @@ def test_corpus_documents_round_trip(corpus, random_corpus_small):
         again = parse_document(text)
         assert again == diag, name
         assert serialize(again) == text, name
+
+
+# -- fuzzing: only domain errors escape --------------------------------------------
+
+FUZZ_INPUTS = [generate("grid", [3, 3]), generate("random-sps", [9], seed=3),
+               generate("chain", [4]), generate("diamond", [3])]
+FUZZ_TREES = [decompose(diag)[0] for diag in FUZZ_INPUTS]
+FUZZ_LABELS = sorted({x for diag in FUZZ_INPUTS for x in diag.lattice.names})
+FUZZ_LEAVES = (st.none() | st.booleans() | st.integers(-2, 12)
+               | st.floats(allow_nan=False) | st.text(max_size=3)
+               | st.sampled_from(FUZZ_LABELS + ["1/2", "-1", "leaf", "glue", "elements",
+                                                "covers", "embedding", "chain"]))
+FUZZ_VALUES = st.recursive(
+    FUZZ_LEAVES,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3),
+                                                               kids, max_size=3),
+    max_leaves=5)
+
+
+def json_paths(doc, path=()):
+    """Every position in a JSON value as a path of keys and indices, pre-order."""
+    yield path
+    if isinstance(doc, dict):
+        children = doc.items()
+    elif isinstance(doc, list):
+        children = enumerate(doc)
+    else:
+        children = ()
+    for key, value in children:
+        yield from json_paths(value, path + (key,))
+
+
+def mutated(doc, data):
+    """A copy of `doc` with one to three positions replaced, deleted or, in
+    lists, duplicated.  Each position's depth is drawn first, so the few
+    structural keys near the root are hit as often as the many leaves."""
+    doc = copy.deepcopy(doc)
+    for _ in range(data.draw(st.integers(1, 3))):
+        paths = list(json_paths(doc))
+        depth = data.draw(st.sampled_from(sorted({len(p) for p in paths})))
+        path = data.draw(st.sampled_from([p for p in paths if len(p) == depth]))
+        op = data.draw(st.sampled_from(["replace", "delete", "duplicate"]))
+        if not path:
+            doc = data.draw(FUZZ_VALUES)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        if op == "delete":
+            del parent[key]
+        elif op == "duplicate" and isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        else:
+            parent[key] = data.draw(FUZZ_VALUES)
+    return doc
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_mutated_lattice_documents_raise_only_domain_errors(data):
+    k = data.draw(st.integers(0, len(FUZZ_INPUTS) - 1))
+    text = json.dumps(mutated(json.loads(serialize(FUZZ_INPUTS[k])), data))
+    try:
+        diag = parse_document(text)
+        verify_tree(FUZZ_TREES[k], diag)
+    except LatpatchError:
+        pass
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_mutated_tree_documents_raise_only_domain_errors(data):
+    k = data.draw(st.integers(0, len(FUZZ_INPUTS) - 1))
+    text = json.dumps(mutated(json.loads(serialize_tree(FUZZ_TREES[k])), data))
+    try:
+        tree = parse_tree_document(text)
+        verify_tree(tree, FUZZ_INPUTS[k])
+        verify_tree(tree, tree.diagram)
+    except LatpatchError:
+        pass
 
 
 # -- the JSON emitter ------------------------------------------------------------

@@ -1,5 +1,8 @@
+from itertools import combinations
+
 import pytest
 
+import oracles
 from latpatch import (Diagram, GluingWitness, choose_x,
                       decompose_at, find_extension_sites, generate,
                       glue_over_chain, is_isomorphic, is_patch, is_rectangular,
@@ -8,7 +11,7 @@ from latpatch import (Diagram, GluingWitness, choose_x,
                       validate_diagram, validate_witness, witness_from_cut)
 import latpatch.diagram
 import latpatch.ops
-from latpatch import Lattice, subdiagram
+from latpatch import Lattice, build_lattice, subdiagram
 from latpatch.core import irreducibility, iter_bits
 from latpatch.diagram import _boundary_data, _compute_boundaries, _rectangular
 from latpatch.errors import (AssertionFailed, BadX, ChainWasSingletonT,
@@ -78,6 +81,50 @@ def test_glue_role_errors(b2):
         glue_over_chain(b2, other, {"1": "missing"})
     with pytest.raises(NotIso):
         glue_over_chain(b2, other, {"l": "l", "1": "0"})  # order reversed
+
+
+def test_glue_rejects_overlaps_that_are_no_chain(b2, c4):
+    # all of b2 is a filter (↑0) and an ideal (↓1), but no chain
+    with pytest.raises(NotAChain, match="domain"):
+        glue_over_chain(b2, c4, {"0": "0", "l": "a", "r": "b", "1": "1"})
+    with pytest.raises(NotAChain, match="image"):
+        glue_over_chain(c4, b2, {"0": "0", "a": "l", "b": "r", "1": "1"})
+
+
+# -- witnesses -------------------------------------------------------------------
+
+def nonempty_subsets(n):
+    return [frozenset(c) for k in range(1, n + 1) for c in combinations(range(n), k)]
+
+
+def test_validate_witness_accepts_exactly_the_reference_witnesses(
+        corpus, random_corpus_small, n5):
+    seen = set()
+    reasons = set()
+    for name, diag in corpus + random_corpus_small + [("n5", n5)]:
+        covers = tuple((diag.lattice.names[a], diag.lattice.names[b])
+                       for a, b in diag.lattice.covers)
+        if diag.lattice.n > 5 or covers in seen:
+            continue
+        seen.add(covers)
+        # a fresh build has no join or meet row yet
+        lat = build_lattice(covers, elements=diag.lattice.names)
+        expected = {(frozenset(map(lat.id_of, a)), frozenset(map(lat.id_of, b)))
+                    for a, b, _ in oracles.gluing_witnesses(list(covers),
+                                                            list(lat.names))}
+        subsets = nonempty_subsets(lat.n)
+        for a in subsets:
+            for b in subsets:
+                reason = validate_witness(GluingWitness(lat, a, b, a & b))
+                reasons.add(reason)
+                assert (reason is None) == ((a, b) in expected), (
+                    name, lat.labels(a), lat.labels(b), reason)
+        # ideals and filters are decided by their generators
+        assert not lat.join and not lat.meet, name
+    assert len(seen) > 10
+    assert reasons == {None, "A is not an ideal", "B is not a filter",
+                       "overlap is empty", "overlap is not a chain",
+                       "A ∪ B does not cover the lattice", "witness is not proper"}
 
 
 # -- extension sites and one-step extensions ------------------------------------
@@ -432,6 +479,17 @@ def test_cut_rejects_patch_corners(b2):
     for x in range(b2.lattice.n):
         with pytest.raises(BadX):
             decompose_at(b2, x, "left")
+
+
+def test_cut_rejects_bad_input(c3, m3):
+    with pytest.raises(BadX, match="not rectangular"):
+        decompose_at(c3, c3.lattice.id_of("b"), "left")
+    with pytest.raises(BadX, match="not slim"):
+        decompose_at(m3, m3.lattice.id_of("a"), "left")
+    g = generate("grid", [3, 3])
+    x, _ = choose_x(g)
+    with pytest.raises(BadX, match="unknown mode"):
+        decompose_at(g, x, "up")
 
 
 def test_choose_x_values(b2):

@@ -15,7 +15,8 @@ from latpatch import (DecompGlue, DecompLeaf, Diagram, brute_force_gluing_search
                       parse_tree_document, sequence_of, serialize_tree, slim,
                       subdiagram, validate_witness, verify_tree)
 from latpatch.core import iter_bits
-from latpatch.errors import NotSemimodular, SizeBoundExceeded
+from latpatch.errors import NoDecomposition, NotSemimodular, SizeBoundExceeded
+from latpatch.pipeline import _lift_through_eyes
 
 
 def labeled(lat):
@@ -78,6 +79,42 @@ def test_decompose_grid(b2):
 def test_decompose_rejects_non_semimodular(n5):
     with pytest.raises(NotSemimodular):
         decompose(n5)
+
+
+def test_decompose_rejects_bad_input(b2):
+    with pytest.raises(NoDecomposition, match="one-element"):
+        decompose(Diagram(build_lattice([], elements=["0"]), [0]))
+    with pytest.raises(NoDecomposition, match="drawing is invalid"):
+        decompose(Diagram(b2.lattice, [0, 0, 0, 0]))
+
+
+def lift_by_records(witness, eyes, lat):
+    """The slim witness's parts by label, each eye added to A when its upper
+    cover is in A and to B when its lower cover is in B."""
+    a = set(witness.ambient.labels(witness.A))
+    b = set(witness.ambient.labels(witness.B))
+    for rec in eyes:
+        if rec.upper in a:
+            a.add(rec.label)
+        if rec.lower in b:
+            b.add(rec.label)
+    return (frozenset(map(lat.id_of, a)), frozenset(map(lat.id_of, b)),
+            frozenset(map(lat.id_of, a & b)))
+
+
+def test_eye_lift_equals_the_lift_by_eye_records(corpus, random_corpus_small, m3):
+    checked = 0
+    for name, diag in corpus + random_corpus_small + [("m3", m3)]:
+        slimmed, eyes = slim(diag)
+        witness = brute_force_gluing_search(slimmed)
+        if witness is None or not eyes:
+            continue
+        lifted = _lift_through_eyes(witness, diag)
+        assert lifted.ambient is diag.lattice, name
+        assert (lifted.A, lifted.B, lifted.C) == lift_by_records(
+            witness, eyes, diag.lattice), name
+        checked += 1
+    assert checked > 20
 
 
 def test_trace_replays_exactly(corpus, replay):
@@ -331,6 +368,35 @@ def test_verify_checks_each_shared_node_once(monkeypatch):
     assert verify_tree(unshared, diag) == violation
     assert (violation.path, violation.clause) == (target_paths[0], "chain_size")
     assert shared_checks < len(checked)
+
+
+def test_verify_rejects_a_chain_that_is_not_the_overlap():
+    g = generate("grid", [3, 3])
+    doc = json.loads(serialize_tree(decompose(g)[0]))
+    doc["chain"] = doc["chain"][:-1]
+    violation = verify_tree(parse_tree_document(json.dumps(doc)), g)
+    assert (violation.path, violation.clause, violation.detail) == (
+        "root", "witness_valid", "C is not A ∩ B")
+
+
+def test_verify_rejects_a_witness_on_another_lattice():
+    g = generate("grid", [3, 3])
+    tree, _ = decompose(g)
+    other, _ = decompose(generate("grid", [2, 3]))
+    moved = DecompGlue(tree.left, tree.right, tree.chain_size, other.witness,
+                       tree.diagram)
+    violation = verify_tree(moved, g)
+    assert (violation.path, violation.clause) == ("root", "witness_ambient")
+
+
+def test_verify_rejects_a_right_child_that_is_not_the_filter():
+    g = generate("grid", [3, 3])
+    tree, _ = decompose(g)
+    doubled = DecompGlue(tree.left, tree.left, tree.chain_size, tree.witness,
+                         tree.diagram)
+    violation = verify_tree(doubled, g)
+    assert (violation.path, violation.clause, violation.detail) == (
+        "root", "parts_match", "filter part does not match the right child")
 
 
 def test_verify_rejects_swapped_children():
