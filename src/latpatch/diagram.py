@@ -313,20 +313,22 @@ def reflect(diag):
 # -- eyes: removal and replay ---------------------------------------------
 
 def find_eyes(diag):
-    """Interior middles of cover-preserving diamonds, ordered by element id."""
+    """Interior middles of cover-preserving diamonds, ordered by element id.
+    The atoms of each interval [o, i] are sorted by x once."""
     lat = diag.lattice
+    slots = {}  # (o, i) -> {atom of [o, i]: its slot in x order}
     out = []
     for m in range(lat.n):
         if len(lat.lower_covers[m]) != 1 or len(lat.upper_covers[m]) != 1:
             continue
-        o = lat.lower_covers[m][0]
-        i = lat.upper_covers[m][0]
-        atoms = [z for z in lat.upper_covers[o] if lat.leq(z, i)]
-        if len(atoms) < 3:
-            continue
-        atoms.sort(key=lambda z: diag.xcoord[z])
-        slot = atoms.index(m)
-        if 0 < slot < len(atoms) - 1:
+        (o,), (i,) = lat.lower_covers[m], lat.upper_covers[m]
+        if (o, i) not in slots:
+            atoms = sorted((z for z in lat.upper_covers[o] if lat.leq(z, i)),
+                           key=diag.xcoord.__getitem__)
+            slots[o, i] = {z: k for k, z in enumerate(atoms)}
+        slot_of = slots[o, i]
+        slot = slot_of[m]
+        if 0 < slot < len(slot_of) - 1:
             out.append((m, EyeRecord(lat.names[o], lat.names[i], slot, lat.names[m])))
     return out
 

@@ -200,25 +200,12 @@ def find_extension_sites(diag):
     return [site for _, site in _sites(diag.lattice, (b.left_chain, b.right_chain))]
 
 
-def _reach(covers, v):
-    """v and every element reached from it over `covers`, as a set."""
-    seen = {v}
-    todo = [v]
-    while todo:
-        for w in covers[todo.pop()]:
-            if w not in seen:
-                seen.add(w)
-                todo.append(w)
-    return seen
-
-
 class _Hull:
     """A diagram grown in place at its boundary sites: the lattice as a
     `_Growing`, the x coordinates, the x extent, the left and right
-    boundary chains with their weak corners, each side's scan position
-    (no site lies before it) and a running counter for the fresh labels
-    t1, t2, ... (the smallest unused k only grows, since labels are only
-    ever added)."""
+    boundary chains, each side's scan position (no site lies before it)
+    and a running counter for the fresh labels t1, t2, ... (the smallest
+    unused k only grows, since labels are only ever added)."""
 
     def __init__(self, diag):
         b = diag.boundary
@@ -226,7 +213,6 @@ class _Hull:
         self.xcoord = list(diag.xcoord)
         self.lo, self.hi = min(self.xcoord), max(self.xcoord)
         self.chains = (list(b.left_chain), list(b.right_chain))
-        self.corners = (set(b.left_corners), set(b.right_corners))
         self.scan = [0, 0]
         self.k = 1
 
@@ -247,18 +233,6 @@ class _Hull:
             self.scan[side == "right"] = i
         return found
 
-    def is_rectangular(self):
-        """One weak corner per side, and the two complementary: only ↑
-        and ↓ of the two corners are walked, over the cover lists."""
-        left, right = self.corners
-        if len(left) != 1 or len(right) != 1:
-            return False
-        (u,), (v,) = left, right
-        lat = self.lat
-        upper, lower = lat.upper_covers, lat.lower_covers
-        return (_reach(upper, u) & _reach(upper, v) == {lat.top}
-                and _reach(lower, u) & _reach(lower, v) == {lat.bottom})
-
     def extend(self, i, site):
         """Add a fresh t with a ≺ t ≺ c at a site from `_sites` at position
         i, one unit outside the drawing on the site's side and one level
@@ -268,10 +242,7 @@ class _Hull:
         lattice grows without checks.  t is strictly outside every other
         element, so that side's walk turns from a to t and then to c, t's
         only upper cover; the other walk still leaves a by b.  So t
-        replaces b in that chain and all else stays.  Only four elements
-        change their corner status: t becomes one on its side, b leaves
-        that chain, and a and c, with a second cover now, are corners on
-        neither chain.
+        replaces b in that chain and all else stays.
         """
         a, b, c, side = site
         s = side == "right"
@@ -287,11 +258,6 @@ class _Hull:
             self.lo -= 1
             self.xcoord.append(self.lo)
         self.chains[s][i + 1] = t
-        self.corners[s].discard(b)
-        self.corners[s].add(t)
-        for corners in self.corners:
-            corners.discard(a)
-            corners.discard(c)
         self.scan[s] = min(self.scan[s], max(i - 1, 0))
         names = lat.names
         return ExtensionStep(names[a], names[b], names[c], side, label)
@@ -360,31 +326,43 @@ def _pull_back(witness, base):
 
 
 def rectangularize(diag, max_rounds=None):
-    """Extend at the first available site until the lattice is rectangular.
+    """Extend at the first site, left sites bottom-up before right ones,
+    for as long as one is left.
 
-    Deterministic: left sites bottom-up are tried before right ones.  The
-    round bound defaults to n²; hitting it, or running out of sites, means
-    the input was not a slim planar semimodular lattice and is reported.
-    The hull grows in place, keeping its weak corners and each side's scan
-    position up to date, so a step costs no recount and no rescan from the
-    bottom; it is frozen into one lattice and one diagram at the end.  A
-    diagram that is already rectangular is returned as is.
+    A rectangular diagram is returned as is.  The hull grows in place,
+    keeping each side's scan position, and is frozen into one lattice and
+    one diagram at the end.  More than `max_rounds` (default n²) steps, or
+    a frozen hull that is not rectangular, means the input was not a slim
+    planar semimodular lattice, and is reported.
+
+    The loop ends at the first rectangular hull: a slim rectangular
+    lattice with corners u_l and u_r has no site a ≺ b ≺ c, say on the
+    left chain (the right one is the mirror).  If a < u_l, then b ≤ u_l;
+    the atom r of the chain [0, u_r] lies neither below u_l nor below a,
+    so a ∧ r = 0 and, by semimodularity, a ≺ a ∨ r ≰ u_l: a has two upper
+    covers.  If a ≥ u_l, then c = u_l ∨ (c ∧ u_r) by Grätzer–Knapp's
+    description of [u_l, 1] (or Czédli–Schmidt's grids plus forks), and
+    c ∧ u_r < c; if b were c's only lower cover, it would lie above u_l
+    and c ∧ u_r, hence above c.  Eyes are interior and only add covers,
+    so they add no site.
     """
+    if is_rectangular(diag):
+        return diag, []
     if max_rounds is None:
         max_rounds = diag.lattice.n ** 2
     hull = _Hull(diag)
     steps = []
-    while not hull.is_rectangular():
+    while (found := hull.first_site()) is not None:
         if len(steps) >= max_rounds:
             raise IterationBoundExceeded(
                 f"still not rectangular after {max_rounds} extensions")
-        found = hull.first_site()
-        if found is None:
-            raise StuckNotRectangular(
-                f"no extension site on a non-rectangular "
-                f"{len(hull.lat.names)}-element lattice")
         steps.append(hull.extend(*found))
-    return (hull.diagram() if steps else diag), steps
+    rect = hull.diagram()
+    if not is_rectangular(rect):
+        raise StuckNotRectangular(
+            f"no extension site on a non-rectangular "
+            f"{rect.lattice.n}-element lattice")
+    return rect, steps
 
 
 # -- the rectangular cut -----------------------------------------------------

@@ -13,7 +13,8 @@ from typing import Optional
 
 from .core import _is_chain_mask, is_isomorphic, is_semimodular, iter_bits
 from .diagram import Diagram, is_patch, slim, subdiagram, validate_diagram
-from .errors import NoDecomposition, NotSemimodular, SizeBoundExceeded
+from .errors import (AssertionFailed, NoDecomposition, NotSemimodular,
+                     SizeBoundExceeded)
 from .ops import (DecompositionCut, GluingWitness, _pull_back, choose_x,
                   decompose_at, rectangularize, validate_witness,
                   witness_from_cut)
@@ -106,19 +107,29 @@ def _lift_through_eyes(witness, full_diag):
 
 
 def _decompose_step(diag):
-    """One decomposition step: None for a patch, else (witness, trace)."""
+    """One decomposition step: None for a patch, else (witness, trace).
+
+    A hull that is a patch after extension steps comes only from the
+    3-element chain 0 ≺ m ≺ 1, which has no cut; its witness is (↓m, ↑m,
+    {m}), the oracle's first answer.  The last added t, a ≺ t ≺ c, is its
+    side's corner, in a patch a dual atom: c = 1.  The site's b and the
+    other corner are dual atoms too, and 1 has at most two lower covers in
+    a slim lattice (Czédli–Schmidt), so b is that corner, and a = t ∧ b = 0
+    is its only lower cover.  All else would lie below t or b, so the hull
+    is {0, t, b, 1}.
+    """
     if is_patch(diag):
         return None
     slimmed, eyes = slim(diag)
     rect, steps = rectangularize(slimmed)
     if steps and is_patch(rect):
-        # the extension collapsed to a patch although the slim lattice was
-        # not rectangular (e.g. a chain): fall back to the oracle's search
-        witness = brute_force_gluing_search(slimmed)
-        if witness is None:
-            raise NoDecomposition(
-                f"no proper chain gluing of the {slimmed.lattice.n}-element "
-                f"slim lattice exists")
+        lat = slimmed.lattice
+        if lat.n != 3:
+            raise AssertionFailed(
+                f"the hull of a {lat.n}-element slim lattice is a patch")
+        (m,) = lat.upper_covers[lat.bottom]
+        witness = GluingWitness(lat, frozenset(iter_bits(lat.down[m])),
+                                frozenset(iter_bits(lat.up[m])), frozenset([m]))
         cut = None
         fallback = True
     else:

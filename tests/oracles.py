@@ -11,7 +11,7 @@ validating the lattice in full from its labeled covers.
 
 from itertools import permutations, product
 
-from latpatch import Diagram, Lattice, find_eyes
+from latpatch import Diagram, EyeRecord, Lattice, find_eyes
 
 
 def closure_leq(covers, elements):
@@ -244,6 +244,31 @@ def boundary_chains(n, covers, xs):
         return tuple(chain)
 
     return walk("left"), walk("right")
+
+
+def eyes_by_candidate(diag):
+    """(id, record) of every eye, each candidate on its own: an m with one
+    lower cover o and one upper cover i, from the labeled covers, that is
+    neither the leftmost nor the rightmost of the atoms of [o, i] (the
+    covers of o below i, by the closure), sorted by x afresh."""
+    lat = diag.lattice
+    names = list(lat.names)
+    covers = [(names[a], names[b]) for a, b in lat.covers]
+    leq = closure_leq(covers, names)
+    x_of = dict(zip(names, diag.xcoord))
+    out = []
+    for m, label in enumerate(names):
+        lower = [a for a, b in covers if b == label]
+        upper = [b for a, b in covers if a == label]
+        if len(lower) != 1 or len(upper) != 1:
+            continue
+        (o,), (i,) = lower, upper
+        atoms = sorted((b for a, b in covers if a == o and (b, i) in leq),
+                       key=x_of.__getitem__)
+        slot = atoms.index(label)
+        if 0 < slot < len(atoms) - 1:
+            out.append((m, EyeRecord(o, i, slot, label)))
+    return out
 
 
 def without_element(diag, v):

@@ -10,7 +10,7 @@ from conftest import assert_same_lattice
 from latpatch import (Diagram, EyeRecord, Lattice, build_lattice,
                       classify_subset, find_eyes, generate, interval,
                       irreducibility, is_isomorphic, is_semimodular,
-                      rectangularize, slim)
+                      rectangularize, slim, subdiagram)
 from latpatch.core import _Growing, iter_bits
 from latpatch.diagram import _compute_boundaries, insert_middle
 from latpatch.errors import (CycleDetected, EmptySet, MissingAnchor, NotALattice,
@@ -46,6 +46,8 @@ def test_pentagon_is_a_lattice_with_oracle_tables():
 def test_cycle_detected():
     with pytest.raises(CycleDetected):
         build_lattice([("a", "b"), ("b", "a")])
+    with pytest.raises(CycleDetected, match="self-loop at 'a'"):
+        Lattice([("0", "a"), ("a", "a"), ("a", "1")])
 
 
 def test_not_bounded():
@@ -57,6 +59,8 @@ def test_redundant_cover_rejected():
     with pytest.raises(NotALattice) as err:
         build_lattice([("0", "a"), ("a", "1"), ("0", "1")])
     assert err.value.witness == ("0", "1")
+    with pytest.raises(NotALattice, match="uses an unknown element"):
+        Lattice([("0", "a"), ("a", "1")], elements=["0", "1"])
 
 
 def test_missing_bound_rejected():
@@ -396,7 +400,7 @@ def test_derived_interval_equals_full_build(corpus, random_corpus_small, n5,
     assert checked > 5000
 
 
-def test_non_interval_subset_is_built_in_full(b2, c4, monkeypatch):
+def test_non_interval_subset_is_built_in_full(b2, c3, c4, monkeypatch):
     monkeypatch.setattr(Lattice, "_derived", None)  # never reached
     square = b2.lattice
     bottom, l, top = square.id_of("0"), square.id_of("l"), square.id_of("1")
@@ -421,6 +425,11 @@ def test_non_interval_subset_is_built_in_full(b2, c4, monkeypatch):
         with pytest.raises(error) as derived:
             base.restrict(members)
         assert str(derived.value) == str(full.value), members
+    # the ends of the 3-element chain restrict to a 2-chain whose one cover
+    # is no cover of the chain
+    ends = [c3.lattice.bottom, c3.lattice.top]
+    with pytest.raises(ValueError, match="does not inherit the ambient covers"):
+        subdiagram(c3, ends)
 
 
 def test_derived_eye_removal_equals_full_build(corpus, random_corpus_small):

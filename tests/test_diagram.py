@@ -14,7 +14,8 @@ from latpatch import (Diagram, DiagramViolation, EyeRecord, boundaries,
                       validate_diagram)
 from latpatch.core import iter_bits
 from latpatch.diagram import (_interval_boundary, _interval_rectangular,
-                              _scaled_points, _segments_conflict, _slim)
+                              _scaled_points, _segments_conflict, _slim,
+                              upper_right_boundary)
 from latpatch.errors import MissingAnchor, NotRectangular, SizeBoundExceeded
 
 
@@ -33,6 +34,8 @@ def test_duplicate_position(b2):
     bad = Diagram(b2.lattice, [0, -1, -1, 0])  # both atoms at (-1, 1)
     violation = validate_diagram(bad)
     assert violation is not None and violation.kind == "duplicate_position"
+    with pytest.raises(ValueError, match="one x coordinate per element"):
+        Diagram(b2.lattice, [0, -1, 1])
 
 
 def test_hexagon_crossing_detected(hexagon):
@@ -245,6 +248,16 @@ def test_find_eyes(m3, b2):
     assert find_eyes(b2) == []
 
 
+def test_find_eyes_matches_the_per_candidate_reference(corpus, random_corpus_small):
+    diamonds = [(f"M_{k}", generate("diamond", [k])) for k in range(3, 41)]
+    found = 0
+    for name, diag in corpus + random_corpus_small + diamonds:
+        eyes = find_eyes(diag)
+        assert eyes == oracles.eyes_by_candidate(diag), name
+        found += len(eyes)
+    assert found > 800
+
+
 def test_slim_diamond(m3, b2):
     slimmed, records = slim(m3)
     assert is_isomorphic(slimmed.lattice, b2.lattice) is not None
@@ -354,6 +367,8 @@ def test_upper_left_boundary(b2, c3):
     assert names_of(b2, upper_left_boundary(b2)) == ["l", "1"]
     with pytest.raises(NotRectangular):
         upper_left_boundary(c3)
+    with pytest.raises(NotRectangular):
+        upper_right_boundary(c3)
 
 
 def test_reflect_swaps_corners(m3):

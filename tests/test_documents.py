@@ -498,6 +498,8 @@ def test_generate_rejects_bad_params():
         generate("diamond", [2])
     with pytest.raises(BadParams):
         generate("grid", [3])
+    with pytest.raises(BadParams, match="grid sides must be positive"):
+        generate("grid", [0, 3])
     with pytest.raises(BadParams):
         generate("nonsense", [1])
     with pytest.raises(BadParams):

@@ -13,11 +13,11 @@ import latpatch.diagram
 import latpatch.ops
 from latpatch import Lattice, build_lattice, subdiagram
 from latpatch.core import irreducibility, iter_bits
-from latpatch.diagram import _boundary_data, _compute_boundaries, _rectangular
+from latpatch.diagram import _boundary_data, _compute_boundaries
 from latpatch.errors import (AssertionFailed, BadX, ChainWasSingletonT,
                              EmbeddingFailed, ImproperWitness, InvalidSite,
                              IsPatch, IterationBoundExceeded, NotAChain,
-                             NotAFilter, NotAnIdeal, NotIso,
+                             NotAFilter, NotAnIdeal, NotIso, NotRectangular,
                              StuckNotRectangular)
 from latpatch.ops import _Hull, _pull_back, _sites
 
@@ -79,6 +79,8 @@ def test_glue_role_errors(b2):
         glue_over_chain(b2, other, {})
     with pytest.raises(NotIso):
         glue_over_chain(b2, other, {"1": "missing"})
+    with pytest.raises(NotIso, match="not injective"):
+        glue_over_chain(b2, other, {"l": "1", "1": "1"})
     with pytest.raises(NotIso):
         glue_over_chain(b2, other, {"l": "l", "1": "0"})  # order reversed
 
@@ -121,6 +123,9 @@ def test_validate_witness_accepts_exactly_the_reference_witnesses(
                     name, lat.labels(a), lat.labels(b), reason)
         # ideals and filters are decided by their generators
         assert not lat.join and not lat.meet, name
+        every = frozenset(range(lat.n))
+        for a, b in ((frozenset(), every), (every, frozenset())):
+            assert validate_witness(GluingWitness(lat, a, b, a & b)) == "empty part"
     assert len(seen) > 10
     assert reasons == {None, "A is not an ideal", "B is not a filter",
                        "overlap is empty", "overlap is not a chain",
@@ -365,7 +370,7 @@ def test_rectangularize_replay_reproduces(corpus):
         assert replay == rect, name
 
 
-def test_kept_corners_and_scan_match_a_recount(corpus, random_corpus_small):
+def test_kept_scan_matches_a_recount(corpus, random_corpus_small):
     sides = set()
     for name, diag in corpus + random_corpus_small:
         slimmed, _ = slim(diag)
@@ -373,56 +378,55 @@ def test_kept_corners_and_scan_match_a_recount(corpus, random_corpus_small):
             continue
         hull = _Hull(slimmed)
         while True:
-            lat = hull.lat
-            left, right = map(tuple, hull.chains)
-            fresh = _boundary_data(lat, left, right, (1 << len(lat.names)) - 1)
-            assert hull.corners == (set(fresh.left_corners), set(fresh.right_corners)), name
-            # the growing hull holds no masks: test a frozen copy
-            frozen = lat.lattice()
-            rectangular = _rectangular(frozen, fresh.u_l, fresh.u_r,
-                                       frozen.bottom, frozen.top)
-            assert hull.is_rectangular() == rectangular, name
-            first = next(_sites(lat, hull.chains), None)
+            first = next(_sites(hull.lat, hull.chains), None)
             assert hull.first_site() == first, name
-            if first is not None and first[1][3] == "right":
+            if first is None:
+                break
+            if first[1][3] == "right":
                 # the left chain holds no site, and is not scanned again
                 assert hull.scan[0] >= len(hull.chains[0]) - 2, name
-            if rectangular:
-                break
             sides.add(first[1][3])
             hull.extend(*first)
     assert sides == {"left", "right"}
 
 
-def test_corners_are_walked_only_with_one_corner_per_side(
-        corpus, random_corpus_small, monkeypatch):
-    walks, calls = [], []
-    real_reach, real_is_rectangular = latpatch.ops._reach, _Hull.is_rectangular
+def rectangularize_until_rectangular(diag):
+    """The hull and steps of extending at the first site of each frozen
+    hull until one is rectangular, every state re-derived and its boundary
+    walked afresh."""
+    steps = []
+    while not is_rectangular(diag):
+        sites = find_extension_sites(diag)
+        if not sites:
+            raise StuckNotRectangular("no site")
+        diag, step = one_step_extension(diag, sites[0])
+        steps.append(step)
+    return diag, steps
 
-    def counting_reach(covers, v):
-        walks.append(v)
-        return real_reach(covers, v)
 
-    def recording(self):
-        before, sizes = len(walks), tuple(map(len, self.corners))
-        result = real_is_rectangular(self)
-        calls.append((sizes, len(walks) - before, result))
-        return result
-
-    monkeypatch.setattr(latpatch.ops, "_reach", counting_reach)
-    monkeypatch.setattr(_Hull, "is_rectangular", recording)
-    for name, diag in corpus + random_corpus_small:
+def test_hull_is_rectangular_exactly_when_no_site_is_left(corpus, random_corpus_small):
+    inputs = corpus + random_corpus_small
+    inputs += [(f"grid{m}x{n}", generate("grid", [m, n]))
+               for m in range(2, 7) for n in range(2, 7)]
+    inputs += [(f"chain{n}", generate("chain", [n])) for n in range(3, 16)]
+    states = 0
+    for name, diag in inputs:
         slimmed, _ = slim(diag)
-        if slimmed.lattice.n > 2:
-            rectangularize(slimmed)
-    monkeypatch.undo()
-    assert sum(walked for _, walked, _ in calls) == len(walks)  # none outside
-    one_each = [(walked, result) for sizes, walked, result in calls if sizes == (1, 1)]
-    assert all(walked == 0 for sizes, walked, _ in calls if sizes != (1, 1))
-    # two walks up; two more down only when the corners join in the top
-    assert all(walked in (2, 4) for walked, _ in one_each)
-    assert all(walked == 4 for walked, result in one_each if result)
-    assert 0 < len(one_each) < len(calls)
+        if slimmed.lattice.n <= 2:
+            continue
+        hull = _Hull(slimmed)
+        while True:
+            # a frozen copy, its boundary walked afresh
+            frozen = Diagram(hull.lat.lattice(), hull.xcoord)
+            found = hull.first_site()
+            assert is_rectangular(frozen) == (found is None), name
+            assert is_rectangular(frozen) == (find_extension_sites(frozen) == []), name
+            states += 1
+            if found is None:
+                break
+            hull.extend(*found)
+        assert rectangularize(slimmed) == rectangularize_until_rectangular(slimmed), name
+    assert states > 1000
 
 
 def test_rectangularize_recounts_corners_once(monkeypatch):
@@ -492,7 +496,7 @@ def test_cut_rejects_bad_input(c3, m3):
         decompose_at(g, x, "up")
 
 
-def test_choose_x_values(b2):
+def test_choose_x_values(b2, c3):
     g = generate("grid", [3, 3])
     x, mode = choose_x(g)
     assert (g.lattice.names[x], mode) == ("1,2", "left")
@@ -501,6 +505,8 @@ def test_choose_x_values(b2):
     assert (g.lattice.names[x], mode) == ("1,1", "mirrored")
     with pytest.raises(IsPatch):
         choose_x(b2)
+    with pytest.raises(NotRectangular):
+        choose_x(c3)
 
 
 def test_every_left_cut_obeys_the_decomposition_claims(corpus):

@@ -15,7 +15,8 @@ from latpatch import (DecompGlue, DecompLeaf, Diagram, brute_force_gluing_search
                       parse_tree_document, sequence_of, serialize_tree, slim,
                       subdiagram, validate_witness, verify_tree)
 from latpatch.core import iter_bits
-from latpatch.errors import NoDecomposition, NotSemimodular, SizeBoundExceeded
+from latpatch.errors import (AssertionFailed, NoDecomposition, NotSemimodular,
+                             SizeBoundExceeded)
 from latpatch.pipeline import _lift_through_eyes
 
 
@@ -50,10 +51,45 @@ def test_decompose_three_chain(c3):
     assert isinstance(tree, DecompGlue) and tree.chain_size == 1
     assert isinstance(tree.left, DecompLeaf) and isinstance(tree.right, DecompLeaf)
     assert tree.left.diagram.lattice.n == 2 and tree.right.diagram.lattice.n == 2
-    assert trace.fallback_used
+    assert trace.fallback_used and trace.cut is None
+    assert len(trace.extension_steps) == 1
     entries, parts = sequence_of(tree)
     assert [e.lattice.n for e in entries] == [2, 2, 3]
     assert parts == {3: (1, 2)}
+    # the witness built for the 3-element chain is the oracle's
+    expected = brute_force_gluing_search(c3)
+    assert (tree.witness.A, tree.witness.B, tree.witness.C) == (
+        expected.A, expected.B, expected.C)
+
+
+def test_decompose_never_calls_the_oracle(corpus, random_corpus_small, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle was called")
+
+    real_step = latpatch.pipeline._decompose_step
+    fallbacks = []
+
+    def recording(diag):
+        step = real_step(diag)
+        if step is not None and step[1].fallback_used:
+            fallbacks.append(diag.lattice.n)
+        return step
+
+    monkeypatch.setattr(latpatch.pipeline, "brute_force_gluing_search", refuse)
+    monkeypatch.setattr(latpatch.pipeline, "_decompose_step", recording)
+    for name, diag in corpus + random_corpus_small:
+        tree, _ = decompose(diag)
+        assert verify_tree(tree, diag) is None, name
+    # only the 3-element chain's hull is a patch
+    assert len(fallbacks) > 100 and set(fallbacks) == {3}
+
+
+def test_a_patch_hull_of_a_larger_slim_lattice_is_refused(c4, b2, monkeypatch):
+    # a hull that is a patch after extension steps, as if c4 were the 3-chain
+    steps = latpatch.pipeline.rectangularize(c4)[1]
+    monkeypatch.setattr(latpatch.pipeline, "rectangularize", lambda diag: (b2, steps))
+    with pytest.raises(AssertionFailed, match="4-element slim lattice is a patch"):
+        decompose(c4)
 
 
 def test_decompose_diamond_is_leaf(m3):
