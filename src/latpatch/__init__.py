@@ -1,14 +1,12 @@
 """Decompose planar semimodular lattices into patch lattices glued over
 chains, with machine-checkable certificates."""
 
-from .core import (Irreducibility, Lattice, SubsetRole, build_lattice,
-                   classify_subset, interval, irreducibility, is_isomorphic,
-                   is_semimodular)
+from .core import (Irreducibility, Lattice, SubsetRole, classify_subset,
+                   interval, irreducibility, is_isomorphic, is_semimodular)
 from .diagram import (BoundaryData, Diagram, DiagramViolation, EyeRecord,
-                      boundaries, find_eyes, is_patch, is_rectangular, is_slim,
-                      reflect, restore_eyes, slim, subdiagram,
-                      synthesize_embedding, upper_left_boundary,
-                      validate_diagram)
+                      find_eyes, is_patch, is_rectangular, is_slim, reflect,
+                      restore_eyes, slim, subdiagram, synthesize_embedding,
+                      upper_left_boundary, validate_diagram)
 from .documents import (export_dot, parse_document, parse_tree_document,
                         serialize, serialize_tree)
 from .generators import generate
@@ -23,8 +21,8 @@ from .pipeline import (DecompGlue, DecompLeaf, PipelineTrace, TreeViolation,
 __all__ = [
     "BoundaryData", "Diagram", "DiagramViolation", "DecompGlue", "DecompLeaf",
     "DecompositionCut", "ExtensionStep", "EyeRecord", "GluingWitness",
-    "Irreducibility", "Lattice", "PipelineTrace", "SubsetRole", "TreeViolation",
-    "boundaries", "brute_force_gluing_search", "build_lattice", "choose_x",
+    "Irreducibility", "Lattice", "PipelineTrace", "SubsetRole",
+    "TreeViolation", "brute_force_gluing_search", "choose_x",
     "classify_subset", "decompose", "decompose_at", "export_dot",
     "find_extension_sites", "find_eyes", "generate", "glue_over_chain",
     "interval", "irreducibility", "is_isomorphic", "is_patch",

@@ -47,7 +47,7 @@ def cmd_check(args):
              "slim": False, "rectangular": False, "patch": False}
     diag = None
     try:
-        diag = parse_document(_read(args.file), max_synth=args.max_synth)
+        diag = _load_diagram(args.file, args)
     except SchemaError:
         raise
     except EmbeddingFailed as exc:

@@ -84,30 +84,6 @@ def _topo_order(upper, lower, names):
     return order
 
 
-class _Rows(dict):
-    """Join (or meet) rows, each built on first use and then kept.
-
-    Row a lists the bound of a with every b as the owner of
-    `reach[a] & reach[b]`.  A row is a pure function of immutable masks, so
-    concurrent readers at worst build the same row twice.  Only the masks
-    and their owners are held, never the lattice, so a dropped lattice is
-    freed by reference counting alone.
-    """
-
-    __slots__ = ("reach", "owner")
-
-    def __init__(self, reach, owner):
-        super().__init__()
-        self.reach = reach
-        self.owner = owner
-
-    def __missing__(self, a):
-        reach, owner = self.reach, self.owner
-        reach_a = reach[a]
-        row = self[a] = tuple([owner[reach_a & r] for r in reach])
-        return row
-
-
 class Lattice:
     """A finite bounded lattice: cover pairs plus derived order masks.
 
@@ -119,9 +95,9 @@ class Lattice:
     least the bottom), and those common lower bounds are exactly ↓(a ∧ b),
     so `down[a] & down[b]` is always some element's down-mask.  The
     private derived constructors skip what cannot fail for their shape (see
-    `restrict`).  `join[a][b]` and `meet[a][b]` are computed a row at a
-    time on first use.  Instances are immutable after construction and
-    safe to share.
+    `restrict`).  `join(a, b)` and `meet(a, b)` look up the element owning
+    `up[a] & up[b]` or `down[a] & down[b]`; no table is built.  Instances
+    are immutable after construction and safe to share.
     """
 
     def __init__(self, covers, elements=None):
@@ -173,7 +149,7 @@ class Lattice:
                     f"({names[a]!r}, {names[b]!r}) is not a cover: "
                     f"{names[z]!r} lies between",
                     witness=(names[a], names[b]))
-        _check_joins(self.up, self.down, self.names, self.join.owner)
+        _check_joins(self.up, self.down, self.names, self._up_owner)
 
     def _fill(self, names, upper_covers, lower_covers, order, bottom, top, index=None):
         """Set every field from the cover lists, which must be sorted (so the
@@ -190,9 +166,8 @@ class Lattice:
         self.full_mask = (1 << self.n) - 1
         self.bottom = bottom
         self.top = top
-        self.join = _Rows(self.up, {mask: v for v, mask in enumerate(self.up)})
-        # meets exist once joins do (see the class docstring)
-        self.meet = _Rows(self.down, {mask: v for v, mask in enumerate(self.down)})
+        self._up_owner = {mask: v for v, mask in enumerate(self.up)}
+        self._down_owner = {mask: v for v, mask in enumerate(self.down)}
 
     @staticmethod
     def _trusted(*fields, index=None):
@@ -202,6 +177,15 @@ class Lattice:
         return new
 
     # -- order queries ---------------------------------------------------
+
+    def join(self, a, b):
+        """a ∨ b: the element whose ↑-mask is ↑a ∩ ↑b."""
+        return self._up_owner[self.up[a] & self.up[b]]
+
+    def meet(self, a, b):
+        """a ∧ b: the element whose ↓-mask is ↓a ∩ ↓b (it exists, see the
+        class docstring)."""
+        return self._down_owner[self.down[a] & self.down[b]]
 
     def leq(self, a, b):
         return bool(self.down[b] >> a & 1)
@@ -240,8 +224,8 @@ class Lattice:
         `parse_tree_document`), slimmed lattices (all eyes removed at once)
         and the removal of one added t.  Validated in full: lattice
         documents, the roots of tree documents and any child that does not
-        match its parent, `build_lattice`, the generators' chains, grids,
-        diamonds and gluings, and non-interval subsets.
+        match its parent, every `Lattice(covers)`, the generators' chains,
+        grids, diamonds and gluings, and non-interval subsets.
         """
         members = sorted(members)
         mask = self.mask_of(members)
@@ -351,19 +335,26 @@ class _Growing:
             self.bottom, self.top, index=self.index)
 
 
-def build_lattice(covers, elements=None):
-    """Build and validate a lattice from labeled cover pairs."""
-    return Lattice(covers, elements=elements)
-
-
 def is_semimodular(lat):
-    """Cover-form upper semimodularity: a∧b ≺ a implies b ≺ a∨b."""
-    for a in range(lat.n):
-        meets = lat.meet[a]
-        joins = lat.join[a]
-        for b in range(lat.n):
-            if lat.is_cover(meets[b], a) and not lat.is_cover(b, joins[b]):
-                return False
+    """Upper semimodularity, in its local form: any two upper covers of one
+    element are both covered by their join.  Reads C(d, 2) pairs for an
+    element with d upper covers.
+
+    This equals the cover form, a ∧ b ≺ a ⇒ b ≺ a ∨ b.  The local form is
+    the cover form for two upper covers a, b of c = a ∧ b.  Conversely, let
+    c = a ∧ b ≺ a; if b ≤ a, then b = c ≺ a = a ∨ b.  Otherwise c < b, and
+    we induct on the length of [c, b].  Pick c ≺ b₁ ≤ b; b₁ ≠ a, since
+    a ≰ b.  The local form at c gives b₁ ≺ a ∨ b₁ =: a₁.  Then a₁ ∧ b = b₁:
+    it lies in [b₁, a₁] = {b₁, a₁}, and a₁ ≤ b would put a ≤ b.  So
+    a₁ ∧ b ≺ a₁, and [b₁, b] is shorter than [c, b]: by induction
+    b ≺ a₁ ∨ b, which is a ∨ b₁ ∨ b = a ∨ b.
+    """
+    for ups in lat.upper_covers:
+        for i, a in enumerate(ups):
+            for b in ups[i + 1:]:
+                j = lat.join(a, b)
+                if not (lat.is_cover(a, j) and lat.is_cover(b, j)):
+                    return False
     return True
 
 
@@ -425,11 +416,10 @@ def classify_subset(lat, members):
     join_closed = meet_closed = True
     ms = sorted(members)
     for i, a in enumerate(ms):
-        joins, meets = lat.join[a], lat.meet[a]
         for b in ms[i + 1:]:
-            if not mask >> joins[b] & 1:
+            if not mask >> lat.join(a, b) & 1:
                 join_closed = False
-            if not mask >> meets[b] & 1:
+            if not mask >> lat.meet(a, b) & 1:
                 meet_closed = False
         if not (join_closed or meet_closed):
             break

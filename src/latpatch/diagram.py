@@ -35,16 +35,14 @@ class Diagram:
         self.lattice = lattice
         self.xcoord = xcoord
 
-    @property
-    def ycoord(self):
-        return self.lattice.height
-
     def point(self, v):
         return (self.xcoord[v], self.lattice.height[v])
 
     @cached_property
     def boundary(self):
-        return _compute_boundaries(self)
+        """Boundary chains, weak corners and the distinguished corners u_l, u_r."""
+        lat = self.lattice
+        return _interval_boundary(lat, _scaled_points(self), lat.bottom, lat.top)
 
     def __eq__(self, other):
         return (isinstance(other, Diagram)
@@ -197,11 +195,6 @@ def _interval_boundary(lat, points, y, x):
     return _boundary_data(lat, walk("left"), walk("right"), mask)
 
 
-def _compute_boundaries(diag):
-    lat = diag.lattice
-    return _interval_boundary(lat, _scaled_points(diag), lat.bottom, lat.top)
-
-
 def _boundary_data(lat, left, right, mask):
     """Boundary data of the chains `left` and `right` from y to x of the
     interval [y, x] that `mask` holds: the weak corners are the inner chain
@@ -226,11 +219,6 @@ def _boundary_data(lat, left, right, mask):
     return BoundaryData(left, right, lc, rc,
                         lc[0] if len(lc) == 1 else None,
                         rc[0] if len(rc) == 1 else None)
-
-
-def boundaries(diag):
-    """Boundary chains, weak corners and the distinguished corners u_l, u_r."""
-    return diag.boundary
 
 
 def _rectangular(lat, u, v, y, x):
@@ -368,42 +356,45 @@ def slim(diag):
             records)
 
 
-def insert_middle(diag, rec):
-    """Insert the recorded eye back between its anchors, at its slot.
-
-    The new element lands between two existing middles of [lower, upper];
-    the quadrilateral they bound is empty in any valid drawing, so the
-    midpoint x keeps the diagram planar.
-    """
-    lat = diag.lattice
-    try:
-        lo = lat.id_of(rec.lower)
-        hi = lat.id_of(rec.upper)
-    except KeyError:
-        raise MissingAnchor(f"anchor of {rec.label!r} is gone", record=rec)
-    if rec.label in lat.index:
-        raise MissingAnchor(f"label {rec.label!r} already in use", record=rec)
-    if not lat.lt(lo, hi):
-        raise MissingAnchor(
-            f"{rec.lower!r} no longer lies below {rec.upper!r}", record=rec)
-    mids = [z for z in lat.upper_covers[lo] if lat.is_cover(z, hi)]
-    mids.sort(key=lambda z: diag.xcoord[z])
-    if len(mids) < 2 or not 1 <= rec.slot <= len(mids) - 1:
-        raise MissingAnchor(
-            f"[{rec.lower!r}, {rec.upper!r}] is not an interval that can "
-            f"host {rec.label!r} at slot {rec.slot}", record=rec)
-    x = (diag.xcoord[mids[rec.slot - 1]] + diag.xcoord[mids[rec.slot]]) / 2
-    grown = _Growing(lat)
-    grown.add(lo, hi, rec.label)  # lo < hi with two middles: not a cover
-    return Diagram(grown.lattice(), diag.xcoord + (x,))
-
-
 def restore_eyes(diag, records):
-    """Replay removed eyes in reverse removal order."""
-    cur = diag
+    """Replay removed eyes in reverse removal order into one grown lattice,
+    frozen once, at the end.
+
+    Each eye lands at its slot between two middles of [lower, upper] in x
+    order; the quadrilateral they bound is empty in any valid drawing, so
+    the midpoint x keeps the diagram planar.  An eye is a middle of its own
+    interval only, so each interval's middles are sorted once, by (x, id)
+    as a stable sort by x of the ascending ids does, and each eye is then
+    inserted in place.  Anchors that are not comparable have no middles,
+    so "no longer lies below" is decided only when the host check fails.
+    """
+    if not records:
+        return diag
+    grown = _Growing(diag.lattice)
+    xs = list(diag.xcoord)
+    mids = {}  # (lo, hi) -> the middles of [lo, hi] as sorted (x, id)
     for rec in reversed(records):
-        cur = insert_middle(cur, rec)
-    return cur
+        lo, hi = grown.index.get(rec.lower), grown.index.get(rec.upper)
+        if lo is None or hi is None:
+            raise MissingAnchor(f"anchor of {rec.label!r} is gone", record=rec)
+        if rec.label in grown.index:
+            raise MissingAnchor(f"label {rec.label!r} already in use", record=rec)
+        row = mids.get((lo, hi))
+        if row is None:
+            below = set(grown.lower_covers[hi])
+            row = mids[lo, hi] = sorted((xs[z], z) for z in grown.upper_covers[lo]
+                                        if z in below)
+        if len(row) < 2 or not 1 <= rec.slot <= len(row) - 1:
+            if not grown.lattice().lt(lo, hi):
+                raise MissingAnchor(
+                    f"{rec.lower!r} no longer lies below {rec.upper!r}", record=rec)
+            raise MissingAnchor(
+                f"[{rec.lower!r}, {rec.upper!r}] is not an interval that can "
+                f"host {rec.label!r} at slot {rec.slot}", record=rec)
+        x = (row[rec.slot - 1][0] + row[rec.slot][0]) / 2
+        insort(row, (x, grown.add(lo, hi, rec.label)))  # lo < hi, not a cover
+        xs.append(x)
+    return Diagram(grown.lattice(), xs)
 
 
 # -- embeddings for abstract lattices ------------------------------------

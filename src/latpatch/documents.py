@@ -195,18 +195,22 @@ def _diagram_from_dict(doc, path, max_synth=16, parent=None):
     return diag
 
 
-def parse_document(text, max_synth=16):
-    """Parse a diagram document; inverse of `serialize`.
-
-    A document nested deeper than the interpreter's recursion limit allows
-    is a `SchemaError` at `$`."""
+def _load_json(text):
+    """The JSON value of `text`.  Malformed JSON, and a document nested
+    deeper than the interpreter's recursion limit allows, are a
+    `SchemaError` at `$`."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"not valid JSON: {exc}")
     except RecursionError:
         raise SchemaError("$", "document nests too deeply") from None
-    return _diagram_from_dict(doc, "$", max_synth=max_synth)
+
+
+def parse_document(text, max_synth=16):
+    """Parse a diagram document; inverse of `serialize`.  Errors in the
+    JSON itself are reported as by `_load_json`."""
+    return _diagram_from_dict(_load_json(text), "$", max_synth=max_synth)
 
 
 # -- decomposition trees -------------------------------------------------
@@ -249,19 +253,16 @@ def _tree_from_dict(doc, path, max_synth=16, parent=None):
     right = _tree_from_dict(children[1], f"{path}.children[1]", max_synth=max_synth,
                             parent=here)
     lat = diag.lattice
+    parts = []
     for group, where in ((left.diagram.lattice.names, "children[0]"),
                          (right.diagram.lattice.names, "children[1]"),
                          (chain, "chain")):
-        for name in group:
-            if name not in lat.index:
-                raise SchemaError(f"{path}.{where}",
-                                  f"element {name!r} is not in the node's lattice")
-    witness = GluingWitness(
-        lat,
-        frozenset(lat.id_of(n) for n in left.diagram.lattice.names),
-        frozenset(lat.id_of(n) for n in right.diagram.lattice.names),
-        frozenset(lat.id_of(n) for n in chain))
-    return DecompGlue(left, right, len(chain), witness, diag)
+        try:
+            parts.append(frozenset([lat.index[name] for name in group]))
+        except KeyError as exc:
+            raise SchemaError(f"{path}.{where}", f"element {exc.args[0]!r} is "
+                                                 f"not in the node's lattice") from None
+    return DecompGlue(left, right, len(chain), GluingWitness(lat, *parts), diag)
 
 
 def parse_tree_document(text, max_synth=16):
@@ -276,13 +277,11 @@ def parse_tree_document(text, max_synth=16):
     with the same result or error as on its own.  Whether the children
     really split their parent is `verify_tree`'s question, not parsing's.
 
-    A document nested deeper than the interpreter's recursion limit allows
-    is a `SchemaError` at `$`."""
+    Errors in the JSON itself are reported as by `_load_json`."""
+    doc = _load_json(text)
     try:
-        return _tree_from_dict(json.loads(text), "$", max_synth=max_synth)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("$", f"not valid JSON: {exc}")
-    except RecursionError:
+        return _tree_from_dict(doc, "$", max_synth=max_synth)
+    except RecursionError:  # the walk recurses once per tree level
         raise SchemaError("$", "document nests too deeply") from None
 
 

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 from .core import Lattice, is_semimodular, iter_bits
-from .diagram import Diagram, EyeRecord, insert_middle, validate_diagram
+from .diagram import Diagram, EyeRecord, restore_eyes, validate_diagram
 from .errors import BadParams, EmbeddingFailed
 from .ops import find_extension_sites, glue_over_chain, one_step_extension
 
@@ -113,7 +113,7 @@ def random_sps_diagram(target, seed):
             lat = cur.lattice
             o, i = rng.choice(spots)
             label, eye_counter = _fresh_eye_label(lat, eye_counter)
-            cur = insert_middle(cur, EyeRecord(lat.names[o], lat.names[i], 1, label))
+            cur = restore_eyes(cur, [EyeRecord(lat.names[o], lat.names[i], 1, label)])
         elif move == "stack":
             piece = chain_diagram(rng.randint(2, min(room + 1, 4)))
             top_label = cur.lattice.names[cur.lattice.top]

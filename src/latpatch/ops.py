@@ -388,10 +388,10 @@ def decompose_at(diag, x, mode):
     if x not in boundary or x in (corner, lat.top):
         raise BadX(f"{lat.names[x]!r} is not a cuttable boundary element")
 
-    pivot = lat.meet[x][opposite]
+    pivot = lat.meet(x, opposite)
     if pivot == lat.bottom:
         raise AssertionFailed("the cut pivot fell to the bottom element")
-    if lat.join[corner][pivot] != x:
+    if lat.join(corner, pivot) != x:
         raise AssertionFailed("x is not the join of the corner and the pivot")
     chain_mask = lat.up[pivot] & lat.down[x]
     if not _is_chain_mask(lat, chain_mask):

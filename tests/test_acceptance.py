@@ -111,10 +111,10 @@ def test_criterion_3_rectangular_cut_exactness(extended_corpus):
             except Exception as exc:
                 failures.append(f"{name}@{lat.names[x]}: {exc}")
                 continue
-            pivot = lat.meet[x][u_r]
+            pivot = lat.meet(x, u_r)
             sizes_ok = (cut.bottom_part.lattice.n + cut.top_part.lattice.n
                         - len(cut.chain) == lat.n)
-            if not (cut.pivot == pivot and lat.join[u_l][pivot] == x and sizes_ok):
+            if not (cut.pivot == pivot and lat.join(u_l, pivot) == x and sizes_ok):
                 failures.append(f"{name}@{lat.names[x]}: cut equations")
                 continue
             for part in (cut.bottom_part, cut.top_part):

@@ -25,9 +25,9 @@ def test_check_grid(grid_file, capsys):
 
 
 def test_check_non_semimodular_exits_one(tmp_path, capsys):
-    from latpatch import Diagram, build_lattice
-    n5 = Diagram(build_lattice([("0", "x"), ("x", "y"), ("y", "1"),
-                                ("0", "z"), ("z", "1")]), [0, -1, -1, 1, 0])
+    from latpatch import Diagram, Lattice
+    n5 = Diagram(Lattice([("0", "x"), ("x", "y"), ("y", "1"),
+                          ("0", "z"), ("z", "1")]), [0, -1, -1, 1, 0])
     path = tmp_path / "n5.json"
     path.write_text(serialize(n5))
     assert cli(["check", str(path)]) == 1

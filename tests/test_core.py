@@ -7,57 +7,56 @@ import pytest
 
 import oracles
 from conftest import assert_same_lattice
-from latpatch import (Diagram, EyeRecord, Lattice, build_lattice,
-                      classify_subset, find_eyes, generate, interval,
-                      irreducibility, is_isomorphic, is_semimodular,
-                      rectangularize, slim, subdiagram)
+from latpatch import (Diagram, EyeRecord, Lattice, classify_subset, find_eyes,
+                      generate, interval, irreducibility, is_isomorphic,
+                      is_semimodular, rectangularize, restore_eyes, slim,
+                      subdiagram)
 from latpatch.core import _Growing, iter_bits
-from latpatch.diagram import _compute_boundaries, insert_middle
 from latpatch.errors import (CycleDetected, EmptySet, MissingAnchor, NotALattice,
                              NotBounded, NotComparable)
 
 
 def test_three_chain():
-    lat = build_lattice([("0", "a"), ("a", "1")])
+    lat = Lattice([("0", "a"), ("a", "1")])
     assert lat.n == 3
     assert lat.height[lat.id_of("1")] == 2
     assert lat.names[lat.bottom] == "0" and lat.names[lat.top] == "1"
 
 
 def test_boolean_square_tables():
-    lat = build_lattice([("0", "l"), ("0", "r"), ("l", "1"), ("r", "1")])
+    lat = Lattice([("0", "l"), ("0", "r"), ("l", "1"), ("r", "1")])
     l, r = lat.id_of("l"), lat.id_of("r")
-    assert lat.join[l][r] == lat.top
-    assert lat.meet[l][r] == lat.bottom
+    assert lat.join(l, r) == lat.top
+    assert lat.meet(l, r) == lat.bottom
 
 
 def test_pentagon_is_a_lattice_with_oracle_tables():
     covers = [("0", "x"), ("x", "y"), ("y", "1"), ("0", "z"), ("z", "1")]
     elements = ["0", "x", "y", "z", "1"]
-    lat = build_lattice(covers, elements=elements)
+    lat = Lattice(covers, elements=elements)
     leq = oracles.closure_leq(covers, elements)
     for a in elements:
         for b in elements:
             i, j = lat.id_of(a), lat.id_of(b)
-            assert lat.names[lat.join[i][j]] == oracles.lub(leq, elements, a, b)
-            assert lat.names[lat.meet[i][j]] == oracles.glb(leq, elements, a, b)
+            assert lat.names[lat.join(i, j)] == oracles.lub(leq, elements, a, b)
+            assert lat.names[lat.meet(i, j)] == oracles.glb(leq, elements, a, b)
 
 
 def test_cycle_detected():
     with pytest.raises(CycleDetected):
-        build_lattice([("a", "b"), ("b", "a")])
+        Lattice([("a", "b"), ("b", "a")])
     with pytest.raises(CycleDetected, match="self-loop at 'a'"):
         Lattice([("0", "a"), ("a", "a"), ("a", "1")])
 
 
 def test_not_bounded():
     with pytest.raises(NotBounded):
-        build_lattice([("a", "c"), ("b", "c")])  # two minimal elements
+        Lattice([("a", "c"), ("b", "c")])  # two minimal elements
 
 
 def test_redundant_cover_rejected():
     with pytest.raises(NotALattice) as err:
-        build_lattice([("0", "a"), ("a", "1"), ("0", "1")])
+        Lattice([("0", "a"), ("a", "1"), ("0", "1")])
     assert err.value.witness == ("0", "1")
     with pytest.raises(NotALattice, match="uses an unknown element"):
         Lattice([("0", "a"), ("a", "1")], elements=["0", "1"])
@@ -67,7 +66,7 @@ def test_missing_bound_rejected():
     covers = [("0", "a"), ("0", "b"), ("a", "c"), ("a", "d"),
               ("b", "c"), ("b", "d"), ("c", "1"), ("d", "1")]
     with pytest.raises(NotALattice) as err:
-        build_lattice(covers)
+        Lattice(covers)
     assert err.value.witness is not None
 
 
@@ -77,7 +76,7 @@ def test_first_missing_bound_after_comparable_pairs():
     covers = [("0", "a"), ("a", "b"), ("0", "c"), ("b", "x"), ("c", "x"),
               ("b", "y"), ("c", "y"), ("x", "1"), ("y", "1")]
     with pytest.raises(NotALattice) as err:
-        build_lattice(covers)
+        Lattice(covers)
     assert type(err.value) is NotALattice
     assert str(err.value) == "'a' and 'c' have no least upper bound"
     assert err.value.witness == ("a", "c")
@@ -104,7 +103,7 @@ def test_meets_exist_whenever_joins_do():
         n = rng.randint(3, 9)
         covers = random_bounded_poset(rng, n)
         try:
-            lat = build_lattice(covers, elements=[str(i) for i in range(n)])
+            lat = Lattice(covers, elements=[str(i) for i in range(n)])
         except NotALattice:
             rejected += 1
             continue
@@ -113,12 +112,12 @@ def test_meets_exist_whenever_joins_do():
         for a in range(n):
             for b in range(n):
                 assert lat.down[a] & lat.down[b] in downs, covers
-                assert lat.down[lat.meet[a][b]] == lat.down[a] & lat.down[b]
+                assert lat.down[lat.meet(a, b)] == lat.down[a] & lat.down[b]
     assert built > 1000 and rejected > 100
 
 
 def test_semimodular_examples(n5, m3):
-    c5 = build_lattice(list(zip("01234", "12345"))[:4])
+    c5 = Lattice(list(zip("01234", "12345"))[:4])
     assert is_semimodular(c5)
     assert not is_semimodular(n5.lattice)
     assert is_semimodular(m3.lattice)
@@ -132,10 +131,33 @@ def test_semimodular_matches_oracle(corpus):
             covers, list(lat.names)), name
 
 
+def test_semimodular_join_and_meet_match_the_oracles_on_random_lattices():
+    # random lattices, semimodular or not, where the local form and the
+    # cover form, and mask lookups and the definitions, could differ
+    rng = random.Random(11)
+    counts = [0, 0]  # not semimodular, semimodular
+    while min(counts) < 1000:
+        n = rng.randint(3, 10)
+        covers = random_bounded_poset(rng, n)
+        elements = [str(i) for i in range(n)]
+        try:
+            lat = Lattice(covers, elements=elements)
+        except NotALattice:
+            continue
+        expected = oracles.brute_semimodular(covers, elements)
+        assert is_semimodular(lat) == expected, covers
+        counts[expected] += 1
+        leq = oracles.closure_leq(covers, elements)
+        for a, b in combinations(range(n), 2):
+            labels = str(a), str(b)
+            assert lat.names[lat.join(a, b)] == oracles.lub(leq, elements, *labels)
+            assert lat.names[lat.meet(a, b)] == oracles.glb(leq, elements, *labels)
+
+
 def test_irreducibility(m3, c3):
     mid = m3.lattice.id_of("m")
     assert irreducibility(m3.lattice, mid).doubly_irreducible
-    b2 = build_lattice([("0", "l"), ("0", "r"), ("l", "1"), ("r", "1")])
+    b2 = Lattice([("0", "l"), ("0", "r"), ("l", "1"), ("r", "1")])
     flags = irreducibility(b2, b2.bottom)
     assert not (flags.join_irreducible or flags.meet_irreducible
                 or flags.doubly_irreducible)
@@ -156,7 +178,7 @@ def test_interval_trivial_cases(c4):
     assert interval(lat, lat.bottom, lat.top) == lat.restrict(range(lat.n))
     assert interval(lat, lat.id_of("a"), lat.id_of("a")).n == 1
     with pytest.raises(NotComparable):
-        interval(build_lattice([("0", "l"), ("0", "r"), ("l", "1"), ("r", "1")]),
+        interval(Lattice([("0", "l"), ("0", "r"), ("l", "1"), ("r", "1")]),
                  1, 2)
 
 
@@ -212,7 +234,7 @@ def test_subset_roles_match_the_definitions(corpus, random_corpus_small, n5, hex
 
 
 def test_isomorphic_relabeled_square(b2):
-    other = build_lattice([("bot", "p"), ("bot", "q"), ("p", "top"), ("q", "top")])
+    other = Lattice([("bot", "p"), ("bot", "q"), ("p", "top"), ("q", "top")])
     send = is_isomorphic(b2.lattice, other)
     assert send is not None
     image = {(send[a], send[b]) for a, b in b2.lattice.covers}
@@ -220,8 +242,8 @@ def test_isomorphic_relabeled_square(b2):
 
 
 def test_isomorphic_distinguishes_same_size():
-    c5 = build_lattice(list(zip("01234", "12345"))[:4])
-    square_with_top = build_lattice(
+    c5 = Lattice(list(zip("01234", "12345"))[:4])
+    square_with_top = Lattice(
         [("0", "l"), ("0", "r"), ("l", "c"), ("r", "c"), ("c", "1")])
     assert is_isomorphic(c5, square_with_top) is None
 
@@ -229,7 +251,7 @@ def test_isomorphic_distinguishes_same_size():
 def test_isomorphic_long_chains_need_no_recursion():
     # one full build; the chains compared are intervals of it with different
     # labels, derived without another n² build
-    lat = build_lattice([(f"c{i}", f"c{i + 1}") for i in range(2000)])
+    lat = Lattice([(f"c{i}", f"c{i + 1}") for i in range(2000)])
     for n in (1500, 2000):
         low = interval(lat, 0, lat.id_of(f"c{n - 1}"))
         high = interval(lat, lat.id_of(f"c{2001 - n}"), lat.top)
@@ -251,10 +273,10 @@ def test_join_is_unique_minimal_upper_bound(corpus):
         lat = diag.lattice
         for a in range(lat.n):
             for b in range(lat.n):
-                j = lat.join[a][b]
+                j = lat.join(a, b)
                 uppers = [z for z in range(lat.n) if lat.leq(a, z) and lat.leq(b, z)]
                 assert j in uppers and all(lat.leq(j, z) for z in uppers), name
-                m = lat.meet[a][b]
+                m = lat.meet(a, b)
                 lowers = [z for z in range(lat.n) if lat.leq(z, a) and lat.leq(z, b)]
                 assert m in lowers and all(lat.leq(z, m) for z in lowers), name
 
@@ -305,7 +327,7 @@ def test_hull_equals_the_fold_of_full_builds(corpus, random_corpus_small):
                                      folded.id_of(step.c), step.t)
         assert_same_lattice(hull.lattice, folded, name)
         fresh = Diagram(hull.lattice, hull.xcoord)
-        assert hull.boundary == _compute_boundaries(fresh), name
+        assert hull.boundary == fresh.boundary, name
         checked += len(steps) > 0
     assert checked > 100
 
@@ -335,12 +357,12 @@ def test_rectangularize_builds_one_lattice_and_one_diagram(monkeypatch):
 
 
 def test_dropped_lattice_needs_no_cycle_collector():
-    lat = build_lattice([("0", "a"), ("a", "b"), ("b", "1")])
+    lat = Lattice([("0", "a"), ("a", "b"), ("b", "1")])
     grown = _Growing(lat)
     grown.add(lat.bottom, lat.id_of("b"), "t")
     derived = grown.lattice()
-    rows = lat.join[0], lat.meet[lat.top], derived.join[0], derived.meet[derived.top]
-    assert all(rows)
+    assert all(x.join(x.bottom, x.top) == x.top and x.meet(x.bottom, x.top) == x.bottom
+               for x in (lat, derived))
     refs = [weakref.ref(lat), weakref.ref(derived)]
     gc.disable()
     try:
@@ -379,9 +401,9 @@ def test_derived_interval_equals_full_build(corpus, random_corpus_small, n5,
 
     # N5, two stacked N5s and the hexagon are not graded: heights inside an
     # interval are not the ambient heights shifted
-    n5_twice = build_lattice([("0", "x"), ("x", "y"), ("y", "1"), ("0", "z"),
-                              ("z", "1"), ("1", "x2"), ("x2", "y2"), ("y2", "2"),
-                              ("1", "z2"), ("z2", "2")])
+    n5_twice = Lattice([("0", "x"), ("x", "y"), ("y", "1"), ("0", "z"),
+                        ("z", "1"), ("1", "x2"), ("x2", "y2"), ("y2", "2"),
+                        ("1", "z2"), ("z2", "2")])
     lattices = [(name, diag.lattice) for name, diag in corpus + random_corpus_small]
     lattices += [("n5", n5.lattice), ("hexagon", hexagon.lattice),
                  ("n5 twice", n5_twice)]
@@ -405,7 +427,7 @@ def test_non_interval_subset_is_built_in_full(b2, c3, c4, monkeypatch):
     square = b2.lattice
     bottom, l, top = square.id_of("0"), square.id_of("l"), square.id_of("1")
     chain = square.restrict([bottom, l, top])  # a sublattice, not an interval
-    assert_same_lattice(chain, build_lattice([("0", "l"), ("l", "1")]), "chain")
+    assert_same_lattice(chain, Lattice([("0", "l"), ("l", "1")]), "chain")
     grid = generate("grid", [3, 3]).lattice
     corners = [grid.id_of(x) for x in ("0,0", "2,0", "0,2", "2,2")]
     assert_same_lattice(grid.restrict(corners),
@@ -451,18 +473,32 @@ def test_derived_eye_removal_equals_full_build(corpus, random_corpus_small):
     assert checked > 50
 
 
+def insert_eye_by_full_build(diag, rec):
+    """`diag` with the eye `rec` put back at its slot, its lattice built and
+    validated from scratch."""
+    lat, xs = diag.lattice, diag.xcoord
+    lo, hi = lat.id_of(rec.lower), lat.id_of(rec.upper)
+    mids = sorted((z for z in lat.upper_covers[lo] if lat.is_cover(z, hi)),
+                  key=xs.__getitem__)
+    full = Lattice([(lat.names[a], lat.names[b]) for a, b in lat.covers]
+                   + [(rec.lower, rec.label), (rec.label, rec.upper)],
+                   elements=lat.names + (rec.label,))
+    return Diagram(full, xs + ((xs[mids[rec.slot - 1]] + xs[mids[rec.slot]]) / 2,))
+
+
 def test_insert_middle_equals_full_build(corpus, random_corpus_small):
+    # `restore_eyes` grows one lattice for all of its records; the
+    # reference puts the eyes back one at a time, each by a full build
     checked = 0
-    for name, diag in corpus + random_corpus_small:
+    diamonds = [(f"M{k}", generate("diamond", [k])) for k in (7, 12)]
+    for name, diag in corpus + random_corpus_small + diamonds:
         slimmed, records = slim(diag)
-        cur = slimmed
-        for rec in reversed(records):
-            lat = cur.lattice
-            full = Lattice([(lat.names[a], lat.names[b]) for a, b in lat.covers]
-                           + [(rec.lower, rec.label), (rec.label, rec.upper)],
-                           elements=lat.names + (rec.label,))
-            cur = insert_middle(cur, rec)
-            assert_same_lattice(cur.lattice, full, name)
+        reference = slimmed
+        for k in reversed(range(len(records))):  # records[k:] replays records[k] last
+            reference = insert_eye_by_full_build(reference, records[k])
+            restored = restore_eyes(slimmed, records[k:])
+            assert_same_lattice(restored.lattice, reference.lattice, name)
+            assert restored.xcoord == reference.xcoord, name
             checked += 1
     assert checked > 50
 
@@ -481,9 +517,23 @@ def test_insert_middle_errors(b2, m3):
     ]
     for diag, rec, message in cases:
         with pytest.raises(MissingAnchor) as info:
-            insert_middle(diag, rec)
+            restore_eyes(diag, [rec])
         assert str(info.value) == message
         assert info.value.record == rec
+    # a later record fails against the eyes already put back
+    first = EyeRecord("0", "1", 1, "m")
+    later_cases = [
+        (EyeRecord("0", "1", 2, "m"), "label 'm' already in use"),
+        (EyeRecord("m", "0", 1, "e"), "'m' no longer lies below '0'"),
+        (EyeRecord("0", "1", 3, "e"),
+         "['0', '1'] is not an interval that can host 'e' at slot 3"),
+    ]
+    for later, message in later_cases:
+        with pytest.raises(MissingAnchor) as info:
+            restore_eyes(b2, [later, first])
+        assert str(info.value) == message
+        assert info.value.record == later
+    assert restore_eyes(b2, [EyeRecord("0", "1", 2, "e"), first]).lattice.n == 6
 
 
 def test_dropped_derived_lattices_need_no_cycle_collector(m3):
@@ -492,8 +542,8 @@ def test_dropped_derived_lattices_need_no_cycle_collector(m3):
     lat = m3.lattice
     smaller = lat._derived([v for v in range(lat.n) if v != lat.id_of("m")],
                            lat.bottom, lat.top)
-    assert part.join[0] and part.meet[part.top]
-    assert smaller.join[0] and smaller.meet[smaller.top]
+    assert all(x.join(x.bottom, x.top) == x.top and x.meet(x.bottom, x.top) == x.bottom
+               for x in (part, smaller))
     refs = [weakref.ref(part), weakref.ref(smaller)]
     gc.disable()
     try:

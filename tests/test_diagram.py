@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import assert_same_lattice
-from latpatch import (Diagram, DiagramViolation, EyeRecord, boundaries,
-                      build_lattice, find_eyes, generate, is_isomorphic,
+from latpatch import (Diagram, DiagramViolation, EyeRecord, Lattice,
+                      find_eyes, generate, is_isomorphic,
                       is_patch, is_rectangular, is_slim, rectangularize,
                       reflect, restore_eyes, slim, subdiagram,
                       synthesize_embedding, upper_left_boundary,
@@ -82,7 +82,7 @@ _GRADED_POOL += [generate("random-sps", [size], seed=size).lattice
                  for size in (7, 10, 12)]
 # covers that skip heights, such as z < 1 in the pentagon, are where an
 # element can lie inside an edge: endpoint touches and collinear overlaps
-_SKIPPING_POOL = [build_lattice(covers) for covers in [
+_SKIPPING_POOL = [Lattice(covers) for covers in [
     [("0", "x"), ("x", "y"), ("y", "1"), ("0", "z"), ("z", "1")],
     [("0", "a"), ("a", "b"), ("b", "c"), ("c", "1"), ("0", "z"), ("z", "1")],
     [("0", "a"), ("0", "c"), ("c", "d"), ("d", "b"), ("a", "b"), ("a", "v"),
@@ -153,21 +153,21 @@ def test_geometry_matches_rational_reference_on_corpus(corpus, random_corpus_sma
 # -- boundaries --------------------------------------------------------------
 
 def test_boundaries_diamond(m3):
-    b = boundaries(m3)
+    b = m3.boundary
     assert names_of(m3, b.left_chain) == ["0", "a", "1"]
     assert names_of(m3, b.right_chain) == ["0", "b", "1"]
     assert m3.lattice.names[b.u_l] == "a" and m3.lattice.names[b.u_r] == "b"
 
 
 def test_boundaries_chain(c3):
-    b = boundaries(c3)
+    b = c3.boundary
     assert names_of(c3, b.left_corners) == ["b"] == names_of(c3, b.right_corners)
     assert b.u_l == b.u_r == c3.lattice.id_of("b")
 
 
 def test_boundaries_grid():
     g = generate("grid", [3, 3])
-    b = boundaries(g)
+    b = g.boundary
     assert g.lattice.names[b.u_l] == "0,2"
     assert g.lattice.names[b.u_r] == "2,0"
 
@@ -286,16 +286,16 @@ def test_slim_output_properties(corpus, random_corpus_small):
 def test_one_pass_slim_equals_removing_one_eye_per_round(corpus, random_corpus_small):
     # not graded: the eye b of [0, p] is also an atom of [0, i], left of the
     # eye d of [0, i], so removing b moves d's slot
-    lat = build_lattice([("0", "a"), ("0", "b"), ("0", "d"), ("0", "c"),
-                         ("0", "e"), ("a", "p"), ("b", "p"), ("c", "p"),
-                         ("p", "i"), ("d", "i"), ("e", "i")],
-                        elements=["0", "a", "b", "d", "c", "e", "p", "i"])
+    lat = Lattice([("0", "a"), ("0", "b"), ("0", "d"), ("0", "c"),
+                   ("0", "e"), ("a", "p"), ("b", "p"), ("c", "p"),
+                   ("p", "i"), ("d", "i"), ("e", "i")],
+                  elements=["0", "a", "b", "d", "c", "e", "p", "i"])
     ungraded = Diagram(lat, [0, -2, -1, 0, 1, 2, -1, 0])
     # random-sps puts at most one eye into an interval; these put several
     # into one interval, or into two over one bottom, in every x order
-    fans = build_lattice([("0", a) for a in "abcdef"] + [(a, "i") for a in "abc"]
-                         + [(a, "j") for a in "def"] + [("i", "1"), ("j", "1")],
-                         elements=["0", *"abcdef", "i", "j", "1"])
+    fans = Lattice([("0", a) for a in "abcdef"] + [(a, "i") for a in "abc"]
+                   + [(a, "j") for a in "def"] + [("i", "1"), ("j", "1")],
+                   elements=["0", *"abcdef", "i", "j", "1"])
     m5 = generate("diamond", [5]).lattice
     orders = [(f"fans {p}", Diagram(fans, [0, *p, -1, 1, 0])) for p in permutations(range(6))]
     orders += [(f"m5 {p}", Diagram(m5, [0, *p, 0])) for p in permutations(range(5))]
@@ -388,7 +388,7 @@ def test_reflect_preserves_predicates(corpus):
 
 
 def test_synthesize_square():
-    lat = build_lattice([("0", "l"), ("0", "r"), ("l", "1"), ("r", "1")])
+    lat = Lattice([("0", "l"), ("0", "r"), ("l", "1"), ("r", "1")])
     diag = synthesize_embedding(lat)
     assert diag is not None and validate_diagram(diag) is None
 
@@ -405,7 +405,7 @@ def test_synthesize_respects_bound(m3):
 
 def test_one_element_lattice_predicates():
     from latpatch import classify_subset
-    one = Diagram(build_lattice([], elements=["x"]), [0])
+    one = Diagram(Lattice([], elements=["x"]), [0])
     assert validate_diagram(one) is None
     assert not is_rectangular(one) and not is_patch(one)
     assert classify_subset(one.lattice, [0]).is_chain
@@ -419,5 +419,5 @@ def test_synthesize_reports_nonplanar():
         for b in labels:
             if sum(x != y for x, y in zip(a, b)) == 1 and a < b:
                 covers.append((a, b))
-    cube = build_lattice(covers, elements=labels)
+    cube = Lattice(covers, elements=labels)
     assert synthesize_embedding(cube) is None

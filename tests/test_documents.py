@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import assert_same_lattice
-from latpatch import (DecompGlue, Diagram, Lattice, build_lattice, decompose,
+from latpatch import (DecompGlue, Diagram, Lattice, decompose,
                       documents, export_dot, generate, is_rectangular, is_slim,
                       is_semimodular, parse_document, parse_tree_document,
                       serialize, serialize_tree, validate_diagram, verify_tree)
@@ -225,7 +225,7 @@ def test_serializers_match_json_dumps_on_corpus(corpus, random_corpus_small):
 def test_serialize_escapes_labels_like_json_dumps():
     labels = ['"q"', "back\\slash", "ctl\x01\x1f\n\t\x7f", "é", "日本",
               "\U0001f600", "\ud800", "</script>", ""]
-    lat = build_lattice(list(zip(labels, labels[1:])), elements=labels)
+    lat = Lattice(list(zip(labels, labels[1:])), elements=labels)
     diag = Diagram(lat, [0] * lat.n)
     meta = {label: label for label in labels}
     doc = _diagram_to_dict(diag)
@@ -290,9 +290,21 @@ def test_tree_document_rejects_unknown_chain_label():
     g = generate("grid", [3, 3])
     tree, _ = decompose(g)
     doc = json.loads(serialize_tree(tree))
-    doc["chain"] = ["nope"]
-    with pytest.raises(SchemaError):
+    known = doc["chain"][0]
+    doc["chain"] = [known, "nope", "zzz"]
+    with pytest.raises(SchemaError) as info:
         parse_tree_document(json.dumps(doc))
+    assert str(info.value) == "$.chain: element 'nope' is not in the node's lattice"
+    # the ideal part, the filter part and the chain are checked in that order
+    child = doc["children"][1]["lattice"]
+    old = child["elements"][-1]
+    child["elements"][-1] = "alien"
+    child["embedding"]["alien"] = child["embedding"].pop(old)
+    doc["children"][1] = {"kind": "leaf", "lattice": child}
+    with pytest.raises(SchemaError) as info:
+        parse_tree_document(json.dumps(doc))
+    assert str(info.value) == ("$.children[1]: element 'alien' is not in the "
+                               "node's lattice")
 
 
 def test_tree_document_rejects_non_string_chain_label():
@@ -463,7 +475,7 @@ def test_non_uniform_height_shift_is_validated_in_full(monkeypatch):
     interval = ["y", "a", "b", "x"]
     for a_x, fails in (("0", True), ("1/2", False)):
         xs = {"0": "-1", "y": "-1", "q1": "-2", "q2": "-2", "a": a_x, "b": "0", "x": "1"}
-        parent = Diagram(build_lattice(covers, elements=elements),
+        parent = Diagram(Lattice(covers, elements=elements),
                          [Fraction(xs[e]) for e in elements])
         assert validate_diagram(parent) is None
         child = with_elements(_diagram_to_dict(parent), interval)

@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 import latpatch.pipeline
 import oracles
-from latpatch import (DecompGlue, DecompLeaf, Diagram, brute_force_gluing_search,
-                      build_lattice, decompose, generate, is_isomorphic, is_patch,
+from latpatch import (DecompGlue, DecompLeaf, Diagram, Lattice,
+                      brute_force_gluing_search, decompose, generate,
+                      is_isomorphic, is_patch,
                       parse_tree_document, sequence_of, serialize_tree, slim,
                       subdiagram, validate_witness, verify_tree)
 from latpatch.core import iter_bits
@@ -119,7 +120,7 @@ def test_decompose_rejects_non_semimodular(n5):
 
 def test_decompose_rejects_bad_input(b2):
     with pytest.raises(NoDecomposition, match="one-element"):
-        decompose(Diagram(build_lattice([], elements=["0"]), [0]))
+        decompose(Diagram(Lattice([], elements=["0"]), [0]))
     with pytest.raises(NoDecomposition, match="drawing is invalid"):
         decompose(Diagram(b2.lattice, [0, 0, 0, 0]))
 
@@ -283,7 +284,7 @@ def test_verify_rejects_wrong_root():
 def relabeled(diag, rename):
     lat = diag.lattice
     covers = [(rename[lat.names[a]], rename[lat.names[b]]) for a, b in lat.covers]
-    return Diagram(build_lattice(covers, elements=[rename[x] for x in lat.names]),
+    return Diagram(Lattice(covers, elements=[rename[x] for x in lat.names]),
                    diag.xcoord)
 
 
@@ -306,7 +307,7 @@ def test_verify_root_check_follows_the_labels(monkeypatch):
     assert set(labeled(rotated.lattice)[0]) != set(labeled(g.lattice)[0])
     assert verify_tree(tree, rotated) is None
     # the same label set on a non-isomorphic lattice is rejected
-    chain = Diagram(build_lattice(list(zip(names, names[1:])), elements=names),
+    chain = Diagram(Lattice(list(zip(names, names[1:])), elements=names),
                     [0] * len(names))
     violation = verify_tree(tree, chain)
     assert violation is not None
