@@ -253,24 +253,25 @@ def is_patch(diag):
     return lat.is_cover(b.u_l, lat.top) and lat.is_cover(b.u_r, lat.top)
 
 
+def _middles(lat, o, mask):
+    """For each i two cover steps above o, the middles of [o, i] that `mask`
+    holds: the upper covers of o that i covers, in o's cover-list order."""
+    upper = lat.upper_covers
+    out = {}
+    for z in upper[o]:
+        if mask >> z & 1:
+            for i in upper[z]:
+                out.setdefault(i, []).append(z)
+    return out
+
+
 def _slim(lat, mask):
     """`is_slim` of the interval that `mask` holds: no three upper covers
     of one element inside it share an upper cover.  Two upper covers of o
     inside the interval meet in o and join in any upper cover they share,
     so o and that cover lie inside too: only the covers need the mask."""
-    upper = lat.upper_covers
-    for ups in upper:
-        if len(ups) < 3:
-            continue
-        shared = {}
-        for z in ups:
-            if not mask >> z & 1:
-                continue
-            for i in upper[z]:
-                shared[i] = shared.get(i, 0) + 1
-                if shared[i] >= 3:
-                    return False
-    return True
+    return not any(len(zs) >= 3 for o, ups in enumerate(lat.upper_covers)
+                   if len(ups) >= 3 for zs in _middles(lat, o, mask).values())
 
 
 def is_slim(diag):
@@ -380,10 +381,9 @@ def restore_eyes(diag, records):
         if rec.label in grown.index:
             raise MissingAnchor(f"label {rec.label!r} already in use", record=rec)
         row = mids.get((lo, hi))
-        if row is None:
-            below = set(grown.lower_covers[hi])
-            row = mids[lo, hi] = sorted((xs[z], z) for z in grown.upper_covers[lo]
-                                        if z in below)
+        if row is None:  # the mask -1 holds every id
+            row = mids[lo, hi] = sorted((xs[z], z)
+                                        for z in _middles(grown, lo, -1).get(hi, ()))
         if len(row) < 2 or not 1 <= rec.slot <= len(row) - 1:
             if not grown.lattice().lt(lo, hi):
                 raise MissingAnchor(

@@ -197,8 +197,8 @@ def _diagram_from_dict(doc, path, max_synth=16, parent=None):
 
 def _load_json(text):
     """The JSON value of `text`.  Malformed JSON, and a document nested
-    deeper than the interpreter's recursion limit allows, are a
-    `SchemaError` at `$`."""
+    deeper than `json.loads` takes (its limit varies with the Python
+    version), are a `SchemaError` at `$`."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -230,39 +230,53 @@ def serialize_tree(tree):
     return _dumps(_tree_to_dict(tree))
 
 
-def _tree_from_dict(doc, path, max_synth=16, parent=None):
-    if not isinstance(doc, dict):
-        raise SchemaError(path, "expected an object")
-    kind = doc.get("kind")
-    lattice = doc.get("lattice")
-    diag = _diagram_from_dict(lattice, f"{path}.lattice", max_synth=max_synth,
-                              parent=parent)
-    if kind == "leaf":
-        return DecompLeaf(diag)
-    if kind != "glue":
-        raise SchemaError(f"{path}.kind", f"expected 'leaf' or 'glue', got {kind!r}")
-    children = doc.get("children")
-    if not isinstance(children, list) or len(children) != 2:
-        raise SchemaError(f"{path}.children", "expected [ideal part, filter part]")
-    chain = doc.get("chain")
-    if not isinstance(chain, list) or not all(isinstance(n, str) for n in chain):
-        raise SchemaError(f"{path}.chain", "expected a list of labels")
-    here = (diag, lattice.get("embedding"))
-    left = _tree_from_dict(children[0], f"{path}.children[0]", max_synth=max_synth,
-                           parent=here)
-    right = _tree_from_dict(children[1], f"{path}.children[1]", max_synth=max_synth,
-                            parent=here)
-    lat = diag.lattice
-    parts = []
-    for group, where in ((left.diagram.lattice.names, "children[0]"),
-                         (right.diagram.lattice.names, "children[1]"),
-                         (chain, "chain")):
-        try:
-            parts.append(frozenset([lat.index[name] for name in group]))
-        except KeyError as exc:
-            raise SchemaError(f"{path}.{where}", f"element {exc.args[0]!r} is "
-                                                 f"not in the node's lattice") from None
-    return DecompGlue(left, right, len(chain), GluingWitness(lat, *parts), diag)
+def _tree_from_dict(doc, path, max_synth=16):
+    """The tree of a parsed tree document, walked post-order on an explicit
+    stack as in `pipeline._decompose`.  The checks run in a recursive walk's
+    order: a node, its left subtree, its right one, then the node's parts."""
+    finished = []  # each finished subtree whose parent is open
+    stack = [(doc, path, None, None)]
+    while stack:
+        doc, path, parent, glue = stack.pop()
+        if glue is not None:
+            right = finished.pop()
+            left = finished.pop()
+            diag, chain = glue
+            lat = diag.lattice
+            parts = []
+            for group, where in ((left.diagram.lattice.names, "children[0]"),
+                                 (right.diagram.lattice.names, "children[1]"),
+                                 (chain, "chain")):
+                try:
+                    parts.append(frozenset([lat.index[name] for name in group]))
+                except KeyError as exc:
+                    raise SchemaError(f"{path}.{where}", f"element {exc.args[0]!r} "
+                                      f"is not in the node's lattice") from None
+            finished.append(DecompGlue(left, right, len(chain),
+                                       GluingWitness(lat, *parts), diag))
+            continue
+        if not isinstance(doc, dict):
+            raise SchemaError(path, "expected an object")
+        kind = doc.get("kind")
+        lattice = doc.get("lattice")
+        diag = _diagram_from_dict(lattice, f"{path}.lattice", max_synth=max_synth,
+                                  parent=parent)
+        if kind == "leaf":
+            finished.append(DecompLeaf(diag))
+            continue
+        if kind != "glue":
+            raise SchemaError(f"{path}.kind", f"expected 'leaf' or 'glue', got {kind!r}")
+        children = doc.get("children")
+        if not isinstance(children, list) or len(children) != 2:
+            raise SchemaError(f"{path}.children", "expected [ideal part, filter part]")
+        chain = doc.get("chain")
+        if not isinstance(chain, list) or not all(isinstance(n, str) for n in chain):
+            raise SchemaError(f"{path}.chain", "expected a list of labels")
+        here = (diag, lattice.get("embedding"))
+        stack += [(doc, path, None, (diag, chain)),
+                  (children[1], f"{path}.children[1]", here, None),
+                  (children[0], f"{path}.children[0]", here, None)]
+    return finished.pop()
 
 
 def parse_tree_document(text, max_synth=16):
@@ -278,11 +292,7 @@ def parse_tree_document(text, max_synth=16):
     really split their parent is `verify_tree`'s question, not parsing's.
 
     Errors in the JSON itself are reported as by `_load_json`."""
-    doc = _load_json(text)
-    try:
-        return _tree_from_dict(doc, "$", max_synth=max_synth)
-    except RecursionError:  # the walk recurses once per tree level
-        raise SchemaError("$", "document nests too deeply") from None
+    return _tree_from_dict(_load_json(text), "$", max_synth=max_synth)
 
 
 # -- DOT export ----------------------------------------------------------

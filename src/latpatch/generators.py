@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 from .core import Lattice, is_semimodular, iter_bits
-from .diagram import Diagram, EyeRecord, restore_eyes, validate_diagram
+from .diagram import Diagram, EyeRecord, _middles, restore_eyes, validate_diagram
 from .errors import BadParams, EmbeddingFailed
 from .ops import find_extension_sites, glue_over_chain, one_step_extension
 
@@ -57,16 +57,9 @@ def diamond_diagram(k):
 def _two_middle_intervals(diag):
     """Pairs (o, i) whose interval has exactly two middles, by (o, i)."""
     lat = diag.lattice
-    out = []
-    for o in range(lat.n):
-        shared = {}
-        for z in lat.upper_covers[o]:
-            for i in lat.upper_covers[z]:
-                shared[i] = shared.get(i, 0) + 1
-        for i, count in sorted(shared.items()):
-            if count == 2:
-                out.append((o, i))
-    return out
+    return [(o, i) for o in range(lat.n)
+            for i, zs in sorted(_middles(lat, o, lat.full_mask).items())
+            if len(zs) == 2]
 
 
 def _fresh_eye_label(lat, counter):
@@ -134,11 +127,9 @@ def _try_glue(cur, room, rng):
     piece = _piece_with_ideal_chain(length, room, rng)
     if piece is None:
         return None
-    dom = sorted((v for v in range(lat.n) if lat.leq(b, v)),
-                 key=lambda v: lat.height[v])
     plat = piece.lattice
-    img = sorted((v for v in range(plat.n) if plat.leq(v, plat.id_of(_chain_top(piece, length)))),
-                 key=lambda v: plat.height[v])
+    dom = sorted(iter_bits(lat.up[b]), key=lat.height.__getitem__)
+    img = sorted(iter_bits(plat.down[_chain_top(plat, length)]), key=plat.height.__getitem__)
     iso = {lat.names[d]: plat.names[i] for d, i in zip(dom, img)}
     try:
         return glue_over_chain(cur, piece, iso)
@@ -146,13 +137,12 @@ def _try_glue(cur, room, rng):
         return None
 
 
-def _chain_top(piece, length):
-    """The element at height length-1 on the piece's ideal chain."""
-    plat = piece.lattice
+def _chain_top(plat, length):
+    """The id at height length-1 on the piece lattice's ideal chain."""
     v = plat.bottom
     for _ in range(length - 1):
         v = plat.upper_covers[v][0]
-    return plat.names[v]
+    return v
 
 
 def _piece_with_ideal_chain(length, room, rng):

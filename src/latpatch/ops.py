@@ -418,20 +418,18 @@ def choose_x(diag):
         raise IsPatch("patch lattices admit no cut")
     if not is_rectangular(diag):
         raise NotRectangular("choose_x requires a rectangular lattice")
-    lat = diag.lattice
-    b = diag.boundary
-    if not lat.is_cover(b.u_l, lat.top):
-        chain = diag.boundary.left_chain
-        return chain[chain.index(b.u_l) + 1], "left"
+    if not diag.lattice.is_cover(diag.boundary.u_l, diag.lattice.top):
+        return upper_left_boundary(diag)[1], "left"
     # rectangular and no patch: with u_l a dual atom, u_r is none
-    chain = diag.boundary.right_chain
-    return chain[chain.index(b.u_r) + 1], "mirrored"
+    return upper_right_boundary(diag)[1], "mirrored"
+
+
+def _principal(lat, a, b):
+    """The witness (↓a, ↑b, ↓a ∩ ↑b) on `lat`, unchecked."""
+    down, up = lat.down[a], lat.up[b]
+    return GluingWitness(lat, *(frozenset(iter_bits(m)) for m in (down, up, down & up)))
 
 
 def witness_from_cut(cut):
-    """The (ideal, filter, chain) witness a cut induces on its ambient."""
-    lat = cut.ambient.lattice
-    return GluingWitness(lat,
-                         frozenset(iter_bits(lat.down[cut.x])),
-                         frozenset(iter_bits(lat.up[cut.pivot])),
-                         frozenset(cut.chain))
+    """The witness (↓x, ↑pivot, [pivot, x]) a cut induces on its ambient."""
+    return _principal(cut.ambient.lattice, cut.x, cut.pivot)

@@ -15,8 +15,8 @@ from .core import _is_chain_mask, is_isomorphic, is_semimodular, iter_bits
 from .diagram import Diagram, is_patch, slim, subdiagram, validate_diagram
 from .errors import (AssertionFailed, NoDecomposition, NotSemimodular,
                      SizeBoundExceeded)
-from .ops import (DecompositionCut, GluingWitness, _pull_back, choose_x,
-                  decompose_at, rectangularize, validate_witness,
+from .ops import (DecompositionCut, GluingWitness, _principal, _pull_back,
+                  choose_x, decompose_at, rectangularize, validate_witness,
                   witness_from_cut)
 
 
@@ -96,10 +96,7 @@ def _lift_through_eyes(witness, full_diag):
     height = slim_lat.height
     a = lat.index[slim_lat.names[max(witness.A, key=height.__getitem__)]]
     b = lat.index[slim_lat.names[min(witness.B, key=height.__getitem__)]]
-    a_mask, b_mask = lat.down[a], lat.up[b]
-    lifted = GluingWitness(lat, frozenset(iter_bits(a_mask)),
-                           frozenset(iter_bits(b_mask)),
-                           frozenset(iter_bits(a_mask & b_mask)))
+    lifted = _principal(lat, a, b)
     reason = validate_witness(lifted)
     if reason is not None:
         raise NoDecomposition(f"eye lifting produced an invalid witness: {reason}")
@@ -128,8 +125,7 @@ def _decompose_step(diag):
             raise AssertionFailed(
                 f"the hull of a {lat.n}-element slim lattice is a patch")
         (m,) = lat.upper_covers[lat.bottom]
-        witness = GluingWitness(lat, frozenset(iter_bits(lat.down[m])),
-                                frozenset(iter_bits(lat.up[m])), frozenset([m]))
+        witness = _principal(lat, m, m)
         cut = None
         fallback = True
     else:

@@ -177,13 +177,15 @@ def test_check_non_string_coordinate_is_a_schema_error(tmp_path):
 
 
 def test_verify_deeply_nested_tree_is_a_schema_error(tmp_path):
+    # two JSON levels per tree level: 12000 exceeds what `json.loads` nests
+    # on every supported Python (under 1500 up to 3.12, under 10000 on 3.13)
     c2 = serialize(generate("chain", [2]))
     lattice = tmp_path / "c2.json"
     lattice.write_text(c2)
     leaf = f'{{"kind": "leaf", "lattice": {c2}}}'
     glue = f'{{"kind": "glue", "lattice": {c2}, "chain": ["0"], "children": ['
     tree = tmp_path / "deep.json"
-    tree.write_text(glue * 1200 + leaf + f", {leaf}]}}" * 1200)
+    tree.write_text(glue * 6000 + leaf + f", {leaf}]}}" * 6000)
     proc = run_cli("verify", str(lattice), str(tree))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
@@ -209,6 +211,25 @@ def test_recursion_limit_is_one_error_line(tmp_path):
     path.write_text(json.dumps({"elements": [str(i) for i in range(n)],
                                 "covers": [[i, i + 1] for i in range(n - 1)]}))
     proc = run_cli("--max-synth", str(n), "check", str(path))
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        "error: input too large: the interpreter's recursion limit was reached"]
+
+
+def test_tree_leaf_without_embedding_past_the_recursion_limit(tmp_path):
+    # the tree document nests four levels; the recursion is in synthesizing
+    # the leaf's drawing, so `verify` ends as `check` does on that lattice
+    n = 1100
+    elements = [str(i) for i in range(n)]
+    covers = [[i, i + 1] for i in range(n - 1)]
+    lattice = tmp_path / "chain.json"
+    lattice.write_text(json.dumps({"elements": elements, "covers": covers,
+                                   "embedding": {e: "0" for e in elements}}))
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps({"kind": "leaf", "lattice": {"elements": elements,
+                                                            "covers": covers}}))
+    proc = run_cli("--max-synth", str(n), "verify", str(lattice), str(tree))
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines() == [

@@ -14,8 +14,8 @@ from latpatch import (Diagram, DiagramViolation, EyeRecord, Lattice,
                       validate_diagram)
 from latpatch.core import iter_bits
 from latpatch.diagram import (_interval_boundary, _interval_rectangular,
-                              _scaled_points, _segments_conflict, _slim,
-                              upper_right_boundary)
+                              _middles, _scaled_points, _segments_conflict,
+                              _slim, upper_right_boundary)
 from latpatch.errors import MissingAnchor, NotRectangular, SizeBoundExceeded
 
 
@@ -237,6 +237,30 @@ def test_is_slim(m3, c4):
     assert not is_slim(m3)
     assert is_slim(generate("grid", [3, 3]))
     assert is_slim(c4)
+
+
+def test_middles_match_the_covering_squares(corpus, random_corpus_small):
+    # every covering square o ≺ z ≺ i, found by scanning all triples, with
+    # the full mask, no mask (-1), and each principal filter and ideal
+    squares = 0
+    for name, diag in corpus + random_corpus_small:
+        lat = diag.lattice
+        found = {}
+        for o in range(lat.n):
+            for z in range(lat.n):
+                for i in range(lat.n):
+                    if lat.is_cover(o, z) and lat.is_cover(z, i):
+                        found.setdefault(o, {}).setdefault(i, []).append(z)
+                        squares += 1
+        for mask in [lat.full_mask, -1, *lat.up, *lat.down]:
+            for o in range(lat.n):
+                expected = {}
+                for i, zs in found.get(o, {}).items():
+                    if any(mask >> z & 1 for z in zs):
+                        expected[i] = [z for z in zs if mask >> z & 1]
+                got = _middles(lat, o, mask)
+                assert {i: sorted(zs) for i, zs in got.items()} == expected, (name, o)
+    assert squares > 1000
 
 
 # -- eyes ----------------------------------------------------------------------

@@ -1,6 +1,10 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -314,6 +318,30 @@ def test_tree_document_rejects_non_string_chain_label():
     with pytest.raises(SchemaError) as info:
         parse_tree_document(json.dumps(doc))
     assert info.value.path == "$.chain"
+
+
+TREE_PARSE_UNDER_LOW_LIMIT_RUN = """
+import sys
+from latpatch import decompose, generate, verify_tree
+from latpatch.documents import _tree_from_dict, _tree_to_dict
+diag = generate("chain", [200])
+tree, _ = decompose(diag)
+doc = _tree_to_dict(tree)
+# a recursive walk needs a frame per tree level, about 100 here
+sys.setrecursionlimit(80)
+print(verify_tree(_tree_from_dict(doc, "$"), diag))
+"""
+
+
+def test_tree_parse_of_chain_200_under_a_low_recursion_limit():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", TREE_PARSE_UNDER_LOW_LIMIT_RUN],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert "RecursionError" not in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "None"
 
 
 # -- tree documents: children derived from their parent -------------------------
