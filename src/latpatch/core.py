@@ -217,12 +217,12 @@ class Lattice:
         pipeline's parts (↓x, ↑y) are all intervals.  Any other subset gets
         its covers recomputed and is validated in full.
 
-        Derived lattices, made from one already validated: hulls, one-step
-        extensions and eye insertions (grown in place by `_Growing`), and,
-        by `_derived`, intervals (here, and the children of tree documents
-        that match an interval of their parent node, see
-        `parse_tree_document`), slimmed lattices (all eyes removed at once)
-        and the removal of one added t.  Validated in full: lattice
+        Derived lattices, made from one already validated: hulls and
+        one-step extensions (grown in place by `ops._Hull`), eye insertions
+        (grown in place by `_Growing`), and, by `_derived`, intervals (here,
+        and the children of tree documents that match an interval of their
+        parent node, see `parse_tree_document`), slimmed lattices (all eyes
+        removed at once) and the removal of one added t.  Validated in full: lattice
         documents, the roots of tree documents and any child that does not
         match its parent, every `Lattice(covers)`, the generators' chains,
         grids, diamonds and gluings, and non-interval subsets.
@@ -294,7 +294,8 @@ class _Growing:
     unchecked, and builds every mask in one closure pass in height order.
 
     Nothing can fail when a < c and (a, c) is not a cover, which every
-    caller guarantees.  The old order is kept, since a < c already, and
+    caller guarantees; `ops._Hull` grows its cover lists and heights the
+    same way.  The old order is kept, since a < c already, and
     so are the old covers, since (a, c) was none.  t has a join and a meet
     with every x: x ∨ t is t when x ≤ a and x ∨ c otherwise, and x ∧ t is
     t when x ≥ c and x ∧ a otherwise.  Old pairs keep their bounds: if
@@ -404,7 +405,8 @@ def _is_filter_mask(lat, mask):
 def _is_chain_mask(lat, mask):
     """Whether `mask` is a chain: each member, by height, lies below the next."""
     members = sorted(iter_bits(mask), key=lat.height.__getitem__)
-    return all(lat.leq(a, b) for a, b in zip(members, members[1:]))
+    down = lat.down
+    return all(down[b] >> a & 1 for a, b in zip(members, members[1:]))
 
 
 def classify_subset(lat, members):

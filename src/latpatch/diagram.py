@@ -21,7 +21,7 @@ from functools import cached_property
 from itertools import permutations
 from math import lcm
 
-from .core import _Growing
+from .core import _Growing, iter_bits
 from .errors import MissingAnchor, NotRectangular, SizeBoundExceeded
 
 
@@ -159,10 +159,11 @@ def validate_diagram(diag):
 # The walk, the corner count, the complementarity test and the slim test
 # all work on an interval [y, x] of a lattice, given by its ends or by its
 # mask ↑y ∩ ↓x; a whole diagram is the interval [bottom, top] with the full
-# mask.  So the parts of a cut are checked on their ambient's masks, in
-# ambient ids, without being built.  The walk reads the ambient heights,
-# which in a graded lattice (every semimodular one) differ from the
-# interval's own by a constant, and a translation changes no orientation.
+# mask.  The walk reads the ambient heights, which in a graded lattice
+# (every semimodular one) differ from the interval's own by a constant, and
+# a translation changes no orientation.  The parts of a cut are checked on
+# their ambient's masks and covers alone, in ambient ids, without being
+# built or walked (`_interval_rectangular`, `_slim`).
 
 def _next_on_boundary(lat, points, v, side, mask):
     """The angularly leftmost (or rightmost) upper cover of v in `mask`."""
@@ -230,10 +231,46 @@ def _rectangular(lat, u, v, y, x):
             and lat.down[u] & lat.down[v] & lat.up[y] == 1 << y)
 
 
-def _interval_rectangular(lat, points, y, x):
-    """`is_rectangular` of the interval [y, x] drawn at `points`."""
-    b = _interval_boundary(lat, points, y, x)
-    return _rectangular(lat, b.u_l, b.u_r, y, x)
+def _interval_rectangular(lat, y, x):
+    """`is_rectangular` of the interval [y, x] of a slim planar semimodular
+    lattice, read off its masks and covers, with no drawing: exactly two of
+    its elements have one upper and one lower cover inside it (are doubly
+    irreducible in it), and the two are complementary in it.
+
+    This equals the walked test (one weak corner per side, complementary)
+    in any planar drawing.  [y, x] is a slim semimodular lattice, drawn
+    planarly by the drawing's restriction, and its weak corners are the
+    inner elements of its two boundary chains that are doubly irreducible
+    in it.  Every join-irreducible element of a slim semimodular lattice
+    lies on one of its boundary chains (Czédli–Schmidt), so its doubly
+    irreducible elements are exactly the weak corners W_l ∪ W_r.  If the
+    walked test holds, W_l = {u_l} and W_r = {u_r} with u_l, u_r
+    complementary, hence distinct: two elements, complementary.
+    Conversely, let those be p and q, complementary.  Two elements of one
+    chain are comparable, and comparable complements are y and x, which
+    are no inner elements; so p and q lie on no common chain.  Then
+    neither W_l nor W_r holds both, and neither is empty (the other would
+    hold both), so each holds exactly one of them: one weak corner per
+    side, and the two are complementary.
+    """
+    mask = lat.up[y] & lat.down[x]
+    upper, lower = lat.upper_covers, lat.lower_covers
+    # an inner element has an upper and a lower cover inside, so one cover
+    # in all is one inside; when x is the top (y the bottom), every upper
+    # (lower) cover is inside
+    ups_inside, downs_inside = x == lat.top, y == lat.bottom
+    found = []
+    for v in iter_bits(mask & ~(1 << y | 1 << x)):
+        ups, downs = upper[v], lower[v]
+        if (ups_inside and len(ups) > 1) or (downs_inside and len(downs) > 1):
+            continue
+        if ((len(ups) > 1 and sum([mask >> w & 1 for w in ups]) > 1)
+                or (len(downs) > 1 and sum([mask >> w & 1 for w in downs]) > 1)):
+            continue
+        found.append(v)
+        if len(found) > 2:
+            return False
+    return len(found) == 2 and _rectangular(lat, *found, y, x)
 
 
 def is_rectangular(diag):
@@ -242,15 +279,17 @@ def is_rectangular(diag):
     return _rectangular(lat, b.u_l, b.u_r, lat.bottom, lat.top)
 
 
+def _patch(lat, b):
+    """Rectangular with both corners dual atoms, read off the masks and
+    covers of a lattice with more than two elements and its boundary data."""
+    top = lat.top
+    return (_rectangular(lat, b.u_l, b.u_r, lat.bottom, top)
+            and top in lat.upper_covers[b.u_l] and top in lat.upper_covers[b.u_r])
+
+
 def is_patch(diag):
     """Rectangular with both corners dual atoms; the 2-element chain counts."""
-    lat = diag.lattice
-    if lat.n == 2:
-        return True
-    if not is_rectangular(diag):
-        return False
-    b = diag.boundary
-    return lat.is_cover(b.u_l, lat.top) and lat.is_cover(b.u_r, lat.top)
+    return diag.lattice.n == 2 or _patch(diag.lattice, diag.boundary)
 
 
 def _middles(lat, o, mask):
@@ -285,13 +324,6 @@ def upper_left_boundary(diag):
         raise NotRectangular("upper left boundary requires a rectangular lattice")
     chain = diag.boundary.left_chain
     return chain[chain.index(diag.boundary.u_l):]
-
-
-def upper_right_boundary(diag):
-    if not is_rectangular(diag):
-        raise NotRectangular("upper right boundary requires a rectangular lattice")
-    chain = diag.boundary.right_chain
-    return chain[chain.index(diag.boundary.u_r):]
 
 
 def reflect(diag):

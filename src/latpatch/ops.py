@@ -10,13 +10,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .core import (Lattice, _Growing, _is_chain_mask, _is_filter_mask,
+from .core import (Lattice, _closure, _is_chain_mask, _is_filter_mask,
                    _is_ideal_mask, iter_bits)
-from .diagram import (Diagram, _boundary_data, _interval_rectangular,
-                      _scaled_points, _slim, is_patch,
-                      is_rectangular, is_slim, subdiagram,
-                      synthesize_embedding, upper_left_boundary,
-                      upper_right_boundary, validate_diagram)
+from .diagram import (Diagram, _boundary_data, _interval_rectangular, _patch,
+                      _rectangular, _slim, is_rectangular, subdiagram,
+                      synthesize_embedding, validate_diagram)
 from .errors import (AssertionFailed, BadX, ChainWasSingletonT, EmbeddingFailed,
                      ImproperWitness, InvalidSite, IsPatch,
                      IterationBoundExceeded, NotAChain, NotAFilter, NotAnIdeal,
@@ -180,7 +178,7 @@ def glue_over_chain(lower, upper, iso, max_synth=16):
         f"no planar drawing found for the {glued.n}-element gluing")
 
 
-# -- one-step extensions ----------------------------------------------------
+# -- one-step extensions and the rectangular hull ----------------------------
 
 def _sites(lat, chains, start=(0, 0)):
     """Boundary triples a ≺ b ≺ c with a meet-irreducible and c
@@ -201,20 +199,27 @@ def find_extension_sites(diag):
 
 
 class _Hull:
-    """A diagram grown in place at its boundary sites: the lattice as a
-    `_Growing`, the x coordinates, the x extent, the left and right
-    boundary chains, each side's scan position (no site lies before it)
-    and a running counter for the fresh labels t1, t2, ... (the smallest
-    unused k only grows, since labels are only ever added)."""
+    """A diagram's lattice grown in place at its boundary sites, undrawn.
+
+    It keeps what `_sites` reads and what the cut needs: the cover lists
+    and heights under `Lattice`'s field names, the left and right boundary
+    chains, each side's scan position (no site lies before it), and one
+    (a, b, c, side) tuple of ids per step, whose new t takes the next id.
+    It grows as `core._Growing` does, without labels.  `close` adds the ↑
+    and ↓ masks.  Labels, x coordinates and `ExtensionStep`s come from the
+    step tuples, and only `draw` makes them, where a hull is read.
+    """
 
     def __init__(self, diag):
-        b = diag.boundary
-        self.lat = _Growing(diag.lattice)
-        self.xcoord = list(diag.xcoord)
-        self.lo, self.hi = min(self.xcoord), max(self.xcoord)
+        lat, b = diag.lattice, diag.boundary
+        self.base = diag
+        self.upper_covers = [list(ws) for ws in lat.upper_covers]
+        self.lower_covers = [list(ws) for ws in lat.lower_covers]
+        self.height = list(lat.height)
+        self.bottom, self.top = lat.bottom, lat.top
         self.chains = (list(b.left_chain), list(b.right_chain))
         self.scan = [0, 0]
-        self.k = 1
+        self.steps = []
 
     def first_site(self):
         """The first site in `_sites` order with its position, or None.
@@ -225,7 +230,7 @@ class _Hull:
         and none on the other chain: each side's scan resumes where
         `extend` left it, and a left chain without sites is not scanned
         again."""
-        found = next(_sites(self.lat, self.chains, self.scan), None)
+        found = next(_sites(self, self.chains, self.scan), None)
         if found is not None:
             i, (_, _, _, side) = found
             if side == "right":
@@ -235,40 +240,137 @@ class _Hull:
 
     def extend(self, i, site):
         """Add a fresh t with a ≺ t ≺ c at a site from `_sites` at position
-        i, one unit outside the drawing on the site's side and one level
-        above a.
+        i, and record the site.
 
         a ≺ b ≺ c lie on a maximal chain, so a < c is not a cover and the
-        lattice grows without checks.  t is strictly outside every other
-        element, so that side's walk turns from a to t and then to c, t's
-        only upper cover; the other walk still leaves a by b.  So t
-        replaces b in that chain and all else stays.
+        lattice grows without checks.  t is drawn strictly outside every
+        other element (see `draw`), so that side's walk turns from a to t
+        and then to c, t's only upper cover; the other walk still leaves a
+        by b.  So t replaces b in that chain and all else stays.
         """
         a, b, c, side = site
         s = side == "right"
-        lat = self.lat
-        while f"t{self.k}" in lat.index:
-            self.k += 1
-        label = f"t{self.k}"
-        t = lat.add(a, c, label)
-        if s:
-            self.hi += 1
-            self.xcoord.append(self.hi)
-        else:
-            self.lo -= 1
-            self.xcoord.append(self.lo)
+        t = len(self.height)
+        self.upper_covers[a].append(t)
+        self.upper_covers.append([c])
+        self.lower_covers[c].append(t)
+        self.lower_covers.append([a])
+        self.height.append(self.height[a] + 1)
         self.chains[s][i + 1] = t
         self.scan[s] = min(self.scan[s], max(i - 1, 0))
-        names = lat.names
-        return ExtensionStep(names[a], names[b], names[c], side, label)
+        self.steps.append(site)
 
-    def diagram(self):
-        """The grown diagram, with its boundary carried over; call once."""
-        lattice = self.lat.lattice()
-        after = Diagram(lattice, self.xcoord)
+    def boundary(self):
+        """The boundary data of the current chains."""
         left, right = map(tuple, self.chains)
-        after.boundary = _boundary_data(lattice, left, right, lattice.full_mask)
-        return after
+        return _boundary_data(self, left, right, (1 << len(self.height)) - 1)
+
+    def close(self):
+        """Add n, the full mask and the ↑ and ↓ masks, in one closure pass
+        in height order, and return the boundary data.  A hull that is not
+        rectangular is reported."""
+        height = self.height
+        self.n = len(height)
+        self.full_mask = (1 << self.n) - 1
+        self.up, self.down, _ = _closure(self.upper_covers, self.lower_covers,
+                                         sorted(range(self.n), key=height.__getitem__))
+        b = self.boundary()
+        if not _rectangular(self, b.u_l, b.u_r, self.bottom, self.top):
+            raise StuckNotRectangular(
+                f"no extension site on a non-rectangular {self.n}-element lattice")
+        return b
+
+    @property
+    def names(self):
+        """The input's labels, then one fresh label per step: the smallest
+        unused t1, t2, ... (k only grows, since labels are only added)."""
+        names = list(self.base.lattice.names)
+        taken = set(names)
+        k = 1
+        for _ in self.steps:
+            while f"t{k}" in taken:
+                k += 1
+            names.append(f"t{k}")
+            taken.add(names[-1])
+        return tuple(names)
+
+    def draw(self, boundary):
+        """The grown diagram, carrying `boundary`, and one `ExtensionStep`
+        per step.
+
+        Each t goes one unit outside the drawing on its site's side, one
+        level above a; the new edges hug the boundary, so the drawing stays
+        planar.  The lattice is frozen once, unchecked; its cover lists are
+        sorted, because every new id is the largest so far."""
+        base, names = self.base, self.names
+        xs = list(base.xcoord)
+        lo, hi = min(xs), max(xs)
+        steps = []
+        for t, (a, b, c, side) in enumerate(self.steps, start=base.lattice.n):
+            if side == "right":
+                hi += 1
+                xs.append(hi)
+            else:
+                lo -= 1
+                xs.append(lo)
+            steps.append(ExtensionStep(names[a], names[b], names[c], side, names[t]))
+        height = self.height
+        lattice = Lattice._trusted(
+            names, tuple(map(tuple, self.upper_covers)),
+            tuple(map(tuple, self.lower_covers)),
+            sorted(range(len(height)), key=height.__getitem__), self.bottom, self.top)
+        diagram = Diagram(lattice, xs)
+        diagram.boundary = boundary
+        return diagram, steps
+
+    def pull_back(self, x, pivot):
+        """The hull's witness (↓x, ↑pivot) restricted to the input lattice,
+        checked: it is (↓a, ↑c) there, a reached from x down through the a
+        of each added element, and c from the pivot up through their c.
+
+        Each t was added with a ≺ t ≺ c only, and a later step keeps the
+        order among the elements already there, even when it adds a cover
+        to t.  So the input's elements below t are those below a, and those
+        above t are those above c."""
+        n, steps = self.base.lattice.n, self.steps
+        while x >= n:
+            x = steps[x - n][0]
+        while pivot >= n:
+            pivot = steps[pivot - n][2]
+        return _checked_restriction(_principal(self.base.lattice, x, pivot))
+
+
+def _grow(diag, max_rounds=None):
+    """The site process: extend at the first site, left sites bottom-up
+    before right ones, for as long as one is left.  None for a rectangular
+    diagram, else the closed `_Hull` and its boundary data.
+
+    More than `max_rounds` (default n²) steps, or a hull that is not
+    rectangular, means the input was not a slim planar semimodular lattice,
+    and is reported.
+
+    The loop ends at the first rectangular hull: a slim rectangular
+    lattice with corners u_l and u_r has no site a ≺ b ≺ c, say on the
+    left chain (the right one is the mirror).  If a < u_l, then b ≤ u_l;
+    the atom r of the chain [0, u_r] lies neither below u_l nor below a,
+    so a ∧ r = 0 and, by semimodularity, a ≺ a ∨ r ≰ u_l: a has two upper
+    covers.  If a ≥ u_l, then c = u_l ∨ (c ∧ u_r) by Grätzer–Knapp's
+    description of [u_l, 1] (or Czédli–Schmidt's grids plus forks), and
+    c ∧ u_r < c; if b were c's only lower cover, it would lie above u_l
+    and c ∧ u_r, hence above c.  Eyes are interior and only add covers,
+    so they add no site.
+    """
+    if is_rectangular(diag):
+        return None
+    if max_rounds is None:
+        max_rounds = diag.lattice.n ** 2
+    hull = _Hull(diag)
+    while (found := hull.first_site()) is not None:
+        if len(hull.steps) >= max_rounds:
+            raise IterationBoundExceeded(
+                f"still not rectangular after {max_rounds} extensions")
+        hull.extend(*found)
+    return hull, hull.close()
 
 
 def one_step_extension(diag, site):
@@ -279,11 +381,23 @@ def one_step_extension(diag, site):
     lattice and the boundary are derived from the old ones in O(n).
     """
     hull = _Hull(diag)
-    for i, found in _sites(hull.lat, hull.chains):
+    for i, found in _sites(hull, hull.chains):
         if found == site:
-            step = hull.extend(i, found)
-            return hull.diagram(), step
+            hull.extend(i, found)
+            after, (step,) = hull.draw(hull.boundary())
+            return after, step
     raise InvalidSite(f"{site!r} is not an extension site")
+
+
+def rectangularize(diag, max_rounds=None):
+    """The rectangular hull of `diag` by the site process (see `_grow`),
+    drawn, and its extension steps.  A rectangular diagram is returned as
+    is."""
+    grown = _grow(diag, max_rounds)
+    if grown is None:
+        return diag, []
+    hull, b = grown
+    return hull.draw(b)
 
 
 def restrict_gluing(witness, step):
@@ -307,6 +421,14 @@ def restrict_gluing(witness, step):
     return _pull_back(witness, amb._derived(kept, amb.bottom, amb.top))
 
 
+def _checked_restriction(pulled):
+    """`pulled`, a witness restricted to a smaller lattice, once it is valid."""
+    reason = validate_witness(pulled)
+    if reason is not None:
+        raise AssertionFailed(f"restricted witness is invalid: {reason}")
+    return pulled
+
+
 def _pull_back(witness, base):
     """The witness restricted to the labels of `base`, a lattice the
     witness's ambient extends by doubly irreducible elements only.
@@ -318,110 +440,85 @@ def _pull_back(witness, base):
     def keep(ids):
         return frozenset(index[names[v]] for v in ids if names[v] in index)
 
-    pulled = GluingWitness(base, keep(witness.A), keep(witness.B), keep(witness.C))
-    reason = validate_witness(pulled)
-    if reason is not None:
-        raise AssertionFailed(f"restricted witness is invalid: {reason}")
-    return pulled
-
-
-def rectangularize(diag, max_rounds=None):
-    """Extend at the first site, left sites bottom-up before right ones,
-    for as long as one is left.
-
-    A rectangular diagram is returned as is.  The hull grows in place,
-    keeping each side's scan position, and is frozen into one lattice and
-    one diagram at the end.  More than `max_rounds` (default n²) steps, or
-    a frozen hull that is not rectangular, means the input was not a slim
-    planar semimodular lattice, and is reported.
-
-    The loop ends at the first rectangular hull: a slim rectangular
-    lattice with corners u_l and u_r has no site a ≺ b ≺ c, say on the
-    left chain (the right one is the mirror).  If a < u_l, then b ≤ u_l;
-    the atom r of the chain [0, u_r] lies neither below u_l nor below a,
-    so a ∧ r = 0 and, by semimodularity, a ≺ a ∨ r ≰ u_l: a has two upper
-    covers.  If a ≥ u_l, then c = u_l ∨ (c ∧ u_r) by Grätzer–Knapp's
-    description of [u_l, 1] (or Czédli–Schmidt's grids plus forks), and
-    c ∧ u_r < c; if b were c's only lower cover, it would lie above u_l
-    and c ∧ u_r, hence above c.  Eyes are interior and only add covers,
-    so they add no site.
-    """
-    if is_rectangular(diag):
-        return diag, []
-    if max_rounds is None:
-        max_rounds = diag.lattice.n ** 2
-    hull = _Hull(diag)
-    steps = []
-    while (found := hull.first_site()) is not None:
-        if len(steps) >= max_rounds:
-            raise IterationBoundExceeded(
-                f"still not rectangular after {max_rounds} extensions")
-        steps.append(hull.extend(*found))
-    rect = hull.diagram()
-    if not is_rectangular(rect):
-        raise StuckNotRectangular(
-            f"no extension site on a non-rectangular "
-            f"{rect.lattice.n}-element lattice")
-    return rect, steps
+    return _checked_restriction(
+        GluingWitness(base, keep(witness.A), keep(witness.B), keep(witness.C)))
 
 
 # -- the rectangular cut -----------------------------------------------------
 
-def decompose_at(diag, x, mode):
-    """Cut a slim rectangular diagram at x on its upper boundary.
+def _cut(lat, b, x, mode):
+    """The pivot and the overlap [pivot, x] of the cut of a slim rectangular
+    lattice at x on its upper boundary.  `lat` holds the masks and covers (a
+    `Lattice`, or a closed `_Hull`) and `b` its boundary data; `decompose_at`
+    and the pipeline both cut here.
 
     Left mode cuts along [0, x] and [x ∧ u_r, 1]; mirrored mode swaps the
     corner roles.  Every claim made for the cut is asserted, not assumed.
     """
-    if not is_rectangular(diag):
+    if not _rectangular(lat, b.u_l, b.u_r, lat.bottom, lat.top):
         raise BadX("lattice is not rectangular")
-    if not is_slim(diag):
+    if not _slim(lat, lat.full_mask):
         raise BadX("lattice is not slim")
-    lat = diag.lattice
-    b = diag.boundary
     if mode == "left":
-        boundary, corner, opposite = upper_left_boundary(diag), b.u_l, b.u_r
+        chain, corner, opposite = b.left_chain, b.u_l, b.u_r
     elif mode == "mirrored":
-        boundary, corner, opposite = upper_right_boundary(diag), b.u_r, b.u_l
+        chain, corner, opposite = b.right_chain, b.u_r, b.u_l
     else:
         raise BadX(f"unknown mode {mode!r}")
-    if x not in boundary or x in (corner, lat.top):
+    if x not in chain[chain.index(corner):] or x in (corner, lat.top):
         raise BadX(f"{lat.names[x]!r} is not a cuttable boundary element")
 
-    pivot = lat.meet(x, opposite)
+    up, down = lat.up, lat.down
+    # x ∧ opposite is the highest of their common lower bounds
+    pivot = max(iter_bits(down[x] & down[opposite]), key=lat.height.__getitem__)
     if pivot == lat.bottom:
         raise AssertionFailed("the cut pivot fell to the bottom element")
-    if lat.join(corner, pivot) != x:
+    # x = corner ∨ pivot: x is their only common upper bound below x
+    if up[corner] & up[pivot] & down[x] != 1 << x:
         raise AssertionFailed("x is not the join of the corner and the pivot")
-    chain_mask = lat.up[pivot] & lat.down[x]
+    chain_mask = up[pivot] & down[x]
     if not _is_chain_mask(lat, chain_mask):
         raise AssertionFailed("the overlap [pivot, x] is not a chain")
     chain_ids = tuple(iter_bits(chain_mask))
 
     # the parts are the intervals [0, x] and [pivot, 1], checked on this
-    # lattice's masks; `DecompositionCut` builds their diagrams when read
-    if lat.down[x].bit_count() + lat.up[pivot].bit_count() - len(chain_ids) != lat.n:
+    # lattice's masks and covers; `DecompositionCut` builds their diagrams
+    # when read
+    if down[x].bit_count() + up[pivot].bit_count() - len(chain_ids) != lat.n:
         raise AssertionFailed("the two parts do not cover the lattice")
-    points = _scaled_points(diag)
     for y, top in ((lat.bottom, x), (pivot, lat.top)):
-        if not _interval_rectangular(lat, points, y, top):
+        if not _interval_rectangular(lat, y, top):
             raise AssertionFailed("a part of the cut is not rectangular")
-        if not _slim(lat, lat.up[y] & lat.down[top]):
+        if not _slim(lat, up[y] & down[top]):
             raise AssertionFailed("a part of the cut is not slim")
-    return DecompositionCut(x, pivot, diag, chain_ids, mode)
+    return pivot, chain_ids
+
+
+def decompose_at(diag, x, mode):
+    """Cut a slim rectangular diagram at x on its upper boundary, every
+    claim asserted (see `_cut`)."""
+    pivot, chain = _cut(diag.lattice, diag.boundary, x, mode)
+    return DecompositionCut(x, pivot, diag, chain, mode)
+
+
+def _choose(lat, b):
+    """The canonical cut element and mode of a lattice with masks and
+    covers and boundary data `b`: the boundary cover of whichever corner is
+    not a dual atom (left corner preferred)."""
+    if lat.n == 2 or _patch(lat, b):
+        raise IsPatch("patch lattices admit no cut")
+    if not _rectangular(lat, b.u_l, b.u_r, lat.bottom, lat.top):
+        raise NotRectangular("choose_x requires a rectangular lattice")
+    if lat.top not in lat.upper_covers[b.u_l]:
+        chain, corner, mode = b.left_chain, b.u_l, "left"
+    else:  # rectangular and no patch: with u_l a dual atom, u_r is none
+        chain, corner, mode = b.right_chain, b.u_r, "mirrored"
+    return chain[chain.index(corner) + 1], mode
 
 
 def choose_x(diag):
-    """The canonical cut element: the boundary cover of whichever corner is
-    not a dual atom (left corner preferred)."""
-    if is_patch(diag):
-        raise IsPatch("patch lattices admit no cut")
-    if not is_rectangular(diag):
-        raise NotRectangular("choose_x requires a rectangular lattice")
-    if not diag.lattice.is_cover(diag.boundary.u_l, diag.lattice.top):
-        return upper_left_boundary(diag)[1], "left"
-    # rectangular and no patch: with u_l a dual atom, u_r is none
-    return upper_right_boundary(diag)[1], "mirrored"
+    """The canonical cut element of a diagram and its mode (see `_choose`)."""
+    return _choose(diag.lattice, diag.boundary)
 
 
 def _principal(lat, a, b):

@@ -12,12 +12,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import _is_chain_mask, is_isomorphic, is_semimodular, iter_bits
-from .diagram import Diagram, is_patch, slim, subdiagram, validate_diagram
+from .diagram import (Diagram, _patch, is_patch, slim, subdiagram,
+                      validate_diagram)
 from .errors import (AssertionFailed, NoDecomposition, NotSemimodular,
                      SizeBoundExceeded)
-from .ops import (DecompositionCut, GluingWitness, _principal, _pull_back,
-                  choose_x, decompose_at, rectangularize, validate_witness,
-                  witness_from_cut)
+from .ops import (DecompositionCut, GluingWitness, _choose, _cut, _grow,
+                  _principal, validate_witness)
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,22 @@ class PipelineTrace:
     extension_steps: tuple
     cut: Optional[DecompositionCut]
     fallback_used: bool
+
+
+@dataclass(frozen=True)
+class _Step:
+    """What one decomposition step found, undrawn: the removed eyes, the
+    slim diagram, its grown hull (an `ops._Hull`, or None when it was
+    rectangular), and the cut as (x, pivot, chain, mode) in hull ids (None
+    for the 3-element chain)."""
+    eyes: tuple
+    slimmed: Diagram
+    hull: object
+    cut: Optional[tuple]
+
+    @property
+    def fallback_used(self):
+        return self.cut is None
 
 
 @dataclass(frozen=True)
@@ -104,40 +120,58 @@ def _lift_through_eyes(witness, full_diag):
 
 
 def _decompose_step(diag):
-    """One decomposition step: None for a patch, else (witness, trace).
+    """One decomposition step, undrawn: None for a patch, else the witness
+    and the `_Step` that `_trace` draws.
+
+    The hull is grown by `ops._grow` and cut by `ops._cut` on its masks and
+    covers; the cut's witness (↓x, ↑pivot) is pulled back to the slim
+    lattice as (↓a, ↑b) (`ops._Hull.pull_back`).  Nothing is labelled or
+    drawn.
 
     A hull that is a patch after extension steps comes only from the
     3-element chain 0 ≺ m ≺ 1, which has no cut; its witness is (↓m, ↑m,
-    {m}), the oracle's first answer.  The last added t, a ≺ t ≺ c, is its
-    side's corner, in a patch a dual atom: c = 1.  The site's b and the
-    other corner are dual atoms too, and 1 has at most two lower covers in
-    a slim lattice (Czédli–Schmidt), so b is that corner, and a = t ∧ b = 0
-    is its only lower cover.  All else would lie below t or b, so the hull
-    is {0, t, b, 1}.
+    {m}), the oracle's first answer.  The last added t, a ≺ t ≺ c, is
+    doubly irreducible on its side's chain, so it is that side's corner,
+    in a patch a dual atom: c = 1.  A site needs c join-irreducible, so
+    before the last step 1 had the one lower cover b, and after it exactly
+    b and t.  So b is the other corner, also a dual atom, and a = t ∧ b = 0
+    is the only lower cover of each.  All else would lie below t or b, so
+    the hull is {0, t, b, 1} and the slim lattice {0, b, 1}.
     """
     if is_patch(diag):
         return None
     slimmed, eyes = slim(diag)
-    rect, steps = rectangularize(slimmed)
-    if steps and is_patch(rect):
-        lat = slimmed.lattice
+    lat = slimmed.lattice
+    grown = _grow(slimmed)
+    hull, b = grown or (lat, slimmed.boundary)
+    if grown and _patch(hull, b):
         if lat.n != 3:
             raise AssertionFailed(
                 f"the hull of a {lat.n}-element slim lattice is a patch")
         (m,) = lat.upper_covers[lat.bottom]
         witness = _principal(lat, m, m)
         cut = None
-        fallback = True
     else:
-        x, mode = choose_x(rect)
-        cut = decompose_at(rect, x, mode)
-        witness = witness_from_cut(cut)
-        if steps:
-            witness = _pull_back(witness, slimmed.lattice)
-        fallback = False
+        x, mode = _choose(hull, b)
+        pivot, chain = _cut(hull, b, x, mode)
+        witness = hull.pull_back(x, pivot) if grown else _principal(lat, x, pivot)
+        cut = (x, pivot, chain, mode)
     lifted = _lift_through_eyes(witness, diag)
-    trace = PipelineTrace(tuple(eyes), tuple(steps), cut, fallback)
-    return lifted, trace
+    return lifted, _Step(tuple(eyes), slimmed, hull if grown else None, cut)
+
+
+def _trace(step):
+    """The `PipelineTrace` of a `_Step`: its hull labelled and drawn from the
+    step tuples, and the cut on the drawn hull."""
+    if step.hull is None:
+        rect, extension_steps = step.slimmed, []
+    else:
+        rect, extension_steps = step.hull.draw(step.hull.boundary())
+    cut = None
+    if step.cut is not None:
+        x, pivot, chain, mode = step.cut
+        cut = DecompositionCut(x, pivot, rect, chain, mode)
+    return PipelineTrace(step.eyes, tuple(extension_steps), cut, step.fallback_used)
 
 
 def _decompose(root):
@@ -165,7 +199,7 @@ def _decompose(root):
             step = _decompose_step(diag)
             if root_trace is None:
                 root_trace = (PipelineTrace((), (), None, False) if step is None
-                              else step[1])
+                              else _trace(step[1]))
             if step is not None:
                 witness = step[0]
                 stack += [(diag, witness), (subdiagram(diag, witness.B), None),

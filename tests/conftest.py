@@ -1,6 +1,7 @@
 import pytest
 
-from latpatch import Diagram, Lattice, generate, one_step_extension
+from latpatch import (DecompGlue, Diagram, Lattice, decompose, generate,
+                      one_step_extension)
 
 
 @pytest.fixture
@@ -66,6 +67,32 @@ def random_corpus_small():
     for seed in range(200):
         size = 2 + seed % 11
         out.append((f"sps[{size}]#{seed}", generate("random-sps", [size], seed=seed)))
+    return out
+
+
+def ladder_inputs():
+    """The benchmark's `ladder` inputs: `random-sps` seed 7 at n = 16, 24, 32."""
+    return [(f"sps[{n}]#7", generate("random-sps", [n], seed=7)) for n in (16, 24, 32)]
+
+
+@pytest.fixture(scope="session")
+def glue_nodes(corpus, random_corpus_small):
+    """(path, diagram) of every node that `decompose` cuts, each shared
+    subtree once, over the corpus, `random_corpus_small`, the ladder inputs
+    and the grids up to 6×6."""
+    inputs = corpus + random_corpus_small + ladder_inputs()
+    inputs += [(f"grid{m}x{n}", generate("grid", [m, n]))
+               for m in range(2, 7) for n in range(2, 7)]
+    trees, seen, out = [], set(), []
+    for name, diag in inputs:
+        trees.append(decompose(diag)[0])  # kept alive, so ids stay unique
+        stack = [(trees[-1], name)]
+        while stack:
+            node, path = stack.pop()
+            if isinstance(node, DecompGlue) and id(node) not in seen:
+                seen.add(id(node))
+                out.append((path, node.diagram))
+                stack += [(node.right, f"{path}.right"), (node.left, f"{path}.left")]
     return out
 
 

@@ -6,12 +6,15 @@ permutation search) and never touches the package's derived tables.
 The drawing references take element ids, cover pairs of ids and
 `Fraction` x coordinates, and do their geometry on the rational points.
 The slimming reference removes one eye per round, each time rebuilding and
-validating the lattice in full from its labeled covers.
+validating the lattice in full from its labeled covers.  The one exception
+is `walked_interval_rectangular`, which reuses the package's boundary walk:
+it is the reference for the drawing-free test of a part of a cut.
 """
 
 from itertools import permutations, product
 
 from latpatch import Diagram, EyeRecord, Lattice, find_eyes
+from latpatch.diagram import _interval_boundary, _rectangular
 
 
 def closure_leq(covers, elements):
@@ -292,3 +295,11 @@ def slim_by_rounds(diag):
         m, rec = eyes[0]
         records.append(rec)
         diag = without_element(diag, m)
+
+
+def walked_interval_rectangular(lat, points, y, x):
+    """`is_rectangular` of the interval [y, x] drawn at the scaled `points`,
+    by walking: its boundary chains hold one weak corner each, and the two
+    are complementary in it."""
+    b = _interval_boundary(lat, points, y, x)
+    return _rectangular(lat, b.u_l, b.u_r, y, x)

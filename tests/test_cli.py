@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -15,6 +16,43 @@ def grid_file(tmp_path):
     path = tmp_path / "grid.json"
     path.write_text(serialize(generate("grid", [3, 3])))
     return str(path)
+
+
+# SHA-256 of the stdout and stderr of `latpatch --trace decompose` and of
+# the stdout of `latpatch rectangularize`, recorded before the hulls of
+# inner nodes stopped being drawn
+PINNED_OUTPUT = {
+    ("random-sps", (32,), 7): (
+        "839336bbaf3963795480161f8204eaa9fe292b2ec2ca92d70f4db0d122d95b82",
+        "2946e609fa5e74f05216993dbb0d5bc64e6c5c625f001e1f6fff98f46b4f59c6",
+        "1fabca1388fd181f5b1d023c2683cce251d7f16df185b55322cb1040f406e621"),
+    ("random-sps", (80,), 7): (
+        "1f31a719885520a5f5bda4a01cc6f267b78915aa2de9770096036d37464ac527",
+        "7f00b5fc3066f336d5127ee6e7777cc453570737a4feafa6a60f3b0c7e480ff3",
+        "5f7bce120766747fbf6b10de80d29bc493f661948db13eebe94d4506a9db9b8e"),
+    ("grid", (4, 6), 0): (
+        "6d74bcfd4c59129f34e9423e52746f6dcd21a06211e010e3422a93f9927cdbb0",
+        "3df3e2a1de269acca8808ee3bde53f2181094b4c0f9eef994cafd4d326ff697a",
+        "c7fa2f540ed89e07f34adfe66f566a6f2f30077afdcbda0edaeb25a8ca0f1335"),
+    ("chain", (12,), 0): (
+        "123ab04680fe7ac1c9ccc9ec728ed07114f482327a1170f8a43bb9282c2ba158",
+        "fca0783579a6c5498c0c505888271f65eafff210afae5c855154e6ff84c1d9c8",
+        "4af25c7fbc2c2bbe736495e7864d233c7a28bd1a6e6e6d08570a52fe71669c7d"),
+}
+
+
+@pytest.mark.parametrize("kind, params, seed", PINNED_OUTPUT)
+def test_decompose_trace_and_rectangularize_output_is_pinned(kind, params, seed,
+                                                             tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text(serialize(generate(kind, list(params), seed=seed)))
+    assert cli(["--trace", "decompose", str(path)]) == 0
+    decomposed = capsys.readouterr()
+    assert cli(["rectangularize", str(path)]) == 0
+    rectangularized = capsys.readouterr().out
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in
+                    (decomposed.out, decomposed.err, rectangularized))
+    assert digests == PINNED_OUTPUT[kind, params, seed]
 
 
 def test_check_grid(grid_file, capsys):

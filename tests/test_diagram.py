@@ -15,7 +15,7 @@ from latpatch import (Diagram, DiagramViolation, EyeRecord, Lattice,
 from latpatch.core import iter_bits
 from latpatch.diagram import (_interval_boundary, _interval_rectangular,
                               _middles, _scaled_points, _segments_conflict,
-                              _slim, upper_right_boundary)
+                              _slim)
 from latpatch.errors import MissingAnchor, NotRectangular, SizeBoundExceeded
 
 
@@ -227,10 +227,26 @@ def test_interval_predicates_match_the_built_part(corpus, random_corpus_small, m
                               "right_corners"):
                     assert tuple(members[v] for v in getattr(pb, field)) \
                         == getattr(b, field), (name, y, x, field)
-                answers = (_interval_rectangular(lat, points, y, x), _slim(lat, mask))
+                answers = (oracles.walked_interval_rectangular(lat, points, y, x),
+                           _slim(lat, mask))
                 assert answers == (is_rectangular(part), is_slim(part)), (name, y, x)
                 seen[answers] = seen.get(answers, 0) + 1
     assert len(seen) == 4  # every combination of the two answers occurs
+
+
+def test_the_drawing_free_part_test_equals_the_walked_one(glue_nodes):
+    # every interval [y, x] of the hull of every node that decompose cuts
+    counts = {True: 0, False: 0}
+    for name, diag in glue_nodes:
+        hull, _ = rectangularize(slim(diag)[0])
+        lat = hull.lattice
+        points = _scaled_points(hull)
+        for y in range(lat.n):
+            for x in iter_bits(lat.up[y]):
+                walked = oracles.walked_interval_rectangular(lat, points, y, x)
+                assert _interval_rectangular(lat, y, x) == walked, (name, y, x)
+                counts[walked] += 1
+    assert (len(glue_nodes), counts) == (1252, {True: 31820, False: 51866})
 
 
 def test_is_slim(m3, c4):
@@ -391,8 +407,6 @@ def test_upper_left_boundary(b2, c3):
     assert names_of(b2, upper_left_boundary(b2)) == ["l", "1"]
     with pytest.raises(NotRectangular):
         upper_left_boundary(c3)
-    with pytest.raises(NotRectangular):
-        upper_right_boundary(c3)
 
 
 def test_reflect_swaps_corners(m3):

@@ -381,7 +381,7 @@ def test_kept_scan_matches_a_recount(corpus, random_corpus_small):
             continue
         hull = _Hull(slimmed)
         while True:
-            first = next(_sites(hull.lat, hull.chains), None)
+            first = next(_sites(hull, hull.chains), None)
             assert hull.first_site() == first, name
             if first is None:
                 break
@@ -420,7 +420,8 @@ def test_hull_is_rectangular_exactly_when_no_site_is_left(corpus, random_corpus_
         hull = _Hull(slimmed)
         while True:
             # a frozen copy, its boundary walked afresh
-            frozen = Diagram(hull.lat.lattice(), hull.xcoord)
+            drawn, _ = hull.draw(hull.boundary())
+            frozen = Diagram(drawn.lattice, drawn.xcoord)
             found = hull.first_site()
             assert is_rectangular(frozen) == (found is None), name
             assert is_rectangular(frozen) == (find_extension_sites(frozen) == []), name

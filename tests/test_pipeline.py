@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -10,15 +12,18 @@ from hypothesis import given, settings, strategies as st
 
 import latpatch.pipeline
 import oracles
-from latpatch import (DecompGlue, DecompLeaf, Diagram, Lattice,
-                      brute_force_gluing_search, decompose, generate,
-                      is_isomorphic, is_patch,
-                      parse_tree_document, sequence_of, serialize_tree, slim,
-                      subdiagram, validate_witness, verify_tree)
+from latpatch import (DecompGlue, DecompLeaf, Diagram, Lattice, PipelineTrace,
+                      brute_force_gluing_search, choose_x, decompose,
+                      decompose_at, generate, is_isomorphic, is_patch,
+                      is_semimodular, is_slim, parse_tree_document,
+                      rectangularize, sequence_of, serialize, serialize_tree,
+                      slim, subdiagram, synthesize_embedding, validate_diagram,
+                      validate_witness, verify_tree, witness_from_cut)
 from latpatch.core import iter_bits
-from latpatch.errors import (AssertionFailed, NoDecomposition, NotSemimodular,
-                             SizeBoundExceeded)
-from latpatch.pipeline import _lift_through_eyes
+from latpatch.errors import (AssertionFailed, LatpatchError, NoDecomposition,
+                             NotSemimodular, SizeBoundExceeded)
+from latpatch.ops import _principal, _pull_back
+from latpatch.pipeline import _decompose_step, _lift_through_eyes, _trace
 
 
 def labeled(lat):
@@ -85,12 +90,161 @@ def test_decompose_never_calls_the_oracle(corpus, random_corpus_small, monkeypat
     assert len(fallbacks) > 100 and set(fallbacks) == {3}
 
 
-def test_a_patch_hull_of_a_larger_slim_lattice_is_refused(c4, b2, monkeypatch):
-    # a hull that is a patch after extension steps, as if c4 were the 3-chain
-    steps = latpatch.pipeline.rectangularize(c4)[1]
-    monkeypatch.setattr(latpatch.pipeline, "rectangularize", lambda diag: (b2, steps))
+def test_a_patch_hull_of_a_larger_slim_lattice_is_refused(c3, c4, monkeypatch):
+    # a hull that is a patch after extension steps, as if c4 were the 3-chain:
+    # the site process hands back the 3-chain's hull, a square after one step
+    hull, b = grown = latpatch.ops._grow(c3)
+    assert len(hull.steps) == 1 and is_patch(hull.draw(b)[0])
+    monkeypatch.setattr(latpatch.pipeline, "_grow", lambda diag: grown)
     with pytest.raises(AssertionFailed, match="4-element slim lattice is a patch"):
         decompose(c4)
+
+
+def materialized_step(diag):
+    """The decomposition step with its hull drawn: `rectangularize`,
+    `choose_x`, `decompose_at`, `witness_from_cut` and `_pull_back` on the
+    slim diagram, or the oracle for a patch hull.  None for a patch, else
+    the witness on the slim lattice and the trace."""
+    if is_patch(diag):
+        return None
+    slimmed, eyes = slim(diag)
+    rect, steps = rectangularize(slimmed)
+    cut = None
+    if steps and is_patch(rect):
+        if slimmed.lattice.n != 3:
+            raise AssertionFailed(
+                f"the hull of a {slimmed.lattice.n}-element slim lattice is a patch")
+        witness = brute_force_gluing_search(slimmed)
+    else:
+        cut = decompose_at(rect, *choose_x(rect))
+        witness = witness_from_cut(cut)
+        if steps:
+            witness = _pull_back(witness, slimmed.lattice)
+    return witness, PipelineTrace(tuple(eyes), tuple(steps), cut, cut is None)
+
+
+def test_the_undrawn_step_equals_the_materialized_one(glue_nodes):
+    fallbacks = grown = attached = 0
+    for name, diag in glue_nodes:
+        witness, trace = materialized_step(diag)
+        lifted, step = _decompose_step(diag)
+        # the same x, pivot, chain and mode, and the same hull once drawn
+        assert _trace(step) == trace, name
+        assert lifted == _lift_through_eyes(witness, diag), name
+        if step.cut is None:
+            fallbacks += 1
+            continue
+        x, pivot, _, _ = step.cut
+        if step.hull is None:
+            pulled = _principal(step.slimmed.lattice, x, pivot)
+        else:
+            pulled = step.hull.pull_back(x, pivot)
+            grown += 1
+            # a later step added covers to an earlier t, which the pull-back
+            # must see through
+            hull, n = step.hull, step.slimmed.lattice.n
+            attached += any(len(hull.lower_covers[t]) > 1 or len(hull.upper_covers[t]) > 1
+                            for t in range(n, hull.n))
+        assert pulled == witness, name
+    assert (len(glue_nodes), fallbacks, grown) == (1252, 420, 579)
+    assert attached > 50
+
+
+def small_drawn_lattices(count, seed):
+    """`count` drawn lattices with 3 to 10 elements from random cover sets;
+    most are not semimodular, so the hull or its cut fails on many."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(3, 10)
+        covers = set()
+        for v in range(1, n - 1):
+            covers |= {(rng.randrange(v), v), (v, rng.randrange(v + 1, n))}
+        for _ in range(rng.randint(0, n)):
+            covers.add(tuple(sorted(rng.sample(range(n), 2))))
+        try:
+            lat = Lattice([(str(a), str(b)) for a, b in covers],
+                          elements=[str(v) for v in range(n)])
+        except LatpatchError:
+            continue
+        diag = synthesize_embedding(lat, max_size=10)
+        if diag is not None:
+            out.append(diag)
+    return out
+
+
+def outcome(step, diag):
+    """A step's result, or the type and message of the error it raised."""
+    try:
+        found = step(diag)
+    except LatpatchError as exc:
+        return type(exc), str(exc)
+    if found is None:
+        return None
+    witness, trace = found
+    return witness, trace if isinstance(trace, PipelineTrace) else _trace(trace)
+
+
+def test_the_undrawn_step_fails_as_the_materialized_one():
+    errors = {}
+    for diag in small_drawn_lattices(600, seed=3):
+        expected = outcome(materialized_step, diag)
+        found = outcome(_decompose_step, diag)
+        if found is not None and not isinstance(found[0], type):
+            found = (_lift_through_eyes(found[0], diag), found[1])
+        if expected is not None and not isinstance(expected[0], type):
+            expected = (_lift_through_eyes(expected[0], diag), expected[1])
+        assert found == expected, (diag.lattice.covers, diag.xcoord)
+        if expected is not None and isinstance(expected[0], type):
+            message = expected[1].split(" on a ")[0]
+            errors[message] = errors.get(message, 0) + 1
+    assert set(errors) == {"no extension site", "the cut pivot fell to the bottom element",
+                           "a part of the cut is not rectangular"}
+
+
+def test_s7_the_smallest_nontrivial_slim_patch_is_a_leaf():
+    lat = Lattice([("0", "a"), ("0", "b"), ("a", "a1"), ("a", "m"), ("b", "m"),
+                   ("b", "b1"), ("a1", "1"), ("m", "1"), ("b1", "1")],
+                  elements=["0", "a", "b", "a1", "m", "b1", "1"])
+    s7 = Diagram(lat, [0, -1, 1, -2, 0, 2, 0])
+    assert validate_diagram(s7) is None
+    assert is_semimodular(lat) and is_slim(s7) and is_patch(s7)
+    # a slim lattice whose top has three lower covers
+    assert len(lat.lower_covers[lat.top]) == 3
+    tree, trace = decompose(s7)
+    assert isinstance(tree, DecompLeaf) and tree.diagram == s7
+    assert trace == PipelineTrace((), (), None, False)
+    assert verify_tree(tree, s7) is None
+
+
+# SHA-256 of each root trace's eyes, steps, cut (x, pivot, mode, chain and
+# the serialized hull) and fallback flag, recorded before the hulls of inner
+# nodes stopped being drawn
+ROOT_TRACES = {
+    ("random-sps", (32,), 7): "04dd962cb9696a7f671e96c7d0e6b6b000a2850c646630f41118cb0ce61fdaa5",
+    ("random-sps", (80,), 7): "0821ffa095924e9b41fd17bb0428c3e163ebcb503c505509db4b527e3dbb1a6b",
+    ("grid", (4, 6), 0): "e6eed19fa2e7ddd93231f5f014015e0c3c5496195580adbc433fffaa76454a77",
+    ("chain", (12,), 0): "659681e3466ebd065298d995d5e5de6f2155ec9b9e9e5fff9fd6e4eac91af35f",
+}
+
+
+def trace_text(trace):
+    cut = trace.cut
+    return json.dumps({
+        "eyes": [[e.lower, e.upper, e.slot, e.label] for e in trace.eyes],
+        "steps": [[s.a, s.b, s.c, s.side, s.t] for s in trace.extension_steps],
+        "fallback": trace.fallback_used,
+        "cut": None if cut is None else {
+            "x": cut.x, "pivot": cut.pivot, "mode": cut.mode,
+            "chain": list(cut.chain), "ambient": serialize(cut.ambient)},
+    }, sort_keys=True)
+
+
+@pytest.mark.parametrize("kind, params, seed", ROOT_TRACES)
+def test_the_root_trace_is_pinned(kind, params, seed):
+    _, trace = decompose(generate(kind, list(params), seed=seed))
+    digest = hashlib.sha256(trace_text(trace).encode()).hexdigest()
+    assert digest == ROOT_TRACES[kind, params, seed]
 
 
 def test_decompose_diamond_is_leaf(m3):
@@ -194,7 +348,7 @@ def test_shared_subtrees_match_the_memo_free_reference(corpus, random_corpus_sma
         if step is None:
             assert trace == latpatch.pipeline.PipelineTrace((), (), None, False), name
         else:
-            assert trace == step[1], name
+            assert trace == _trace(step[1]), name
 
 
 def test_each_distinct_interval_is_decomposed_once(monkeypatch):
