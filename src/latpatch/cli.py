@@ -2,20 +2,23 @@
 oracle, gen, dot.
 
 Exit codes: 0 success, 1 failed check or verification, 2 usage and IO
-errors (including malformed documents), 3 an input too large for the
-interpreter (its recursion limit or the memory ran out).
+errors (including malformed documents), 3 an input too large: the
+interpreter's recursion limit or the memory ran out, or `decompose -o` was
+asked to write a certificate deeper than a tree document may be
+(`documents.MAX_TREE_DEPTH`).
 """
 
 import argparse
+import itertools
 import json
 import os
 import sys
 
 from . import diagram as dg
 from .core import is_semimodular
-from .documents import (export_dot, parse_document, parse_tree_document,
-                        serialize, serialize_tree)
-from .errors import EmbeddingFailed, LatpatchError, SchemaError
+from .documents import (_tree_chunks, export_dot, parse_document,
+                        parse_tree_document, serialize)
+from .errors import EmbeddingFailed, LatpatchError, SchemaError, TreeTooDeep
 from .generators import generate
 from .ops import rectangularize
 from .pipeline import brute_force_gluing_search, decompose, sequence_of, verify_tree
@@ -30,12 +33,12 @@ def _read(path):
                                    f"at byte {exc.start}") from None
 
 
-def _write(path, text):
+def _write(path, chunks):
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
 
 
 def _load_diagram(path, args):
@@ -71,7 +74,7 @@ def cmd_check(args):
 def cmd_slim(args):
     diag = _load_diagram(args.file, args)
     slimmed, records = dg.slim(diag)
-    _write(args.output, serialize(slimmed))
+    _write(args.output, [serialize(slimmed)])
     print(f"removed {len(records)} eye(s)", file=sys.stderr)
     return 0
 
@@ -79,7 +82,7 @@ def cmd_slim(args):
 def cmd_rectangularize(args):
     diag = _load_diagram(args.file, args)
     rect, steps = rectangularize(diag)
-    _write(args.output, serialize(rect))
+    _write(args.output, [serialize(rect)])
     print(f"added {len(steps)} element(s)", file=sys.stderr)
     return 0
 
@@ -88,7 +91,10 @@ def cmd_decompose(args):
     diag = _load_diagram(args.file, args)
     tree, trace = decompose(diag)
     if args.output:
-        _write(args.output, serialize_tree(tree))
+        chunks = _tree_chunks(tree)
+        # the depth check runs before the first chunk, so a tree too deep to
+        # write is refused before the output file is opened
+        _write(args.output, itertools.chain([next(chunks)], chunks))
     entries, parts = sequence_of(tree)
     for i, entry in enumerate(entries, start=1):
         n = entry.lattice.n
@@ -129,13 +135,13 @@ def cmd_oracle(args):
 
 def cmd_gen(args):
     diag = generate(args.kind, args.params, seed=args.seed)
-    _write(args.output, serialize(diag))
+    _write(args.output, [serialize(diag)])
     return 0
 
 
 def cmd_dot(args):
     diag = _load_diagram(args.file, args)
-    _write(args.output, export_dot(diag))
+    _write(args.output, [export_dot(diag)])
     return 0
 
 
@@ -210,6 +216,9 @@ def cli(argv=None):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except TreeTooDeep as exc:
+        print(f"error: input too large: {exc}", file=sys.stderr)
+        return 3
     except LatpatchError as exc:
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return 1

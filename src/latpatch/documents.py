@@ -11,7 +11,8 @@ from json.encoder import encode_basestring_ascii
 
 from .core import Lattice
 from .diagram import Diagram, validate_diagram, synthesize_embedding
-from .errors import CycleDetected, SchemaError, EmbeddingFailed, SizeBoundExceeded
+from .errors import (CycleDetected, EmbeddingFailed, SchemaError, SizeBoundExceeded,
+                     TreeTooDeep)
 from .ops import GluingWitness
 from .pipeline import DecompGlue, DecompLeaf
 
@@ -36,68 +37,36 @@ def _parse_rational(text, path):
     return value
 
 
-def _diagram_to_dict(diag):
+def _members(items, indent, brackets):
+    """A JSON list or object whose members are already written, laid out as
+    `json.dumps(..., indent=2)` lays it out with its members at `indent`."""
+    if not items:
+        return brackets
+    sep = ",\n" + indent
+    return f"{brackets[0]}\n{indent}{sep.join(items)}\n{indent[:-2]}{brackets[1]}"
+
+
+def _lattice_text(diag, meta="{}"):
+    """The `lattice` object of a diagram's document at zero indent, the text
+    `json.dumps(..., sort_keys=True, indent=2)` writes for it; `meta` is the
+    already indented text of the `meta` value.  Labels must be strings."""
     lat = diag.lattice
-    return {
-        "elements": list(lat.names),
-        "covers": [[a, b] for a, b in lat.covers],
-        "embedding": {lat.names[v]: _format_rational(diag.xcoord[v])
-                      for v in range(lat.n)},
-        "meta": {},
-    }
-
-
-def _emit(value, pad, out):
-    """Append `json.dumps(value, sort_keys=True, indent=2)`, its lines
-    indented by `pad`, to `out`.
-
-    `json.dumps` with an indent always runs the pure-Python encoder, which
-    yields through one generator per nesting level; this writes the shapes
-    documents are made of (dicts with string keys, lists, strings and
-    plain ints) directly and leaves any other value to `json.dumps`.
-    """
-    kind = type(value)
-    if kind is str:
-        out.append(encode_basestring_ascii(value))
-    elif kind is int:
-        out.append(int.__repr__(value))
-    elif not value and (kind is list or kind is dict):
-        out.append("[]" if kind is list else "{}")  # as json.dumps writes them
-    elif kind is list:
-        inner = pad + "  "
-        sep = "[\n" + inner
-        for item in value:
-            out.append(sep)
-            _emit(item, inner, out)
-            sep = ",\n" + inner
-        out.append("\n" + pad + "]")
-    elif kind is dict and all(type(key) is str for key in value):
-        inner = pad + "  "
-        sep = "{\n" + inner
-        for key in sorted(value):
-            out.append(sep)
-            out.append(encode_basestring_ascii(key))
-            out.append(": ")
-            _emit(value[key], inner, out)
-            sep = ",\n" + inner
-        out.append("\n" + pad + "}")
-    else:
-        out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + pad))
-
-
-def _dumps(doc):
-    out = []
-    _emit(doc, "", out)
-    out.append("\n")
-    return "".join(out)
+    names = lat.names
+    labels = [encode_basestring_ascii(name) for name in names]
+    xs = diag.xcoord
+    covers = _members(["[\n      %d,\n      %d\n    ]" % pair for pair in lat.covers],
+                      "    ", "[]")
+    embedding = _members([f'{labels[v]}: "{_format_rational(xs[v])}"'
+                          for v in sorted(range(lat.n), key=names.__getitem__)],
+                         "    ", "{}")
+    return (f'{{\n  "covers": {covers},\n  "elements": {_members(labels, "    ", "[]")},'
+            f'\n  "embedding": {embedding},\n  "meta": {meta}\n}}')
 
 
 def serialize(diag, meta=None):
     """Serialize a diagram; keys sorted, rationals in lowest terms."""
-    doc = _diagram_to_dict(diag)
-    if meta:
-        doc["meta"] = dict(meta)
-    return _dumps(doc)
+    text = json.dumps(dict(meta), sort_keys=True, indent=2) if meta else "{}"
+    return _lattice_text(diag, text.replace("\n", "\n  ")) + "\n"
 
 
 def _derived_child(parent, elements, pairs, embedding):
@@ -215,29 +184,90 @@ def parse_document(text, max_synth=16):
 
 # -- decomposition trees -------------------------------------------------
 
-def _tree_to_dict(node):
-    if isinstance(node, DecompLeaf):
-        return {"kind": "leaf", "lattice": _diagram_to_dict(node.diagram)}
-    return {
-        "kind": "glue",
-        "lattice": _diagram_to_dict(node.diagram),
-        "chain": node.diagram.lattice.labels(node.witness.C),
-        "children": [_tree_to_dict(node.left), _tree_to_dict(node.right)],
-    }
+# The most levels a tree document may have, counting the root as one.  Each
+# level nests two JSON values (a node in `children`), and on Python 3.10 and
+# 3.11 `json.loads` reads at most 494 levels of a minimal tree document at
+# the top of a script and 475 inside a pytest test (3.12.1 reads 747, 3.13.0
+# 4998).  The bound keeps every certificate the writer accepts readable on
+# every supported version, with margin for the caller's stack; the
+# n-element chain's certificate has n/2 + 1 levels.
+MAX_TREE_DEPTH = 460
+
+
+def _tree_chunks(tree):
+    """The text of a tree's document, in chunks.
+
+    A first walk counts how often each node object occurs (`decompose`
+    shares equal subtrees) and measures the depth; a tree deeper than
+    `MAX_TREE_DEPTH` raises `TreeTooDeep` before anything is yielded.  The
+    second walk keeps `(node, pad, head)` entries on an explicit stack:
+    `head` is the text before the node, or None for a glue node's closing
+    entry.  A glue node's keys sort as chain, children, kind, lattice, so
+    its lattice text is built when its closing entry is popped; a node's
+    text is kept from its first occurrence to its last and no longer."""
+    counts = {}
+    depth = 0
+    stack = [(tree, 1)]
+    while stack:
+        node, level = stack.pop()
+        counts[id(node)] = counts.get(id(node), 0) + 1
+        depth = max(depth, level)
+        if isinstance(node, DecompGlue):
+            stack += [(node.right, level + 1), (node.left, level + 1)]
+    if depth > MAX_TREE_DEPTH:
+        raise TreeTooDeep(f"the decomposition tree has {depth} levels; a tree "
+                          f"document holds at most {MAX_TREE_DEPTH}")
+
+    kept = {}
+
+    def lattice_text(node, pad):
+        key = id(node)
+        text = kept.pop(key, None) or _lattice_text(node.diagram)
+        counts[key] -= 1
+        if counts[key]:
+            kept[key] = text
+        return text.replace("\n", "\n" + pad)
+
+    stack = [(tree, "", "")]
+    while stack:
+        node, pad, head = stack.pop()
+        inner = pad + "  "
+        if head is None:
+            yield f'\n{inner}],\n{inner}"kind": "glue",\n{inner}"lattice": '
+            yield lattice_text(node, inner)
+            yield "\n" + pad + "}"
+        elif isinstance(node, DecompLeaf):
+            yield f'{head}{{\n{inner}"kind": "leaf",\n{inner}"lattice": '
+            yield lattice_text(node, inner)
+            yield "\n" + pad + "}"
+        else:
+            chain = node.diagram.lattice.labels(node.witness.C)
+            chain = _members([encode_basestring_ascii(name) for name in chain],
+                             inner + "  ", "[]")
+            yield f'{head}{{\n{inner}"chain": {chain},\n{inner}"children": ['
+            child = inner + "  "
+            stack += [(node, pad, None), (node.right, child, ",\n" + child),
+                      (node.left, child, "\n" + child)]
+    yield "\n"
 
 
 def serialize_tree(tree):
-    return _dumps(_tree_to_dict(tree))
+    """The tree document of a decomposition tree; every occurrence of a
+    shared subtree is written in full.  Raises `TreeTooDeep` past
+    `MAX_TREE_DEPTH` levels."""
+    return "".join(_tree_chunks(tree))
 
 
 def _tree_from_dict(doc, path, max_synth=16):
     """The tree of a parsed tree document, walked post-order on an explicit
     stack as in `pipeline._decompose`.  The checks run in a recursive walk's
-    order: a node, its left subtree, its right one, then the node's parts."""
+    order: a node, its left subtree, its right one, then the node's parts.
+    A node deeper than `MAX_TREE_DEPTH` levels is a `SchemaError`, also where
+    `json.loads` has read the document."""
     finished = []  # each finished subtree whose parent is open
-    stack = [(doc, path, None, None)]
+    stack = [(doc, path, 1, None, None)]
     while stack:
-        doc, path, parent, glue = stack.pop()
+        doc, path, level, parent, glue = stack.pop()
         if glue is not None:
             right = finished.pop()
             left = finished.pop()
@@ -255,6 +285,9 @@ def _tree_from_dict(doc, path, max_synth=16):
             finished.append(DecompGlue(left, right, len(chain),
                                        GluingWitness(lat, *parts), diag))
             continue
+        if level > MAX_TREE_DEPTH:
+            raise SchemaError(path, f"a tree document holds at most "
+                                    f"{MAX_TREE_DEPTH} levels")
         if not isinstance(doc, dict):
             raise SchemaError(path, "expected an object")
         kind = doc.get("kind")
@@ -273,9 +306,9 @@ def _tree_from_dict(doc, path, max_synth=16):
         if not isinstance(chain, list) or not all(isinstance(n, str) for n in chain):
             raise SchemaError(f"{path}.chain", "expected a list of labels")
         here = (diag, lattice.get("embedding"))
-        stack += [(doc, path, None, (diag, chain)),
-                  (children[1], f"{path}.children[1]", here, None),
-                  (children[0], f"{path}.children[0]", here, None)]
+        stack += [(doc, path, level, None, (diag, chain)),
+                  (children[1], f"{path}.children[1]", level + 1, here, None),
+                  (children[0], f"{path}.children[0]", level + 1, here, None)]
     return finished.pop()
 
 

@@ -116,6 +116,11 @@ class BadParams(LatpatchError):
     pass
 
 
+class TreeTooDeep(LatpatchError):
+    """A decomposition tree has more levels than a tree document may hold
+    (`documents.MAX_TREE_DEPTH`)."""
+
+
 class SchemaError(LatpatchError):
     """A document violated the JSON schema; `path` points at the bad field."""
 

@@ -9,11 +9,14 @@ The slimming reference removes one eye per round, each time rebuilding and
 validating the lattice in full from its labeled covers.  The one exception
 is `walked_interval_rectangular`, which reuses the package's boundary walk:
 it is the reference for the drawing-free test of a part of a cut.
+The document references build each document as a dict and write it with
+`json.dumps(..., sort_keys=True, indent=2)`.
 """
 
+import json
 from itertools import permutations, product
 
-from latpatch import Diagram, EyeRecord, Lattice, find_eyes
+from latpatch import DecompLeaf, Diagram, EyeRecord, Lattice, find_eyes
 from latpatch.diagram import _interval_boundary, _rectangular
 
 
@@ -303,3 +306,36 @@ def walked_interval_rectangular(lat, points, y, x):
     are complementary in it."""
     b = _interval_boundary(lat, points, y, x)
     return _rectangular(lat, b.u_l, b.u_r, y, x)
+
+
+def rational_text(x):
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def lattice_document(diag, meta=None):
+    """The lattice document of a diagram as a dict."""
+    lat = diag.lattice
+    return {
+        "elements": list(lat.names),
+        "covers": [[a, b] for a, b in lat.covers],
+        "embedding": {lat.names[v]: rational_text(diag.xcoord[v]) for v in range(lat.n)},
+        "meta": dict(meta) if meta else {},
+    }
+
+
+def tree_document(node):
+    """The tree document of a decomposition tree as a dict, every occurrence
+    of a shared subtree in full."""
+    if isinstance(node, DecompLeaf):
+        return {"kind": "leaf", "lattice": lattice_document(node.diagram)}
+    return {
+        "kind": "glue",
+        "lattice": lattice_document(node.diagram),
+        "chain": node.diagram.lattice.labels(node.witness.C),
+        "children": [tree_document(node.left), tree_document(node.right)],
+    }
+
+
+def json_reference(doc):
+    """The text `serialize` and `serialize_tree` must write for `doc`."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"

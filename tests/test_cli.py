@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from latpatch import brute_force_gluing_search, generate, serialize
+from latpatch import brute_force_gluing_search, documents, generate, serialize
 from latpatch.cli import cli
+from latpatch.documents import MAX_TREE_DEPTH
 
 
 @pytest.fixture
@@ -228,6 +229,65 @@ def test_verify_deeply_nested_tree_is_a_schema_error(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines() == ["error: $: document nests too deeply"]
+
+
+def test_decompose_past_the_depth_bound_is_one_error_line(tmp_path):
+    # the n-element chain's certificate has n/2 + 1 levels
+    path = tmp_path / "chain.json"
+    path.write_text(serialize(generate("chain", [2 * MAX_TREE_DEPTH])))
+    out = tmp_path / "tree.json"
+    out.write_text("left as it was")
+    proc = run_cli("decompose", str(path), "-o", str(out))
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        f"error: input too large: the decomposition tree has {MAX_TREE_DEPTH + 1} "
+        f"levels; a tree document holds at most {MAX_TREE_DEPTH}"]
+    assert out.read_text() == "left as it was"
+
+
+def test_certificates_at_the_depth_bound_are_written_and_verify(tmp_path, monkeypatch,
+                                                                 capsys):
+    # a real certificate at MAX_TREE_DEPTH levels is hundreds of megabytes,
+    # so the same code runs here under a lower bound
+    monkeypatch.setattr(documents, "MAX_TREE_DEPTH", 20)
+    for n, code in ((38, 0), (40, 3)):
+        path = tmp_path / f"chain{n}.json"
+        path.write_text(serialize(generate("chain", [n])))
+        out = tmp_path / f"tree{n}.json"
+        assert cli(["decompose", str(path), "-o", str(out)]) == code
+        if code:
+            assert not out.exists()
+            assert capsys.readouterr().err.splitlines() == [
+                "error: input too large: the decomposition tree has 21 levels; "
+                "a tree document holds at most 20"]
+            continue
+        assert cli(["verify", str(path), str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "ok"
+
+
+def test_verify_reads_tree_documents_up_to_the_depth_bound(tmp_path):
+    # one-element nodes keep the document small; it is read, and verify
+    # then rejects it as a gluing, at the bound, and one level deeper it is
+    # a schema error on every Python, whatever json.loads takes
+    one = '{"elements": ["0"], "covers": [], "embedding": {"0": "0"}}'
+    lattice = tmp_path / "one.json"
+    lattice.write_text(one)
+    leaf = f'{{"kind": "leaf", "lattice": {one}}}'
+    glue = f'{{"kind": "glue", "lattice": {one}, "chain": ["0"], "children": [{leaf}, '
+    tree = tmp_path / "tree.json"
+    for levels in (MAX_TREE_DEPTH, MAX_TREE_DEPTH + 1):
+        tree.write_text(glue * (levels - 1) + leaf + "]}" * (levels - 1))
+        proc = run_cli("verify", str(lattice), str(tree))
+        assert "Traceback" not in proc.stderr
+        if levels == MAX_TREE_DEPTH:
+            assert proc.returncode == 1, proc.stderr
+            assert proc.stdout == ("violation at root [witness_valid]: "
+                                   "witness is not proper\n")
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "error: $" + ".children[1]" * (MAX_TREE_DEPTH - 1) + ".children[0]: "
+        f"a tree document holds at most {MAX_TREE_DEPTH} levels"]
 
 
 def test_check_deeply_nested_lattice_document_is_a_schema_error(tmp_path):

@@ -9,13 +9,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import assert_same_lattice
-from latpatch import (DecompGlue, Diagram, Lattice, decompose,
+from conftest import assert_same_lattice, ladder_inputs
+from latpatch import (DecompGlue, DecompLeaf, Diagram, GluingWitness, Lattice, decompose,
                       documents, export_dot, generate, is_rectangular, is_slim,
                       is_semimodular, parse_document, parse_tree_document,
                       serialize, serialize_tree, validate_diagram, verify_tree)
-from latpatch.documents import _diagram_to_dict, _format_rational, _tree_to_dict
-from latpatch.errors import BadParams, EmbeddingFailed, LatpatchError, SchemaError
+from latpatch.documents import MAX_TREE_DEPTH, _format_rational, _tree_from_dict
+from latpatch.errors import (BadParams, EmbeddingFailed, LatpatchError, SchemaError,
+                             TreeTooDeep)
+from oracles import json_reference, lattice_document, tree_document
 
 
 # -- diagram documents -------------------------------------------------------
@@ -212,18 +214,30 @@ def test_mutated_tree_documents_raise_only_domain_errors(data):
         pass
 
 
-# -- the JSON emitter ------------------------------------------------------------
-
-def json_reference(doc):
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
+# -- the writer: byte-identical to json.dumps ---------------------------------------
 
 def test_serializers_match_json_dumps_on_corpus(corpus, random_corpus_small):
     for name, diag in corpus + random_corpus_small:
-        assert serialize(diag) == json_reference(_diagram_to_dict(diag)), name
+        assert serialize(diag) == json_reference(lattice_document(diag)), name
         if diag.lattice.n > 1:
             tree, _ = decompose(diag)
-            assert serialize_tree(tree) == json_reference(_tree_to_dict(tree)), name
+            assert serialize_tree(tree) == json_reference(tree_document(tree)), name
+
+
+def test_serialize_tree_matches_json_dumps_on_shared_subtrees():
+    shared = 0
+    for name, diag in ladder_inputs():
+        tree, _ = decompose(diag)
+        ids, occurrences, stack = set(), 0, [tree]
+        while stack:
+            node = stack.pop()
+            ids.add(id(node))
+            occurrences += 1
+            if isinstance(node, DecompGlue):
+                stack += [node.left, node.right]
+        shared += occurrences - len(ids)
+        assert serialize_tree(tree) == json_reference(tree_document(tree)), name
+    assert shared > 0
 
 
 def test_serialize_escapes_labels_like_json_dumps():
@@ -232,14 +246,12 @@ def test_serialize_escapes_labels_like_json_dumps():
     lat = Lattice(list(zip(labels, labels[1:])), elements=labels)
     diag = Diagram(lat, [0] * lat.n)
     meta = {label: label for label in labels}
-    doc = _diagram_to_dict(diag)
-    doc["meta"] = meta
     text = serialize(diag, meta=meta)
-    assert text == json_reference(doc)
+    assert text == json_reference(lattice_document(diag, meta))
     assert text.isascii()
     assert parse_document(text) == diag
     tree, _ = decompose(diag)
-    assert serialize_tree(tree) == json_reference(_tree_to_dict(tree))
+    assert serialize_tree(tree) == json_reference(tree_document(tree))
 
 
 JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
@@ -258,25 +270,104 @@ JSON_VALUES = st.recursive(
 @settings(max_examples=300, deadline=None)
 def test_serialize_meta_matches_json_dumps(meta):
     diag = generate("grid", [2, 2])
-    doc = _diagram_to_dict(diag)
-    if meta:
-        doc["meta"] = dict(meta)
-    assert serialize(diag, meta=meta) == json_reference(doc)
+    assert serialize(diag, meta=meta) == json_reference(lattice_document(diag, meta))
 
 
-def test_dumps_matches_json_dumps_on_empty_containers():
-    docs = [
-        {"meta": {}},
-        {"meta": {"a": {}, "b": [], "c": [{}, [], [[]], {"d": {}}]}},
-        {"elements": [], "covers": [], "embedding": {}, "meta": {}},
-        {"kind": "glue", "chain": [], "children": [{"meta": {}}, {"meta": {"x": []}}]},
-        {"meta": {1: [], 2: {}, 3: {"e": []}}},
-        {"meta": {"k": {1: {}, 2: [[], {}]}}},
-        [],
-        {},
-    ]
-    for doc in docs:
-        assert documents._dumps(doc) == json_reference(doc), doc
+def test_serializers_match_json_dumps_on_empty_containers():
+    one = Diagram(Lattice([], elements=["0"]), [0])
+    assert serialize(one) == json_reference(lattice_document(one))
+    for meta in ({"a": {}, "b": [], "c": [{}, [], [[]], {"d": {}}]},
+                 {1: [], 2: {}, 3: {"e": []}}, {"k": {1: {}, 2: [[], {}]}}):
+        assert serialize(one, meta=meta) == json_reference(lattice_document(one, meta))
+    leaf = DecompLeaf(one)
+    assert serialize_tree(leaf) == json_reference(tree_document(leaf))
+    # no decomposition glues over an empty chain, but the writer lays one out
+    # as json.dumps does
+    glue = DecompGlue(leaf, leaf, 0, GluingWitness(one.lattice, frozenset([0]),
+                                                   frozenset([0]), frozenset()), one)
+    assert serialize_tree(glue) == json_reference(tree_document(glue))
+
+
+def run_python(source):
+    """`source` in a fresh interpreter, importing latpatch from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", source],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+SERIALIZE_UNDER_LOW_LIMIT_RUN = """
+import sys
+from latpatch import decompose, generate, serialize_tree
+tree, _ = decompose(generate("chain", [200]))
+text = serialize_tree(tree)
+# a recursive writer needs a frame per tree level, about 100 here
+sys.setrecursionlimit(80)
+print(serialize_tree(tree) == text)
+"""
+
+
+def test_serialize_tree_of_chain_200_under_a_low_recursion_limit():
+    proc = run_python(SERIALIZE_UNDER_LOW_LIMIT_RUN)
+    assert "RecursionError" not in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
+
+
+# -- the tree-depth bound ------------------------------------------------------
+
+def comb(levels):
+    """A tree of `levels` levels built node by node: every glue node's left
+    child is one shared leaf, its right child the next glue node.  Each node
+    holds the one-element lattice, so the tree is cheap to write at any
+    depth; it is no decomposition, and `verify_tree` rejects it."""
+    one = Diagram(Lattice([], elements=["0"]), [0])
+    leaf = DecompLeaf(one)
+    witness = GluingWitness(one.lattice, frozenset([0]), frozenset([0]), frozenset([0]))
+    node = leaf
+    for _ in range(levels - 1):
+        node = DecompGlue(leaf, node, 1, witness, one)
+    return node
+
+
+def comb_document(levels):
+    """The document of `comb(levels)` as a dict, built level by level."""
+    lattice = {"covers": [], "elements": ["0"], "embedding": {"0": "0"}, "meta": {}}
+    leaf = {"kind": "leaf", "lattice": lattice}
+    doc = leaf
+    for _ in range(levels - 1):
+        doc = {"kind": "glue", "lattice": lattice, "chain": ["0"], "children": [leaf, doc]}
+    return doc
+
+
+def test_writer_accepts_trees_at_the_depth_bound():
+    text = serialize_tree(comb(MAX_TREE_DEPTH))
+    assert text.count('"kind": "glue"') == MAX_TREE_DEPTH - 1
+    assert text.splitlines()[-1] == "}"
+    tree = _tree_from_dict(comb_document(MAX_TREE_DEPTH), "$")
+    assert serialize_tree(tree) == text
+
+
+def test_writer_refuses_trees_past_the_depth_bound():
+    chunks = documents._tree_chunks(comb(MAX_TREE_DEPTH + 1))
+    with pytest.raises(TreeTooDeep) as info:
+        next(chunks)
+    assert str(info.value) == (f"the decomposition tree has {MAX_TREE_DEPTH + 1} "
+                               f"levels; a tree document holds at most {MAX_TREE_DEPTH}")
+    with pytest.raises(TreeTooDeep):
+        serialize_tree(comb(MAX_TREE_DEPTH + 1))
+
+
+def test_reader_refuses_documents_past_the_depth_bound():
+    _tree_from_dict(comb_document(MAX_TREE_DEPTH), "$")
+    with pytest.raises(SchemaError) as info:
+        _tree_from_dict(comb_document(MAX_TREE_DEPTH + 1), "$")
+    # the first node walked at the deepest level is the left child of the
+    # deepest glue node
+    assert info.value.path == "$" + ".children[1]" * (MAX_TREE_DEPTH - 1) + ".children[0]"
+    assert str(info.value).endswith(f": a tree document holds at most "
+                                    f"{MAX_TREE_DEPTH} levels")
 
 
 # -- tree documents ------------------------------------------------------------
@@ -321,12 +412,12 @@ def test_tree_document_rejects_non_string_chain_label():
 
 
 TREE_PARSE_UNDER_LOW_LIMIT_RUN = """
-import sys
-from latpatch import decompose, generate, verify_tree
-from latpatch.documents import _tree_from_dict, _tree_to_dict
+import json, sys
+from latpatch import decompose, generate, serialize_tree, verify_tree
+from latpatch.documents import _tree_from_dict
 diag = generate("chain", [200])
 tree, _ = decompose(diag)
-doc = _tree_to_dict(tree)
+doc = json.loads(serialize_tree(tree))
 # a recursive walk needs a frame per tree level, about 100 here
 sys.setrecursionlimit(80)
 print(verify_tree(_tree_from_dict(doc, "$"), diag))
@@ -334,11 +425,7 @@ print(verify_tree(_tree_from_dict(doc, "$"), diag))
 
 
 def test_tree_parse_of_chain_200_under_a_low_recursion_limit():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", TREE_PARSE_UNDER_LOW_LIMIT_RUN],
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = run_python(TREE_PARSE_UNDER_LOW_LIMIT_RUN)
     assert "RecursionError" not in proc.stderr
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "None"
@@ -506,10 +593,10 @@ def test_non_uniform_height_shift_is_validated_in_full(monkeypatch):
         parent = Diagram(Lattice(covers, elements=elements),
                          [Fraction(xs[e]) for e in elements])
         assert validate_diagram(parent) is None
-        child = with_elements(_diagram_to_dict(parent), interval)
+        child = with_elements(lattice_document(parent), interval)
         child["embedding"] = {e: xs[e] for e in interval}
         leaf = {"kind": "leaf", "lattice": child}
-        text = json.dumps({"kind": "glue", "lattice": _diagram_to_dict(parent),
+        text = json.dumps({"kind": "glue", "lattice": lattice_document(parent),
                            "chain": ["y"], "children": [leaf, leaf]})
         assert_same_outcome(text, monkeypatch)
         outcome = parse_outcome(text)
