@@ -155,19 +155,20 @@ class Lattice:
         """Set every field from the cover lists, which must be sorted (so the
         cover pairs come out sorted), and `order`, a linear extension; the
         masks and heights come from `_closure`."""
+        n = len(names)
         self.names = names
-        self.n = len(names)
-        self.index = {lab: i for i, lab in enumerate(names)} if index is None else index
-        self.covers = tuple((v, w) for v, ws in enumerate(upper_covers) for w in ws)
+        self.n = n
+        self.index = dict(zip(names, range(n))) if index is None else index
+        self.covers = tuple([(v, w) for v, ws in enumerate(upper_covers) for w in ws])
         self._cover_set = frozenset(self.covers)
         self.upper_covers = upper_covers
         self.lower_covers = lower_covers
         self.up, self.down, self.height = _closure(upper_covers, lower_covers, order)
-        self.full_mask = (1 << self.n) - 1
+        self.full_mask = (1 << n) - 1
         self.bottom = bottom
         self.top = top
-        self._up_owner = {mask: v for v, mask in enumerate(self.up)}
-        self._down_owner = {mask: v for v, mask in enumerate(self.down)}
+        self._up_owner = dict(zip(self.up, range(n)))
+        self._down_owner = dict(zip(self.down, range(n)))
 
     @staticmethod
     def _trusted(*fields, index=None):
@@ -265,14 +266,16 @@ class Lattice:
         of two others.  Ids keep their relative order, so the cover lists
         stay sorted, and this lattice's heights order the members linearly.
         """
-        pos = {v: i for i, v in enumerate(members)}
-        upper = tuple(tuple(pos[w] for w in self.upper_covers[v] if w in pos)
-                      for v in members)
-        lower = tuple(tuple(pos[w] for w in self.lower_covers[v] if w in pos)
-                      for v in members)
+        k = len(members)
+        pos = dict(zip(members, range(k)))
+        upper_covers, lower_covers = self.upper_covers, self.lower_covers
         height = self.height
-        order = sorted(range(len(members)), key=lambda i: height[members[i]])
-        return Lattice._trusted(tuple(self.names[v] for v in members), upper, lower,
+        upper = tuple([tuple([pos[w] for w in upper_covers[v] if w in pos])
+                       for v in members])
+        lower = tuple([tuple([pos[w] for w in lower_covers[v] if w in pos])
+                       for v in members])
+        order = sorted(range(k), key=[height[v] for v in members].__getitem__)
+        return Lattice._trusted(tuple([self.names[v] for v in members]), upper, lower,
                                 order, pos[bottom], pos[top])
 
     def __eq__(self, other):

@@ -131,7 +131,11 @@ def validate_diagram(diag):
         seen[pt] = v
     # every edge rises, since y is the height and `core._closure` puts each
     # element above its lower covers.  Edges with disjoint height ranges
-    # cannot conflict: sweep a y-window; inside it, edges whose closed x
+    # cannot conflict: sweep the edges by their lower end's height, and stop
+    # for (a, b) at the first edge starting at b's height `top`.  Such an
+    # edge meets y = top only at its lower end, and (a, b) only at b; the
+    # positions are distinct, so the two can meet only at b, an endpoint of
+    # both, which is no conflict.  Inside the window, edges whose closed x
     # ranges are disjoint cannot meet either
     sweep = []
     for a, b in sorted(lat.covers, key=lambda e: (lat.height[e[0]], e)):
@@ -141,7 +145,7 @@ def validate_diagram(diag):
         pa, pb = points[a], points[b]
         top = lat.height[b]
         for h, c_lo, c_hi, c, d in sweep[i + 1:]:
-            if h > top:
+            if h >= top:
                 break
             if c_lo > hi or c_hi < lo:
                 continue

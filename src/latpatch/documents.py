@@ -69,27 +69,40 @@ def serialize(diag, meta=None):
     return _lattice_text(diag, text.replace("\n", "\n  ")) + "\n"
 
 
-def _derived_child(parent, elements, pairs, embedding):
+def _derived_child(parent, elements, covers, embedding):
     """The diagram of a tree node derived from its parent node's, or None.
 
-    `parent` is the parent's parsed diagram and raw embedding.  A node is
-    derived when its elements are parent labels in ascending parent-id
-    order forming an interval [y, x], its covers are the parent's covers
-    inside it, every coordinate is the parent's text for that label, and
-    the heights the interval recomputes are the parent's minus one
-    constant.  An interval of a lattice is a lattice with exactly those
-    covers, and the drawing is then a vertical translate of part of the
-    parent's validated drawing, so no points coincide, every edge rises and
-    no edges meet: parsing it in full would give the same diagram.
+    `parent` is the parent's parsed diagram and raw embedding; `elements`,
+    `covers` and `embedding` are the node's raw JSON values, read before
+    any schema check.  A node is derived when `elements` is a list of
+    parent labels in ascending parent-id order forming an interval [y, x],
+    every coordinate is the parent's text for that label, `covers` lists
+    exactly the interval's covers as `[lower, upper]` lists of ints
+    (`type(..) is int`, so `true` and `1.0` never match) in the sorted order
+    `serialize_tree` writes, and the heights the interval recomputes are
+    the parent's minus one constant.
+
+    A match implies every schema fact the full parse checks: the labels
+    are distinct strings, the covers are in-range index pairs and every
+    coordinate is canonical, as it is in the validated parent.  An interval
+    of a lattice is a lattice with exactly those covers, and the drawing is
+    then a vertical translate of part of the parent's validated drawing, so
+    no points coincide, every edge rises and no edges meet: parsing it in
+    full would give the same diagram.  Anything else gives None, and the
+    full parse then reports the node's first error, or accepts it.
     """
     pdiag, pembedding = parent
-    if not elements or pembedding is None or not isinstance(embedding, dict):
+    if (pembedding is None or type(embedding) is not dict or type(elements) is not list
+            or not elements):
         return None
     plat = pdiag.lattice
+    index = plat.index
     members = []
     last = -1
     for name in elements:
-        v = plat.index.get(name)
+        if type(name) is not str:
+            return None
+        v = index.get(name)
         if v is None or v <= last or embedding.get(name) != pembedding[name]:
             return None
         members.append(v)
@@ -98,8 +111,14 @@ def _derived_child(parent, elements, pairs, embedding):
     if ends is None:
         return None
     lat = plat._derived(members, *ends)
-    if set(pairs) != lat._cover_set:
+    if type(covers) is not list or len(covers) != len(lat.covers):
         return None
+    for entry, pair in zip(covers, lat.covers):
+        if type(entry) is not list or len(entry) != 2:
+            return None
+        a, b = entry
+        if type(a) is not int or type(b) is not int or (a, b) != pair:
+            return None
     heights = plat.height
     shift = heights[ends[0]]
     if any(heights[v] - shift != h for v, h in zip(members, lat.height)):
@@ -111,6 +130,11 @@ def _derived_child(parent, elements, pairs, embedding):
 def _diagram_from_dict(doc, path, max_synth=16, parent=None):
     if not isinstance(doc, dict):
         raise SchemaError(path, "expected an object")
+    if parent is not None and isinstance(doc.get("meta", {}), dict):
+        diag = _derived_child(parent, doc.get("elements"), doc.get("covers"),
+                              doc.get("embedding"))
+        if diag is not None:
+            return diag
     elements = doc.get("elements")
     if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
         raise SchemaError(f"{path}.elements", "expected a list of strings")
@@ -132,10 +156,6 @@ def _diagram_from_dict(doc, path, max_synth=16, parent=None):
     if not isinstance(meta, dict):
         raise SchemaError(f"{path}.meta", "expected an object")
     embedding = doc.get("embedding")
-    if parent is not None:
-        diag = _derived_child(parent, elements, pairs, embedding)
-        if diag is not None:
-            return diag
     try:
         lat = Lattice([(elements[a], elements[b]) for a, b in pairs], elements=elements)
     except CycleDetected as exc:
@@ -316,13 +336,16 @@ def parse_tree_document(text, max_synth=16):
     """Parse a decomposition-tree document produced by `serialize_tree`.
 
     The root's lattice is parsed and validated in full, like a lattice
-    document.  A child whose lattice is an interval of its parent node's,
-    drawn with the parent's coordinate text and heights shifted by one
-    constant, as every child `serialize_tree` writes is, is derived from
-    the parent in O(k) (`Lattice._derived`) without a full lattice build
-    or a crossing check; any other child is parsed and validated in full,
-    with the same result or error as on its own.  Whether the children
-    really split their parent is `verify_tree`'s question, not parsing's.
+    document.  Each child's lattice object is first checked against its
+    parent node's, on its raw JSON values and before any schema check
+    (`_derived_child`): an interval of the parent, listed in the parent's
+    order with the parent's covers and coordinate text and heights shifted
+    by one constant, as every child `serialize_tree` writes is, is derived
+    from the parent in one O(k) pass (`Lattice._derived`), without a full
+    lattice build or a crossing check.  Any other child is parsed and
+    validated in full, with the same result or error as on its own.
+    Whether the children really split their parent is `verify_tree`'s
+    question, not parsing's.
 
     Errors in the JSON itself are reported as by `_load_json`."""
     return _tree_from_dict(_load_json(text), "$", max_synth=max_synth)

@@ -69,7 +69,7 @@ class TreeViolation:
 # -- the independent oracle -------------------------------------------------
 
 def _by_size_then_members(mask):
-    return bin(mask).count("1"), tuple(iter_bits(mask))
+    return mask.bit_count(), tuple(iter_bits(mask))
 
 
 def brute_force_gluing_search(diag, bound=None):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from conftest import assert_same_lattice
 from latpatch import (Diagram, DiagramViolation, EyeRecord, Lattice,
-                      find_eyes, generate, is_isomorphic,
+                      diagram, find_eyes, generate, is_isomorphic,
                       is_patch, is_rectangular, is_slim, rectangularize,
                       reflect, restore_eyes, slim, subdiagram,
                       synthesize_embedding, upper_left_boundary,
@@ -148,6 +148,23 @@ def test_geometry_matches_rational_reference_on_corpus(corpus, random_corpus_sma
     for _, diag in list(corpus) + list(random_corpus_small):
         assert_geometry_matches_reference(diag.lattice, diag.xcoord)
         assert validate_diagram(diag) is None
+
+
+@pytest.mark.parametrize("kind, params, seed, tests", [("grid", [6, 6], 0, 50),
+                                                       ("random-sps", [32], 7, 9)])
+def test_sweep_stops_at_each_edge_top(kind, params, seed, tests, monkeypatch):
+    # an edge (c, d) with c at the height of b meets (a, b) at most in b,
+    # so the sweep tests no such pair
+    diag = generate(kind, params, seed=seed)
+    calls = []
+
+    def counting(*points):
+        calls.append(points)
+        return _segments_conflict(*points)
+
+    monkeypatch.setattr(diagram, "_segments_conflict", counting)
+    assert validate_diagram(diag) is None
+    assert len(calls) == tests
 
 
 # -- boundaries --------------------------------------------------------------

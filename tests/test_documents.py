@@ -559,8 +559,43 @@ def foreign_label(lat):
     return dict(lat, elements=elements, embedding=embedding)
 
 
+def reordered_covers(lat):
+    return dict(lat, covers=lat["covers"][::-1])
+
+
+def repeated_cover(lat):
+    return dict(lat, covers=lat["covers"] + lat["covers"][:1])
+
+
+def true_index(lat):
+    # `true` equals 1 in Python, but a cover index must be an integer
+    k = next(k for k, pair in enumerate(lat["covers"]) if 1 in pair)
+    covers = list(lat["covers"])
+    covers[k] = [True if i == 1 else i for i in covers[k]]
+    return dict(lat, covers=covers)
+
+
+def float_index(lat):
+    lower, upper = lat["covers"][0]
+    return dict(lat, covers=[[float(lower), upper]] + lat["covers"][1:])
+
+
+def integer_label(lat):
+    return dict(lat, elements=lat["elements"][:-1] + [len(lat["elements"])])
+
+
+def list_label(lat):
+    return dict(lat, elements=lat["elements"][:-1] + [lat["elements"][-1:]])
+
+
+def non_object_meta(lat):
+    return dict(lat, meta=[])
+
+
 TAMPERINGS = [missing_cover, extra_cover, moved_coordinate, rewritten_coordinate,
-              non_interval, reordered, without_embedding, foreign_label]
+              non_interval, reordered, without_embedding, foreign_label,
+              reordered_covers, repeated_cover, true_index, float_index,
+              integer_label, list_label, non_object_meta]
 
 
 @pytest.mark.parametrize("tamper", TAMPERINGS, ids=lambda f: f.__name__)
@@ -574,7 +609,9 @@ def test_tampered_children_parse_as_in_full(tamper, monkeypatch):
                 continue
             original = node["lattice"]
             node["lattice"] = tamper(original)
-            assert node["lattice"] != original
+            # as JSON text, since `true` and `1.0` compare equal to 1
+            assert json.dumps(node["lattice"], sort_keys=True) != json.dumps(
+                original, sort_keys=True)
             assert_same_outcome(json.dumps(doc), monkeypatch)
             node["lattice"] = original
             checked += 1
