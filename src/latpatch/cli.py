@@ -95,14 +95,17 @@ def cmd_decompose(args):
         # the depth check runs before the first chunk, so a tree too deep to
         # write is refused before the output file is opened
         _write(args.output, itertools.chain([next(chunks)], chunks))
+    # a certificate on stdout keeps stdout one document
+    out = sys.stderr if args.output == "-" else sys.stdout
     entries, parts = sequence_of(tree)
     for i, entry in enumerate(entries, start=1):
         n = entry.lattice.n
         if i in parts:
             j, k = parts[i]
-            print(f"L{i}: {n} elements = gluing of L{j} and L{k} over a chain")
+            print(f"L{i}: {n} elements = gluing of L{j} and L{k} over a chain",
+                  file=out)
         else:
-            print(f"L{i}: {n} elements (patch)")
+            print(f"L{i}: {n} elements (patch)", file=out)
     if args.trace:
         print(f"trace: {len(trace.eyes)} eye(s) removed, "
               f"{len(trace.extension_steps)} extension step(s), "

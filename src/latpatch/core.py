@@ -218,15 +218,15 @@ class Lattice:
         pipeline's parts (↓x, ↑y) are all intervals.  Any other subset gets
         its covers recomputed and is validated in full.
 
-        Derived lattices, made from one already validated: hulls and
-        one-step extensions (grown in place by `ops._Hull`), eye insertions
-        (grown in place by `_Growing`), and, by `_derived`, intervals (here,
-        and the children of tree documents that match an interval of their
-        parent node, see `parse_tree_document`), slimmed lattices (all eyes
-        removed at once) and the removal of one added t.  Validated in full: lattice
-        documents, the roots of tree documents and any child that does not
-        match its parent, every `Lattice(covers)`, the generators' chains,
-        grids, diamonds and gluings, and non-interval subsets.
+        Derived lattices, made from one already validated: hulls, one-step
+        extensions and eye insertions (grown in place by `_Growing`), and, by
+        `_derived`, intervals (here, and the children of tree documents that
+        match an interval of their parent node, see `parse_tree_document`),
+        slimmed lattices (all eyes removed at once) and the removal of one
+        added t.  Validated in full: lattice documents, the roots of tree
+        documents and any child that does not match its parent, every
+        `Lattice(covers)`, the generators' chains, grids, diamonds and
+        gluings, and non-interval subsets.
         """
         members = sorted(members)
         mask = self.mask_of(members)
@@ -289,38 +289,35 @@ class Lattice:
 
 
 class _Growing:
-    """A lattice grown in place by doubly irreducible elements.
+    """A lattice grown in place by doubly irreducible elements; hulls
+    (`ops._Hull`) and eyes (`restore_eyes`) both grow here.
 
-    It holds mutable names, cover lists and heights under `Lattice`'s field
-    names, and no masks.  `add(a, c, label)` appends a new element t with
-    a ≺ t ≺ c in O(1) amortized; `lattice()` freezes the result once,
-    unchecked, and builds every mask in one closure pass in height order.
+    It holds mutable cover lists and heights under `Lattice`'s field names,
+    and no labels or masks.  `add(a, c)` appends a new element t with
+    a ≺ t ≺ c in O(1) amortized and returns its id; `lattice(names)` freezes
+    the result once, unchecked, and builds every mask in one closure pass in
+    height order.  Callers keep their own labels.
 
     Nothing can fail when a < c and (a, c) is not a cover, which every
-    caller guarantees; `ops._Hull` grows its cover lists and heights the
-    same way.  The old order is kept, since a < c already, and
-    so are the old covers, since (a, c) was none.  t has a join and a meet
-    with every x: x ∨ t is t when x ≤ a and x ∨ c otherwise, and x ∧ t is
-    t when x ≥ c and x ∧ a otherwise.  Old pairs keep their bounds: if
-    x, y ≤ a then x ∨ y ≤ a < t, so t is only one more upper bound of
-    x ∨ y, and dually.  Heights stay, because c lies at least two levels
-    above a, so height order stays a linear extension.
+    caller guarantees.  The old order is kept, since a < c already, and so
+    are the old covers, since (a, c) was none.  t has a join and a meet with
+    every x: x ∨ t is t when x ≤ a and x ∨ c otherwise, and x ∧ t is t when
+    x ≥ c and x ∧ a otherwise.  Old pairs keep their bounds: if x, y ≤ a
+    then x ∨ y ≤ a < t, so t is only one more upper bound of x ∨ y, and
+    dually.  Heights stay, because c lies at least two levels above a, so
+    height order stays a linear extension.
     """
 
     def __init__(self, lat):
-        self.names = list(lat.names)
-        self.index = dict(lat.index)
         self.upper_covers = [list(ws) for ws in lat.upper_covers]
         self.lower_covers = [list(ws) for ws in lat.lower_covers]
         self.height = list(lat.height)
         self.bottom = lat.bottom
         self.top = lat.top
 
-    def add(self, a, c, label):
-        """Add `label` as the new element t with a ≺ t ≺ c only; t's id."""
-        t = len(self.names)
-        self.names.append(label)
-        self.index[label] = t
+    def add(self, a, c):
+        """Add a new element t with a ≺ t ≺ c only; t's id."""
+        t = len(self.height)
         self.upper_covers[a].append(t)
         self.upper_covers.append([c])
         self.lower_covers[c].append(t)
@@ -328,15 +325,24 @@ class _Growing:
         self.height.append(self.height[a] + 1)
         return t
 
-    def lattice(self):
-        """The grown lattice; call once, when growing is done.  Cover lists
-        stay sorted, because every new id is the largest so far."""
+    def lattice(self, names, index=None):
+        """The grown lattice labelled by `names`, one per id (and `index`,
+        their label -> id map, when the caller keeps one).  Cover lists stay
+        sorted, because every new id is the largest so far."""
         height = self.height
         return Lattice._trusted(
-            tuple(self.names), tuple(map(tuple, self.upper_covers)),
+            tuple(names), tuple(map(tuple, self.upper_covers)),
             tuple(map(tuple, self.lower_covers)),
             sorted(range(len(height)), key=height.__getitem__),
-            self.bottom, self.top, index=self.index)
+            self.bottom, self.top, index=index)
+
+
+def _first_unused(prefix, taken, k):
+    """The first label `prefix` + j, for j = k, k + 1, ..., that `taken`
+    does not hold, and that j."""
+    while f"{prefix}{k}" in taken:
+        k += 1
+    return f"{prefix}{k}", k
 
 
 def is_semimodular(lat):

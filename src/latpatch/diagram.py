@@ -404,33 +404,38 @@ def restore_eyes(diag, records):
     as a stable sort by x of the ascending ids does, and each eye is then
     inserted in place.  Anchors that are not comparable have no middles,
     so "no longer lies below" is decided only when the host check fails.
+    Labels are kept beside the grower, because each eye's label is checked
+    and may anchor a later eye.
     """
     if not records:
         return diag
-    grown = _Growing(diag.lattice)
+    lat = diag.lattice
+    grown, names, index = _Growing(lat), list(lat.names), dict(lat.index)
     xs = list(diag.xcoord)
     mids = {}  # (lo, hi) -> the middles of [lo, hi] as sorted (x, id)
     for rec in reversed(records):
-        lo, hi = grown.index.get(rec.lower), grown.index.get(rec.upper)
+        lo, hi = index.get(rec.lower), index.get(rec.upper)
         if lo is None or hi is None:
             raise MissingAnchor(f"anchor of {rec.label!r} is gone", record=rec)
-        if rec.label in grown.index:
+        if rec.label in index:
             raise MissingAnchor(f"label {rec.label!r} already in use", record=rec)
         row = mids.get((lo, hi))
         if row is None:  # the mask -1 holds every id
             row = mids[lo, hi] = sorted((xs[z], z)
                                         for z in _middles(grown, lo, -1).get(hi, ()))
         if len(row) < 2 or not 1 <= rec.slot <= len(row) - 1:
-            if not grown.lattice().lt(lo, hi):
+            if not grown.lattice(names).lt(lo, hi):
                 raise MissingAnchor(
                     f"{rec.lower!r} no longer lies below {rec.upper!r}", record=rec)
             raise MissingAnchor(
                 f"[{rec.lower!r}, {rec.upper!r}] is not an interval that can "
                 f"host {rec.label!r} at slot {rec.slot}", record=rec)
         x = (row[rec.slot - 1][0] + row[rec.slot][0]) / 2
-        insort(row, (x, grown.add(lo, hi, rec.label)))  # lo < hi, not a cover
+        t = index[rec.label] = grown.add(lo, hi)  # lo < hi, not a cover
+        names.append(rec.label)
+        insort(row, (x, t))
         xs.append(x)
-    return Diagram(grown.lattice(), xs)
+    return Diagram(grown.lattice(names, index), xs)
 
 
 # -- embeddings for abstract lattices ------------------------------------

@@ -6,6 +6,7 @@ an embedding gets one synthesized.
 """
 
 import json
+import threading
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -187,13 +188,39 @@ def _diagram_from_dict(doc, path, max_synth=16, parent=None):
 def _load_json(text):
     """The JSON value of `text`.  Malformed JSON, and a document nested
     deeper than `json.loads` takes (its limit varies with the Python
-    version), are a `SchemaError` at `$`."""
+    version), are a `SchemaError` at `$`.
+
+    `json.loads` nests less deeply the deeper its caller's stack is, so a
+    `RecursionError` gets one more try in a new thread, whose stack starts
+    empty: how deep a document may nest does not depend on the caller."""
     try:
-        return json.loads(text)
+        try:
+            return json.loads(text)
+        except RecursionError:
+            return _in_new_thread(json.loads, text)
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"not valid JSON: {exc}")
     except RecursionError:
         raise SchemaError("$", "document nests too deeply") from None
+
+
+def _in_new_thread(fn, arg):
+    """fn(arg), run in a new thread; its exception is raised here."""
+    out = []
+
+    def run():
+        try:
+            out.append((fn(arg), None))
+        except Exception as exc:
+            out.append((None, exc))
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join()
+    value, exc = out[0]
+    if exc is not None:
+        raise exc
+    return value
 
 
 def parse_document(text, max_synth=16):
@@ -209,7 +236,7 @@ def parse_document(text, max_synth=16):
 # 3.11 `json.loads` reads at most 494 levels of a minimal tree document at
 # the top of a script and 475 inside a pytest test (3.12.1 reads 747, 3.13.0
 # 4998).  The bound keeps every certificate the writer accepts readable on
-# every supported version, with margin for the caller's stack; the
+# every supported version, from any caller depth (see `_load_json`); the
 # n-element chain's certificate has n/2 + 1 levels.
 MAX_TREE_DEPTH = 460
 

@@ -9,7 +9,7 @@ boundary extensions.  Equal seeds give byte-identical output.
 import random
 from fractions import Fraction
 
-from .core import Lattice, is_semimodular, iter_bits
+from .core import Lattice, _first_unused, is_semimodular, iter_bits
 from .diagram import Diagram, EyeRecord, _middles, restore_eyes, validate_diagram
 from .errors import BadParams, EmbeddingFailed
 from .ops import find_extension_sites, glue_over_chain, one_step_extension
@@ -62,12 +62,6 @@ def _two_middle_intervals(diag):
             if len(zs) == 2]
 
 
-def _fresh_eye_label(lat, counter):
-    while f"e{counter}" in lat.index:
-        counter += 1
-    return f"e{counter}", counter
-
-
 def _filter_chains(lat):
     """Elements b whose up-set [b, 1] is a chain, ascending by chain length.
 
@@ -105,7 +99,7 @@ def random_sps_diagram(target, seed):
         elif move == "eye":
             lat = cur.lattice
             o, i = rng.choice(spots)
-            label, eye_counter = _fresh_eye_label(lat, eye_counter)
+            label, eye_counter = _first_unused("e", lat.index, eye_counter)
             cur = restore_eyes(cur, [EyeRecord(lat.names[o], lat.names[i], 1, label)])
         elif move == "stack":
             piece = chain_diagram(rng.randint(2, min(room + 1, 4)))

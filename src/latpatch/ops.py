@@ -10,8 +10,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .core import (Lattice, _closure, _is_chain_mask, _is_filter_mask,
-                   _is_ideal_mask, iter_bits)
+from .core import (Lattice, _closure, _first_unused, _Growing, _is_chain_mask,
+                   _is_filter_mask, _is_ideal_mask, iter_bits)
 from .diagram import (Diagram, _boundary_data, _interval_rectangular, _patch,
                       _rectangular, _slim, is_rectangular, subdiagram,
                       synthesize_embedding, validate_diagram)
@@ -198,28 +198,26 @@ def find_extension_sites(diag):
     return [site for _, site in _sites(diag.lattice, (b.left_chain, b.right_chain))]
 
 
-class _Hull:
+class _Hull(_Growing):
     """A diagram's lattice grown in place at its boundary sites, undrawn.
 
-    It keeps what `_sites` reads and what the cut needs: the cover lists
-    and heights under `Lattice`'s field names, the left and right boundary
+    It grows as a `core._Growing`, without labels, and keeps what `_sites`
+    reads and what the cut needs besides: the left and right boundary
     chains, each side's scan position (no site lies before it), and one
     (a, b, c, side) tuple of ids per step, whose new t takes the next id.
-    It grows as `core._Growing` does, without labels.  `close` adds the ↑
-    and ↓ masks.  Labels, x coordinates and `ExtensionStep`s come from the
-    step tuples, and only `draw` makes them, where a hull is read.
+    `close` adds the ↑ and ↓ masks.  Labels, x coordinates and
+    `ExtensionStep`s come from the step tuples, and only `draw` makes
+    them, where a hull is read.
     """
 
     def __init__(self, diag):
-        lat, b = diag.lattice, diag.boundary
+        super().__init__(diag.lattice)
+        b = diag.boundary
         self.base = diag
-        self.upper_covers = [list(ws) for ws in lat.upper_covers]
-        self.lower_covers = [list(ws) for ws in lat.lower_covers]
-        self.height = list(lat.height)
-        self.bottom, self.top = lat.bottom, lat.top
         self.chains = (list(b.left_chain), list(b.right_chain))
         self.scan = [0, 0]
         self.steps = []
+        self._boundary = (-1, None)  # (step count, boundary data), see `boundary`
 
     def first_site(self):
         """The first site in `_sites` order with its position, or None.
@@ -250,20 +248,17 @@ class _Hull:
         """
         a, b, c, side = site
         s = side == "right"
-        t = len(self.height)
-        self.upper_covers[a].append(t)
-        self.upper_covers.append([c])
-        self.lower_covers[c].append(t)
-        self.lower_covers.append([a])
-        self.height.append(self.height[a] + 1)
-        self.chains[s][i + 1] = t
+        self.chains[s][i + 1] = self.add(a, c)
         self.scan[s] = min(self.scan[s], max(i - 1, 0))
         self.steps.append(site)
 
     def boundary(self):
-        """The boundary data of the current chains."""
-        left, right = map(tuple, self.chains)
-        return _boundary_data(self, left, right, (1 << len(self.height)) - 1)
+        """The boundary data of the current chains, counted once per step."""
+        if self._boundary[0] != len(self.steps):
+            left, right = map(tuple, self.chains)
+            self._boundary = len(self.steps), _boundary_data(
+                self, left, right, (1 << len(self.height)) - 1)
+        return self._boundary[1]
 
     def close(self):
         """Add n, the full mask and the ↑ and ↓ masks, in one closure pass
@@ -288,20 +283,18 @@ class _Hull:
         taken = set(names)
         k = 1
         for _ in self.steps:
-            while f"t{k}" in taken:
-                k += 1
-            names.append(f"t{k}")
-            taken.add(names[-1])
+            label, k = _first_unused("t", taken, k)
+            names.append(label)
+            taken.add(label)
         return tuple(names)
 
-    def draw(self, boundary):
-        """The grown diagram, carrying `boundary`, and one `ExtensionStep`
-        per step.
+    def draw(self):
+        """The grown diagram, carrying the boundary data of the current
+        chains, and one `ExtensionStep` per step.
 
         Each t goes one unit outside the drawing on its site's side, one
         level above a; the new edges hug the boundary, so the drawing stays
-        planar.  The lattice is frozen once, unchecked; its cover lists are
-        sorted, because every new id is the largest so far."""
+        planar.  The lattice is frozen once, by `_Growing.lattice`."""
         base, names = self.base, self.names
         xs = list(base.xcoord)
         lo, hi = min(xs), max(xs)
@@ -314,13 +307,8 @@ class _Hull:
                 lo -= 1
                 xs.append(lo)
             steps.append(ExtensionStep(names[a], names[b], names[c], side, names[t]))
-        height = self.height
-        lattice = Lattice._trusted(
-            names, tuple(map(tuple, self.upper_covers)),
-            tuple(map(tuple, self.lower_covers)),
-            sorted(range(len(height)), key=height.__getitem__), self.bottom, self.top)
-        diagram = Diagram(lattice, xs)
-        diagram.boundary = boundary
+        diagram = Diagram(self.lattice(names), xs)
+        diagram.boundary = self.boundary()
         return diagram, steps
 
     def pull_back(self, x, pivot):
@@ -384,7 +372,7 @@ def one_step_extension(diag, site):
     for i, found in _sites(hull, hull.chains):
         if found == site:
             hull.extend(i, found)
-            after, (step,) = hull.draw(hull.boundary())
+            after, (step,) = hull.draw()
             return after, step
     raise InvalidSite(f"{site!r} is not an extension site")
 
@@ -396,8 +384,7 @@ def rectangularize(diag, max_rounds=None):
     grown = _grow(diag, max_rounds)
     if grown is None:
         return diag, []
-    hull, b = grown
-    return hull.draw(b)
+    return grown[0].draw()
 
 
 def restrict_gluing(witness, step):

@@ -166,7 +166,7 @@ def _trace(step):
     if step.hull is None:
         rect, extension_steps = step.slimmed, []
     else:
-        rect, extension_steps = step.hull.draw(step.hull.boundary())
+        rect, extension_steps = step.hull.draw()
     cut = None
     if step.cut is not None:
         x, pivot, chain, mode = step.cut

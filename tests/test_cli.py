@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from latpatch import brute_force_gluing_search, documents, generate, serialize
+from latpatch import (brute_force_gluing_search, documents, generate, parse_document,
+                      parse_tree_document, serialize, verify_tree)
 from latpatch.cli import cli
 from latpatch.documents import MAX_TREE_DEPTH
 
@@ -81,6 +82,18 @@ def test_decompose_then_verify(grid_file, tmp_path, capsys):
     assert out.splitlines()[-1].startswith("L7: 9 elements = gluing")
     assert cli(["verify", grid_file, tree_path]) == 0
     assert capsys.readouterr().out.strip() == "ok"
+
+
+def test_decompose_to_stdout_writes_only_the_certificate(grid_file, capsys):
+    assert cli(["decompose", grid_file]) == 0
+    sequence = capsys.readouterr().out
+    assert cli(["decompose", grid_file, "-o", "-"]) == 0
+    written = capsys.readouterr()
+    tree = parse_tree_document(written.out)
+    with open(grid_file, encoding="utf-8") as handle:
+        assert verify_tree(tree, parse_document(handle.read())) is None
+    # the sequence goes to stderr instead
+    assert written.err == sequence
 
 
 def test_verify_mismatched_lattice(grid_file, tmp_path, capsys):

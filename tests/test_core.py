@@ -359,15 +359,19 @@ def test_rectangularize_builds_one_lattice_and_one_diagram(monkeypatch):
 def test_dropped_lattice_needs_no_cycle_collector():
     lat = Lattice([("0", "a"), ("a", "b"), ("b", "1")])
     grown = _Growing(lat)
-    grown.add(lat.bottom, lat.id_of("b"), "t")
-    derived = grown.lattice()
+    grown.add(lat.bottom, lat.id_of("b"))
+    derived = grown.lattice(lat.names + ("t",))
+    # a hull's lattice comes from the same freeze
+    drawn, steps = rectangularize(generate("chain", [5]))
+    hull = drawn.lattice
+    assert steps and hull.n > 5
     assert all(x.join(x.bottom, x.top) == x.top and x.meet(x.bottom, x.top) == x.bottom
-               for x in (lat, derived))
-    refs = [weakref.ref(lat), weakref.ref(derived)]
+               for x in (lat, derived, hull))
+    refs = [weakref.ref(lat), weakref.ref(derived), weakref.ref(hull)]
     gc.disable()
     try:
-        del lat, derived, grown
-        assert [ref() for ref in refs] == [None, None]
+        del lat, derived, grown, drawn, hull
+        assert [ref() for ref in refs] == [None, None, None]
     finally:
         gc.enable()
 

@@ -359,6 +359,17 @@ def test_writer_refuses_trees_past_the_depth_bound():
         serialize_tree(comb(MAX_TREE_DEPTH + 1))
 
 
+def test_certificates_at_the_depth_bound_parse_from_a_deep_caller():
+    text = serialize_tree(comb(MAX_TREE_DEPTH))
+
+    def parse_below(frames):
+        return parse_below(frames - 1) if frames else parse_tree_document(text)
+
+    # on 3.10 and 3.11 `json.loads` alone reads fewer levels than the bound
+    # from 200 extra frames
+    assert serialize_tree(parse_below(200)) == text
+
+
 def test_reader_refuses_documents_past_the_depth_bound():
     _tree_from_dict(comb_document(MAX_TREE_DEPTH), "$")
     with pytest.raises(SchemaError) as info:

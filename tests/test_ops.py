@@ -420,7 +420,7 @@ def test_hull_is_rectangular_exactly_when_no_site_is_left(corpus, random_corpus_
         hull = _Hull(slimmed)
         while True:
             # a frozen copy, its boundary walked afresh
-            drawn, _ = hull.draw(hull.boundary())
+            drawn, _ = hull.draw()
             frozen = Diagram(drawn.lattice, drawn.xcoord)
             found = hull.first_site()
             assert is_rectangular(frozen) == (found is None), name

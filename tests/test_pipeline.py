@@ -93,8 +93,8 @@ def test_decompose_never_calls_the_oracle(corpus, random_corpus_small, monkeypat
 def test_a_patch_hull_of_a_larger_slim_lattice_is_refused(c3, c4, monkeypatch):
     # a hull that is a patch after extension steps, as if c4 were the 3-chain:
     # the site process hands back the 3-chain's hull, a square after one step
-    hull, b = grown = latpatch.ops._grow(c3)
-    assert len(hull.steps) == 1 and is_patch(hull.draw(b)[0])
+    hull, _ = grown = latpatch.ops._grow(c3)
+    assert len(hull.steps) == 1 and is_patch(hull.draw()[0])
     monkeypatch.setattr(latpatch.pipeline, "_grow", lambda diag: grown)
     with pytest.raises(AssertionFailed, match="4-element slim lattice is a patch"):
         decompose(c4)
