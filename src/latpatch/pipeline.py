@@ -43,16 +43,38 @@ class PipelineTrace:
     fallback_used: bool
 
 
-@dataclass(frozen=True)
 class _Step:
     """What one decomposition step found, undrawn: the removed eyes, the
-    slim diagram, its grown hull (an `ops._Hull`, or None when it was
-    rectangular), and the cut as (x, pivot, chain, mode) in hull ids (None
-    for the 3-element chain)."""
-    eyes: tuple
-    slimmed: Diagram
-    hull: object
-    cut: Optional[tuple]
+    slim diagram, the witness on the slim lattice, its grown hull (an
+    `ops._Hull`, or None when it was rectangular), and the cut as (x,
+    pivot, chain, mode) in hull ids (None for the 3-element chain).
+
+    A chain's witness comes in closed form (see `_decompose_step`), and its
+    hull and cut are grown and cut by `_hull_path` only when first read,
+    which must give the same witness.  Any other step passes them in."""
+
+    def __init__(self, eyes, slimmed, witness, hull_cut=None):
+        self.eyes = eyes
+        self.slimmed = slimmed
+        self.witness = witness
+        self._hull_cut = hull_cut
+
+    def _found(self):
+        if self._hull_cut is None:
+            hull, cut, witness = _hull_path(self.slimmed)
+            if witness != self.witness:
+                raise AssertionFailed(
+                    "the hull path and the closed form give different witnesses")
+            self._hull_cut = hull, cut
+        return self._hull_cut
+
+    @property
+    def hull(self):
+        return self._found()[0]
+
+    @property
+    def cut(self):
+        return self._found()[1]
 
     @property
     def fallback_used(self):
@@ -119,9 +141,10 @@ def _lift_through_eyes(witness, full_diag):
     return lifted
 
 
-def _decompose_step(diag):
-    """One decomposition step, undrawn: None for a patch, else the witness
-    and the `_Step` that `_trace` draws.
+def _hull_path(slimmed):
+    """The hull of a slim diagram (None when it is rectangular), its cut as
+    (x, pivot, chain, mode) in hull ids (None for the 3-element chain), and
+    the witness on the slim lattice.
 
     The hull is grown by `ops._grow` and cut by `ops._cut` on its masks and
     covers; the cut's witness (↓x, ↑pivot) is pulled back to the slim
@@ -138,9 +161,6 @@ def _decompose_step(diag):
     is the only lower cover of each.  All else would lie below t or b, so
     the hull is {0, t, b, 1} and the slim lattice {0, b, 1}.
     """
-    if is_patch(diag):
-        return None
-    slimmed, eyes = slim(diag)
     lat = slimmed.lattice
     grown = _grow(slimmed)
     hull, b = grown or (lat, slimmed.boundary)
@@ -149,15 +169,52 @@ def _decompose_step(diag):
             raise AssertionFailed(
                 f"the hull of a {lat.n}-element slim lattice is a patch")
         (m,) = lat.upper_covers[lat.bottom]
-        witness = _principal(lat, m, m)
-        cut = None
-    else:
-        x, mode = _choose(hull, b)
-        pivot, chain = _cut(hull, b, x, mode)
-        witness = hull.pull_back(x, pivot) if grown else _principal(lat, x, pivot)
-        cut = (x, pivot, chain, mode)
-    lifted = _lift_through_eyes(witness, diag)
-    return lifted, _Step(tuple(eyes), slimmed, hull if grown else None, cut)
+        return hull, None, _principal(lat, m, m)
+    x, mode = _choose(hull, b)
+    pivot, chain = _cut(hull, b, x, mode)
+    if not grown:
+        return None, (x, pivot, chain, mode), _principal(lat, x, pivot)
+    return hull, (x, pivot, chain, mode), hull.pull_back(x, pivot)
+
+
+def _decompose_step(diag):
+    """One decomposition step, undrawn: None for a patch, else the witness
+    and the `_Step` that `_trace` draws.
+
+    A chain 0 = c_0 ≺ c_1 ≺ … ≺ c_{n-1} = 1 with n ≥ 3 (n elements and
+    n - 1 covers) gets its witness in closed form, (↓c, ↑c) with c at
+    height min(2, n - 2), and its hull and cut only when the step's trace
+    is read.  That is the witness `_hull_path` returns:
+    - Hull.  Both boundary chains are the input, and the left one is
+      scanned first.  With t_0 = 0, the site at position i is
+      t_i ≺ c_{i+1} ≺ c_{i+2}; it adds t_{i+1} with t_i ≺ t_{i+1} ≺ c_{i+2}
+      in place of c_{i+1}, which gives t_i and c_{i+2} a second cover, so
+      the next site is at i + 1.  After t_{n-2} no site is left, and the
+      hull is the 2 × (n - 1) grid: its left chain is 0, t_1, …, t_{n-2}, 1
+      and its right chain the input.
+    - Corners.  u_l = t_{n-2} is a dual atom and u_r = c_1, so `_choose`
+      picks mirrored mode with x = c_2, the right chain's cover of u_r.
+    - Cut and pull-back.  The pivot is x ∧ u_l = t_1, which `pull_back`
+      maps up through its c to c_2; x is an input element.  So the
+      witness is (↓c_2, ↑c_2).
+    - n = 3.  The hull {0, c_1, t_1, 1} is a patch, which gives
+      (↓c_1, ↑c_1).
+    A chain has no eyes, so it is its own slim diagram.  Any other diagram
+    that is not a patch is slimmed and goes down `_hull_path` at once.
+    """
+    lat = diag.lattice
+    if lat.n >= 3 and len(lat.covers) == lat.n - 1:
+        c = lat.upper_covers[lat.bottom][0]
+        if lat.n > 3:
+            c = lat.upper_covers[c][0]
+        witness = _principal(lat, c, c)
+        return _lift_through_eyes(witness, diag), _Step((), diag, witness)
+    if is_patch(diag):
+        return None
+    slimmed, eyes = slim(diag)
+    hull, cut, witness = _hull_path(slimmed)
+    return (_lift_through_eyes(witness, diag),
+            _Step(tuple(eyes), slimmed, witness, (hull, cut)))
 
 
 def _trace(step):
@@ -174,6 +231,22 @@ def _trace(step):
     return PipelineTrace(step.eyes, tuple(extension_steps), cut, step.fallback_used)
 
 
+def _same_part(diag, parent, members):
+    """Whether `diag`, whose labels are those of `members` in `parent`,
+    is the part of `parent` on the ascending ids `members`, as `subdiagram`
+    would build it: the same x coordinates and the same covers, which for
+    a part that inherits the parent's covers (any `subdiagram` that
+    succeeds) are the parent's covers among the members.  Read off the
+    parent's cover lists, with no closure."""
+    xs = parent.xcoord
+    if diag.xcoord != tuple([xs[v] for v in members]):
+        return False
+    pos = dict(zip(members, range(len(members))))
+    upper = parent.lattice.upper_covers
+    return all(ws == tuple([pos[w] for w in upper[v] if w in pos])
+               for v, ws in zip(members, diag.lattice.upper_covers))
+
+
 def _decompose(root):
     """Post-order walk with an explicit stack, so the depth of the tree is
     not bounded by the interpreter's recursion limit.  Returns the tree and
@@ -182,34 +255,41 @@ def _decompose(root):
     The ideal and filter parts of a node overlap, so the walk reaches the
     same interval of the root again and again.  `built` keeps the subtree of
     each interval, keyed by its labels, and a repeat gets the same object.
-    A node is an interval of the root kept in ascending root-id order, so
-    equal labels mean an equal diagram; each hit is confirmed anyway.
+    A part is looked up by its labels in its parent before its diagram is
+    built, and only a miss builds it.  A node is an interval of the root
+    kept in ascending root-id order, so equal labels mean an equal diagram;
+    each hit is confirmed anyway (`_same_part`).
     """
     built = {}
     finished = []  # each finished subtree whose parent is open
     root_trace = None
+    # (diagram, None): decompose it; (parent, ids): look up or build the
+    # part of the parent on those ids; (diagram, witness): glue
     stack = [(root, None)]
     while stack:
-        diag, witness = stack.pop()
-        if witness is None:
-            node = built.get(diag.lattice.names)
-            if node is not None and node.diagram == diag:
+        diag, todo = stack.pop()
+        if isinstance(todo, frozenset):
+            members = sorted(todo)
+            names = diag.lattice.names
+            node = built.get(tuple([names[v] for v in members]))
+            if node is not None and _same_part(node.diagram, diag, members):
                 finished.append(node)
                 continue
+            diag, todo = subdiagram(diag, members), None
+        if todo is None:
             step = _decompose_step(diag)
             if root_trace is None:
                 root_trace = (PipelineTrace((), (), None, False) if step is None
                               else _trace(step[1]))
             if step is not None:
                 witness = step[0]
-                stack += [(diag, witness), (subdiagram(diag, witness.B), None),
-                          (subdiagram(diag, witness.A), None)]
+                stack += [(diag, witness), (diag, witness.B), (diag, witness.A)]
                 continue
             node = DecompLeaf(diag)
         else:
             right = finished.pop()
             left = finished.pop()
-            node = DecompGlue(left, right, len(witness.C), witness, diag)
+            node = DecompGlue(left, right, len(todo.C), todo, diag)
         built[diag.lattice.names] = node
         finished.append(node)
     return finished.pop(), root_trace

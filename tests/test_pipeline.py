@@ -150,6 +150,52 @@ def test_the_undrawn_step_equals_the_materialized_one(glue_nodes):
     assert attached > 50
 
 
+def test_a_chain_step_equals_the_materialized_one():
+    # the closed form (↓c, ↑c) of a chain, and its hull and cut grown when
+    # the trace reads them, drawn straight and zigzag
+    for n in range(3, 201):
+        straight = generate("chain", [n])
+        zigzag = Diagram(straight.lattice, [v % 2 for v in range(n)])
+        assert validate_diagram(zigzag) is None
+        for diag in (straight, zigzag):
+            witness, trace = materialized_step(diag)
+            lifted, step = _decompose_step(diag)
+            assert lifted == _lift_through_eyes(witness, diag), n
+            assert _trace(step) == trace, n
+
+
+def test_a_chain_grows_only_the_root_hull(monkeypatch):
+    grown = []
+
+    def counted(diag):
+        grown.append(diag.lattice.n)
+        return latpatch.ops._grow(diag)
+
+    monkeypatch.setattr(latpatch.pipeline, "_grow", counted)
+    diag = generate("chain", [200])
+    tree, trace = decompose(diag)
+    assert grown == [200]
+    assert len(trace.extension_steps) == 198 and trace.cut.x == diag.lattice.id_of("2")
+    assert verify_tree(tree, diag) is None
+
+
+def test_each_part_is_built_once_per_distinct_node(monkeypatch):
+    for n in (16, 24, 32):
+        diag = generate("random-sps", [n], seed=7)
+        builds = []
+
+        def counted(d, members):
+            builds.append(frozenset(d.lattice.names[v] for v in members))
+            return subdiagram(d, members)
+
+        with monkeypatch.context() as m:
+            m.setattr(latpatch.pipeline, "subdiagram", counted)
+            tree, _ = decompose(diag)
+        distinct = {id(node): node for node in occurrences_of(tree)}
+        assert len(builds) == len(set(builds)) == len(distinct) - 1, n
+        assert verify_tree(tree, diag) is None
+
+
 def small_drawn_lattices(count, seed):
     """`count` drawn lattices with 3 to 10 elements from random cover sets;
     most are not semimodular, so the hull or its cut fails on many."""
