@@ -339,16 +339,21 @@ def reflect(diag):
 
 def find_eyes(diag):
     """Interior middles of cover-preserving diamonds, ordered by element id.
-    The atoms of each interval [o, i] are sorted by x once."""
+    The atoms of each interval [o, i] are sorted by x once.
+
+    An eye m of [o, i] has atoms of [o, i] on both sides, and they and m
+    are upper covers of o: a doubly irreducible m whose lower cover has
+    fewer than three upper covers is no eye, and is skipped."""
     lat = diag.lattice
     slots = {}  # (o, i) -> {atom of [o, i]: its slot in x order}
     out = []
+    upper, lower = lat.upper_covers, lat.lower_covers
     for m in range(lat.n):
-        if len(lat.lower_covers[m]) != 1 or len(lat.upper_covers[m]) != 1:
+        if len(lower[m]) != 1 or len(upper[m]) != 1 or len(upper[lower[m][0]]) < 3:
             continue
-        (o,), (i,) = lat.lower_covers[m], lat.upper_covers[m]
+        (o,), (i,) = lower[m], upper[m]
         if (o, i) not in slots:
-            atoms = sorted((z for z in lat.upper_covers[o] if lat.leq(z, i)),
+            atoms = sorted((z for z in upper[o] if lat.leq(z, i)),
                            key=diag.xcoord.__getitem__)
             slots[o, i] = {z: k for k, z in enumerate(atoms)}
         slot_of = slots[o, i]

@@ -205,7 +205,8 @@ class _Hull(_Growing):
     reads and what the cut needs besides: the left and right boundary
     chains, each side's scan position (no site lies before it), and one
     (a, b, c, side) tuple of ids per step, whose new t takes the next id.
-    `close` adds the ↑ and ↓ masks.  Labels, x coordinates and
+    `close` adds the ↑ and ↓ masks, which the drawn lattice shares.  Labels,
+    x coordinates and
     `ExtensionStep`s come from the step tuples, and only `draw` makes
     them, where a hull is read.
     """
@@ -218,6 +219,7 @@ class _Hull(_Growing):
         self.scan = [0, 0]
         self.steps = []
         self._boundary = (-1, None)  # (step count, boundary data), see `boundary`
+        self.closed = None  # the masks and heights, see `close`
 
     def first_site(self):
         """The first site in `_sites` order with its position, or None.
@@ -267,8 +269,9 @@ class _Hull(_Growing):
         height = self.height
         self.n = len(height)
         self.full_mask = (1 << self.n) - 1
-        self.up, self.down, _ = _closure(self.upper_covers, self.lower_covers,
-                                         sorted(range(self.n), key=height.__getitem__))
+        self.closed = _closure(self.upper_covers, self.lower_covers,
+                               sorted(range(self.n), key=height.__getitem__))
+        self.up, self.down, _ = self.closed
         b = self.boundary()
         if not _rectangular(self, b.u_l, b.u_r, self.bottom, self.top):
             raise StuckNotRectangular(
@@ -294,7 +297,8 @@ class _Hull(_Growing):
 
         Each t goes one unit outside the drawing on its site's side, one
         level above a; the new edges hug the boundary, so the drawing stays
-        planar.  The lattice is frozen once, by `_Growing.lattice`."""
+        planar.  The lattice is frozen once, by `_Growing.lattice`, on the
+        masks of a closed hull."""
         base, names = self.base, self.names
         xs = list(base.xcoord)
         lo, hi = min(xs), max(xs)
@@ -307,13 +311,13 @@ class _Hull(_Growing):
                 lo -= 1
                 xs.append(lo)
             steps.append(ExtensionStep(names[a], names[b], names[c], side, names[t]))
-        diagram = Diagram(self.lattice(names), xs)
+        diagram = Diagram(self.lattice(names, closed=self.closed), xs)
         diagram.boundary = self.boundary()
         return diagram, steps
 
     def pull_back(self, x, pivot):
         """The hull's witness (↓x, ↑pivot) restricted to the input lattice,
-        checked: it is (↓a, ↑c) there, a reached from x down through the a
+        unchecked: it is (↓a, ↑c) there, a reached from x down through the a
         of each added element, and c from the pivot up through their c.
 
         Each t was added with a ≺ t ≺ c only, and a later step keeps the
@@ -325,7 +329,7 @@ class _Hull(_Growing):
             x = steps[x - n][0]
         while pivot >= n:
             pivot = steps[pivot - n][2]
-        return _checked_restriction(_principal(self.base.lattice, x, pivot))
+        return _principal(self.base.lattice, x, pivot)
 
 
 def _grow(diag, max_rounds=None):

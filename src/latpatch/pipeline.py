@@ -9,15 +9,14 @@ ideal of a finite lattice is some ↓x and every nonempty filter some ↑y.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .core import _is_chain_mask, is_isomorphic, is_semimodular, iter_bits
 from .diagram import (Diagram, _patch, is_patch, slim, subdiagram,
                       validate_diagram)
 from .errors import (AssertionFailed, NoDecomposition, NotSemimodular,
                      SizeBoundExceeded)
-from .ops import (DecompositionCut, GluingWitness, _choose, _cut, _grow,
-                  _principal, validate_witness)
+from .ops import (DecompositionCut, GluingWitness, _checked_restriction,
+                  _choose, _cut, _grow, _principal, validate_witness)
 
 
 @dataclass(frozen=True)
@@ -34,13 +33,51 @@ class DecompGlue:
     diagram: Diagram
 
 
-@dataclass(frozen=True)
 class PipelineTrace:
-    """Artifacts of the top-level decomposition step, for replay checks."""
-    eyes: tuple
-    extension_steps: tuple
-    cut: Optional[DecompositionCut]
-    fallback_used: bool
+    """Artifacts of the top-level decomposition step, for replay checks: the
+    removed eyes, the hull's `ExtensionStep`s, the `DecompositionCut` on the
+    drawn hull (None for a patch hull) and whether the hull was a patch.
+
+    The trace `decompose` returns holds its step undrawn (see `_trace`):
+    `extension_steps` and `cut` are drawn when either is first read, and
+    then kept.  Traces compare, hash and print by their four fields."""
+
+    __slots__ = ("eyes", "fallback_used", "_drawn", "_step")
+
+    def __init__(self, eyes, extension_steps, cut, fallback_used):
+        self.eyes = eyes
+        self.fallback_used = fallback_used
+        self._drawn = extension_steps, cut
+        self._step = None  # the `_Step` to draw while `_drawn` is None
+
+    def _draw(self):
+        if self._drawn is None:
+            self._drawn, self._step = _draw(self._step), None
+        return self._drawn
+
+    @property
+    def extension_steps(self):
+        return self._draw()[0]
+
+    @property
+    def cut(self):
+        return self._draw()[1]
+
+    def _fields(self):
+        return self.eyes, self.extension_steps, self.cut, self.fallback_used
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        eyes, steps, cut, fallback = self._fields()
+        return (f"PipelineTrace(eyes={eyes!r}, extension_steps={steps!r}, "
+                f"cut={cut!r}, fallback_used={fallback!r})")
 
 
 class _Step:
@@ -51,7 +88,9 @@ class _Step:
 
     A chain's witness comes in closed form (see `_decompose_step`), and its
     hull and cut are grown and cut by `_hull_path` only when first read,
-    which must give the same witness.  Any other step passes them in."""
+    which must give the same witness.  That witness is not validated again:
+    the eye lift has validated the closed form it must equal.  Any other
+    step passes them in."""
 
     def __init__(self, eyes, slimmed, witness, hull_cut=None):
         self.eyes = eyes
@@ -122,19 +161,29 @@ def brute_force_gluing_search(diag, bound=None):
 
 # -- decomposition ------------------------------------------------------------
 
-def _lift_through_eyes(witness, full_diag):
+def _lift_through_eyes(witness, full_diag, checked=False):
     """A witness for the slimmed lattice, lifted to the full one as ↓a and ↑b,
-    a the highest member of its A and b the lowest of its B.
+    a the highest member of its A and b the lowest of its B, and validated.
 
     Exact: every removed eye has one upper cover and one lower cover, both
     kept, so an eye lies below a exactly when its upper cover does and above
     b exactly when its lower cover does, and the kept elements keep their
-    order."""
+    order.
+
+    Without eyes the slimmed lattice is the full one, and the witness is
+    returned as it is: a valid A is ↓ of its highest member and a valid B ↑
+    of its lowest (`validate_witness`), so the lift would rebuild it
+    unchanged.  It is validated unless `checked` says that has been done."""
     slim_lat, lat = witness.ambient, full_diag.lattice
-    height = slim_lat.height
-    a = lat.index[slim_lat.names[max(witness.A, key=height.__getitem__)]]
-    b = lat.index[slim_lat.names[min(witness.B, key=height.__getitem__)]]
-    lifted = _principal(lat, a, b)
+    if slim_lat is lat:
+        if checked:
+            return witness
+        lifted = witness
+    else:
+        height = slim_lat.height
+        a = lat.index[slim_lat.names[max(witness.A, key=height.__getitem__)]]
+        b = lat.index[slim_lat.names[min(witness.B, key=height.__getitem__)]]
+        lifted = _principal(lat, a, b)
     reason = validate_witness(lifted)
     if reason is not None:
         raise NoDecomposition(f"eye lifting produced an invalid witness: {reason}")
@@ -144,7 +193,7 @@ def _lift_through_eyes(witness, full_diag):
 def _hull_path(slimmed):
     """The hull of a slim diagram (None when it is rectangular), its cut as
     (x, pivot, chain, mode) in hull ids (None for the 3-element chain), and
-    the witness on the slim lattice.
+    the witness on the slim lattice, unchecked.
 
     The hull is grown by `ops._grow` and cut by `ops._cut` on its masks and
     covers; the cut's witness (↓x, ↑pivot) is pulled back to the slim
@@ -201,6 +250,10 @@ def _decompose_step(diag):
       (↓c_1, ↑c_1).
     A chain has no eyes, so it is its own slim diagram.  Any other diagram
     that is not a patch is slimmed and goes down `_hull_path` at once.
+
+    Each witness is validated once on each lattice it lives on: one pulled
+    back from a grown hull as a restriction (`ops._checked_restriction`),
+    any other in the eye lift, and a lifted one there too.
     """
     lat = diag.lattice
     if lat.n >= 3 and len(lat.covers) == lat.n - 1:
@@ -213,13 +266,26 @@ def _decompose_step(diag):
         return None
     slimmed, eyes = slim(diag)
     hull, cut, witness = _hull_path(slimmed)
-    return (_lift_through_eyes(witness, diag),
+    pulled = hull is not None and cut is not None  # back from a grown hull
+    if pulled:
+        _checked_restriction(witness)
+    return (_lift_through_eyes(witness, diag, checked=pulled),
             _Step(tuple(eyes), slimmed, witness, (hull, cut)))
 
 
 def _trace(step):
-    """The `PipelineTrace` of a `_Step`: its hull labelled and drawn from the
-    step tuples, and the cut on the drawn hull."""
+    """The `PipelineTrace` of a `_Step`, drawn when first read (see `_draw`).
+
+    `fallback_used` is read at once: for a chain that grows and cuts the
+    hull and checks its witness against the closed form."""
+    trace = PipelineTrace(step.eyes, None, None, step.fallback_used)
+    trace._drawn, trace._step = None, step
+    return trace
+
+
+def _draw(step):
+    """The extension steps and the cut of a `_Step`: its hull labelled and
+    drawn from the step tuples, and the cut on the drawn hull."""
     if step.hull is None:
         rect, extension_steps = step.slimmed, []
     else:
@@ -228,7 +294,7 @@ def _trace(step):
     if step.cut is not None:
         x, pivot, chain, mode = step.cut
         cut = DecompositionCut(x, pivot, rect, chain, mode)
-    return PipelineTrace(step.eyes, tuple(extension_steps), cut, step.fallback_used)
+    return tuple(extension_steps), cut
 
 
 def _same_part(diag, parent, members):

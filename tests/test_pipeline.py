@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import latpatch.pipeline
 import oracles
+from conftest import ladder_inputs
 from latpatch import (DecompGlue, DecompLeaf, Diagram, Lattice, PipelineTrace,
                       brute_force_gluing_search, choose_x, decompose,
                       decompose_at, generate, is_isomorphic, is_patch,
@@ -174,9 +175,63 @@ def test_a_chain_grows_only_the_root_hull(monkeypatch):
     monkeypatch.setattr(latpatch.pipeline, "_grow", counted)
     diag = generate("chain", [200])
     tree, trace = decompose(diag)
+    # before any trace field is read: the root's agreement check is eager
     assert grown == [200]
     assert len(trace.extension_steps) == 198 and trace.cut.x == diag.lattice.id_of("2")
     assert verify_tree(tree, diag) is None
+
+
+def test_the_root_trace_is_drawn_when_first_read(monkeypatch):
+    hull_draws, draws = [], []
+    hull_draw, draw = latpatch.ops._Hull.draw, latpatch.pipeline._draw
+
+    def counted_hull_draw(hull):
+        hull_draws.append(hull)
+        return hull_draw(hull)
+
+    def counted_draw(step):
+        draws.append(step)
+        return draw(step)
+
+    monkeypatch.setattr(latpatch.ops._Hull, "draw", counted_hull_draw)
+    monkeypatch.setattr(latpatch.pipeline, "_draw", counted_draw)
+    inputs = ladder_inputs() + [("grid4x6", generate("grid", [4, 6])),
+                                ("sps[24]#0", generate("random-sps", [24], seed=0))]
+    for name, diag in inputs:
+        hull_draws.clear()
+        draws.clear()
+        _, trace = decompose(diag)
+        assert hull_draws == draws == [], name
+        cut = trace.cut
+        assert len(draws) == 1, name
+        # the 4×6 grid is rectangular: it has no hull to draw
+        assert len(hull_draws) == (name != "grid4x6"), name
+        assert trace.extension_steps is trace.extension_steps and cut is trace.cut
+        assert len(draws) == 1 and len(hull_draws) <= 1, name
+        assert trace == materialized_step(diag)[1], name
+
+
+def test_decompose_validates_each_witness_once(corpus, random_corpus_small, monkeypatch):
+    checked = []  # (id(ambient), A, B) of each validated witness
+    alive = []    # every checked ambient, so that no id is reused
+    validate = latpatch.ops.validate_witness
+
+    def recording(w):
+        checked.append((id(w.ambient), w.A, w.B))
+        alive.append(w.ambient)
+        return validate(w)
+
+    monkeypatch.setattr(latpatch.ops, "validate_witness", recording)
+    monkeypatch.setattr(latpatch.pipeline, "validate_witness", recording)
+    for name, diag in corpus + random_corpus_small + ladder_inputs():
+        checked.clear()
+        alive.clear()
+        tree, _ = decompose(diag)
+        assert len(checked) == len(set(checked)), name
+        for node in occurrences_of(tree):
+            if isinstance(node, DecompGlue):
+                w = node.witness
+                assert (id(w.ambient), w.A, w.B) in checked, name
 
 
 def test_each_part_is_built_once_per_distinct_node(monkeypatch):
