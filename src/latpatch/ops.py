@@ -332,14 +332,13 @@ class _Hull(_Growing):
         return _principal(self.base.lattice, x, pivot)
 
 
-def _grow(diag, max_rounds=None):
+def _grow(diag):
     """The site process: extend at the first site, left sites bottom-up
     before right ones, for as long as one is left.  None for a rectangular
     diagram, else the closed `_Hull` and its boundary data.
 
-    More than `max_rounds` (default n²) steps, or a hull that is not
-    rectangular, means the input was not a slim planar semimodular lattice,
-    and is reported.
+    More than n² steps, or a hull that is not rectangular, means the input
+    was not a slim planar semimodular lattice, and is reported.
 
     The loop ends at the first rectangular hull: a slim rectangular
     lattice with corners u_l and u_r has no site a ≺ b ≺ c, say on the
@@ -354,13 +353,12 @@ def _grow(diag, max_rounds=None):
     """
     if is_rectangular(diag):
         return None
-    if max_rounds is None:
-        max_rounds = diag.lattice.n ** 2
+    bound = diag.lattice.n ** 2
     hull = _Hull(diag)
     while (found := hull.first_site()) is not None:
-        if len(hull.steps) >= max_rounds:
+        if len(hull.steps) >= bound:
             raise IterationBoundExceeded(
-                f"still not rectangular after {max_rounds} extensions")
+                f"still not rectangular after {bound} extensions")
         hull.extend(*found)
     return hull, hull.close()
 
@@ -381,11 +379,12 @@ def one_step_extension(diag, site):
     raise InvalidSite(f"{site!r} is not an extension site")
 
 
-def rectangularize(diag, max_rounds=None):
+def rectangularize(diag):
     """The rectangular hull of `diag` by the site process (see `_grow`),
     drawn, and its extension steps.  A rectangular diagram is returned as
-    is."""
-    grown = _grow(diag, max_rounds)
+    is; a lattice that needs more than n² steps raises
+    `IterationBoundExceeded`."""
+    grown = _grow(diag)
     if grown is None:
         return diag, []
     return grown[0].draw()

@@ -38,21 +38,22 @@ class PipelineTrace:
     removed eyes, the hull's `ExtensionStep`s, the `DecompositionCut` on the
     drawn hull (None for a patch hull) and whether the hull was a patch.
 
-    The trace `decompose` returns holds its step undrawn (see `_trace`):
-    `extension_steps` and `cut` are drawn when either is first read, and
-    then kept.  Traces compare, hash and print by their four fields."""
+    The trace `decompose` returns holds its hull and cut undrawn (see
+    `_trace`): `extension_steps` and `cut` are drawn when either is first
+    read, and then kept.  Traces compare, hash and print by their four
+    fields."""
 
-    __slots__ = ("eyes", "fallback_used", "_drawn", "_step")
+    __slots__ = ("eyes", "fallback_used", "_drawn", "_undrawn")
 
     def __init__(self, eyes, extension_steps, cut, fallback_used):
         self.eyes = eyes
         self.fallback_used = fallback_used
         self._drawn = extension_steps, cut
-        self._step = None  # the `_Step` to draw while `_drawn` is None
+        self._undrawn = None  # (slimmed, hull, cut) to draw while `_drawn` is None
 
     def _draw(self):
         if self._drawn is None:
-            self._drawn, self._step = _draw(self._step), None
+            self._drawn, self._undrawn = _draw(*self._undrawn), None
         return self._drawn
 
     @property
@@ -78,46 +79,6 @@ class PipelineTrace:
         eyes, steps, cut, fallback = self._fields()
         return (f"PipelineTrace(eyes={eyes!r}, extension_steps={steps!r}, "
                 f"cut={cut!r}, fallback_used={fallback!r})")
-
-
-class _Step:
-    """What one decomposition step found, undrawn: the removed eyes, the
-    slim diagram, the witness on the slim lattice, its grown hull (an
-    `ops._Hull`, or None when it was rectangular), and the cut as (x,
-    pivot, chain, mode) in hull ids (None for the 3-element chain).
-
-    A chain's witness comes in closed form (see `_decompose_step`), and its
-    hull and cut are grown and cut by `_hull_path` only when first read,
-    which must give the same witness.  That witness is not validated again:
-    the eye lift has validated the closed form it must equal.  Any other
-    step passes them in."""
-
-    def __init__(self, eyes, slimmed, witness, hull_cut=None):
-        self.eyes = eyes
-        self.slimmed = slimmed
-        self.witness = witness
-        self._hull_cut = hull_cut
-
-    def _found(self):
-        if self._hull_cut is None:
-            hull, cut, witness = _hull_path(self.slimmed)
-            if witness != self.witness:
-                raise AssertionFailed(
-                    "the hull path and the closed form give different witnesses")
-            self._hull_cut = hull, cut
-        return self._hull_cut
-
-    @property
-    def hull(self):
-        return self._found()[0]
-
-    @property
-    def cut(self):
-        return self._found()[1]
-
-    @property
-    def fallback_used(self):
-        return self.cut is None
 
 
 @dataclass(frozen=True)
@@ -161,7 +122,7 @@ def brute_force_gluing_search(diag, bound=None):
 
 # -- decomposition ------------------------------------------------------------
 
-def _lift_through_eyes(witness, full_diag, checked=False):
+def _lift_through_eyes(witness, full_diag):
     """A witness for the slimmed lattice, lifted to the full one as ↓a and ↑b,
     a the highest member of its A and b the lowest of its B, and validated.
 
@@ -171,15 +132,12 @@ def _lift_through_eyes(witness, full_diag, checked=False):
     order.
 
     Without eyes the slimmed lattice is the full one, and the witness is
-    returned as it is: a valid A is ↓ of its highest member and a valid B ↑
-    of its lowest (`validate_witness`), so the lift would rebuild it
-    unchanged.  It is validated unless `checked` says that has been done."""
+    validated as it is: a valid A is ↓ of its highest member and a valid B
+    ↑ of its lowest (`validate_witness`), so the lift would rebuild it
+    unchanged."""
     slim_lat, lat = witness.ambient, full_diag.lattice
-    if slim_lat is lat:
-        if checked:
-            return witness
-        lifted = witness
-    else:
+    lifted = witness
+    if slim_lat is not lat:
         height = slim_lat.height
         a = lat.index[slim_lat.names[max(witness.A, key=height.__getitem__)]]
         b = lat.index[slim_lat.names[min(witness.B, key=height.__getitem__)]]
@@ -227,13 +185,15 @@ def _hull_path(slimmed):
 
 
 def _decompose_step(diag):
-    """One decomposition step, undrawn: None for a patch, else the witness
-    and the `_Step` that `_trace` draws.
+    """One decomposition step, undrawn: None for a patch, else the tuple
+    (witness, eyes, slimmed, found) of the lifted witness, the removed eyes,
+    the slim diagram and `_hull_path`'s (hull, cut), which is None for a
+    chain.  Only the root's step becomes a trace (`_trace`).
 
     A chain 0 = c_0 ≺ c_1 ≺ … ≺ c_{n-1} = 1 with n ≥ 3 (n elements and
     n - 1 covers) gets its witness in closed form, (↓c, ↑c) with c at
-    height min(2, n - 2), and its hull and cut only when the step's trace
-    is read.  That is the witness `_hull_path` returns:
+    height min(2, n - 2), and its hull and cut only when `_trace` builds
+    the root's trace.  That is the witness `_hull_path` returns:
     - Hull.  Both boundary chains are the input, and the left one is
       scanned first.  With t_0 = 0, the site at position i is
       t_i ≺ c_{i+1} ≺ c_{i+2}; it adds t_{i+1} with t_i ≺ t_{i+1} ≺ c_{i+2}
@@ -253,46 +213,53 @@ def _decompose_step(diag):
 
     Each witness is validated once on each lattice it lives on: one pulled
     back from a grown hull as a restriction (`ops._checked_restriction`),
-    any other in the eye lift, and a lifted one there too.
+    any other in the eye lift, and a lifted one there too.  Without eyes a
+    pulled-back witness is returned as it is.
     """
     lat = diag.lattice
     if lat.n >= 3 and len(lat.covers) == lat.n - 1:
         c = lat.upper_covers[lat.bottom][0]
         if lat.n > 3:
             c = lat.upper_covers[c][0]
-        witness = _principal(lat, c, c)
-        return _lift_through_eyes(witness, diag), _Step((), diag, witness)
+        return _lift_through_eyes(_principal(lat, c, c), diag), (), diag, None
     if is_patch(diag):
         return None
     slimmed, eyes = slim(diag)
     hull, cut, witness = _hull_path(slimmed)
-    pulled = hull is not None and cut is not None  # back from a grown hull
-    if pulled:
+    if hull is not None and cut is not None:  # pulled back from a grown hull
         _checked_restriction(witness)
-    return (_lift_through_eyes(witness, diag, checked=pulled),
-            _Step(tuple(eyes), slimmed, witness, (hull, cut)))
+        if not eyes:
+            return witness, (), slimmed, (hull, cut)
+    return _lift_through_eyes(witness, diag), tuple(eyes), slimmed, (hull, cut)
 
 
-def _trace(step):
-    """The `PipelineTrace` of a `_Step`, drawn when first read (see `_draw`).
+def _trace(witness, eyes, slimmed, found):
+    """The `PipelineTrace` of a step from `_decompose_step`, its hull and
+    cut kept undrawn until first read (see `_draw`).
 
-    `fallback_used` is read at once: for a chain that grows and cuts the
-    hull and checks its witness against the closed form."""
-    trace = PipelineTrace(step.eyes, None, None, step.fallback_used)
-    trace._drawn, trace._step = None, step
+    A chain's hull and cut (`found` None) are grown and cut by `_hull_path`
+    here, at once, which must give the chain's witness.  That witness is
+    not validated again: the eye lift has validated the closed form it
+    must equal."""
+    if found is None:
+        hull, cut, grown = _hull_path(slimmed)
+        if grown != witness:
+            raise AssertionFailed(
+                "the hull path and the closed form give different witnesses")
+    else:
+        hull, cut = found
+    trace = PipelineTrace(eyes, None, None, cut is None)
+    trace._drawn, trace._undrawn = None, (slimmed, hull, cut)
     return trace
 
 
-def _draw(step):
-    """The extension steps and the cut of a `_Step`: its hull labelled and
-    drawn from the step tuples, and the cut on the drawn hull."""
-    if step.hull is None:
-        rect, extension_steps = step.slimmed, []
-    else:
-        rect, extension_steps = step.hull.draw()
-    cut = None
-    if step.cut is not None:
-        x, pivot, chain, mode = step.cut
+def _draw(slimmed, hull, cut):
+    """The extension steps and the cut of a step: its hull (None for a
+    rectangular slim diagram) labelled and drawn from the step tuples, and
+    the cut (x, pivot, chain, mode) on the drawn hull."""
+    rect, extension_steps = (slimmed, []) if hull is None else hull.draw()
+    if cut is not None:
+        x, pivot, chain, mode = cut
         cut = DecompositionCut(x, pivot, rect, chain, mode)
     return tuple(extension_steps), cut
 
@@ -346,7 +313,7 @@ def _decompose(root):
             step = _decompose_step(diag)
             if root_trace is None:
                 root_trace = (PipelineTrace((), (), None, False) if step is None
-                              else _trace(step[1]))
+                              else _trace(*step))
             if step is not None:
                 witness = step[0]
                 stack += [(diag, witness), (diag, witness.B), (diag, witness.A)]

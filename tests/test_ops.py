@@ -459,9 +459,15 @@ def test_rectangularize_two_chain_is_stuck():
         rectangularize(generate("chain", [2]))
 
 
-def test_rectangularize_respects_round_bound(c4):
-    with pytest.raises(IterationBoundExceeded):
-        rectangularize(c4, max_rounds=1)
+def test_rectangularize_respects_round_bound(c4, monkeypatch):
+    # an extension that records its site and adds nothing leaves the site
+    # in place, so the process runs into its n² bound
+    def record_only(hull, i, site):
+        hull.steps.append(site)
+
+    monkeypatch.setattr(_Hull, "extend", record_only)
+    with pytest.raises(IterationBoundExceeded, match="after 16 extensions"):
+        rectangularize(c4)
 
 
 # -- decompose_at and choose_x -------------------------------------------------------

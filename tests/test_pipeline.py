@@ -78,7 +78,7 @@ def test_decompose_never_calls_the_oracle(corpus, random_corpus_small, monkeypat
 
     def recording(diag):
         step = real_step(diag)
-        if step is not None and step[1].fallback_used:
+        if step is not None and _trace(*step).fallback_used:
             fallbacks.append(diag.lattice.n)
         return step
 
@@ -128,22 +128,23 @@ def test_the_undrawn_step_equals_the_materialized_one(glue_nodes):
     fallbacks = grown = attached = 0
     for name, diag in glue_nodes:
         witness, trace = materialized_step(diag)
-        lifted, step = _decompose_step(diag)
+        step = _decompose_step(diag)
+        slimmed, hull, cut = _trace(*step)._undrawn
         # the same x, pivot, chain and mode, and the same hull once drawn
-        assert _trace(step) == trace, name
-        assert lifted == _lift_through_eyes(witness, diag), name
-        if step.cut is None:
+        assert _trace(*step) == trace, name
+        assert step[0] == _lift_through_eyes(witness, diag), name
+        if cut is None:
             fallbacks += 1
             continue
-        x, pivot, _, _ = step.cut
-        if step.hull is None:
-            pulled = _principal(step.slimmed.lattice, x, pivot)
+        x, pivot, _, _ = cut
+        if hull is None:
+            pulled = _principal(slimmed.lattice, x, pivot)
         else:
-            pulled = step.hull.pull_back(x, pivot)
+            pulled = hull.pull_back(x, pivot)
             grown += 1
             # a later step added covers to an earlier t, which the pull-back
             # must see through
-            hull, n = step.hull, step.slimmed.lattice.n
+            n = slimmed.lattice.n
             attached += any(len(hull.lower_covers[t]) > 1 or len(hull.upper_covers[t]) > 1
                             for t in range(n, hull.n))
         assert pulled == witness, name
@@ -160,9 +161,9 @@ def test_a_chain_step_equals_the_materialized_one():
         assert validate_diagram(zigzag) is None
         for diag in (straight, zigzag):
             witness, trace = materialized_step(diag)
-            lifted, step = _decompose_step(diag)
-            assert lifted == _lift_through_eyes(witness, diag), n
-            assert _trace(step) == trace, n
+            step = _decompose_step(diag)
+            assert step[0] == _lift_through_eyes(witness, diag), n
+            assert _trace(*step) == trace, n
 
 
 def test_a_chain_grows_only_the_root_hull(monkeypatch):
@@ -189,9 +190,9 @@ def test_the_root_trace_is_drawn_when_first_read(monkeypatch):
         hull_draws.append(hull)
         return hull_draw(hull)
 
-    def counted_draw(step):
-        draws.append(step)
-        return draw(step)
+    def counted_draw(*undrawn):
+        draws.append(undrawn)
+        return draw(*undrawn)
 
     monkeypatch.setattr(latpatch.ops._Hull, "draw", counted_hull_draw)
     monkeypatch.setattr(latpatch.pipeline, "_draw", counted_draw)
@@ -232,6 +233,38 @@ def test_decompose_validates_each_witness_once(corpus, random_corpus_small, monk
             if isinstance(node, DecompGlue):
                 w = node.witness
                 assert (id(w.ambient), w.A, w.B) in checked, name
+
+
+def test_a_chain_root_whose_hull_path_disagrees_is_refused(monkeypatch):
+    hull_path = latpatch.pipeline._hull_path
+
+    def disagreeing(slimmed):
+        hull, cut, _ = hull_path(slimmed)
+        m = slimmed.lattice.upper_covers[slimmed.lattice.bottom][0]
+        return hull, cut, _principal(slimmed.lattice, m, m)
+
+    monkeypatch.setattr(latpatch.pipeline, "_hull_path", disagreeing)
+    with pytest.raises(AssertionFailed, match="different witnesses"):
+        decompose(generate("chain", [6]))
+
+
+def test_an_invalid_pulled_back_witness_is_refused(monkeypatch):
+    def improper(hull, x, pivot):
+        base = hull.base.lattice
+        return _principal(base, base.top, base.bottom)
+
+    monkeypatch.setattr(latpatch.ops._Hull, "pull_back", improper)
+    with pytest.raises(AssertionFailed, match="restricted witness is invalid"):
+        decompose(generate("random-sps", [24], seed=0))
+
+
+def test_an_invalid_lifted_witness_is_refused(monkeypatch):
+    def improper(lat, a, b):
+        return _principal(lat, lat.top, lat.bottom)
+
+    monkeypatch.setattr(latpatch.pipeline, "_principal", improper)
+    with pytest.raises(NoDecomposition, match="eye lifting produced an invalid witness"):
+        decompose(generate("chain", [6]))
 
 
 def test_each_part_is_built_once_per_distinct_node(monkeypatch):
@@ -280,10 +313,9 @@ def outcome(step, diag):
         found = step(diag)
     except LatpatchError as exc:
         return type(exc), str(exc)
-    if found is None:
-        return None
-    witness, trace = found
-    return witness, trace if isinstance(trace, PipelineTrace) else _trace(trace)
+    if found is None or isinstance(found[1], PipelineTrace):
+        return found
+    return found[0], _trace(*found)
 
 
 def test_the_undrawn_step_fails_as_the_materialized_one():
@@ -430,7 +462,7 @@ def recursive_decompose(diag):
     step = latpatch.pipeline._decompose_step(diag)
     if step is None:
         return DecompLeaf(diag)
-    witness, _ = step
+    witness = step[0]
     return DecompGlue(recursive_decompose(subdiagram(diag, witness.A)),
                       recursive_decompose(subdiagram(diag, witness.B)),
                       len(witness.C), witness, diag)
@@ -449,7 +481,7 @@ def test_shared_subtrees_match_the_memo_free_reference(corpus, random_corpus_sma
         if step is None:
             assert trace == latpatch.pipeline.PipelineTrace((), (), None, False), name
         else:
-            assert trace == _trace(step[1]), name
+            assert trace == _trace(*step), name
 
 
 def test_each_distinct_interval_is_decomposed_once(monkeypatch):
