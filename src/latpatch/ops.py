@@ -203,12 +203,13 @@ class _Hull(_Growing):
 
     It grows as a `core._Growing`, without labels, and keeps what `_sites`
     reads and what the cut needs besides: the left and right boundary
-    chains, each side's scan position (no site lies before it), and one
-    (a, b, c, side) tuple of ids per step, whose new t takes the next id.
+    chains, each side's scan position (no site lies before it), one
+    (a, b, c, side) tuple of ids per step, whose new t takes the next id,
+    and each element's links into the input, `lo` and `hi`: v and v for an
+    input element, lo(a) and hi(c) for an added t (see `pull_back`).
     `close` adds the ↑ and ↓ masks, which the drawn lattice shares.  Labels,
-    x coordinates and
-    `ExtensionStep`s come from the step tuples, and only `draw` makes
-    them, where a hull is read.
+    x coordinates and `ExtensionStep`s come from the step tuples, and only
+    `draw` makes them, where a hull is read.
     """
 
     def __init__(self, diag):
@@ -218,6 +219,8 @@ class _Hull(_Growing):
         self.chains = (list(b.left_chain), list(b.right_chain))
         self.scan = [0, 0]
         self.steps = []
+        self.lo = list(range(diag.lattice.n))
+        self.hi = list(self.lo)
         self._boundary = (-1, None)  # (step count, boundary data), see `boundary`
         self.closed = None  # the masks and heights, see `close`
 
@@ -251,6 +254,8 @@ class _Hull(_Growing):
         a, b, c, side = site
         s = side == "right"
         self.chains[s][i + 1] = self.add(a, c)
+        self.lo.append(self.lo[a])
+        self.hi.append(self.hi[c])
         self.scan[s] = min(self.scan[s], max(i - 1, 0))
         self.steps.append(site)
 
@@ -317,28 +322,28 @@ class _Hull(_Growing):
 
     def pull_back(self, x, pivot):
         """The hull's witness (↓x, ↑pivot) restricted to the input lattice,
-        unchecked: it is (↓a, ↑c) there, a reached from x down through the a
-        of each added element, and c from the pivot up through their c.
+        unchecked: it is (↓lo(x), ↑hi(pivot)) there, lo following x down
+        through the a of each added element and hi the pivot up through
+        their c.
 
         Each t was added with a ≺ t ≺ c only, and a later step keeps the
         order among the elements already there, even when it adds a cover
         to t.  So the input's elements below t are those below a, and those
-        above t are those above c."""
-        n, steps = self.base.lattice.n, self.steps
-        while x >= n:
-            x = steps[x - n][0]
-        while pivot >= n:
-            pivot = steps[pivot - n][2]
-        return _principal(self.base.lattice, x, pivot)
+        above t are those above c: by induction on t, those below lo(t) and
+        those above hi(t)."""
+        return _principal(self.base.lattice, self.lo[x], self.hi[pivot])
 
 
-def _grow(diag):
+def _grown(diag):
     """The site process: extend at the first site, left sites bottom-up
     before right ones, for as long as one is left.  None for a rectangular
-    diagram, else the closed `_Hull` and its boundary data.
+    diagram, else the grown `_Hull`, not closed.
 
     More than n² steps, or a hull that is not rectangular, means the input
-    was not a slim planar semimodular lattice, and is reported.
+    was not a slim planar semimodular lattice.  The steps are counted here;
+    `_Hull.close` reports a hull that is not rectangular, and the
+    pipeline, which closes only the root's hull, one without a single
+    corner per side (`pipeline._link_cut`).
 
     The loop ends at the first rectangular hull: a slim rectangular
     lattice with corners u_l and u_r has no site a ≺ b ≺ c, say on the
@@ -360,7 +365,14 @@ def _grow(diag):
             raise IterationBoundExceeded(
                 f"still not rectangular after {bound} extensions")
         hull.extend(*found)
-    return hull, hull.close()
+    return hull
+
+
+def _grow(diag):
+    """`_grown`'s hull closed, and its boundary data; None for a
+    rectangular diagram."""
+    hull = _grown(diag)
+    return None if hull is None else (hull, hull.close())
 
 
 def one_step_extension(diag, site):
@@ -380,7 +392,7 @@ def one_step_extension(diag, site):
 
 
 def rectangularize(diag):
-    """The rectangular hull of `diag` by the site process (see `_grow`),
+    """The rectangular hull of `diag` by the site process (see `_grown`),
     drawn, and its extension steps.  A rectangular diagram is returned as
     is; a lattice that needs more than n² steps raises
     `IterationBoundExceeded`."""
@@ -439,8 +451,10 @@ def _pull_back(witness, base):
 def _cut(lat, b, x, mode):
     """The pivot and the overlap [pivot, x] of the cut of a slim rectangular
     lattice at x on its upper boundary.  `lat` holds the masks and covers (a
-    `Lattice`, or a closed `_Hull`) and `b` its boundary data; `decompose_at`
-    and the pipeline both cut here.
+    `Lattice`, or a closed `_Hull`) and `b` its boundary data.
+    `decompose_at` cuts here, and so does the pipeline, on the root's hull
+    only: every other node's cut is read off its hull's links
+    (`pipeline._link_cut`), and the root's cut must agree with that.
 
     Left mode cuts along [0, x] and [x ∧ u_r, 1]; mirrored mode swaps the
     corner roles.  Every claim made for the cut is asserted, not assumed.

@@ -14,9 +14,9 @@ from .core import _is_chain_mask, is_isomorphic, is_semimodular, iter_bits
 from .diagram import (Diagram, _patch, is_patch, slim, subdiagram,
                       validate_diagram)
 from .errors import (AssertionFailed, NoDecomposition, NotSemimodular,
-                     SizeBoundExceeded)
+                     SizeBoundExceeded, StuckNotRectangular)
 from .ops import (DecompositionCut, GluingWitness, _checked_restriction,
-                  _choose, _cut, _grow, _principal, validate_witness)
+                  _choose, _cut, _grow, _grown, _principal, validate_witness)
 
 
 @dataclass(frozen=True)
@@ -148,14 +148,16 @@ def _lift_through_eyes(witness, full_diag):
     return lifted
 
 
-def _hull_path(slimmed):
+def _hull_path(slimmed, hull=None):
     """The hull of a slim diagram (None when it is rectangular), its cut as
     (x, pivot, chain, mode) in hull ids (None for the 3-element chain), and
-    the witness on the slim lattice, unchecked.
+    the witness on the slim lattice, unchecked.  Only the root's trace
+    takes this path (`_trace`), on the hull `_link_cut` grew, or on one
+    grown here for a chain.
 
-    The hull is grown by `ops._grow` and cut by `ops._cut` on its masks and
-    covers; the cut's witness (↓x, ↑pivot) is pulled back to the slim
-    lattice as (↓a, ↑b) (`ops._Hull.pull_back`).  Nothing is labelled or
+    The hull is closed and cut by `ops._cut` on its masks and covers; the
+    cut's witness (↓x, ↑pivot) is pulled back to the slim lattice as
+    (↓lo(x), ↑hi(pivot)) (`ops._Hull.pull_back`).  Nothing is labelled or
     drawn.
 
     A hull that is a patch after extension steps comes only from the
@@ -169,7 +171,7 @@ def _hull_path(slimmed):
     the hull is {0, t, b, 1} and the slim lattice {0, b, 1}.
     """
     lat = slimmed.lattice
-    grown = _grow(slimmed)
+    grown = _grow(slimmed) if hull is None else (hull, hull.close())
     hull, b = grown or (lat, slimmed.boundary)
     if grown and _patch(hull, b):
         if lat.n != 3:
@@ -184,16 +186,87 @@ def _hull_path(slimmed):
     return hull, (x, pivot, chain, mode), hull.pull_back(x, pivot)
 
 
+def _link_cut(slimmed):
+    """The hull of a slim diagram with more than three elements (None when
+    it is rectangular), and the x and pivot of its cut in hull ids and the
+    witness on the slim lattice that `_hull_path` gives, unchecked: read
+    off the grown hull's cover-list lengths and links, with no closure and
+    no cut.
+
+    Let H be the hull, L the slim lattice, and lo and hi the links of H's
+    elements into L (`ops._Hull`); on a rectangular L, H = L and both are
+    the identity.
+    - Order.  u ≤ v in H iff hi(u) ≤ lo(v) in L, unless u and v were both
+      added on the same side.  In H, u ≤ hi(u) and lo(v) ≤ v, and H keeps
+      L's order, so hi(u) ≤ lo(v) gives u ≤ v.  Conversely, take a cover
+      path u = z_0 ≺ z_1 ≺ … ≺ z_k = v in H.  A cover of H is one of L or
+      a ≺ t or t ≺ c of the step that added t, and that step's a and c
+      lay on its side's chain then.  A left step puts its t on the left
+      chain only, and a right step on the right one, so the left chain
+      holds only elements of L and left t's, and the right chain the
+      mirror.  So two added elements next to each other on the path were
+      added on the same side, and a path that avoids L stays on one side,
+      which the exception excludes.  Otherwise the path passes some z of
+      L.  The elements of L above u are those above hi(u), and those below
+      v are those below lo(v) (`ops._Hull.pull_back`), so hi(u) ≤ z ≤ lo(v).
+    - Corners and x.  A rectangular H has one weak corner per side, which
+      `_Hull.boundary` finds from cover-list lengths alone; anything else
+      is reported.  Both corners are dual atoms only in a patch hull,
+      which only the 3-element chain has (see `_hull_path`).  So, as in
+      `ops._choose`, the mode is left unless u_l is a dual atom, and x is
+      the corner's upper cover on its chain.
+    - Pivot.  `ops._cut`'s pivot is x ∧ o for the opposite corner o.  In a
+      slim rectangular lattice ↓o is o's chain from 0 to o (Grätzer–Knapp,
+      *Notes on planar semimodular lattices III*), so x ∧ o is the highest
+      y on that prefix with y ≤ x, and the members below x are the
+      prefix's first ones.  y and x lie on opposite chains, so they were
+      not added on the same side, and y ≤ x iff hi(y) ≤ lo(x).
+    - Witness.  `_hull_path` pulls (↓x, ↑pivot) back to L as
+      (↓lo(x), ↑hi(pivot)) (`ops._Hull.pull_back`).
+    """
+    lat = slimmed.lattice
+    hull = _grown(slimmed)
+    if hull is None:
+        h, b, lo, hi = lat, slimmed.boundary, range(lat.n), range(lat.n)
+    else:
+        h, b, lo, hi = hull, hull.boundary(), hull.lo, hull.hi
+    u_l, u_r = b.u_l, b.u_r
+    if u_l is None or u_r is None:
+        raise StuckNotRectangular(f"no extension site on a non-rectangular "
+                                  f"{len(h.height)}-element lattice")
+    top, upper = h.top, h.upper_covers
+    if top not in upper[u_l]:
+        chain, corner, prefix, opposite = b.left_chain, u_l, b.right_chain, u_r
+    elif top not in upper[u_r]:
+        chain, corner, prefix, opposite = b.right_chain, u_r, b.left_chain, u_l
+    else:
+        raise AssertionFailed(
+            f"the hull of a {lat.n}-element slim lattice is a patch")
+    x = chain[chain.index(corner) + 1]
+    below_x, pivot = lat.down[lo[x]], h.bottom
+    for y in prefix[1:prefix.index(opposite) + 1]:
+        if not below_x >> hi[y] & 1:
+            break
+        pivot = y
+    if pivot == h.bottom:
+        raise AssertionFailed("the cut pivot fell to the bottom element")
+    if hull is None:
+        return None, (x, pivot), _principal(lat, x, pivot)
+    return hull, (x, pivot), hull.pull_back(x, pivot)
+
+
 def _decompose_step(diag):
     """One decomposition step, undrawn: None for a patch, else the tuple
-    (witness, eyes, slimmed, found) of the lifted witness, the removed eyes,
-    the slim diagram and `_hull_path`'s (hull, cut), which is None for a
-    chain.  Only the root's step becomes a trace (`_trace`).
+    (witness, eyes, slimmed, hull, linked) of the lifted witness, the
+    removed eyes, the slim diagram, its grown hull (None for a chain and a
+    rectangular slim diagram) and the witness on the slim lattice.  No
+    hull is closed or cut here; only the root's step becomes a trace,
+    which does both (`_trace`).
 
     A chain 0 = c_0 ≺ c_1 ≺ … ≺ c_{n-1} = 1 with n ≥ 3 (n elements and
     n - 1 covers) gets its witness in closed form, (↓c, ↑c) with c at
-    height min(2, n - 2), and its hull and cut only when `_trace` builds
-    the root's trace.  That is the witness `_hull_path` returns:
+    height min(2, n - 2), and grows no hull.  That is the witness
+    `_hull_path` returns:
     - Hull.  Both boundary chains are the input, and the left one is
       scanned first.  With t_0 = 0, the site at position i is
       t_i ≺ c_{i+1} ≺ c_{i+2}; it adds t_{i+1} with t_i ≺ t_{i+1} ≺ c_{i+2}
@@ -209,7 +282,8 @@ def _decompose_step(diag):
     - n = 3.  The hull {0, c_1, t_1, 1} is a patch, which gives
       (↓c_1, ↑c_1).
     A chain has no eyes, so it is its own slim diagram.  Any other diagram
-    that is not a patch is slimmed and goes down `_hull_path` at once.
+    that is not a patch is slimmed, and its witness is read off its hull's
+    links (`_link_cut`).
 
     Each witness is validated once on each lattice it lives on: one pulled
     back from a grown hull as a restriction (`ops._checked_restriction`),
@@ -221,33 +295,31 @@ def _decompose_step(diag):
         c = lat.upper_covers[lat.bottom][0]
         if lat.n > 3:
             c = lat.upper_covers[c][0]
-        return _lift_through_eyes(_principal(lat, c, c), diag), (), diag, None
+        witness = _lift_through_eyes(_principal(lat, c, c), diag)
+        return witness, (), diag, None, witness
     if is_patch(diag):
         return None
     slimmed, eyes = slim(diag)
-    hull, cut, witness = _hull_path(slimmed)
-    if hull is not None and cut is not None:  # pulled back from a grown hull
-        _checked_restriction(witness)
+    hull, _, linked = _link_cut(slimmed)
+    if hull is not None:  # pulled back from a grown hull
+        _checked_restriction(linked)
         if not eyes:
-            return witness, (), slimmed, (hull, cut)
-    return _lift_through_eyes(witness, diag), tuple(eyes), slimmed, (hull, cut)
+            return linked, (), slimmed, hull, linked
+    return _lift_through_eyes(linked, diag), tuple(eyes), slimmed, hull, linked
 
 
-def _trace(witness, eyes, slimmed, found):
+def _trace(witness, eyes, slimmed, hull, linked):
     """The `PipelineTrace` of a step from `_decompose_step`, its hull and
     cut kept undrawn until first read (see `_draw`).
 
-    A chain's hull and cut (`found` None) are grown and cut by `_hull_path`
-    here, at once, which must give the chain's witness.  That witness is
-    not validated again: the eye lift has validated the closed form it
-    must equal."""
-    if found is None:
-        hull, cut, grown = _hull_path(slimmed)
-        if grown != witness:
-            raise AssertionFailed(
-                "the hull path and the closed form give different witnesses")
-    else:
-        hull, cut = found
+    The step's hull is closed and cut here, at once, by `_hull_path`, and
+    a chain's is grown first; the cut must give the step's witness on the
+    slim lattice, `linked`.  Nothing is validated again: the step has
+    validated the witness it returns."""
+    hull, cut, found = _hull_path(slimmed, hull)
+    if found != linked:
+        raise AssertionFailed(
+            "the hull path and the closed form give different witnesses")
     trace = PipelineTrace(eyes, None, None, cut is None)
     trace._drawn, trace._undrawn = None, (slimmed, hull, cut)
     return trace

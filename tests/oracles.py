@@ -11,12 +11,19 @@ is `walked_interval_rectangular`, which reuses the package's boundary walk:
 it is the reference for the drawing-free test of a part of a cut.
 The document references build each document as a dict and write it with
 `json.dumps(..., sort_keys=True, indent=2)`.
+The fork inputs are slim semimodular lattices that the generators never
+produce: a grid with a fork added to one 4-cell, built from its labeled
+covers, and S_7 glued by the package's `glue_over_chain` over a 2-element
+chain above or below a grid or a chain.
 """
 
 import json
+from fractions import Fraction
 from itertools import permutations, product
 
-from latpatch import DecompLeaf, Diagram, EyeRecord, Lattice, find_eyes
+from latpatch import (DecompLeaf, Diagram, EyeRecord, Lattice, find_eyes,
+                      generate, glue_over_chain, is_semimodular)
+from latpatch.errors import EmbeddingFailed
 from latpatch.diagram import _interval_boundary, _rectangular
 
 
@@ -339,3 +346,75 @@ def tree_document(node):
 def json_reference(doc):
     """The text `serialize` and `serialize_tree` must write for `doc`."""
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# -- forks -------------------------------------------------------------------
+
+def grid_with_fork(m, n, p, q):
+    """The m × n grid with a fork added to its 4-cell whose top is (p, q),
+    1 ≤ p < m and 1 ≤ q < n, drawn; element (i, j) is labelled "i.j" and
+    drawn at x = j - i, so i grows to the left.
+
+    The fork (Czédli–Schmidt, *Slim semimodular lattices. I*) puts s inside
+    the cell, s ≺ (p, q), and splits the edges below it down to the
+    boundary: l_k on (p-1, q-k) ≺ (p, q-k) for k = 1..q, and r_k on
+    (p-k, q-1) ≺ (p-k, q) for k = 1..p, each at its edge's midpoint, with
+    s covering l_1 and r_1 and each l_k, r_k covering l_{k+1}, r_{k+1}.
+    B2 with a fork is S_7."""
+    def g(i, j):
+        return f"{i}.{j}"
+
+    split = {(g(p - 1, q - k), g(p, q - k)): f"l{k}" for k in range(1, q + 1)}
+    split |= {(g(p - k, q - 1), g(p - k, q)): f"r{k}" for k in range(1, p + 1)}
+    covers = []
+    for (i, j), (i2, j2) in product_chain_covers(m, n)[0]:
+        edge = (g(i, j), g(i2, j2))
+        if edge in split:
+            covers += [(edge[0], split[edge]), (split[edge], edge[1])]
+        else:
+            covers.append(edge)
+    covers += [("l1", "s"), ("r1", "s"), ("s", g(p, q))]
+    covers += [(f"l{k + 1}", f"l{k}") for k in range(1, q)]
+    covers += [(f"r{k + 1}", f"r{k}") for k in range(1, p)]
+    x_of = {g(i, j): Fraction(j - i) for i, j in product(range(m), range(n))}
+    x_of["s"] = Fraction(q - p)
+    for (lo, hi), label in split.items():
+        x_of[label] = (x_of[lo] + x_of[hi]) / 2
+    names = list(x_of)
+    return Diagram(Lattice(covers, elements=names), [x_of[v] for v in names])
+
+
+def fork_corpus():
+    """(name, diagram) of every grid from 2 × 2 to 4 × 4 with one fork in
+    one of its 4-cells; the first is S_7, B2 with a fork."""
+    return [(f"grid{m}x{n}+fork@{p}.{q}", grid_with_fork(m, n, p, q))
+            for m in range(2, 5) for n in range(2, 5)
+            for p in range(1, m) for q in range(1, n)]
+
+
+def s7_glued_corpus():
+    """(name, diagram) of S_7 glued over a 2-element chain above and below
+    the grids 2 × 3, 2 × 4, 3 × 3 and 3 × 4 and the 4-element chain: an
+    edge d ≺ 1 of the lower piece is identified with an edge 0 ≺ a of the
+    upper one, in every way.  Only the gluings that `glue_over_chain` can
+    draw and that are semimodular are kept."""
+    s7 = grid_with_fork(2, 2, 1, 1)
+    others = [(f"grid{m}x{n}", generate("grid", [m, n]))
+              for m in (2, 3) for n in (3, 4)]
+    others.append(("chain4", generate("chain", [4])))
+    out = []
+    for name, other in others:
+        for where, lower, upper in (("above", other, s7), ("below", s7, other)):
+            la, lb = lower.lattice, upper.lattice
+            for d in la.lower_covers[la.top]:
+                for a in lb.upper_covers[lb.bottom]:
+                    iso = {la.names[d]: lb.names[lb.bottom],
+                           la.names[la.top]: lb.names[a]}
+                    try:
+                        glued = glue_over_chain(lower, upper, iso)
+                    except EmbeddingFailed:
+                        continue
+                    if is_semimodular(glued.lattice):
+                        out.append((f"s7 {where} {name} over {sorted(iso.items())}",
+                                    glued))
+    return out

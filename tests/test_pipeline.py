@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -22,9 +23,11 @@ from latpatch import (DecompGlue, DecompLeaf, Diagram, Lattice, PipelineTrace,
                       validate_witness, verify_tree, witness_from_cut)
 from latpatch.core import iter_bits
 from latpatch.errors import (AssertionFailed, LatpatchError, NoDecomposition,
-                             NotSemimodular, SizeBoundExceeded)
+                             NotSemimodular, SizeBoundExceeded,
+                             StuckNotRectangular)
 from latpatch.ops import _principal, _pull_back
-from latpatch.pipeline import _decompose_step, _lift_through_eyes, _trace
+from latpatch.pipeline import (_decompose_step, _hull_path, _lift_through_eyes,
+                               _link_cut, _trace)
 
 
 def labeled(lat):
@@ -238,8 +241,8 @@ def test_decompose_validates_each_witness_once(corpus, random_corpus_small, monk
 def test_a_chain_root_whose_hull_path_disagrees_is_refused(monkeypatch):
     hull_path = latpatch.pipeline._hull_path
 
-    def disagreeing(slimmed):
-        hull, cut, _ = hull_path(slimmed)
+    def disagreeing(slimmed, hull=None):
+        hull, cut, _ = hull_path(slimmed, hull)
         m = slimmed.lattice.upper_covers[slimmed.lattice.bottom][0]
         return hull, cut, _principal(slimmed.lattice, m, m)
 
@@ -256,6 +259,135 @@ def test_an_invalid_pulled_back_witness_is_refused(monkeypatch):
     monkeypatch.setattr(latpatch.ops._Hull, "pull_back", improper)
     with pytest.raises(AssertionFailed, match="restricted witness is invalid"):
         decompose(generate("random-sps", [24], seed=0))
+
+
+def distinct_nodes(tree):
+    """Every node of the tree, a shared subtree once."""
+    seen, out, stack = set(), [], [tree]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            out.append(node)
+            if isinstance(node, DecompGlue):
+                stack += [node.right, node.left]
+    return out
+
+
+def link_rule_agrees(diag, name):
+    """On a node that `decompose` cuts and that is no chain: `_link_cut`
+    gives the x, pivot and witness of `_hull_path` on the same hull, once
+    closed, and ↓ of the opposite corner is that corner's chain up to it.
+    None on any other node, else whether the node grew a hull."""
+    lat = diag.lattice
+    if is_patch(diag) or len(lat.covers) == lat.n - 1:
+        return None
+    slimmed, _ = slim(diag)
+    hull, (x, pivot), linked = _link_cut(slimmed)
+    closed, cut, found = _hull_path(slimmed, hull)
+    assert closed is hull and cut[:2] == (x, pivot) and found == linked, name
+    rect, b = (slimmed.lattice, slimmed.boundary) if hull is None else (hull, hull.boundary())
+    chain, opposite = (b.right_chain, b.u_r) if cut[3] == "left" else (b.left_chain, b.u_l)
+    prefix = chain[:chain.index(opposite) + 1]
+    assert rect.down[opposite] == sum(1 << y for y in prefix), name
+    return hull is not None
+
+
+def test_the_link_rule_gives_the_hull_path_cut(corpus):
+    inputs = corpus + ladder_inputs()
+    inputs += [(f"sps[{n}]#7", generate("random-sps", [n], seed=7)) for n in (80, 160)]
+    inputs += [(f"grid{m}x{n}", generate("grid", [m, n]))
+               for m in range(2, 8) for n in range(2, 8)]
+    inputs += [(f"diamond{k}", generate("diamond", [k])) for k in (3, 4, 5)]
+    grown = rectangular = 0
+    for name, diag in inputs:
+        for node in distinct_nodes(decompose(diag)[0]):
+            found = link_rule_agrees(node.diagram, name)
+            grown += found is True
+            rectangular += found is False
+    assert (grown, rectangular) == (204, 438)
+
+
+def test_fork_inputs_decompose_and_agree_with_the_hull_path():
+    inputs = oracles.fork_corpus() + oracles.s7_glued_corpus()
+    assert len(inputs) == 36 + 33
+    # the first fork input is B2 with a fork: S_7
+    s7 = Lattice([("0", "a"), ("0", "b"), ("a", "a1"), ("a", "m"), ("b", "m"),
+                  ("b", "b1"), ("a1", "1"), ("m", "1"), ("b1", "1")])
+    assert is_isomorphic(inputs[0][1].lattice, s7) is not None
+    assert is_slim(inputs[0][1]) and is_patch(inputs[0][1])
+    checked = 0
+    for name, diag in inputs:
+        assert validate_diagram(diag) is None and is_semimodular(diag.lattice), name
+        tree, _ = decompose(diag)
+        assert verify_tree(tree, diag) is None, name
+        for node in distinct_nodes(tree):
+            # the dichotomy: a patch, or a gluing found
+            witness = brute_force_gluing_search(node.diagram)
+            assert (witness is None) == is_patch(node.diagram), name
+            assert isinstance(node, DecompLeaf) == is_patch(node.diagram), name
+            checked += link_rule_agrees(node.diagram, name) is not None
+    assert checked == 348
+
+
+def test_only_the_root_hull_is_closed_and_cut(monkeypatch):
+    closed, cut = [], []
+    close, cut_at = latpatch.ops._Hull.close, latpatch.pipeline._cut
+
+    def counted_close(hull):
+        closed.append(hull)
+        return close(hull)
+
+    def counted_cut(lat, *args):
+        cut.append(lat)
+        return cut_at(lat, *args)
+
+    monkeypatch.setattr(latpatch.ops._Hull, "close", counted_close)
+    monkeypatch.setattr(latpatch.pipeline, "_cut", counted_cut)
+    inputs = ladder_inputs() + [("chain30", generate("chain", [30])),
+                                ("grid5x5", generate("grid", [5, 5])),
+                                ("sps[80]#7", generate("random-sps", [80], seed=7))]
+    for name, diag in inputs:
+        closed.clear()
+        cut.clear()
+        _, trace = decompose(diag)
+        slimmed, hull, _ = trace._undrawn
+        assert len(closed) <= 1 and closed == ([] if hull is None else [hull]), name
+        assert cut == [slimmed.lattice if hull is None else hull], name
+
+
+def test_a_root_whose_link_witness_disagrees_is_refused(monkeypatch):
+    link_cut = latpatch.pipeline._link_cut
+
+    def disagreeing(slimmed):
+        # another valid witness on the slim lattice: the oracle's
+        hull, cut, _ = link_cut(slimmed)
+        return hull, cut, brute_force_gluing_search(slimmed)
+
+    diag = generate("random-sps", [24], seed=1)
+    slimmed, _ = slim(diag)
+    assert brute_force_gluing_search(slimmed) != _link_cut(slimmed)[2]
+    monkeypatch.setattr(latpatch.pipeline, "_link_cut", disagreeing)
+    with pytest.raises(AssertionFailed, match="different witnesses"):
+        decompose(diag)
+
+
+@pytest.mark.parametrize("corner", ["u_l", "u_r"])
+def test_an_inner_hull_without_one_corner_per_side_is_refused(corner, monkeypatch):
+    boundary = latpatch.ops._Hull.boundary
+    hulls = []
+
+    def lopsided(hull):
+        # the root's hull keeps its corners; every later one loses one
+        if not any(h is hull for h in hulls):
+            hulls.append(hull)
+        b = boundary(hull)
+        return b if hull is hulls[0] else dataclasses.replace(b, **{corner: None})
+
+    monkeypatch.setattr(latpatch.ops._Hull, "boundary", lopsided)
+    with pytest.raises(StuckNotRectangular, match="no extension site on a non-rectangular"):
+        decompose(generate("random-sps", [24], seed=7))
+    assert len(hulls) == 2
 
 
 def test_an_invalid_lifted_witness_is_refused(monkeypatch):
@@ -308,14 +440,15 @@ def small_drawn_lattices(count, seed):
 
 
 def outcome(step, diag):
-    """A step's result, or the type and message of the error it raised."""
+    """A root step's result, its trace made at once as `decompose` makes
+    it, or the type and message of the error either raised."""
     try:
         found = step(diag)
+        if found is None or isinstance(found[1], PipelineTrace):
+            return found
+        return found[0], _trace(*found)
     except LatpatchError as exc:
         return type(exc), str(exc)
-    if found is None or isinstance(found[1], PipelineTrace):
-        return found
-    return found[0], _trace(*found)
 
 
 def test_the_undrawn_step_fails_as_the_materialized_one():
