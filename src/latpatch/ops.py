@@ -180,13 +180,13 @@ def glue_over_chain(lower, upper, iso, max_synth=16):
 
 # -- one-step extensions and the rectangular hull ----------------------------
 
-def _sites(lat, chains, start=(0, 0)):
+def _sites(lat, chains):
     """Boundary triples a ≺ b ≺ c with a meet-irreducible and c
     join-irreducible, each with a's position in its chain: on the left
-    chain bottom-up from position start[0], then on the right from start[1]."""
+    chain bottom-up, then on the right."""
     upper, lower = lat.upper_covers, lat.lower_covers
-    for side, chain, first in zip(("left", "right"), chains, start):
-        for i in range(first, len(chain) - 2):
+    for side, chain in zip(("left", "right"), chains):
+        for i in range(len(chain) - 2):
             if len(upper[chain[i]]) == 1 and len(lower[chain[i + 2]]) == 1:
                 yield i, (chain[i], chain[i + 1], chain[i + 2], side)
 
@@ -198,17 +198,89 @@ def find_extension_sites(diag):
     return [site for _, site in _sites(diag.lattice, (b.left_chain, b.right_chain))]
 
 
+def _cascades(chains, up, down, lo, hi, bound):
+    """The site process on a slim diagram's two boundary chains alone, one
+    cascade of steps at a time.  `up` and `down` count each element's upper
+    and lower covers, `lo` and `hi` are its links into the input (see
+    `_Hull`), all by id, and each added element takes the next id.  Each
+    cascade is applied to the chains, counts and links, and then yielded as
+    its side and its chain's segment c_j, …, c_{i+2} from before it.  More
+    than `bound` steps raise `IterationBoundExceeded`.
+
+    The process extends at the first site in `_sites` order for as long as
+    one is left.  A step puts a fresh t with a ≺ t ≺ c in place of b and
+    adds covers only to a and c, so counts only grow.  A site needs two
+    counts of one, so a right step makes no left site, and the left side
+    runs to its end first.  Counts are kept by id because the bottom, the
+    top and any cut point lie on both chains.
+
+    On one chain c_0, …, c_k, let i be the lowest site, with up(c_i) = 1 =
+    down(c_{i+2}), and j ≤ i the lowest position with up(c_j) = … = up(c_i)
+    = 1.  The process steps at i, i − 1, …, j, in that order.  By downward
+    induction, the step at q adds t_{q+1} at position q + 1, with lower
+    cover c_q and upper cover t_{q+2} (c_{i+2} when q = i), which gains a
+    second lower cover; c_q gains a second upper cover.  So q − 1 is a site
+    exactly when up(c_{q−1}) = 1, which holds down to j and fails at j − 1.
+    No site lies lower: a position p ≤ q − 2 still holds c_p, which was no
+    site, and neither up(c_p) nor down(c_{p+2}) changed.  So t_{q+1} is the
+    (i − q)-th element the cascade adds, counting from 0, and its links are
+    lo(c_q) and hi(c_{i+2}).
+    After the step at j, c_j has two upper covers and c_{i+2} and t_{j+2},
+    …, t_{i+1} two lower covers each, so no position from j − 1 to i is a
+    site, while t_{j+1}, …, t_{i+1} have one upper cover each.  So the scan
+    goes on at i + 1 with its run of one-upper-cover positions starting at
+    j + 1.  A side takes O(k) turns of the scan, and list operations in
+    proportion to its steps.
+    """
+    steps = 0
+    for side, chain in zip(("left", "right"), chains):
+        q = run = 0  # no site below q; up(c_p) = 1 for p from run to q - 1
+        while q < len(chain) - 2:
+            if up[chain[q]] != 1:
+                run = q + 1
+            elif down[chain[q + 2]] == 1:
+                m = q - run + 1
+                if steps + m > bound:
+                    raise IterationBoundExceeded(
+                        f"still not rectangular after {bound} extensions")
+                steps += m
+                seg = chain[run:q + 3]
+                t = len(lo)
+                chain[run + 1:q + 2] = range(t + m - 1, t - 1, -1)
+                for a in seg[:-2]:
+                    up[a] += 1
+                down[seg[-1]] += 1
+                up += [1] * m
+                down += [2] * (m - 1) + [1]
+                lo += [lo[a] for a in reversed(seg[:-2])]
+                hi += [hi[seg[-1]]] * m
+                yield side, seg
+                run += 1
+            q += 1
+
+
+def _corners(chains, up, down):
+    """The weak corners u_l and u_r from the cover counts `up` and `down`
+    (None where a side has not exactly one): the inner elements of each
+    chain with one upper and one lower cover, as `_boundary_data` finds
+    them."""
+    out = []
+    for chain in chains:
+        found = [v for v in chain[1:-1] if up[v] == 1 == down[v]]
+        out.append(found[0] if len(found) == 1 else None)
+    return out
+
+
 class _Hull(_Growing):
     """A diagram's lattice grown in place at its boundary sites, undrawn.
 
-    It grows as a `core._Growing`, without labels, and keeps what `_sites`
-    reads and what the cut needs besides: the left and right boundary
-    chains, each side's scan position (no site lies before it), one
-    (a, b, c, side) tuple of ids per step, whose new t takes the next id,
-    and each element's links into the input, `lo` and `hi`: v and v for an
-    input element, lo(a) and hi(c) for an added t (see `pull_back`).
-    `close` adds the ↑ and ↓ masks, which the drawn lattice shares.  Labels,
-    x coordinates and `ExtensionStep`s come from the step tuples, and only
+    It grows as a `core._Growing`, without labels, and keeps what the cut
+    needs besides: the left and right boundary chains, one (a, b, c, side)
+    tuple of ids per step, whose new t takes the next id, and each
+    element's links into the input, `lo` and `hi`: v and v for an input
+    element, lo(a) and hi(c) for an added t (see `pull_back`).  `close`
+    adds the ↑ and ↓ masks, which the drawn lattice shares.  Labels, x
+    coordinates and `ExtensionStep`s come from the step tuples, and only
     `draw` makes them, where a hull is read.
     """
 
@@ -217,29 +289,24 @@ class _Hull(_Growing):
         b = diag.boundary
         self.base = diag
         self.chains = (list(b.left_chain), list(b.right_chain))
-        self.scan = [0, 0]
         self.steps = []
         self.lo = list(range(diag.lattice.n))
         self.hi = list(self.lo)
         self._boundary = (-1, None)  # (step count, boundary data), see `boundary`
         self.closed = None  # the masks and heights, see `close`
 
-    def first_site(self):
-        """The first site in `_sites` order with its position, or None.
-
-        An extension at position i only adds covers to a and c and puts t,
-        whose one lower cover is a, at position i + 1 of its side's chain.
-        So it makes new sites only from position i - 1 of that chain on,
-        and none on the other chain: each side's scan resumes where
-        `extend` left it, and a left chain without sites is not scanned
-        again."""
-        found = next(_sites(self, self.chains, self.scan), None)
-        if found is not None:
-            i, (_, _, _, side) = found
-            if side == "right":
-                self.scan[0] = len(self.chains[0])
-            self.scan[side == "right"] = i
-        return found
+    def grow(self, bound):
+        """Run the site process (`_cascades`) and make each cascade's steps
+        at i, i − 1, …, j in that order: the step at q adds t with
+        c_q ≺ t ≺ c, c the t of the step before (c_{i+2} for the first), in
+        place of c_{q+1}."""
+        counts = [list(map(len, covers))
+                  for covers in (self.upper_covers, self.lower_covers)]
+        for side, seg in _cascades(self.chains, *counts, self.lo, self.hi, bound):
+            c = seg[-1]
+            for q in range(len(seg) - 3, -1, -1):
+                self.steps.append((seg[q], seg[q + 1], c, side))
+                c = self.add(seg[q], c)
 
     def extend(self, i, site):
         """Add a fresh t with a ≺ t ≺ c at a site from `_sites` at position
@@ -252,11 +319,9 @@ class _Hull(_Growing):
         by b.  So t replaces b in that chain and all else stays.
         """
         a, b, c, side = site
-        s = side == "right"
-        self.chains[s][i + 1] = self.add(a, c)
+        self.chains[side == "right"][i + 1] = self.add(a, c)
         self.lo.append(self.lo[a])
         self.hi.append(self.hi[c])
-        self.scan[s] = min(self.scan[s], max(i - 1, 0))
         self.steps.append(site)
 
     def boundary(self):
@@ -334,18 +399,18 @@ class _Hull(_Growing):
         return _principal(self.base.lattice, self.lo[x], self.hi[pivot])
 
 
-def _grown(diag):
-    """The site process: extend at the first site, left sites bottom-up
-    before right ones, for as long as one is left.  None for a rectangular
-    diagram, else the grown `_Hull`, not closed.
+def _grow(diag):
+    """The rectangular hull of a diagram by the site process, closed, and
+    its boundary data; None for a rectangular diagram.
 
-    More than n² steps, or a hull that is not rectangular, means the input
-    was not a slim planar semimodular lattice.  The steps are counted here;
-    `_Hull.close` reports a hull that is not rectangular, and the
-    pipeline, which closes only the root's hull, one without a single
-    corner per side (`pipeline._link_cut`).
+    The process extends at the first site, left sites bottom-up before
+    right ones, for as long as one is left, a cascade at a time
+    (`_cascades`).  More than n² steps, or a hull that is not rectangular,
+    means the input was not a slim planar semimodular lattice.
+    `_cascades` counts the steps, and `_Hull.close` reports a hull that is
+    not rectangular.
 
-    The loop ends at the first rectangular hull: a slim rectangular
+    The process ends at the first rectangular hull: a slim rectangular
     lattice with corners u_l and u_r has no site a ≺ b ≺ c, say on the
     left chain (the right one is the mirror).  If a < u_l, then b ≤ u_l;
     the atom r of the chain [0, u_r] lies neither below u_l nor below a,
@@ -358,21 +423,9 @@ def _grown(diag):
     """
     if is_rectangular(diag):
         return None
-    bound = diag.lattice.n ** 2
     hull = _Hull(diag)
-    while (found := hull.first_site()) is not None:
-        if len(hull.steps) >= bound:
-            raise IterationBoundExceeded(
-                f"still not rectangular after {bound} extensions")
-        hull.extend(*found)
-    return hull
-
-
-def _grow(diag):
-    """`_grown`'s hull closed, and its boundary data; None for a
-    rectangular diagram."""
-    hull = _grown(diag)
-    return None if hull is None else (hull, hull.close())
+    hull.grow(diag.lattice.n ** 2)
+    return hull, hull.close()
 
 
 def one_step_extension(diag, site):
@@ -392,7 +445,7 @@ def one_step_extension(diag, site):
 
 
 def rectangularize(diag):
-    """The rectangular hull of `diag` by the site process (see `_grown`),
+    """The rectangular hull of `diag` by the site process (see `_grow`),
     drawn, and its extension steps.  A rectangular diagram is returned as
     is; a lattice that needs more than n² steps raises
     `IterationBoundExceeded`."""
@@ -453,7 +506,7 @@ def _cut(lat, b, x, mode):
     lattice at x on its upper boundary.  `lat` holds the masks and covers (a
     `Lattice`, or a closed `_Hull`) and `b` its boundary data.
     `decompose_at` cuts here, and so does the pipeline, on the root's hull
-    only: every other node's cut is read off its hull's links
+    only: every other node's cut is read off its boundary chains' links
     (`pipeline._link_cut`), and the root's cut must agree with that.
 
     Left mode cuts along [0, x] and [x ∧ u_r, 1]; mirrored mode swaps the

@@ -11,12 +11,13 @@ ideal of a finite lattice is some ↓x and every nonempty filter some ↑y.
 from dataclasses import dataclass
 
 from .core import _is_chain_mask, is_isomorphic, is_semimodular, iter_bits
-from .diagram import (Diagram, _patch, is_patch, slim, subdiagram,
-                      validate_diagram)
+from .diagram import (Diagram, _patch, is_patch, is_rectangular, slim,
+                      subdiagram, validate_diagram)
 from .errors import (AssertionFailed, NoDecomposition, NotSemimodular,
                      SizeBoundExceeded, StuckNotRectangular)
-from .ops import (DecompositionCut, GluingWitness, _checked_restriction,
-                  _choose, _cut, _grow, _grown, _principal, validate_witness)
+from .ops import (DecompositionCut, GluingWitness, _cascades,
+                  _checked_restriction, _choose, _corners, _cut, _grow,
+                  _principal, validate_witness)
 
 
 @dataclass(frozen=True)
@@ -148,17 +149,16 @@ def _lift_through_eyes(witness, full_diag):
     return lifted
 
 
-def _hull_path(slimmed, hull=None):
+def _hull_path(slimmed):
     """The hull of a slim diagram (None when it is rectangular), its cut as
     (x, pivot, chain, mode) in hull ids (None for the 3-element chain), and
     the witness on the slim lattice, unchecked.  Only the root's trace
-    takes this path (`_trace`), on the hull `_link_cut` grew, or on one
-    grown here for a chain.
+    takes this path (`_trace`).
 
-    The hull is closed and cut by `ops._cut` on its masks and covers; the
-    cut's witness (↓x, ↑pivot) is pulled back to the slim lattice as
-    (↓lo(x), ↑hi(pivot)) (`ops._Hull.pull_back`).  Nothing is labelled or
-    drawn.
+    The hull is grown and closed by `ops._grow` and cut by `ops._cut` on
+    its masks and covers; the cut's witness (↓x, ↑pivot) is pulled back to
+    the slim lattice as (↓lo(x), ↑hi(pivot)) (`ops._Hull.pull_back`).
+    Nothing is labelled or drawn.
 
     A hull that is a patch after extension steps comes only from the
     3-element chain 0 ≺ m ≺ 1, which has no cut; its witness is (↓m, ↑m,
@@ -171,7 +171,7 @@ def _hull_path(slimmed, hull=None):
     the hull is {0, t, b, 1} and the slim lattice {0, b, 1}.
     """
     lat = slimmed.lattice
-    grown = _grow(slimmed) if hull is None else (hull, hull.close())
+    grown = _grow(slimmed)
     hull, b = grown or (lat, slimmed.boundary)
     if grown and _patch(hull, b):
         if lat.n != 3:
@@ -187,11 +187,14 @@ def _hull_path(slimmed, hull=None):
 
 
 def _link_cut(slimmed):
-    """The hull of a slim diagram with more than three elements (None when
-    it is rectangular), and the x and pivot of its cut in hull ids and the
-    witness on the slim lattice that `_hull_path` gives, unchecked: read
-    off the grown hull's cover-list lengths and links, with no closure and
-    no cut.
+    """Whether a slim diagram with more than three elements grows a hull,
+    and the x and pivot of its cut in hull ids and the witness on the slim
+    lattice that `_hull_path` gives, unchecked.  No hull is built: the site
+    process runs on the two boundary chains alone (`ops._cascades`), and
+    the cut is read off the final chains, their elements' cover counts and
+    the links, with no closure and no cut.  A rectangular diagram has no
+    site (`ops._grow`): it is its own hull, and its boundary data gives
+    the corners.
 
     Let H be the hull, L the slim lattice, and lo and hi the links of H's
     elements into L (`ops._Hull`); on a rectangular L, H = L and both are
@@ -209,12 +212,13 @@ def _link_cut(slimmed):
       which the exception excludes.  Otherwise the path passes some z of
       L.  The elements of L above u are those above hi(u), and those below
       v are those below lo(v) (`ops._Hull.pull_back`), so hi(u) ≤ z ≤ lo(v).
-    - Corners and x.  A rectangular H has one weak corner per side, which
-      `_Hull.boundary` finds from cover-list lengths alone; anything else
-      is reported.  Both corners are dual atoms only in a patch hull,
-      which only the 3-element chain has (see `_hull_path`).  So, as in
-      `ops._choose`, the mode is left unless u_l is a dual atom, and x is
-      the corner's upper cover on its chain.
+    - Corners and x.  A rectangular H has one weak corner per side, an
+      inner element of its chain with one upper and one lower cover
+      (`ops._corners`); anything else is reported.  Both corners are dual
+      atoms only in a patch hull, which only the 3-element chain has (see
+      `_hull_path`).  A corner's one upper cover is its successor on its
+      chain.  So, as in `ops._choose`, the mode is left unless u_l's
+      successor is the top, and x is the corner's successor.
     - Pivot.  `ops._cut`'s pivot is x ∧ o for the opposite corner o.  In a
       slim rectangular lattice ↓o is o's chain from 0 to o (Grätzer–Knapp,
       *Notes on planar semimodular lattices III*), so x ∧ o is the highest
@@ -224,48 +228,51 @@ def _link_cut(slimmed):
     - Witness.  `_hull_path` pulls (↓x, ↑pivot) back to L as
       (↓lo(x), ↑hi(pivot)) (`ops._Hull.pull_back`).
     """
-    lat = slimmed.lattice
-    hull = _grown(slimmed)
-    if hull is None:
-        h, b, lo, hi = lat, slimmed.boundary, range(lat.n), range(lat.n)
+    lat, b = slimmed.lattice, slimmed.boundary
+    if is_rectangular(slimmed):
+        chains, lo, hi = (b.left_chain, b.right_chain), range(lat.n), range(lat.n)
+        u_l, u_r = b.u_l, b.u_r
     else:
-        h, b, lo, hi = hull, hull.boundary(), hull.lo, hull.hi
-    u_l, u_r = b.u_l, b.u_r
+        chains = [list(b.left_chain), list(b.right_chain)]
+        up = list(map(len, lat.upper_covers))
+        down = list(map(len, lat.lower_covers))
+        lo = list(range(lat.n))
+        hi = list(lo)
+        for _ in _cascades(chains, up, down, lo, hi, lat.n ** 2):
+            pass
+        u_l, u_r = _corners(chains, up, down)
     if u_l is None or u_r is None:
         raise StuckNotRectangular(f"no extension site on a non-rectangular "
-                                  f"{len(h.height)}-element lattice")
-    top, upper = h.top, h.upper_covers
-    if top not in upper[u_l]:
-        chain, corner, prefix, opposite = b.left_chain, u_l, b.right_chain, u_r
-    elif top not in upper[u_r]:
-        chain, corner, prefix, opposite = b.right_chain, u_r, b.left_chain, u_l
-    else:
-        raise AssertionFailed(
-            f"the hull of a {lat.n}-element slim lattice is a patch")
-    x = chain[chain.index(corner) + 1]
-    below_x, pivot = lat.down[lo[x]], h.bottom
+                                  f"{len(lo)}-element lattice")
+    (left, right), top = chains, lat.top
+    x = left[left.index(u_l) + 1]
+    prefix, opposite = right, u_r
+    if x == top:
+        x = right[right.index(u_r) + 1]
+        if x == top:
+            raise AssertionFailed(
+                f"the hull of a {lat.n}-element slim lattice is a patch")
+        prefix, opposite = left, u_l
+    below_x, pivot = lat.down[lo[x]], lat.bottom
     for y in prefix[1:prefix.index(opposite) + 1]:
         if not below_x >> hi[y] & 1:
             break
         pivot = y
-    if pivot == h.bottom:
+    if pivot == lat.bottom:
         raise AssertionFailed("the cut pivot fell to the bottom element")
-    if hull is None:
-        return None, (x, pivot), _principal(lat, x, pivot)
-    return hull, (x, pivot), hull.pull_back(x, pivot)
+    return len(lo) > lat.n, (x, pivot), _principal(lat, lo[x], hi[pivot])
 
 
 def _decompose_step(diag):
     """One decomposition step, undrawn: None for a patch, else the tuple
-    (witness, eyes, slimmed, hull, linked) of the lifted witness, the
-    removed eyes, the slim diagram, its grown hull (None for a chain and a
-    rectangular slim diagram) and the witness on the slim lattice.  No
-    hull is closed or cut here; only the root's step becomes a trace,
-    which does both (`_trace`).
+    (witness, eyes, slimmed, linked) of the lifted witness, the removed
+    eyes, the slim diagram and the witness on the slim lattice.  No hull
+    is built here; only the root's step becomes a trace, which grows,
+    closes and cuts the root's hull (`_trace`).
 
     A chain 0 = c_0 ≺ c_1 ≺ … ≺ c_{n-1} = 1 with n ≥ 3 (n elements and
     n - 1 covers) gets its witness in closed form, (↓c, ↑c) with c at
-    height min(2, n - 2), and grows no hull.  That is the witness
+    height min(2, n - 2), and runs no site process.  That is the witness
     `_hull_path` returns:
     - Hull.  Both boundary chains are the input, and the left one is
       scanned first.  With t_0 = 0, the site at position i is
@@ -282,8 +289,8 @@ def _decompose_step(diag):
     - n = 3.  The hull {0, c_1, t_1, 1} is a patch, which gives
       (↓c_1, ↑c_1).
     A chain has no eyes, so it is its own slim diagram.  Any other diagram
-    that is not a patch is slimmed, and its witness is read off its hull's
-    links (`_link_cut`).
+    that is not a patch is slimmed, and its witness is read off its
+    boundary chains' links (`_link_cut`).
 
     Each witness is validated once on each lattice it lives on: one pulled
     back from a grown hull as a restriction (`ops._checked_restriction`),
@@ -296,27 +303,27 @@ def _decompose_step(diag):
         if lat.n > 3:
             c = lat.upper_covers[c][0]
         witness = _lift_through_eyes(_principal(lat, c, c), diag)
-        return witness, (), diag, None, witness
+        return witness, (), diag, witness
     if is_patch(diag):
         return None
     slimmed, eyes = slim(diag)
-    hull, _, linked = _link_cut(slimmed)
-    if hull is not None:  # pulled back from a grown hull
+    grown, _, linked = _link_cut(slimmed)
+    if grown:  # pulled back from a grown hull
         _checked_restriction(linked)
         if not eyes:
-            return linked, (), slimmed, hull, linked
-    return _lift_through_eyes(linked, diag), tuple(eyes), slimmed, hull, linked
+            return linked, (), slimmed, linked
+    return _lift_through_eyes(linked, diag), tuple(eyes), slimmed, linked
 
 
-def _trace(witness, eyes, slimmed, hull, linked):
+def _trace(witness, eyes, slimmed, linked):
     """The `PipelineTrace` of a step from `_decompose_step`, its hull and
     cut kept undrawn until first read (see `_draw`).
 
-    The step's hull is closed and cut here, at once, by `_hull_path`, and
-    a chain's is grown first; the cut must give the step's witness on the
-    slim lattice, `linked`.  Nothing is validated again: the step has
+    The step's hull is grown, closed and cut here, at once, by
+    `_hull_path`; the cut must give the step's witness on the slim
+    lattice, `linked`.  Nothing is validated again: the step has
     validated the witness it returns."""
-    hull, cut, found = _hull_path(slimmed, hull)
+    hull, cut, found = _hull_path(slimmed)
     if found != linked:
         raise AssertionFailed(
             "the hull path and the closed form give different witnesses")

@@ -75,6 +75,19 @@ def ladder_inputs():
     return [(f"sps[{n}]#7", generate("random-sps", [n], seed=7)) for n in (16, 24, 32)]
 
 
+def distinct_nodes(tree):
+    """Every node of the tree, a shared subtree once."""
+    seen, out, stack = set(), [], [tree]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            out.append(node)
+            if isinstance(node, DecompGlue):
+                stack += [node.right, node.left]
+    return out
+
+
 @pytest.fixture(scope="session")
 def glue_nodes(corpus, random_corpus_small):
     """(path, diagram) of every node that `decompose` cuts, each shared

@@ -15,6 +15,8 @@ The fork inputs are slim semimodular lattices that the generators never
 produce: a grid with a fork added to one 4-cell, built from its labeled
 covers, and S_7 glued by the package's `glue_over_chain` over a 2-element
 chain above or below a grid or a chain.
+The site process reference grows a hull one step at a time, each at the
+first site of a fresh scan of both boundary chains, on plain cover lists.
 """
 
 import json
@@ -418,3 +420,38 @@ def s7_glued_corpus():
                         out.append((f"s7 {where} {name} over {sorted(iso.items())}",
                                     glued))
     return out
+
+
+def site_process_by_steps(diag):
+    """The rectangular hull's site process one step at a time: scan the
+    left boundary chain bottom-up, then the right one, for the first site
+    a ≺ b ≺ c (a with one upper cover, c with one lower cover), add t with
+    a ≺ t ≺ c only in place of b, and scan again from the bottom, until no
+    site is left.  Returns the final chains, the upper and lower cover
+    lists by id (a new t takes the next id), the links lo and hi (v and v
+    for an element of `diag`, lo(a) and hi(c) for t) and one (a, b, c,
+    side) tuple of ids per step."""
+    lat, b = diag.lattice, diag.boundary
+    upper = [list(ws) for ws in lat.upper_covers]
+    lower = [list(ws) for ws in lat.lower_covers]
+    chains = (list(b.left_chain), list(b.right_chain))
+    lo, hi, steps = list(range(lat.n)), list(range(lat.n)), []
+    while True:
+        found = next(((side, chain, i)
+                      for side, chain in zip(("left", "right"), chains)
+                      for i in range(len(chain) - 2)
+                      if len(upper[chain[i]]) == 1 and len(lower[chain[i + 2]]) == 1),
+                     None)
+        if found is None:
+            return chains, upper, lower, lo, hi, steps
+        side, chain, i = found
+        a, mid, c = chain[i:i + 3]
+        t = len(upper)
+        upper[a].append(t)
+        lower[c].append(t)
+        upper.append([c])
+        lower.append([a])
+        lo.append(lo[a])
+        hi.append(hi[c])
+        steps.append((a, mid, c, side))
+        chain[i + 1] = t

@@ -3,7 +3,8 @@ from itertools import combinations
 import pytest
 
 import oracles
-from latpatch import (Diagram, GluingWitness, choose_x,
+from conftest import distinct_nodes, ladder_inputs
+from latpatch import (Diagram, GluingWitness, choose_x, decompose,
                       decompose_at, find_extension_sites, generate,
                       glue_over_chain, is_isomorphic, is_patch, is_rectangular,
                       is_slim, one_step_extension, rectangularize,
@@ -19,7 +20,7 @@ from latpatch.errors import (AssertionFailed, BadX, ChainWasSingletonT,
                              IsPatch, IterationBoundExceeded, NotAChain,
                              NotAFilter, NotAnIdeal, NotIso, NotRectangular,
                              StuckNotRectangular)
-from latpatch.ops import _Hull, _pull_back, _sites
+from latpatch.ops import _cascades, _Hull, _pull_back, _sites
 
 
 def site_names(diag, sites):
@@ -373,24 +374,41 @@ def test_rectangularize_replay_reproduces(corpus):
         assert replay == rect, name
 
 
-def test_kept_scan_matches_a_recount(corpus, random_corpus_small):
-    sides = set()
-    for name, diag in corpus + random_corpus_small:
-        slimmed, _ = slim(diag)
-        if slimmed.lattice.n <= 2:
-            continue
-        hull = _Hull(slimmed)
-        while True:
-            first = next(_sites(hull, hull.chains), None)
-            assert hull.first_site() == first, name
-            if first is None:
-                break
-            if first[1][3] == "right":
-                # the left chain holds no site, and is not scanned again
-                assert hull.scan[0] >= len(hull.chains[0]) - 2, name
-            sides.add(first[1][3])
-            hull.extend(*first)
-    assert sides == {"left", "right"}
+def test_the_cascade_pass_is_the_site_process_step_by_step(corpus):
+    """On every slim node: `_cascades` on the boundary chains alone gives
+    the chains, cover counts, links and step count of the reference's
+    first-site loop, and `_Hull.grow` its step tuples and cover lists."""
+    inputs = corpus + ladder_inputs()
+    inputs += [(f"sps[{n}]#7", generate("random-sps", [n], seed=7)) for n in (80, 160)]
+    inputs += [(f"sps[{2 + seed % 23}]#{seed}",
+                generate("random-sps", [2 + seed % 23], seed=seed)) for seed in range(300)]
+    inputs += [(f"grid{m}x{n}", generate("grid", [m, n]))
+               for m in range(2, 8) for n in range(2, 8)]
+    inputs += [(f"diamond{k}", generate("diamond", [k])) for k in (3, 4, 5)]
+    inputs += oracles.fork_corpus() + oracles.s7_glued_corpus()
+    nodes = steps = cascades = 0
+    for name, diag in inputs:
+        for node in distinct_nodes(decompose(diag)[0]):
+            slimmed, _ = slim(node.diagram)
+            lat, b = slimmed.lattice, slimmed.boundary
+            chains, upper, lower, lo, hi, expected = oracles.site_process_by_steps(slimmed)
+            state = ([list(b.left_chain), list(b.right_chain)],
+                     [len(ws) for ws in lat.upper_covers],
+                     [len(ws) for ws in lat.lower_covers],
+                     list(range(lat.n)), list(range(lat.n)))
+            cascades += sum(1 for _ in _cascades(*state, lat.n ** 2))
+            assert state == (list(chains), [len(ws) for ws in upper],
+                             [len(ws) for ws in lower], lo, hi), name
+            assert len(state[3]) == lat.n + len(expected), name
+            hull = _Hull(slimmed)
+            hull.grow(lat.n ** 2)
+            assert hull.steps == expected, name
+            assert (hull.upper_covers, hull.lower_covers) == (upper, lower), name
+            assert (hull.chains, hull.lo, hull.hi) == (chains, lo, hi), name
+            nodes += 1
+            steps += len(expected)
+    # a cascade makes three steps on average
+    assert (nodes, steps, cascades) == (9492, 60869, 18256)
 
 
 def rectangularize_until_rectangular(diag):
@@ -422,7 +440,7 @@ def test_hull_is_rectangular_exactly_when_no_site_is_left(corpus, random_corpus_
             # a frozen copy, its boundary walked afresh
             drawn, _ = hull.draw()
             frozen = Diagram(drawn.lattice, drawn.xcoord)
-            found = hull.first_site()
+            found = next(_sites(hull, hull.chains), None)
             assert is_rectangular(frozen) == (found is None), name
             assert is_rectangular(frozen) == (find_extension_sites(frozen) == []), name
             states += 1
@@ -460,14 +478,27 @@ def test_rectangularize_two_chain_is_stuck():
 
 
 def test_rectangularize_respects_round_bound(c4, monkeypatch):
-    # an extension that records its site and adds nothing leaves the site
-    # in place, so the process runs into its n² bound
-    def record_only(hull, i, site):
-        hull.steps.append(site)
+    # rectangularize bounds the site process by n² steps, 16 for c4
+    bounds = []
 
-    monkeypatch.setattr(_Hull, "extend", record_only)
+    def recording(*state):
+        bounds.append(state[-1])
+        return _cascades(*state)
+
+    monkeypatch.setattr(latpatch.ops, "_cascades", recording)
+    _, steps = rectangularize(c4)
+    assert bounds == [16] and len(steps) == 2
+    # the 20-chain's process takes 18 steps, one per cascade; under a bound
+    # of 16 it stops before the cascade that would pass the bound
+    chain = generate("chain", [20])
+    lat, b = chain.lattice, chain.boundary
+    state = ([list(b.left_chain), list(b.right_chain)],
+             [len(ws) for ws in lat.upper_covers], [len(ws) for ws in lat.lower_covers],
+             list(range(20)), list(range(20)))
     with pytest.raises(IterationBoundExceeded, match="after 16 extensions"):
-        rectangularize(c4)
+        for _ in _cascades(*state, 16):
+            pass
+    assert len(state[3]) == 20 + 16
 
 
 # -- decompose_at and choose_x -------------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import latpatch.pipeline
 import oracles
-from conftest import ladder_inputs
+from conftest import distinct_nodes, ladder_inputs
 from latpatch import (DecompGlue, DecompLeaf, Diagram, Lattice, PipelineTrace,
                       brute_force_gluing_search, choose_x, decompose,
                       decompose_at, generate, is_isomorphic, is_patch,
@@ -241,8 +241,8 @@ def test_decompose_validates_each_witness_once(corpus, random_corpus_small, monk
 def test_a_chain_root_whose_hull_path_disagrees_is_refused(monkeypatch):
     hull_path = latpatch.pipeline._hull_path
 
-    def disagreeing(slimmed, hull=None):
-        hull, cut, _ = hull_path(slimmed, hull)
+    def disagreeing(slimmed):
+        hull, cut, _ = hull_path(slimmed)
         m = slimmed.lattice.upper_covers[slimmed.lattice.bottom][0]
         return hull, cut, _principal(slimmed.lattice, m, m)
 
@@ -252,40 +252,28 @@ def test_a_chain_root_whose_hull_path_disagrees_is_refused(monkeypatch):
 
 
 def test_an_invalid_pulled_back_witness_is_refused(monkeypatch):
-    def improper(hull, x, pivot):
-        base = hull.base.lattice
-        return _principal(base, base.top, base.bottom)
+    # the root's node grows a hull, so its witness is the pulled-back one
+    def improper(lat, a, b):
+        return _principal(lat, lat.top, lat.bottom)
 
-    monkeypatch.setattr(latpatch.ops._Hull, "pull_back", improper)
+    monkeypatch.setattr(latpatch.pipeline, "_principal", improper)
     with pytest.raises(AssertionFailed, match="restricted witness is invalid"):
         decompose(generate("random-sps", [24], seed=0))
 
 
-def distinct_nodes(tree):
-    """Every node of the tree, a shared subtree once."""
-    seen, out, stack = set(), [], [tree]
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            out.append(node)
-            if isinstance(node, DecompGlue):
-                stack += [node.right, node.left]
-    return out
-
-
 def link_rule_agrees(diag, name):
     """On a node that `decompose` cuts and that is no chain: `_link_cut`
-    gives the x, pivot and witness of `_hull_path` on the same hull, once
-    closed, and ↓ of the opposite corner is that corner's chain up to it.
-    None on any other node, else whether the node grew a hull."""
+    gives the x, pivot and witness of `_hull_path` on the hull it grows
+    and closes, and ↓ of the opposite corner is that corner's chain up to
+    it.  None on any other node, else whether the node grew a hull."""
     lat = diag.lattice
     if is_patch(diag) or len(lat.covers) == lat.n - 1:
         return None
     slimmed, _ = slim(diag)
-    hull, (x, pivot), linked = _link_cut(slimmed)
-    closed, cut, found = _hull_path(slimmed, hull)
-    assert closed is hull and cut[:2] == (x, pivot) and found == linked, name
+    grown, (x, pivot), linked = _link_cut(slimmed)
+    hull, cut, found = _hull_path(slimmed)
+    assert grown == (hull is not None), name
+    assert cut[:2] == (x, pivot) and found == linked, name
     rect, b = (slimmed.lattice, slimmed.boundary) if hull is None else (hull, hull.boundary())
     chain, opposite = (b.right_chain, b.u_r) if cut[3] == "left" else (b.left_chain, b.u_l)
     prefix = chain[:chain.index(opposite) + 1]
@@ -356,6 +344,27 @@ def test_only_the_root_hull_is_closed_and_cut(monkeypatch):
         assert cut == [slimmed.lattice if hull is None else hull], name
 
 
+def test_decompose_builds_no_hull_below_the_root(monkeypatch):
+    built = []
+    init = latpatch.ops._Hull.__init__
+
+    def counted(hull, diag):
+        built.append(hull)
+        init(hull, diag)
+
+    inputs = ladder_inputs() + [("chain30", generate("chain", [30])),
+                                ("grid5x5", generate("grid", [5, 5])),
+                                ("sps[80]#7", generate("random-sps", [80], seed=7))]
+    monkeypatch.setattr(latpatch.ops._Hull, "__init__", counted)
+    for name, diag in inputs:
+        built.clear()
+        _, trace = decompose(diag)
+        _, hull, _ = trace._undrawn
+        # the 5×5 grid is rectangular: not even its root grows a hull
+        assert built == ([] if hull is None else [hull]), name
+        assert (hull is None) == (name == "grid5x5"), name
+
+
 def test_a_root_whose_link_witness_disagrees_is_refused(monkeypatch):
     link_cut = latpatch.pipeline._link_cut
 
@@ -374,20 +383,22 @@ def test_a_root_whose_link_witness_disagrees_is_refused(monkeypatch):
 
 @pytest.mark.parametrize("corner", ["u_l", "u_r"])
 def test_an_inner_hull_without_one_corner_per_side_is_refused(corner, monkeypatch):
-    boundary = latpatch.ops._Hull.boundary
-    hulls = []
+    corners = latpatch.pipeline._corners
+    grown = []  # the cover counts of each node that grew a hull
 
-    def lopsided(hull):
-        # the root's hull keeps its corners; every later one loses one
-        if not any(h is hull for h in hulls):
-            hulls.append(hull)
-        b = boundary(hull)
-        return b if hull is hulls[0] else dataclasses.replace(b, **{corner: None})
+    def lopsided(chains, up, down):
+        # the root's chains keep their corners; every later one loses one
+        grown.append(up)
+        found = corners(chains, up, down)
+        if len(grown) > 1:
+            found[corner == "u_r"] = None
+        return found
 
-    monkeypatch.setattr(latpatch.ops._Hull, "boundary", lopsided)
+    diag = generate("random-sps", [24], seed=7)
+    monkeypatch.setattr(latpatch.pipeline, "_corners", lopsided)
     with pytest.raises(StuckNotRectangular, match="no extension site on a non-rectangular"):
-        decompose(generate("random-sps", [24], seed=7))
-    assert len(hulls) == 2
+        decompose(diag)
+    assert len(grown) == 2
 
 
 def test_an_invalid_lifted_witness_is_refused(monkeypatch):
