@@ -151,12 +151,10 @@ class Lattice:
                     witness=(names[a], names[b]))
         _check_joins(self.up, self.down, self.names, self._up_owner)
 
-    def _fill(self, names, upper_covers, lower_covers, order, bottom, top, index=None,
-              closed=None):
+    def _fill(self, names, upper_covers, lower_covers, order, bottom, top, index=None):
         """Set every field from the cover lists, which must be sorted (so the
         cover pairs come out sorted), and `order`, a linear extension; the
-        masks and heights come from `_closure`, or are `closed`, what it
-        returned for these cover lists before."""
+        masks and heights come from `_closure`."""
         n = len(names)
         self.names = names
         self.n = n
@@ -165,8 +163,7 @@ class Lattice:
         self._cover_set = frozenset(self.covers)
         self.upper_covers = upper_covers
         self.lower_covers = lower_covers
-        self.up, self.down, self.height = closed or _closure(upper_covers, lower_covers,
-                                                             order)
+        self.up, self.down, self.height = _closure(upper_covers, lower_covers, order)
         self.full_mask = (1 << n) - 1
         self.bottom = bottom
         self.top = top
@@ -174,10 +171,10 @@ class Lattice:
         self._down_owner = dict(zip(self.down, range(n)))
 
     @staticmethod
-    def _trusted(*fields, index=None, closed=None):
+    def _trusted(*fields, index=None):
         """A lattice derived from a validated one, by `_fill`; unchecked."""
         new = Lattice.__new__(Lattice)
-        new._fill(*fields, index=index, closed=closed)
+        new._fill(*fields, index=index)
         return new
 
     # -- order queries ---------------------------------------------------
@@ -328,17 +325,16 @@ class _Growing:
         self.height.append(self.height[a] + 1)
         return t
 
-    def lattice(self, names, index=None, closed=None):
+    def lattice(self, names, index=None):
         """The grown lattice labelled by `names`, one per id (and `index`,
-        their label -> id map, when the caller keeps one; `closed`, the
-        masks and heights, when the caller has closed it).  Cover lists stay
+        their label -> id map, when the caller keeps one).  Cover lists stay
         sorted, because every new id is the largest so far."""
         height = self.height
         return Lattice._trusted(
             tuple(names), tuple(map(tuple, self.upper_covers)),
             tuple(map(tuple, self.lower_covers)),
             sorted(range(len(height)), key=height.__getitem__),
-            self.bottom, self.top, index=index, closed=closed)
+            self.bottom, self.top, index=index)
 
 
 def _first_unused(prefix, taken, k):

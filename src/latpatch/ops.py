@@ -2,8 +2,9 @@
 
 Gluing two lattices over a chain, adding a doubly irreducible element
 beside a boundary triple, pulling a gluing witness back through such an
-extension, extending a lattice until it is rectangular, and cutting a
-slim rectangular lattice at a boundary element.
+extension, extending a lattice until it is rectangular, cutting a slim
+rectangular lattice at a boundary element, and reading that cut of a slim
+lattice's hull off one run of the site process.
 """
 
 from dataclasses import dataclass
@@ -202,7 +203,7 @@ def _cascades(chains, up, down, lo, hi, bound):
     """The site process on a slim diagram's two boundary chains alone, one
     cascade of steps at a time.  `up` and `down` count each element's upper
     and lower covers, `lo` and `hi` are its links into the input (see
-    `_Hull`), all by id, and each added element takes the next id.  Each
+    `_link_cut`), all by id, and each added element takes the next id.  Each
     cascade is applied to the chains, counts and links, and then yielded as
     its side and its chain's segment c_j, …, c_{i+2} from before it.  More
     than `bound` steps raise `IterationBoundExceeded`.
@@ -271,66 +272,71 @@ def _corners(chains, up, down):
     return out
 
 
+def _site_process(diag):
+    """One run of the site process on a slim diagram, a cascade at a time
+    (`_cascades`): its final boundary chains, the cover counts `up` and
+    `down` and the links `lo` and `hi`, all by id, and the list of its
+    cascades, from which `_Hull` grows the hull.
+
+    The process extends at the first site, left sites bottom-up before
+    right ones, for as long as one is left.  More than n² steps, or a hull
+    that is not rectangular, means the input was not a slim planar
+    semimodular lattice.  `_cascades` counts the steps; `_link_cut`,
+    `_Hull.close` and `rectangularize` report a hull that is not
+    rectangular.
+
+    The process ends at the first rectangular hull: a slim rectangular
+    lattice with corners u_l and u_r has no site a ≺ b ≺ c, say on the
+    left chain (the right one is the mirror).  If a < u_l, then b ≤ u_l;
+    the atom r of the chain [0, u_r] lies neither below u_l nor below a,
+    so a ∧ r = 0 and, by semimodularity, a ≺ a ∨ r ≰ u_l: a has two upper
+    covers.  If a ≥ u_l, then c = u_l ∨ (c ∧ u_r) by Grätzer–Knapp's
+    description of [u_l, 1] (or Czédli–Schmidt's grids plus forks), and
+    c ∧ u_r < c; if b were c's only lower cover, it would lie above u_l
+    and c ∧ u_r, hence above c.  Eyes are interior and only add covers,
+    so they add no site.
+    """
+    lat, b = diag.lattice, diag.boundary
+    chains = [list(b.left_chain), list(b.right_chain)]
+    up = list(map(len, lat.upper_covers))
+    down = list(map(len, lat.lower_covers))
+    lo = list(range(lat.n))
+    hi = list(lo)
+    cascades = list(_cascades(chains, up, down, lo, hi, lat.n ** 2))
+    return chains, up, down, lo, hi, cascades
+
+
+def _stuck(n):
+    return StuckNotRectangular(
+        f"no extension site on a non-rectangular {n}-element lattice")
+
+
 class _Hull(_Growing):
-    """A diagram's lattice grown in place at its boundary sites, undrawn.
+    """A diagram's lattice grown by a recorded run of the site process,
+    undrawn.
 
     It grows as a `core._Growing`, without labels, and keeps what the cut
-    needs besides: the left and right boundary chains, one (a, b, c, side)
-    tuple of ids per step, whose new t takes the next id, and each
-    element's links into the input, `lo` and `hi`: v and v for an input
-    element, lo(a) and hi(c) for an added t (see `pull_back`).  `close`
-    adds the ↑ and ↓ masks, which the drawn lattice shares.  Labels, x
-    coordinates and `ExtensionStep`s come from the step tuples, and only
-    `draw` makes them, where a hull is read.
+    needs besides: one (a, b, c, side) tuple of ids per step, whose new t
+    takes the next id, and `boundary`, the boundary data of the run's
+    final chains.  `close` adds the ↑ and ↓ masks.  Labels, x coordinates
+    and `ExtensionStep`s come from the step tuples, and only `draw` makes
+    them, where a hull is read.
     """
 
-    def __init__(self, diag):
+    def __init__(self, diag, chains, cascades):
+        """Make each cascade's steps at i, i − 1, …, j in that order (see
+        `_cascades`): the step at q adds t with c_q ≺ t ≺ c, c the t of
+        the step before (c_{i+2} for the first), in place of c_{q+1}."""
         super().__init__(diag.lattice)
-        b = diag.boundary
         self.base = diag
-        self.chains = (list(b.left_chain), list(b.right_chain))
         self.steps = []
-        self.lo = list(range(diag.lattice.n))
-        self.hi = list(self.lo)
-        self._boundary = (-1, None)  # (step count, boundary data), see `boundary`
-        self.closed = None  # the masks and heights, see `close`
-
-    def grow(self, bound):
-        """Run the site process (`_cascades`) and make each cascade's steps
-        at i, i − 1, …, j in that order: the step at q adds t with
-        c_q ≺ t ≺ c, c the t of the step before (c_{i+2} for the first), in
-        place of c_{q+1}."""
-        counts = [list(map(len, covers))
-                  for covers in (self.upper_covers, self.lower_covers)]
-        for side, seg in _cascades(self.chains, *counts, self.lo, self.hi, bound):
+        for side, seg in cascades:
             c = seg[-1]
             for q in range(len(seg) - 3, -1, -1):
                 self.steps.append((seg[q], seg[q + 1], c, side))
                 c = self.add(seg[q], c)
-
-    def extend(self, i, site):
-        """Add a fresh t with a ≺ t ≺ c at a site from `_sites` at position
-        i, and record the site.
-
-        a ≺ b ≺ c lie on a maximal chain, so a < c is not a cover and the
-        lattice grows without checks.  t is drawn strictly outside every
-        other element (see `draw`), so that side's walk turns from a to t
-        and then to c, t's only upper cover; the other walk still leaves a
-        by b.  So t replaces b in that chain and all else stays.
-        """
-        a, b, c, side = site
-        self.chains[side == "right"][i + 1] = self.add(a, c)
-        self.lo.append(self.lo[a])
-        self.hi.append(self.hi[c])
-        self.steps.append(site)
-
-    def boundary(self):
-        """The boundary data of the current chains, counted once per step."""
-        if self._boundary[0] != len(self.steps):
-            left, right = map(tuple, self.chains)
-            self._boundary = len(self.steps), _boundary_data(
-                self, left, right, (1 << len(self.height)) - 1)
-        return self._boundary[1]
+        left, right = map(tuple, chains)
+        self.boundary = _boundary_data(self, left, right, (1 << len(self.height)) - 1)
 
     def close(self):
         """Add n, the full mask and the ↑ and ↓ masks, in one closure pass
@@ -339,13 +345,11 @@ class _Hull(_Growing):
         height = self.height
         self.n = len(height)
         self.full_mask = (1 << self.n) - 1
-        self.closed = _closure(self.upper_covers, self.lower_covers,
-                               sorted(range(self.n), key=height.__getitem__))
-        self.up, self.down, _ = self.closed
-        b = self.boundary()
+        self.up, self.down, _ = _closure(self.upper_covers, self.lower_covers,
+                                         sorted(range(self.n), key=height.__getitem__))
+        b = self.boundary
         if not _rectangular(self, b.u_l, b.u_r, self.bottom, self.top):
-            raise StuckNotRectangular(
-                f"no extension site on a non-rectangular {self.n}-element lattice")
+            raise _stuck(self.n)
         return b
 
     @property
@@ -362,13 +366,12 @@ class _Hull(_Growing):
         return tuple(names)
 
     def draw(self):
-        """The grown diagram, carrying the boundary data of the current
+        """The grown diagram, carrying the boundary data of the final
         chains, and one `ExtensionStep` per step.
 
         Each t goes one unit outside the drawing on its site's side, one
         level above a; the new edges hug the boundary, so the drawing stays
-        planar.  The lattice is frozen once, by `_Growing.lattice`, on the
-        masks of a closed hull."""
+        planar.  The lattice is frozen once, by `_Growing.lattice`."""
         base, names = self.base, self.names
         xs = list(base.xcoord)
         lo, hi = min(xs), max(xs)
@@ -381,78 +384,46 @@ class _Hull(_Growing):
                 lo -= 1
                 xs.append(lo)
             steps.append(ExtensionStep(names[a], names[b], names[c], side, names[t]))
-        diagram = Diagram(self.lattice(names, closed=self.closed), xs)
-        diagram.boundary = self.boundary()
+        diagram = Diagram(self.lattice(names), xs)
+        diagram.boundary = self.boundary
         return diagram, steps
-
-    def pull_back(self, x, pivot):
-        """The hull's witness (↓x, ↑pivot) restricted to the input lattice,
-        unchecked: it is (↓lo(x), ↑hi(pivot)) there, lo following x down
-        through the a of each added element and hi the pivot up through
-        their c.
-
-        Each t was added with a ≺ t ≺ c only, and a later step keeps the
-        order among the elements already there, even when it adds a cover
-        to t.  So the input's elements below t are those below a, and those
-        above t are those above c: by induction on t, those below lo(t) and
-        those above hi(t)."""
-        return _principal(self.base.lattice, self.lo[x], self.hi[pivot])
-
-
-def _grow(diag):
-    """The rectangular hull of a diagram by the site process, closed, and
-    its boundary data; None for a rectangular diagram.
-
-    The process extends at the first site, left sites bottom-up before
-    right ones, for as long as one is left, a cascade at a time
-    (`_cascades`).  More than n² steps, or a hull that is not rectangular,
-    means the input was not a slim planar semimodular lattice.
-    `_cascades` counts the steps, and `_Hull.close` reports a hull that is
-    not rectangular.
-
-    The process ends at the first rectangular hull: a slim rectangular
-    lattice with corners u_l and u_r has no site a ≺ b ≺ c, say on the
-    left chain (the right one is the mirror).  If a < u_l, then b ≤ u_l;
-    the atom r of the chain [0, u_r] lies neither below u_l nor below a,
-    so a ∧ r = 0 and, by semimodularity, a ≺ a ∨ r ≰ u_l: a has two upper
-    covers.  If a ≥ u_l, then c = u_l ∨ (c ∧ u_r) by Grätzer–Knapp's
-    description of [u_l, 1] (or Czédli–Schmidt's grids plus forks), and
-    c ∧ u_r < c; if b were c's only lower cover, it would lie above u_l
-    and c ∧ u_r, hence above c.  Eyes are interior and only add covers,
-    so they add no site.
-    """
-    if is_rectangular(diag):
-        return None
-    hull = _Hull(diag)
-    hull.grow(diag.lattice.n ** 2)
-    return hull, hull.close()
 
 
 def one_step_extension(diag, site):
-    """Add a fresh doubly irreducible t with a < t < c beside the boundary.
+    """Add a fresh doubly irreducible t with a < t < c beside the boundary:
+    the hull of one cascade of one step at `site`, a site from `_sites`,
+    drawn.  The lattice and the boundary are derived from the old ones in
+    O(n).
 
-    t goes strictly outside the drawing on the chosen side, one level above
-    a; the new edges hug the boundary, so the drawing stays planar.  The
-    lattice and the boundary are derived from the old ones in O(n).
+    a ≺ b ≺ c lie on a maximal chain, so a < c is not a cover and the
+    lattice grows without checks.  t is drawn strictly outside every other
+    element (see `_Hull.draw`), so that side's walk turns from a to t and
+    then to c, t's only upper cover; the other walk still leaves a by b.
+    So t replaces b in that chain and all else stays.
     """
-    hull = _Hull(diag)
-    for i, found in _sites(hull, hull.chains):
+    b = diag.boundary
+    chains = [list(b.left_chain), list(b.right_chain)]
+    for i, found in _sites(diag.lattice, chains):
         if found == site:
-            hull.extend(i, found)
-            after, (step,) = hull.draw()
+            chains[found[3] == "right"][i + 1] = diag.lattice.n
+            after, (step,) = _Hull(diag, chains, [(found[3], found[:3])]).draw()
             return after, step
     raise InvalidSite(f"{site!r} is not an extension site")
 
 
 def rectangularize(diag):
-    """The rectangular hull of `diag` by the site process (see `_grow`),
-    drawn, and its extension steps.  A rectangular diagram is returned as
-    is; a lattice that needs more than n² steps raises
-    `IterationBoundExceeded`."""
-    grown = _grow(diag)
-    if grown is None:
+    """The rectangular hull of `diag` by one run of the site process (see
+    `_site_process`), drawn, and its extension steps.  A rectangular
+    diagram is returned as is; a lattice that needs more than n² steps
+    raises `IterationBoundExceeded`, and a drawn hull that is not
+    rectangular `StuckNotRectangular`."""
+    if is_rectangular(diag):
         return diag, []
-    return grown[0].draw()
+    chains, *_, cascades = _site_process(diag)
+    rect, steps = _Hull(diag, chains, cascades).draw()
+    if not is_rectangular(rect):
+        raise _stuck(rect.lattice.n)
+    return rect, steps
 
 
 def restrict_gluing(witness, step):
@@ -507,7 +478,7 @@ def _cut(lat, b, x, mode):
     `Lattice`, or a closed `_Hull`) and `b` its boundary data.
     `decompose_at` cuts here, and so does the pipeline, on the root's hull
     only: every other node's cut is read off its boundary chains' links
-    (`pipeline._link_cut`), and the root's cut must agree with that.
+    (`_link_cut`), and the root's cut must agree with that.
 
     Left mode cuts along [0, x] and [x ∧ u_r, 1]; mirrored mode swaps the
     corner roles.  Every claim made for the cut is asserted, not assumed.
@@ -576,6 +547,95 @@ def _choose(lat, b):
 def choose_x(diag):
     """The canonical cut element of a diagram and its mode (see `_choose`)."""
     return _choose(diag.lattice, diag.boundary)
+
+
+def _link_cut(slimmed):
+    """The cut of a slim diagram through its rectangular hull with no hull
+    built: the run of the site process (`_site_process`; None for a
+    rectangular diagram, its own hull), the x and pivot in hull ids of the
+    cut that `_choose` and `_cut` give on the closed hull (None for the
+    3-element chain, whose hull is a patch), and the cut's witness on the
+    slim lattice, unchecked.  The cut is read off the run's final chains,
+    their elements' cover counts and the links, with no closure and no
+    cut; a rectangular diagram's boundary data gives its corners.
+
+    Let H be the hull, L the slim lattice, and lo and hi the links of H's
+    elements into L: v and v for an element of L, lo(a) and hi(c) for an
+    added t (`_cascades`); on a rectangular L, H = L and both are the
+    identity.
+    - Links.  The elements of L below u in H are those below lo(u), and
+      those above u are those above hi(u).  Each t was added with
+      a ≺ t ≺ c only, and a later step keeps the order among the elements
+      already there, even when it adds a cover to t.  So the elements of
+      L below t are those below a, and those above t are those above c:
+      by induction on t, those below lo(t) and those above hi(t).
+    - Order.  u ≤ v in H iff hi(u) ≤ lo(v) in L, unless u and v were both
+      added on the same side.  In H, u ≤ hi(u) and lo(v) ≤ v, and H keeps
+      L's order, so hi(u) ≤ lo(v) gives u ≤ v.  Conversely, take a cover
+      path u = z_0 ≺ z_1 ≺ … ≺ z_k = v in H.  A cover of H is one of L or
+      a ≺ t or t ≺ c of the step that added t, and that step's a and c
+      lay on its side's chain then.  A left step puts its t on the left
+      chain only, and a right step on the right one, so the left chain
+      holds only elements of L and left t's, and the right chain the
+      mirror.  So two added elements next to each other on the path were
+      added on the same side, and a path that avoids L stays on one side,
+      which the exception excludes.  Otherwise the path passes some z of
+      L, and hi(u) ≤ z ≤ lo(v) by the links.
+    - Corners and x.  A rectangular H has one weak corner per side, an
+      inner element of its chain with one upper and one lower cover
+      (`_corners`); anything else is reported.  A corner's one upper
+      cover is its successor on its chain.  So, as in `_choose`, the mode
+      is left unless u_l's successor is the top, and x is the corner's
+      successor.
+    - Patch hull.  Both corners are dual atoms only in a patch hull, which
+      only the 3-element chain 0 ≺ m ≺ 1 grows, and which has no cut; its
+      witness is (↓m, ↑m, {m}), the oracle's first answer (a patch L is a
+      leaf, never cut).  The last added t, a ≺ t ≺ c, is doubly
+      irreducible on its side's chain, so it is that side's corner, in a
+      patch a dual atom: c = 1.  A site needs c join-irreducible, so
+      before the last step 1 had the one lower cover b, and after it
+      exactly b and t.  So b is the other corner, also a dual atom, and
+      a = t ∧ b = 0 is the only lower cover of each.  All else would lie
+      below t or b, so H is {0, t, b, 1} and L {0, b, 1}.
+    - Pivot.  `_cut`'s pivot is x ∧ o for the opposite corner o.  In a
+      slim rectangular lattice ↓o is o's chain from 0 to o (Grätzer–Knapp,
+      *Notes on planar semimodular lattices III*), so x ∧ o is the highest
+      y on that prefix with y ≤ x, and the members below x are the
+      prefix's first ones.  y and x lie on opposite chains, so they were
+      not added on the same side, and y ≤ x iff hi(y) ≤ lo(x).
+    - Witness.  The cut's witness (↓x, ↑pivot) on H is (↓lo(x), ↑hi(pivot))
+      on L, by the links.
+    """
+    lat, b = slimmed.lattice, slimmed.boundary
+    run = None
+    if is_rectangular(slimmed):
+        chains, lo, hi = (b.left_chain, b.right_chain), range(lat.n), range(lat.n)
+        u_l, u_r = b.u_l, b.u_r
+    else:
+        run = chains, up, down, lo, hi, _ = _site_process(slimmed)
+        u_l, u_r = _corners(chains, up, down)
+    if u_l is None or u_r is None:
+        raise _stuck(len(lo))
+    (left, right), top = chains, lat.top
+    x = left[left.index(u_l) + 1]
+    prefix, opposite = right, u_r
+    if x == top:
+        x = right[right.index(u_r) + 1]
+        if x == top:
+            if lat.n != 3:
+                raise AssertionFailed(
+                    f"the hull of a {lat.n}-element slim lattice is a patch")
+            (m,) = lat.upper_covers[lat.bottom]
+            return run, None, _principal(lat, m, m)
+        prefix, opposite = left, u_l
+    below_x, pivot = lat.down[lo[x]], lat.bottom
+    for y in prefix[1:prefix.index(opposite) + 1]:
+        if not below_x >> hi[y] & 1:
+            break
+        pivot = y
+    if pivot == lat.bottom:
+        raise AssertionFailed("the cut pivot fell to the bottom element")
+    return run, (x, pivot), _principal(lat, lo[x], hi[pivot])
 
 
 def _principal(lat, a, b):

@@ -11,13 +11,13 @@ ideal of a finite lattice is some ↓x and every nonempty filter some ↑y.
 from dataclasses import dataclass
 
 from .core import _is_chain_mask, is_isomorphic, is_semimodular, iter_bits
-from .diagram import (Diagram, _patch, is_patch, is_rectangular, slim,
-                      subdiagram, validate_diagram)
+from .diagram import (Diagram, _patch, is_patch, slim, subdiagram,
+                      validate_diagram)
 from .errors import (AssertionFailed, NoDecomposition, NotSemimodular,
-                     SizeBoundExceeded, StuckNotRectangular)
-from .ops import (DecompositionCut, GluingWitness, _cascades,
-                  _checked_restriction, _choose, _corners, _cut, _grow,
-                  _principal, validate_witness)
+                     SizeBoundExceeded)
+from .ops import (DecompositionCut, GluingWitness, _checked_restriction,
+                  _choose, _cut, _Hull, _link_cut, _principal,
+                  validate_witness)
 
 
 @dataclass(frozen=True)
@@ -39,10 +39,11 @@ class PipelineTrace:
     removed eyes, the hull's `ExtensionStep`s, the `DecompositionCut` on the
     drawn hull (None for a patch hull) and whether the hull was a patch.
 
-    The trace `decompose` returns holds its hull and cut undrawn (see
-    `_trace`): `extension_steps` and `cut` are drawn when either is first
-    read, and then kept.  Traces compare, hash and print by their four
-    fields."""
+    The trace `decompose` returns holds the root's slim diagram, its run of
+    the site process and its cut in hull ids, and no hull (see `_trace`):
+    the hull is grown from the run and drawn when `extension_steps` or
+    `cut` is first read, and both are then kept.  Traces compare, hash and
+    print by their four fields."""
 
     __slots__ = ("eyes", "fallback_used", "_drawn", "_undrawn")
 
@@ -50,7 +51,7 @@ class PipelineTrace:
         self.eyes = eyes
         self.fallback_used = fallback_used
         self._drawn = extension_steps, cut
-        self._undrawn = None  # (slimmed, hull, cut) to draw while `_drawn` is None
+        self._undrawn = None  # (slimmed, run, cut) to draw while `_drawn` is None
 
     def _draw(self):
         if self._drawn is None:
@@ -149,131 +150,17 @@ def _lift_through_eyes(witness, full_diag):
     return lifted
 
 
-def _hull_path(slimmed):
-    """The hull of a slim diagram (None when it is rectangular), its cut as
-    (x, pivot, chain, mode) in hull ids (None for the 3-element chain), and
-    the witness on the slim lattice, unchecked.  Only the root's trace
-    takes this path (`_trace`).
-
-    The hull is grown and closed by `ops._grow` and cut by `ops._cut` on
-    its masks and covers; the cut's witness (↓x, ↑pivot) is pulled back to
-    the slim lattice as (↓lo(x), ↑hi(pivot)) (`ops._Hull.pull_back`).
-    Nothing is labelled or drawn.
-
-    A hull that is a patch after extension steps comes only from the
-    3-element chain 0 ≺ m ≺ 1, which has no cut; its witness is (↓m, ↑m,
-    {m}), the oracle's first answer.  The last added t, a ≺ t ≺ c, is
-    doubly irreducible on its side's chain, so it is that side's corner,
-    in a patch a dual atom: c = 1.  A site needs c join-irreducible, so
-    before the last step 1 had the one lower cover b, and after it exactly
-    b and t.  So b is the other corner, also a dual atom, and a = t ∧ b = 0
-    is the only lower cover of each.  All else would lie below t or b, so
-    the hull is {0, t, b, 1} and the slim lattice {0, b, 1}.
-    """
-    lat = slimmed.lattice
-    grown = _grow(slimmed)
-    hull, b = grown or (lat, slimmed.boundary)
-    if grown and _patch(hull, b):
-        if lat.n != 3:
-            raise AssertionFailed(
-                f"the hull of a {lat.n}-element slim lattice is a patch")
-        (m,) = lat.upper_covers[lat.bottom]
-        return hull, None, _principal(lat, m, m)
-    x, mode = _choose(hull, b)
-    pivot, chain = _cut(hull, b, x, mode)
-    if not grown:
-        return None, (x, pivot, chain, mode), _principal(lat, x, pivot)
-    return hull, (x, pivot, chain, mode), hull.pull_back(x, pivot)
-
-
-def _link_cut(slimmed):
-    """Whether a slim diagram with more than three elements grows a hull,
-    and the x and pivot of its cut in hull ids and the witness on the slim
-    lattice that `_hull_path` gives, unchecked.  No hull is built: the site
-    process runs on the two boundary chains alone (`ops._cascades`), and
-    the cut is read off the final chains, their elements' cover counts and
-    the links, with no closure and no cut.  A rectangular diagram has no
-    site (`ops._grow`): it is its own hull, and its boundary data gives
-    the corners.
-
-    Let H be the hull, L the slim lattice, and lo and hi the links of H's
-    elements into L (`ops._Hull`); on a rectangular L, H = L and both are
-    the identity.
-    - Order.  u ≤ v in H iff hi(u) ≤ lo(v) in L, unless u and v were both
-      added on the same side.  In H, u ≤ hi(u) and lo(v) ≤ v, and H keeps
-      L's order, so hi(u) ≤ lo(v) gives u ≤ v.  Conversely, take a cover
-      path u = z_0 ≺ z_1 ≺ … ≺ z_k = v in H.  A cover of H is one of L or
-      a ≺ t or t ≺ c of the step that added t, and that step's a and c
-      lay on its side's chain then.  A left step puts its t on the left
-      chain only, and a right step on the right one, so the left chain
-      holds only elements of L and left t's, and the right chain the
-      mirror.  So two added elements next to each other on the path were
-      added on the same side, and a path that avoids L stays on one side,
-      which the exception excludes.  Otherwise the path passes some z of
-      L.  The elements of L above u are those above hi(u), and those below
-      v are those below lo(v) (`ops._Hull.pull_back`), so hi(u) ≤ z ≤ lo(v).
-    - Corners and x.  A rectangular H has one weak corner per side, an
-      inner element of its chain with one upper and one lower cover
-      (`ops._corners`); anything else is reported.  Both corners are dual
-      atoms only in a patch hull, which only the 3-element chain has (see
-      `_hull_path`).  A corner's one upper cover is its successor on its
-      chain.  So, as in `ops._choose`, the mode is left unless u_l's
-      successor is the top, and x is the corner's successor.
-    - Pivot.  `ops._cut`'s pivot is x ∧ o for the opposite corner o.  In a
-      slim rectangular lattice ↓o is o's chain from 0 to o (Grätzer–Knapp,
-      *Notes on planar semimodular lattices III*), so x ∧ o is the highest
-      y on that prefix with y ≤ x, and the members below x are the
-      prefix's first ones.  y and x lie on opposite chains, so they were
-      not added on the same side, and y ≤ x iff hi(y) ≤ lo(x).
-    - Witness.  `_hull_path` pulls (↓x, ↑pivot) back to L as
-      (↓lo(x), ↑hi(pivot)) (`ops._Hull.pull_back`).
-    """
-    lat, b = slimmed.lattice, slimmed.boundary
-    if is_rectangular(slimmed):
-        chains, lo, hi = (b.left_chain, b.right_chain), range(lat.n), range(lat.n)
-        u_l, u_r = b.u_l, b.u_r
-    else:
-        chains = [list(b.left_chain), list(b.right_chain)]
-        up = list(map(len, lat.upper_covers))
-        down = list(map(len, lat.lower_covers))
-        lo = list(range(lat.n))
-        hi = list(lo)
-        for _ in _cascades(chains, up, down, lo, hi, lat.n ** 2):
-            pass
-        u_l, u_r = _corners(chains, up, down)
-    if u_l is None or u_r is None:
-        raise StuckNotRectangular(f"no extension site on a non-rectangular "
-                                  f"{len(lo)}-element lattice")
-    (left, right), top = chains, lat.top
-    x = left[left.index(u_l) + 1]
-    prefix, opposite = right, u_r
-    if x == top:
-        x = right[right.index(u_r) + 1]
-        if x == top:
-            raise AssertionFailed(
-                f"the hull of a {lat.n}-element slim lattice is a patch")
-        prefix, opposite = left, u_l
-    below_x, pivot = lat.down[lo[x]], lat.bottom
-    for y in prefix[1:prefix.index(opposite) + 1]:
-        if not below_x >> hi[y] & 1:
-            break
-        pivot = y
-    if pivot == lat.bottom:
-        raise AssertionFailed("the cut pivot fell to the bottom element")
-    return len(lo) > lat.n, (x, pivot), _principal(lat, lo[x], hi[pivot])
-
-
 def _decompose_step(diag):
     """One decomposition step, undrawn: None for a patch, else the tuple
-    (witness, eyes, slimmed, linked) of the lifted witness, the removed
-    eyes, the slim diagram and the witness on the slim lattice.  No hull
-    is built here; only the root's step becomes a trace, which grows,
-    closes and cuts the root's hull (`_trace`).
+    (witness, eyes, slimmed, found) of the lifted witness, the removed
+    eyes, the slim diagram and what `ops._link_cut` found for it (None for
+    a chain).  No hull is built here; only the root's step becomes a
+    trace, which grows, closes and cuts the root's hull (`_trace`).
 
     A chain 0 = c_0 ≺ c_1 ≺ … ≺ c_{n-1} = 1 with n ≥ 3 (n elements and
     n - 1 covers) gets its witness in closed form, (↓c, ↑c) with c at
     height min(2, n - 2), and runs no site process.  That is the witness
-    `_hull_path` returns:
+    `_link_cut` gives:
     - Hull.  Both boundary chains are the input, and the left one is
       scanned first.  With t_0 = 0, the site at position i is
       t_i ≺ c_{i+1} ≺ c_{i+2}; it adds t_{i+1} with t_i ≺ t_{i+1} ≺ c_{i+2}
@@ -283,9 +170,8 @@ def _decompose_step(diag):
       and its right chain the input.
     - Corners.  u_l = t_{n-2} is a dual atom and u_r = c_1, so `_choose`
       picks mirrored mode with x = c_2, the right chain's cover of u_r.
-    - Cut and pull-back.  The pivot is x ∧ u_l = t_1, which `pull_back`
-      maps up through its c to c_2; x is an input element.  So the
-      witness is (↓c_2, ↑c_2).
+    - Cut and links.  The pivot is x ∧ u_l = t_1, whose link hi is its c,
+      c_2; x is an input element.  So the witness is (↓c_2, ↑c_2).
     - n = 3.  The hull {0, c_1, t_1, 1} is a patch, which gives
       (↓c_1, ↑c_1).
     A chain has no eyes, so it is its own slim diagram.  Any other diagram
@@ -303,40 +189,66 @@ def _decompose_step(diag):
         if lat.n > 3:
             c = lat.upper_covers[c][0]
         witness = _lift_through_eyes(_principal(lat, c, c), diag)
-        return witness, (), diag, witness
+        return witness, (), diag, None
     if is_patch(diag):
         return None
     slimmed, eyes = slim(diag)
-    grown, _, linked = _link_cut(slimmed)
-    if grown:  # pulled back from a grown hull
+    found = run, _, linked = _link_cut(slimmed)
+    if run is not None:  # pulled back from a grown hull
         _checked_restriction(linked)
         if not eyes:
-            return linked, (), slimmed, linked
-    return _lift_through_eyes(linked, diag), tuple(eyes), slimmed, linked
+            return linked, (), slimmed, found
+    return _lift_through_eyes(linked, diag), tuple(eyes), slimmed, found
 
 
-def _trace(witness, eyes, slimmed, linked):
-    """The `PipelineTrace` of a step from `_decompose_step`, its hull and
-    cut kept undrawn until first read (see `_draw`).
+def _trace(witness, eyes, slimmed, found):
+    """The `PipelineTrace` of a step from `_decompose_step`, its hull drawn
+    when first read (see `_draw`).
 
-    The step's hull is grown, closed and cut here, at once, by
-    `_hull_path`; the cut must give the step's witness on the slim
-    lattice, `linked`.  Nothing is validated again: the step has
-    validated the witness it returns."""
-    hull, cut, found = _hull_path(slimmed)
-    if found != linked:
-        raise AssertionFailed(
-            "the hull path and the closed form give different witnesses")
+    The root's cut is checked here, at once.  A chain root gets its link
+    cut here, which must give its closed-form witness.  The hull is grown
+    from the link cut's run, closed, and cut on its masks by `ops._choose`
+    and `ops._cut`; that cut's (x, pivot) must be the link cut's, and its
+    witness (↓x, ↑pivot) on the hull's first n ids, the slim lattice's,
+    the link witness.  A hull the link cut found a patch must be one on
+    its masks.  The trace then keeps the run, not the hull.  Nothing is
+    validated again: the step has validated the witness it returns."""
+    if found is None:
+        found = _link_cut(slimmed)
+        if found[2] != witness:
+            raise AssertionFailed(
+                "the link cut and the closed form give different witnesses")
+    run, linked_cut, linked = found
+    lat, hull, b = slimmed.lattice, slimmed.lattice, slimmed.boundary
+    if run is not None:
+        hull = _Hull(slimmed, run[0], run[-1])
+        b = hull.close()
+    cut = None
+    if linked_cut is None:
+        if not _patch(hull, b):
+            raise AssertionFailed("the link cut found a patch hull that is none")
+    else:
+        x, mode = _choose(hull, b)
+        pivot, chain = _cut(hull, b, x, mode)
+        down, up = hull.down[x] & lat.full_mask, hull.up[pivot] & lat.full_mask
+        masked = (frozenset(iter_bits(m)) for m in (down, up, down & up))
+        if (x, pivot) != linked_cut or GluingWitness(lat, *masked) != linked:
+            raise AssertionFailed(
+                "the hull cut and the link cut give different witnesses")
+        cut = x, pivot, chain, mode
     trace = PipelineTrace(eyes, None, None, cut is None)
-    trace._drawn, trace._undrawn = None, (slimmed, hull, cut)
+    trace._drawn, trace._undrawn = None, (slimmed, run, cut)
     return trace
 
 
-def _draw(slimmed, hull, cut):
-    """The extension steps and the cut of a step: its hull (None for a
-    rectangular slim diagram) labelled and drawn from the step tuples, and
-    the cut (x, pivot, chain, mode) on the drawn hull."""
-    rect, extension_steps = (slimmed, []) if hull is None else hull.draw()
+def _draw(slimmed, run, cut):
+    """The extension steps and the cut of a step: its hull grown again from
+    the run (None for a rectangular slim diagram), labelled and drawn from
+    the step tuples, and the cut (x, pivot, chain, mode) on the drawn
+    hull."""
+    rect, extension_steps = slimmed, []
+    if run is not None:
+        rect, extension_steps = _Hull(slimmed, run[0], run[-1]).draw()
     if cut is not None:
         x, pivot, chain, mode = cut
         cut = DecompositionCut(x, pivot, rect, chain, mode)

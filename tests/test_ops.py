@@ -20,7 +20,7 @@ from latpatch.errors import (AssertionFailed, BadX, ChainWasSingletonT,
                              IsPatch, IterationBoundExceeded, NotAChain,
                              NotAFilter, NotAnIdeal, NotIso, NotRectangular,
                              StuckNotRectangular)
-from latpatch.ops import _cascades, _Hull, _pull_back, _sites
+from latpatch.ops import _cascades, _Hull, _pull_back, _site_process, _sites
 
 
 def site_names(diag, sites):
@@ -377,7 +377,8 @@ def test_rectangularize_replay_reproduces(corpus):
 def test_the_cascade_pass_is_the_site_process_step_by_step(corpus):
     """On every slim node: `_cascades` on the boundary chains alone gives
     the chains, cover counts, links and step count of the reference's
-    first-site loop, and `_Hull.grow` its step tuples and cover lists."""
+    first-site loop, and `_Hull`, grown from `_site_process`'s record, its
+    step tuples and cover lists."""
     inputs = corpus + ladder_inputs()
     inputs += [(f"sps[{n}]#7", generate("random-sps", [n], seed=7)) for n in (80, 160)]
     inputs += [(f"sps[{2 + seed % 23}]#{seed}",
@@ -400,11 +401,12 @@ def test_the_cascade_pass_is_the_site_process_step_by_step(corpus):
             assert state == (list(chains), [len(ws) for ws in upper],
                              [len(ws) for ws in lower], lo, hi), name
             assert len(state[3]) == lat.n + len(expected), name
-            hull = _Hull(slimmed)
-            hull.grow(lat.n ** 2)
+            run = _site_process(slimmed)
+            assert run[:5] == state, name
+            hull = _Hull(slimmed, run[0], run[-1])
             assert hull.steps == expected, name
             assert (hull.upper_covers, hull.lower_covers) == (upper, lower), name
-            assert (hull.chains, hull.lo, hull.hi) == (chains, lo, hi), name
+            assert (run[0], run[3], run[4]) == (list(chains), lo, hi), name
             nodes += 1
             steps += len(expected)
     # a cascade makes three steps on average
@@ -435,18 +437,19 @@ def test_hull_is_rectangular_exactly_when_no_site_is_left(corpus, random_corpus_
         slimmed, _ = slim(diag)
         if slimmed.lattice.n <= 2:
             continue
-        hull = _Hull(slimmed)
+        drawn = slimmed
         while True:
-            # a frozen copy, its boundary walked afresh
-            drawn, _ = hull.draw()
+            # a frozen copy, its boundary walked afresh; the sites are
+            # scanned on the chains each one-step hull carries
             frozen = Diagram(drawn.lattice, drawn.xcoord)
-            found = next(_sites(hull, hull.chains), None)
+            b = drawn.boundary
+            found = next(_sites(drawn.lattice, (b.left_chain, b.right_chain)), None)
             assert is_rectangular(frozen) == (found is None), name
             assert is_rectangular(frozen) == (find_extension_sites(frozen) == []), name
             states += 1
             if found is None:
                 break
-            hull.extend(*found)
+            drawn, _ = one_step_extension(drawn, found[1])
         assert rectangularize(slimmed) == rectangularize_until_rectangular(slimmed), name
     assert states > 1000
 

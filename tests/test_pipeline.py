@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -6,6 +7,7 @@ import random
 import resource
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -17,17 +19,18 @@ from conftest import distinct_nodes, ladder_inputs
 from latpatch import (DecompGlue, DecompLeaf, Diagram, Lattice, PipelineTrace,
                       brute_force_gluing_search, choose_x, decompose,
                       decompose_at, generate, is_isomorphic, is_patch,
-                      is_semimodular, is_slim, parse_tree_document,
-                      rectangularize, sequence_of, serialize, serialize_tree,
-                      slim, subdiagram, synthesize_embedding, validate_diagram,
-                      validate_witness, verify_tree, witness_from_cut)
+                      is_rectangular, is_semimodular, is_slim,
+                      parse_tree_document, rectangularize, sequence_of,
+                      serialize, serialize_tree, slim, subdiagram,
+                      synthesize_embedding, validate_diagram, validate_witness,
+                      verify_tree, witness_from_cut)
 from latpatch.core import iter_bits
 from latpatch.errors import (AssertionFailed, LatpatchError, NoDecomposition,
                              NotSemimodular, SizeBoundExceeded,
                              StuckNotRectangular)
-from latpatch.ops import _principal, _pull_back
-from latpatch.pipeline import (_decompose_step, _hull_path, _lift_through_eyes,
-                               _link_cut, _trace)
+from latpatch.ops import (GluingWitness, _choose, _cut, _Hull, _link_cut,
+                          _principal, _pull_back, _site_process)
+from latpatch.pipeline import _decompose_step, _lift_through_eyes, _trace
 
 
 def labeled(lat):
@@ -96,10 +99,23 @@ def test_decompose_never_calls_the_oracle(corpus, random_corpus_small, monkeypat
 
 def test_a_patch_hull_of_a_larger_slim_lattice_is_refused(c3, c4, monkeypatch):
     # a hull that is a patch after extension steps, as if c4 were the 3-chain:
-    # the site process hands back the 3-chain's hull, a square after one step
-    hull, _ = grown = latpatch.ops._grow(c3)
-    assert len(hull.steps) == 1 and is_patch(hull.draw()[0])
-    monkeypatch.setattr(latpatch.pipeline, "_grow", lambda diag: grown)
+    # the site process hands back the 3-chain's run, a square after one
+    # step, with each id moved to the c4 element of its label (t to c4's
+    # next id)
+    chains, up, down, *rest = run = _site_process(c3)
+    assert len(run[-1]) == 1 and is_patch(_Hull(c3, chains, run[-1]).draw()[0])
+    lat = c4.lattice
+    moved = [lat.id_of(name) for name in c3.lattice.names] + [lat.n]
+
+    def moved_counts(counts):
+        out = [0] * (lat.n + 1)
+        for v, k in enumerate(counts):
+            out[moved[v]] = k
+        return out
+
+    as_c4 = ([[moved[v] for v in chain] for chain in chains],
+             moved_counts(up), moved_counts(down), *rest)
+    monkeypatch.setattr(latpatch.ops, "_site_process", lambda diag: as_c4)
     with pytest.raises(AssertionFailed, match="4-element slim lattice is a patch"):
         decompose(c4)
 
@@ -132,7 +148,7 @@ def test_the_undrawn_step_equals_the_materialized_one(glue_nodes):
     for name, diag in glue_nodes:
         witness, trace = materialized_step(diag)
         step = _decompose_step(diag)
-        slimmed, hull, cut = _trace(*step)._undrawn
+        slimmed, run, cut = _trace(*step)._undrawn
         # the same x, pivot, chain and mode, and the same hull once drawn
         assert _trace(*step) == trace, name
         assert step[0] == _lift_through_eyes(witness, diag), name
@@ -140,16 +156,19 @@ def test_the_undrawn_step_equals_the_materialized_one(glue_nodes):
             fallbacks += 1
             continue
         x, pivot, _, _ = cut
-        if hull is None:
+        if run is None:
             pulled = _principal(slimmed.lattice, x, pivot)
         else:
-            pulled = hull.pull_back(x, pivot)
+            # the links of the run: (↓lo(x), ↑hi(pivot)) on the slim lattice
+            lo, hi = run[3], run[4]
+            pulled = _principal(slimmed.lattice, lo[x], hi[pivot])
+            hull = _Hull(slimmed, run[0], run[-1])
             grown += 1
             # a later step added covers to an earlier t, which the pull-back
             # must see through
             n = slimmed.lattice.n
             attached += any(len(hull.lower_covers[t]) > 1 or len(hull.upper_covers[t]) > 1
-                            for t in range(n, hull.n))
+                            for t in range(n, len(hull.height)))
         assert pulled == witness, name
     assert (len(glue_nodes), fallbacks, grown) == (1252, 420, 579)
     assert attached > 50
@@ -171,12 +190,13 @@ def test_a_chain_step_equals_the_materialized_one():
 
 def test_a_chain_grows_only_the_root_hull(monkeypatch):
     grown = []
+    site_process = latpatch.ops._site_process
 
     def counted(diag):
         grown.append(diag.lattice.n)
-        return latpatch.ops._grow(diag)
+        return site_process(diag)
 
-    monkeypatch.setattr(latpatch.pipeline, "_grow", counted)
+    monkeypatch.setattr(latpatch.ops, "_site_process", counted)
     diag = generate("chain", [200])
     tree, trace = decompose(diag)
     # before any trace field is read: the root's agreement check is eager
@@ -239,14 +259,14 @@ def test_decompose_validates_each_witness_once(corpus, random_corpus_small, monk
 
 
 def test_a_chain_root_whose_hull_path_disagrees_is_refused(monkeypatch):
-    hull_path = latpatch.pipeline._hull_path
+    link_cut = latpatch.pipeline._link_cut
 
     def disagreeing(slimmed):
-        hull, cut, _ = hull_path(slimmed)
+        run, cut, _ = link_cut(slimmed)
         m = slimmed.lattice.upper_covers[slimmed.lattice.bottom][0]
-        return hull, cut, _principal(slimmed.lattice, m, m)
+        return run, cut, _principal(slimmed.lattice, m, m)
 
-    monkeypatch.setattr(latpatch.pipeline, "_hull_path", disagreeing)
+    monkeypatch.setattr(latpatch.pipeline, "_link_cut", disagreeing)
     with pytest.raises(AssertionFailed, match="different witnesses"):
         decompose(generate("chain", [6]))
 
@@ -256,25 +276,45 @@ def test_an_invalid_pulled_back_witness_is_refused(monkeypatch):
     def improper(lat, a, b):
         return _principal(lat, lat.top, lat.bottom)
 
-    monkeypatch.setattr(latpatch.pipeline, "_principal", improper)
+    monkeypatch.setattr(latpatch.ops, "_principal", improper)
     with pytest.raises(AssertionFailed, match="restricted witness is invalid"):
         decompose(generate("random-sps", [24], seed=0))
 
 
+def hull_cut(slimmed):
+    """The hull of a slim diagram, grown from its own run of the site
+    process (None for a rectangular diagram, its own hull) and closed, its
+    boundary data, its cut (x, pivot, chain, mode) by `_choose` and `_cut`
+    on its masks, and the cut's witness (↓x, ↑pivot) read off those masks
+    on the slim lattice's ids, the hull's first n."""
+    lat = slimmed.lattice
+    if is_rectangular(slimmed):
+        hull, rect, b = None, lat, slimmed.boundary
+    else:
+        run = _site_process(slimmed)
+        hull = rect = _Hull(slimmed, run[0], run[-1])
+        b = hull.close()
+    x, mode = _choose(rect, b)
+    pivot, chain = _cut(rect, b, x, mode)
+    down, up = rect.down[x] & lat.full_mask, rect.up[pivot] & lat.full_mask
+    found = GluingWitness(lat, *(frozenset(iter_bits(m)) for m in (down, up, down & up)))
+    return hull, b, (x, pivot, chain, mode), found
+
+
 def link_rule_agrees(diag, name):
     """On a node that `decompose` cuts and that is no chain: `_link_cut`
-    gives the x, pivot and witness of `_hull_path` on the hull it grows
-    and closes, and ↓ of the opposite corner is that corner's chain up to
-    it.  None on any other node, else whether the node grew a hull."""
+    gives the x, pivot and witness of the cut of the hull grown and closed
+    (`hull_cut`), and ↓ of the opposite corner is that corner's chain up
+    to it.  None on any other node, else whether the node grew a hull."""
     lat = diag.lattice
     if is_patch(diag) or len(lat.covers) == lat.n - 1:
         return None
     slimmed, _ = slim(diag)
-    grown, (x, pivot), linked = _link_cut(slimmed)
-    hull, cut, found = _hull_path(slimmed)
-    assert grown == (hull is not None), name
+    run, (x, pivot), linked = _link_cut(slimmed)
+    hull, b, cut, found = hull_cut(slimmed)
+    assert (run is not None) == (hull is not None), name
     assert cut[:2] == (x, pivot) and found == linked, name
-    rect, b = (slimmed.lattice, slimmed.boundary) if hull is None else (hull, hull.boundary())
+    rect = slimmed.lattice if hull is None else hull
     chain, opposite = (b.right_chain, b.u_r) if cut[3] == "left" else (b.left_chain, b.u_l)
     prefix = chain[:chain.index(opposite) + 1]
     assert rect.down[opposite] == sum(1 << y for y in prefix), name
@@ -320,7 +360,7 @@ def test_fork_inputs_decompose_and_agree_with_the_hull_path():
 
 def test_only_the_root_hull_is_closed_and_cut(monkeypatch):
     closed, cut = [], []
-    close, cut_at = latpatch.ops._Hull.close, latpatch.pipeline._cut
+    close, cut_at = _Hull.close, latpatch.pipeline._cut
 
     def counted_close(hull):
         closed.append(hull)
@@ -339,18 +379,21 @@ def test_only_the_root_hull_is_closed_and_cut(monkeypatch):
         closed.clear()
         cut.clear()
         _, trace = decompose(diag)
-        slimmed, hull, _ = trace._undrawn
-        assert len(closed) <= 1 and closed == ([] if hull is None else [hull]), name
-        assert cut == [slimmed.lattice if hull is None else hull], name
+        slimmed, run, _ = trace._undrawn
+        # the one closed hull is the root's, grown from the trace's run
+        assert len(closed) == (run is not None), name
+        assert all(hull.base is slimmed and len(hull.steps) == len(run[3]) - slimmed.lattice.n
+                   for hull in closed), name
+        assert cut == [slimmed.lattice if run is None else closed[0]], name
 
 
 def test_decompose_builds_no_hull_below_the_root(monkeypatch):
     built = []
-    init = latpatch.ops._Hull.__init__
+    init = _Hull.__init__
 
-    def counted(hull, diag):
+    def counted(hull, diag, *run):
         built.append(hull)
-        init(hull, diag)
+        init(hull, diag, *run)
 
     inputs = ladder_inputs() + [("chain30", generate("chain", [30])),
                                 ("grid5x5", generate("grid", [5, 5])),
@@ -359,10 +402,66 @@ def test_decompose_builds_no_hull_below_the_root(monkeypatch):
     for name, diag in inputs:
         built.clear()
         _, trace = decompose(diag)
-        _, hull, _ = trace._undrawn
-        # the 5×5 grid is rectangular: not even its root grows a hull
-        assert built == ([] if hull is None else [hull]), name
-        assert (hull is None) == (name == "grid5x5"), name
+        slimmed, run, _ = trace._undrawn
+        # the 5×5 grid is rectangular: not even its root grows a hull; any
+        # other root grows one, from the trace's run
+        assert [hull.base for hull in built] == ([] if run is None else [slimmed]), name
+        assert (run is None) == (name == "grid5x5"), name
+
+
+def test_decompose_runs_the_site_process_once_per_grown_node(monkeypatch):
+    # one run per non-rectangular slim node that is cut, the root included:
+    # the root's check grows its hull from the run its link cut made, and a
+    # chain root, cut in closed form, runs it there alone
+    runs = []
+    cascades = latpatch.ops._cascades
+
+    def counted(*state):
+        runs.append(state[-1])  # the step bound, n²
+        return cascades(*state)
+
+    monkeypatch.setattr(latpatch.ops, "_cascades", counted)
+    inputs = ladder_inputs() + [("chain30", generate("chain", [30])),
+                                ("sps[80]#7", generate("random-sps", [80], seed=7))]
+    for name, diag in inputs:
+        runs.clear()
+        tree, _ = decompose(diag)
+        grown = 0
+        for node in distinct_nodes(tree):
+            lat = node.diagram.lattice
+            chain = len(lat.covers) == lat.n - 1
+            grown += (isinstance(node, DecompGlue) and (node is tree or not chain)
+                      and not is_rectangular(slim(node.diagram)[0]))
+        assert len(runs) == grown > 0, name
+
+
+def test_decompose_keeps_no_hull_alive(monkeypatch):
+    hulls, draws = [], []
+    init, draw = _Hull.__init__, _Hull.draw
+
+    def recorded(hull, *args):
+        hulls.append(weakref.ref(hull))
+        init(hull, *args)
+
+    def counted_draw(hull):
+        draws.append(hull)
+        return draw(hull)
+
+    monkeypatch.setattr(_Hull, "__init__", recorded)
+    monkeypatch.setattr(_Hull, "draw", counted_draw)
+    inputs = ladder_inputs() + [("chain30", generate("chain", [30])),
+                                ("sps[80]#7", generate("random-sps", [80], seed=7))]
+    for name, diag in inputs:
+        hulls.clear()
+        draws.clear()
+        _, trace = decompose(diag)
+        gc.collect()
+        # the root's hull was grown, closed and cut, and is gone
+        assert len(hulls) == 1 and hulls[0]() is None and draws == [], name
+        trace.cut
+        # reading the trace grows the hull once more and draws it once
+        assert len(hulls) == 2 and draws == [hulls[1]()], name
+        assert trace == materialized_step(diag)[1], name
 
 
 def test_a_root_whose_link_witness_disagrees_is_refused(monkeypatch):
@@ -383,7 +482,7 @@ def test_a_root_whose_link_witness_disagrees_is_refused(monkeypatch):
 
 @pytest.mark.parametrize("corner", ["u_l", "u_r"])
 def test_an_inner_hull_without_one_corner_per_side_is_refused(corner, monkeypatch):
-    corners = latpatch.pipeline._corners
+    corners = latpatch.ops._corners
     grown = []  # the cover counts of each node that grew a hull
 
     def lopsided(chains, up, down):
@@ -395,7 +494,7 @@ def test_an_inner_hull_without_one_corner_per_side_is_refused(corner, monkeypatc
         return found
 
     diag = generate("random-sps", [24], seed=7)
-    monkeypatch.setattr(latpatch.pipeline, "_corners", lopsided)
+    monkeypatch.setattr(latpatch.ops, "_corners", lopsided)
     with pytest.raises(StuckNotRectangular, match="no extension site on a non-rectangular"):
         decompose(diag)
     assert len(grown) == 2
