@@ -214,9 +214,9 @@ class Lattice:
 
         An interval [y, x] of this lattice is derived in O(k) for k members:
         its covers are the covers of this lattice inside it, and every join
-        and meet of two members stays inside, so nothing can fail.  The
-        pipeline's parts (↓x, ↑y) are all intervals.  Any other subset gets
-        its covers recomputed and is validated in full.
+        and meet of two members stays inside, so nothing can fail.  Each
+        tree node is such an interval of the root (`pipeline._decompose`).
+        Any other subset gets its covers recomputed and is validated in full.
 
         Derived lattices, made from one already validated: hulls, one-step
         extensions and eye insertions (grown in place by `_Growing`), and, by
@@ -257,14 +257,15 @@ class Lattice:
         `top`, whose covers are this lattice's covers among them; unchecked.
 
         Every caller guarantees those are the covers of a sublattice: an
-        interval [y, x] (`restrict`), or this lattice without doubly
-        irreducible elements v, each with o ≺ v ≺ i and another kept
-        element between o and i (`slim` drops eyes, `restrict_gluing` an
-        added t).  Every chain through such a v can go through that other
-        element instead, so the order, heights and covers of the rest stay
-        (only (o, i) could have become a cover), and v is no join or meet
-        of two others.  Ids keep their relative order, so the cover lists
-        stay sorted, and this lattice's heights order the members linearly.
+        interval [y, x] (`restrict`, the tree nodes of `pipeline`), or this
+        lattice without doubly irreducible elements v, each with o ≺ v ≺ i
+        and another kept element between o and i (`slim` drops eyes,
+        `restrict_gluing` an added t).  Every chain through such a v can go
+        through that other element instead, so the order, heights and
+        covers of the rest stay (only (o, i) could have become a cover), and
+        v is no join or meet of two others.  Ids keep their relative order,
+        so the cover lists stay sorted, and this lattice's heights order the
+        members linearly.
         """
         k = len(members)
         pos = dict(zip(members, range(k)))

@@ -11,8 +11,7 @@ ideal of a finite lattice is some ↓x and every nonempty filter some ↑y.
 from dataclasses import dataclass
 
 from .core import _is_chain_mask, is_isomorphic, is_semimodular, iter_bits
-from .diagram import (Diagram, _patch, is_patch, slim, subdiagram,
-                      validate_diagram)
+from .diagram import Diagram, _patch, is_patch, slim, validate_diagram
 from .errors import (AssertionFailed, NoDecomposition, NotSemimodular,
                      SizeBoundExceeded)
 from .ops import (DecompositionCut, GluingWitness, _checked_restriction,
@@ -124,9 +123,17 @@ def brute_force_gluing_search(diag, bound=None):
 
 # -- decomposition ------------------------------------------------------------
 
+def _ends(witness, lat):
+    """(a, b) for a valid witness (↓a, ↑b): a the highest member of its A
+    and b the lowest of its B, carried to ids of `lat` by label."""
+    names, height = witness.ambient.names, witness.ambient.height.__getitem__
+    return (lat.index[names[max(witness.A, key=height)]],
+            lat.index[names[min(witness.B, key=height)]])
+
+
 def _lift_through_eyes(witness, full_diag):
-    """A witness for the slimmed lattice, lifted to the full one as ↓a and ↑b,
-    a the highest member of its A and b the lowest of its B, and validated.
+    """A witness for the slimmed lattice, lifted to the full one as ↓a and ↑b
+    (`_ends`), and validated.
 
     Exact: every removed eye has one upper cover and one lower cover, both
     kept, so an eye lies below a exactly when its upper cover does and above
@@ -137,13 +144,10 @@ def _lift_through_eyes(witness, full_diag):
     validated as it is: a valid A is ↓ of its highest member and a valid B
     ↑ of its lowest (`validate_witness`), so the lift would rebuild it
     unchanged."""
-    slim_lat, lat = witness.ambient, full_diag.lattice
+    lat = full_diag.lattice
     lifted = witness
-    if slim_lat is not lat:
-        height = slim_lat.height
-        a = lat.index[slim_lat.names[max(witness.A, key=height.__getitem__)]]
-        b = lat.index[slim_lat.names[min(witness.B, key=height.__getitem__)]]
-        lifted = _principal(lat, a, b)
+    if witness.ambient is not lat:
+        lifted = _principal(lat, *_ends(witness, lat))
     reason = validate_witness(lifted)
     if reason is not None:
         raise NoDecomposition(f"eye lifting produced an invalid witness: {reason}")
@@ -255,66 +259,57 @@ def _draw(slimmed, run, cut):
     return tuple(extension_steps), cut
 
 
-def _same_part(diag, parent, members):
-    """Whether `diag`, whose labels are those of `members` in `parent`,
-    is the part of `parent` on the ascending ids `members`, as `subdiagram`
-    would build it: the same x coordinates and the same covers, which for
-    a part that inherits the parent's covers (any `subdiagram` that
-    succeeds) are the parent's covers among the members.  Read off the
-    parent's cover lists, with no closure."""
-    xs = parent.xcoord
-    if diag.xcoord != tuple([xs[v] for v in members]):
-        return False
-    pos = dict(zip(members, range(len(members))))
-    upper = parent.lattice.upper_covers
-    return all(ws == tuple([pos[w] for w in upper[v] if w in pos])
-               for v, ws in zip(members, diag.lattice.upper_covers))
-
-
 def _decompose(root):
     """Post-order walk with an explicit stack, so the depth of the tree is
     not bounded by the interpreter's recursion limit.  Returns the tree and
     the root's trace.
 
-    The ideal and filter parts of a node overlap, so the walk reaches the
-    same interval of the root again and again.  `built` keeps the subtree of
-    each interval, keyed by its labels, and a repeat gets the same object.
-    A part is looked up by its labels in its parent before its diagram is
-    built, and only a miss builds it.  A node is an interval of the root
-    kept in ascending root-id order, so equal labels mean an equal diagram;
-    each hit is confirmed anyway (`_same_part`).
+    A node is an interval [y, x] of the root, named by its ends in root
+    ids; the root is [bottom, top].  The parts of a glue (↓a, ↑b) of
+    [y, x] (`_ends`) are [y, a] and [b, x]: an interval of an interval is
+    an interval of the root.  A part is cut from the root by
+    `Lattice._derived` on the root ids in ↑y ∩ ↓x, with the root's x
+    coordinates.  Its parent's ids are its members' root ids in ascending
+    order and its covers the root's covers among them, and `_derived` keeps
+    relative id order and ambient covers, so this is the part its parent
+    would give (`subdiagram`).  The parts of a node overlap, so the walk
+    reaches an interval again and again: `built` keeps each interval's
+    subtree, keyed by its ends, and a repeat gets the same object.
     """
+    lat, xs = root.lattice, root.xcoord
     built = {}
     finished = []  # each finished subtree whose parent is open
     root_trace = None
-    # (diagram, None): decompose it; (parent, ids): look up or build the
-    # part of the parent on those ids; (diagram, witness): glue
-    stack = [(root, None)]
+    # (y, x, None): look up or cut and decompose [y, x]; (y, x, (diagram,
+    # witness)): glue the two finished parts of [y, x]
+    stack = [(lat.bottom, lat.top, None)]
     while stack:
-        diag, todo = stack.pop()
-        if isinstance(todo, frozenset):
-            members = sorted(todo)
-            names = diag.lattice.names
-            node = built.get(tuple([names[v] for v in members]))
-            if node is not None and _same_part(node.diagram, diag, members):
+        y, x, todo = stack.pop()
+        if todo is None:
+            node = built.get((y, x))
+            if node is not None:
                 finished.append(node)
                 continue
-            diag, todo = subdiagram(diag, members), None
-        if todo is None:
+            diag = root
+            if root_trace is not None:
+                members = list(iter_bits(lat.up[y] & lat.down[x]))
+                diag = Diagram(lat._derived(members, y, x), [xs[v] for v in members])
             step = _decompose_step(diag)
             if root_trace is None:
                 root_trace = (PipelineTrace((), (), None, False) if step is None
                               else _trace(*step))
             if step is not None:
                 witness = step[0]
-                stack += [(diag, witness), (diag, witness.B), (diag, witness.A)]
+                a, b = _ends(witness, lat)
+                stack += [(y, x, (diag, witness)), (b, x, None), (y, a, None)]
                 continue
             node = DecompLeaf(diag)
         else:
+            diag, witness = todo
             right = finished.pop()
             left = finished.pop()
-            node = DecompGlue(left, right, len(todo.C), todo, diag)
-        built[diag.lattice.names] = node
+            node = DecompGlue(left, right, len(witness.C), witness, diag)
+        built[y, x] = node
         finished.append(node)
     return finished.pop(), root_trace
 
@@ -322,7 +317,8 @@ def _decompose(root):
 def decompose(diag):
     """Decompose a planar semimodular diagram into a certificate tree.
 
-    Returns the tree and the trace of the top-level step.  Each distinct
+    Returns the tree and the trace of the top-level step.  Every node is an
+    interval of the input, cut from it by its ends, and each distinct
     interval is decomposed once: in memory, equal subtrees of the returned
     certificate are one shared object.  Documents and `sequence_of` still
     see every occurrence; `verify_tree` checks each object once.

@@ -17,6 +17,8 @@ covers, and S_7 glued by the package's `glue_over_chain` over a 2-element
 chain above or below a grid or a chain.
 The site process reference grows a hull one step at a time, each at the
 first site of a fresh scan of both boundary chains, on plain cover lists.
+The small-lattice enumeration lists every lattice with a few elements, up
+to isomorphism, from naturally labelled posets and relabelling search.
 """
 
 import json
@@ -150,6 +152,52 @@ def brute_isomorphic(covers1, elements1, covers2, elements2):
         if {(send[a], send[b]) for a, b in covers1} == set2:
             return True
     return False
+
+
+def _natural_posets(k):
+    """Every strict order on 0..k-1 that refines the integer order, each as
+    the tuple of the sets of elements below 0, 1, …, k-1.  Element j gets
+    every down-closed subset of 0..j-1 as the elements below it."""
+    posets = [()]
+    for j in range(k):
+        grown = []
+        for below in posets:
+            for picks in product((False, True), repeat=j):
+                chosen = {i for i in range(j) if picks[i]}
+                if all(below[i] <= chosen for i in chosen):
+                    grown.append(below + (frozenset(chosen),))
+        posets = grown
+    return posets
+
+
+def small_lattices(n):
+    """Every lattice with n ≥ 2 elements up to isomorphism, each as its
+    element labels and its cover pairs.  Each naturally labelled poset on
+    n - 2 inner elements gets a bottom "0" and a top "1"; it is kept when
+    every pair has a join, and only at the first poset of its canonical
+    form, the least sorted relation over all relabellings of the inner
+    elements.  Every finite lattice arises: its inner elements have a
+    natural labelling, any linear extension.  Sensible for n ≤ 7."""
+    k = n - 2
+    inner = [chr(ord("a") + i) for i in range(k)]
+    elements = ["0"] + inner + ["1"]
+    position = {e: i for i, e in enumerate(elements)}
+    seen, out = set(), []
+    for below in _natural_posets(k):
+        pairs = {(i, j) for j in range(k) for i in below[j]}
+        leq = {(e, e) for e in elements} | {("0", e) for e in elements}
+        leq |= {(e, "1") for e in elements}
+        leq |= {(inner[i], inner[j]) for i, j in pairs}
+        if any(lub(leq, elements, a, b) is None for a in elements for b in elements):
+            continue
+        canonical = min(tuple(sorted((perm[i], perm[j]) for i, j in pairs))
+                        for perm in permutations(range(k)))
+        if canonical not in seen:
+            seen.add(canonical)
+            covers = sorted(covers_of_leq(leq, elements),
+                            key=lambda c: (position[c[0]], position[c[1]]))
+            out.append((elements, covers))
+    return out
 
 
 def product_chain_covers(m, n):

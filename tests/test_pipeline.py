@@ -358,6 +358,36 @@ def test_fork_inputs_decompose_and_agree_with_the_hull_path():
     assert checked == 348
 
 
+def test_every_lattice_with_at_most_7_elements():
+    counts, semimodular, nodes = [], [], 0
+    for n in range(2, 8):
+        lattices = oracles.small_lattices(n)
+        counts.append(len(lattices))
+        semimodular.append(0)
+        for elements, covers in lattices:
+            lat = Lattice(covers, elements=elements)
+            semi = is_semimodular(lat)
+            assert semi == oracles.brute_semimodular(covers, elements), covers
+            if not semi:
+                continue
+            semimodular[-1] += 1
+            # no lattice this small is B3, so every one is planar
+            diag = synthesize_embedding(lat)
+            assert diag is not None, covers
+            tree, _ = decompose(diag)
+            assert verify_tree(tree, diag) is None, covers
+            assert serialize_tree(tree) == serialize_tree(recursive_decompose(diag))
+            for node in distinct_nodes(tree):
+                # the dichotomy: a patch, or a gluing found
+                witness = brute_force_gluing_search(node.diagram)
+                assert (witness is None) == is_patch(node.diagram), covers
+                assert isinstance(node, DecompLeaf) == is_patch(node.diagram), covers
+                nodes += 1
+    assert counts == [1, 1, 2, 5, 15, 53]  # OEIS A006966
+    assert semimodular == [1, 1, 2, 4, 8, 17]
+    assert nodes == 200
+
+
 def test_only_the_root_hull_is_closed_and_cut(monkeypatch):
     closed, cut = [], []
     close, cut_at = _Hull.close, latpatch.pipeline._cut
@@ -514,15 +544,20 @@ def test_each_part_is_built_once_per_distinct_node(monkeypatch):
         diag = generate("random-sps", [n], seed=7)
         builds = []
 
-        def counted(d, members):
-            builds.append(frozenset(d.lattice.names[v] for v in members))
-            return subdiagram(d, members)
+        def counted(lat, xcoord):
+            builds.append(Diagram(lat, xcoord))
+            return builds[-1]
 
         with monkeypatch.context() as m:
-            m.setattr(latpatch.pipeline, "subdiagram", counted)
+            m.setattr(latpatch.pipeline, "Diagram", counted)
             tree, _ = decompose(diag)
         distinct = {id(node): node for node in occurrences_of(tree)}
-        assert len(builds) == len(set(builds)) == len(distinct) - 1, n
+        labels = [frozenset(part.lattice.names) for part in builds]
+        assert len(labels) == len(set(labels)) == len(distinct) - 1, n
+        # each part is cut from the root: the root's interval on its labels
+        for part in builds:
+            ids = [diag.lattice.id_of(label) for label in part.lattice.names]
+            assert part == subdiagram(diag, ids), n
         assert verify_tree(tree, diag) is None
 
 
@@ -752,25 +787,6 @@ def test_each_distinct_interval_is_decomposed_once(monkeypatch):
     assert len({id(node) for node in occurrences_of(parsed)}) == 245
     assert verify_tree(parsed, diag) is None
     assert serialize_tree(parsed) == text
-
-
-def test_a_repeat_with_another_drawing_is_decomposed_afresh(monkeypatch):
-    # shift each part's drawing by a different amount: equal labels no
-    # longer mean an equal diagram, so nothing may be shared
-    diag = generate("random-sps", [24], seed=7)
-    shifts = []
-
-    def shifted(d, members):
-        part = subdiagram(d, members)
-        shifts.append(len(shifts) + 1)
-        return Diagram(part.lattice, [x + shifts[-1] for x in part.xcoord])
-
-    with monkeypatch.context() as m:
-        m.setattr(latpatch.pipeline, "subdiagram", shifted)
-        tree, _ = decompose(diag)
-    nodes = occurrences_of(tree)
-    assert len({id(node) for node in nodes}) == len(nodes) == 245
-    assert verify_tree(tree, diag) is None
 
 
 def test_witnesses_in_tree_are_proper(corpus, random_corpus_small):
