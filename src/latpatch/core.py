@@ -44,22 +44,22 @@ def _closure(upper, lower, order):
     return tuple(up), tuple(down), tuple(height)
 
 
-def _check_joins(up, down, names, owner):
-    """Raise unless every pair has a join; `owner` maps each up-mask to its
-    element.
+def _check_joins(up, down, names):
+    """Raise unless every pair has a join.
 
     In a lattice the common upper bounds of (a, b) are exactly ↑(a ∨ b),
-    so `up[a] & up[b]` must itself be an up-mask; a dict lookup finds the
-    join or proves there is none.  Comparable pairs always have one, so
-    only the b > a outside ↑a ∪ ↓a are looked up.
+    so `up[a] & up[b]` must itself be some element's up-mask, which one
+    lookup in the set of up-masks decides.  Comparable pairs always have a
+    join, so only the b > a outside ↑a ∪ ↓a are looked up.
     """
+    ups = set(up)
     full = (1 << len(up)) - 1
     for a, up_a in enumerate(up):
         rest = full & ~((2 << a) - 1) & ~(up_a | down[a])
         while rest:
             low = rest & -rest
             b = low.bit_length() - 1
-            if up_a & up[b] not in owner:
+            if up_a & up[b] not in ups:
                 raise NotALattice(
                     f"{names[a]!r} and {names[b]!r} have no least upper bound",
                     witness=(names[a], names[b]))
@@ -95,9 +95,10 @@ class Lattice:
     least the bottom), and those common lower bounds are exactly ↓(a ∧ b),
     so `down[a] & down[b]` is always some element's down-mask.  The
     private derived constructors skip what cannot fail for their shape (see
-    `restrict`).  `join(a, b)` and `meet(a, b)` look up the element owning
-    `up[a] & up[b]` or `down[a] & down[b]`; no table is built.  Instances
-    are immutable after construction and safe to share.
+    `restrict`).  `join(a, b)` and `meet(a, b)` read the lowest member of
+    `up[a] & up[b]` and the highest of `down[a] & down[b]` by height; no
+    table is built.  Instances are immutable after construction and safe
+    to share.
     """
 
     def __init__(self, covers, elements=None):
@@ -149,7 +150,7 @@ class Lattice:
                     f"({names[a]!r}, {names[b]!r}) is not a cover: "
                     f"{names[z]!r} lies between",
                     witness=(names[a], names[b]))
-        _check_joins(self.up, self.down, self.names, self._up_owner)
+        _check_joins(self.up, self.down, self.names)
 
     def _fill(self, names, upper_covers, lower_covers, order, bottom, top, index=None):
         """Set every field from the cover lists, which must be sorted (so the
@@ -160,15 +161,12 @@ class Lattice:
         self.n = n
         self.index = dict(zip(names, range(n))) if index is None else index
         self.covers = tuple([(v, w) for v, ws in enumerate(upper_covers) for w in ws])
-        self._cover_set = frozenset(self.covers)
         self.upper_covers = upper_covers
         self.lower_covers = lower_covers
         self.up, self.down, self.height = _closure(upper_covers, lower_covers, order)
         self.full_mask = (1 << n) - 1
         self.bottom = bottom
         self.top = top
-        self._up_owner = dict(zip(self.up, range(n)))
-        self._down_owner = dict(zip(self.down, range(n)))
 
     @staticmethod
     def _trusted(*fields, index=None):
@@ -180,13 +178,14 @@ class Lattice:
     # -- order queries ---------------------------------------------------
 
     def join(self, a, b):
-        """a ∨ b: the element whose ↑-mask is ↑a ∩ ↑b."""
-        return self._up_owner[self.up[a] & self.up[b]]
+        """a ∨ b: the lowest member of ↑a ∩ ↑b, which is ↑(a ∨ b), so every
+        other member lies strictly higher."""
+        return min(iter_bits(self.up[a] & self.up[b]), key=self.height.__getitem__)
 
     def meet(self, a, b):
-        """a ∧ b: the element whose ↓-mask is ↓a ∩ ↓b (it exists, see the
+        """a ∧ b: the highest member of ↓a ∩ ↓b, which is ↓(a ∧ b) (see the
         class docstring)."""
-        return self._down_owner[self.down[a] & self.down[b]]
+        return max(iter_bits(self.down[a] & self.down[b]), key=self.height.__getitem__)
 
     def leq(self, a, b):
         return bool(self.down[b] >> a & 1)
@@ -195,7 +194,7 @@ class Lattice:
         return a != b and self.leq(a, b)
 
     def is_cover(self, a, b):
-        return (a, b) in self._cover_set
+        return b in self.upper_covers[a]
 
     def id_of(self, label):
         return self.index[label]
@@ -348,23 +347,26 @@ def _first_unused(prefix, taken, k):
 
 def is_semimodular(lat):
     """Upper semimodularity, in its local form: any two upper covers of one
-    element are both covered by their join.  Reads C(d, 2) pairs for an
-    element with d upper covers.
+    element have a common upper cover.  Reads C(d, 2) pairs for an element
+    with d upper covers.
 
-    This equals the cover form, a ∧ b ≺ a ⇒ b ≺ a ∨ b.  The local form is
-    the cover form for two upper covers a, b of c = a ∧ b.  Conversely, let
-    c = a ∧ b ≺ a; if b ≤ a, then b = c ≺ a = a ∨ b.  Otherwise c < b, and
-    we induct on the length of [c, b].  Pick c ≺ b₁ ≤ b; b₁ ≠ a, since
-    a ≰ b.  The local form at c gives b₁ ≺ a ∨ b₁ =: a₁.  Then a₁ ∧ b = b₁:
-    it lies in [b₁, a₁] = {b₁, a₁}, and a₁ ≤ b would put a ≤ b.  So
-    a₁ ∧ b ≺ a₁, and [b₁, b] is shorter than [c, b]: by induction
-    b ≺ a₁ ∨ b, which is a ∨ b₁ ∨ b = a ∨ b.
+    Two distinct upper covers a, b have a common upper cover exactly when
+    a ∨ b covers both: if j covers a and b, then a < a ∨ b ≤ j, and a ≺ j
+    gives a ∨ b = j.  This local form equals the cover form,
+    a ∧ b ≺ a ⇒ b ≺ a ∨ b.  The local form is the cover form for two upper
+    covers a, b of c = a ∧ b.  Conversely, let c = a ∧ b ≺ a; if b ≤ a,
+    then b = c ≺ a = a ∨ b.  Otherwise c < b, and we induct on the length
+    of [c, b].  Pick c ≺ b₁ ≤ b; b₁ ≠ a, since a ≰ b.  The local form at c
+    gives b₁ ≺ a ∨ b₁ =: a₁.  Then a₁ ∧ b = b₁: it lies in
+    [b₁, a₁] = {b₁, a₁}, and a₁ ≤ b would put a ≤ b.  So a₁ ∧ b ≺ a₁, and
+    [b₁, b] is shorter than [c, b]: by induction b ≺ a₁ ∨ b, which is
+    a ∨ b₁ ∨ b = a ∨ b.
     """
-    for ups in lat.upper_covers:
+    upper = lat.upper_covers
+    for ups in upper:
         for i, a in enumerate(ups):
             for b in ups[i + 1:]:
-                j = lat.join(a, b)
-                if not (lat.is_cover(a, j) and lat.is_cover(b, j)):
+                if set(upper[a]).isdisjoint(upper[b]):
                     return False
     return True
 

@@ -6,7 +6,6 @@ an embedding gets one synthesized.
 """
 
 import json
-import threading
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -197,30 +196,15 @@ def _load_json(text):
         try:
             return json.loads(text)
         except RecursionError:
-            return _in_new_thread(json.loads, text)
+            # imported here, not at the top: `concurrent.futures` loads
+            # `logging` and a dozen more modules, 0.5 MB of resident memory
+            from concurrent.futures import ThreadPoolExecutor
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                return pool.submit(json.loads, text).result()
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"not valid JSON: {exc}")
     except RecursionError:
         raise SchemaError("$", "document nests too deeply") from None
-
-
-def _in_new_thread(fn, arg):
-    """fn(arg), run in a new thread; its exception is raised here."""
-    out = []
-
-    def run():
-        try:
-            out.append((fn(arg), None))
-        except Exception as exc:
-            out.append((None, exc))
-
-    thread = threading.Thread(target=run)
-    thread.start()
-    thread.join()
-    value, exc = out[0]
-    if exc is not None:
-        raise exc
-    return value
 
 
 def parse_document(text, max_synth=16):

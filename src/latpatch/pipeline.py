@@ -41,8 +41,9 @@ class PipelineTrace:
     The trace `decompose` returns holds the root's slim diagram, its run of
     the site process and its cut in hull ids, and no hull (see `_trace`):
     the hull is grown from the run and drawn when `extension_steps` or
-    `cut` is first read, and both are then kept.  Traces compare, hash and
-    print by their four fields."""
+    `cut` is first read, and both are then kept.  Traces compare and print
+    by their four fields; they are unhashable, like the drawn hull their
+    cut holds."""
 
     __slots__ = ("eyes", "fallback_used", "_drawn", "_undrawn")
 
@@ -72,9 +73,6 @@ class PipelineTrace:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
 
     def __repr__(self):
         eyes, steps, cut, fallback = self._fields()

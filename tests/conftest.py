@@ -109,13 +109,13 @@ def glue_nodes(corpus, random_corpus_small):
     return out
 
 
-LATTICE_FIELDS = ("names", "n", "index", "covers", "_cover_set", "upper_covers",
+LATTICE_FIELDS = ("names", "n", "index", "covers", "upper_covers",
                   "lower_covers", "up", "down", "full_mask", "height",
-                  "bottom", "top", "_up_owner", "_down_owner")
+                  "bottom", "top")
 
 
 def assert_same_lattice(derived, full, name):
-    """Every field agrees, down to the mask owner maps that answer every
+    """Every field agrees, down to the masks and heights that answer every
     join and meet."""
     for field in LATTICE_FIELDS:
         assert getattr(derived, field) == getattr(full, field), (name, field)

@@ -18,7 +18,9 @@ chain above or below a grid or a chain.
 The site process reference grows a hull one step at a time, each at the
 first site of a fresh scan of both boundary chains, on plain cover lists.
 The small-lattice enumeration lists every lattice with a few elements, up
-to isomorphism, from naturally labelled posets and relabelling search.
+to isomorphism, from naturally labelled posets and relabelling search, and
+the planarity reference tests order dimension at most 2 by trying linear
+extensions.
 """
 
 import json
@@ -170,34 +172,101 @@ def _natural_posets(k):
     return posets
 
 
+def _has_joins(below, k):
+    """Whether the naturally labelled poset `below` on 0..k-1, with a bottom
+    and a top added, is a lattice: the common upper bounds of each pair of
+    inner elements, as a bit mask, are none (the join is the top) or
+    exactly the elements above one of them."""
+    up = [1 << i for i in range(k)]
+    for j in range(k):
+        for i in below[j]:
+            up[i] |= 1 << j
+    ups = set(up)
+    return all(not up[i] & up[j] or up[i] & up[j] in ups
+               for i in range(k) for j in range(i))
+
+
+def _canonical(pairs, k):
+    """A canonical form of the strict order `pairs` on 0..k-1: the sorted
+    numbers of elements below and above each element, and the least sorted
+    relation over the relabellings that list the elements in that order.
+    Isomorphic orders get the same form, and the relation determines the
+    order up to isomorphism.  Only relabellings inside each class of equal
+    counts are tried, far fewer than all k!."""
+    key = [[0, 0] for _ in range(k)]
+    for i, j in pairs:
+        key[j][0] += 1
+        key[i][1] += 1
+    key = [tuple(c) for c in key]
+    classes = {}
+    for v in sorted(range(k), key=key.__getitem__):
+        classes.setdefault(key[v], []).append(v)
+
+    def relation(picks):
+        position = {v: p for p, v in enumerate(v for vs in picks for v in vs)}
+        return tuple(sorted((position[i], position[j]) for i, j in pairs))
+
+    relabellings = product(*[permutations(vs) for vs in classes.values()])
+    return tuple(sorted(key)), min(map(relation, relabellings))
+
+
 def small_lattices(n):
     """Every lattice with n ≥ 2 elements up to isomorphism, each as its
     element labels and its cover pairs.  Each naturally labelled poset on
     n - 2 inner elements gets a bottom "0" and a top "1"; it is kept when
     every pair has a join, and only at the first poset of its canonical
-    form, the least sorted relation over all relabellings of the inner
-    elements.  Every finite lattice arises: its inner elements have a
-    natural labelling, any linear extension.  Sensible for n ≤ 7."""
+    form (`_canonical`).  Every finite lattice arises: its inner elements
+    have a natural labelling, any linear extension.  Sensible for n ≤ 8."""
     k = n - 2
     inner = [chr(ord("a") + i) for i in range(k)]
     elements = ["0"] + inner + ["1"]
     position = {e: i for i, e in enumerate(elements)}
     seen, out = set(), []
     for below in _natural_posets(k):
-        pairs = {(i, j) for j in range(k) for i in below[j]}
-        leq = {(e, e) for e in elements} | {("0", e) for e in elements}
-        leq |= {(e, "1") for e in elements}
-        leq |= {(inner[i], inner[j]) for i, j in pairs}
-        if any(lub(leq, elements, a, b) is None for a in elements for b in elements):
+        if not _has_joins(below, k):
             continue
-        canonical = min(tuple(sorted((perm[i], perm[j]) for i, j in pairs))
-                        for perm in permutations(range(k)))
+        pairs = {(i, j) for j in range(k) for i in below[j]}
+        canonical = _canonical(pairs, k)
         if canonical not in seen:
             seen.add(canonical)
+            leq = {(e, e) for e in elements} | {("0", e) for e in elements}
+            leq |= {(e, "1") for e in elements}
+            leq |= {(inner[i], inner[j]) for i, j in pairs}
             covers = sorted(covers_of_leq(leq, elements),
                             key=lambda c: (position[c[0]], position[c[1]]))
             out.append((elements, covers))
     return out
+
+
+def order_dimension_at_most_2(covers, elements):
+    """Whether the order has dimension at most 2, which for a finite
+    lattice is planarity (Baker, Fishburn and Roberts, 1972).  That holds
+    iff some linear extension, reversed on the incomparable pairs, is again
+    a linear order; the linear extensions are tried one by one."""
+    leq = closure_leq(covers, elements)
+
+    def extensions(prefix, rest):
+        if not rest:
+            yield prefix
+        for e in rest:
+            if all((z, e) not in leq for z in rest if z != e):
+                yield from extensions(prefix + [e], [z for z in rest if z != e])
+
+    for line in extensions([], list(elements)):
+        place = {e: i for i, e in enumerate(line)}
+
+        def before(a, b):
+            # the second order: the first's order on comparable pairs,
+            # reversed on incomparable ones
+            if (a, b) in leq or (b, a) in leq:
+                return place[a] < place[b]
+            return place[b] < place[a]
+
+        if all(not (before(a, b) and before(b, c)) or before(a, c)
+               for a in elements for b in elements for c in elements
+               if len({a, b, c}) == 3):
+            return True
+    return False
 
 
 def product_chain_covers(m, n):

@@ -6,9 +6,9 @@ from itertools import combinations
 import pytest
 
 import oracles
-from conftest import assert_same_lattice
-from latpatch import (Diagram, EyeRecord, Lattice, classify_subset, find_eyes,
-                      generate, interval, irreducibility, is_isomorphic,
+from conftest import assert_same_lattice, distinct_nodes
+from latpatch import (Diagram, EyeRecord, Lattice, classify_subset, decompose,
+                      find_eyes, generate, interval, irreducibility, is_isomorphic,
                       is_semimodular, rectangularize, restore_eyes, slim,
                       subdiagram)
 from latpatch.core import _Growing, iter_bits
@@ -268,9 +268,23 @@ def test_isomorphic_reflexive_and_symmetric(corpus):
         assert (fwd is None) == (bwd is None), (n1, n2)
 
 
-def test_join_is_unique_minimal_upper_bound(corpus):
+def test_join_is_unique_minimal_upper_bound(corpus, random_corpus_small):
+    """On full builds and on derived lattices: the corpus's tree nodes, its
+    slimmed lattices with eyes and two drawn hulls."""
+    lattices = [(name, diag.lattice) for name, diag in corpus]
     for name, diag in corpus:
-        lat = diag.lattice
+        lattices += [(f"{name} node", node.diagram.lattice)
+                     for node in distinct_nodes(decompose(diag)[0])]
+    assert len(lattices) == 15 + 73
+    slims = [(f"{name} slim", slimmed.lattice)
+             for name, diag in corpus + random_corpus_small
+             for slimmed, eyes in [slim(diag)] if eyes]
+    assert len(slims) == 54
+    hulls = [(f"{name} hull", rectangularize(diag)[0].lattice)
+             for name, diag in [("chain5", generate("chain", [5])),
+                                ("sps[24]#0", generate("random-sps", [24], seed=0))]]
+    assert [lat.n for _, lat in hulls] == [8, 53]
+    for name, lat in lattices + slims + hulls:
         for a in range(lat.n):
             for b in range(lat.n):
                 j = lat.join(a, b)
@@ -279,6 +293,7 @@ def test_join_is_unique_minimal_upper_bound(corpus):
                 m = lat.meet(a, b)
                 lowers = [z for z in range(lat.n) if lat.leq(z, a) and lat.leq(z, b)]
                 assert m in lowers and all(lat.leq(z, m) for z in lowers), name
+                assert lat.is_cover(a, b) == ((a, b) in lat.covers), name
 
 
 def test_semimodular_corpus_is_graded(corpus):

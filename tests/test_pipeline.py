@@ -235,6 +235,20 @@ def test_the_root_trace_is_drawn_when_first_read(monkeypatch):
         assert trace == materialized_step(diag)[1], name
 
 
+def test_traces_are_unhashable():
+    # a patch root, a patch hull and a grown hull, whose cut holds the drawn
+    # hull: traces compare by their fields, but none of them hashes
+    kinds = []
+    for kind, params, seed in [("diamond", [4], 0), ("chain", [3], 0),
+                               ("random-sps", [24], 0)]:
+        _, trace = decompose(generate(kind, params, seed=seed))
+        kinds.append((len(trace.extension_steps) > 0, trace.fallback_used,
+                      trace.cut is not None))
+        with pytest.raises(TypeError):
+            hash(trace)
+    assert kinds == [(False, False, False), (True, True, False), (True, False, True)]
+
+
 def test_decompose_validates_each_witness_once(corpus, random_corpus_small, monkeypatch):
     checked = []  # (id(ambient), A, B) of each validated witness
     alive = []    # every checked ambient, so that no id is reused
@@ -358,6 +372,34 @@ def test_fork_inputs_decompose_and_agree_with_the_hull_path():
     assert checked == 348
 
 
+def small_lattice_checked(elements, covers):
+    """Whether the lattice is semimodular, as `is_semimodular` and the
+    oracle agree, and, when it is, the number of tree nodes checked.  A
+    semimodular one is drawn exactly when its order has dimension at most 2;
+    a drawn one decomposes, verifies, matches the memo-free reference and
+    obeys the dichotomy on every node."""
+    lat = Lattice(covers, elements=elements)
+    semi = is_semimodular(lat)
+    assert semi == oracles.brute_semimodular(covers, elements), covers
+    if not semi:
+        return False, 0
+    diag = synthesize_embedding(lat)
+    assert (diag is not None) == oracles.order_dimension_at_most_2(covers, elements), covers
+    if diag is None:
+        return True, 0
+    tree, _ = decompose(diag)
+    assert verify_tree(tree, diag) is None, covers
+    assert serialize_tree(tree) == serialize_tree(recursive_decompose(diag))
+    nodes = 0
+    for node in distinct_nodes(tree):
+        # the dichotomy: a patch, or a gluing found
+        witness = brute_force_gluing_search(node.diagram)
+        assert (witness is None) == is_patch(node.diagram), covers
+        assert isinstance(node, DecompLeaf) == is_patch(node.diagram), covers
+        nodes += 1
+    return True, nodes
+
+
 def test_every_lattice_with_at_most_7_elements():
     counts, semimodular, nodes = [], [], 0
     for n in range(2, 8):
@@ -365,27 +407,33 @@ def test_every_lattice_with_at_most_7_elements():
         counts.append(len(lattices))
         semimodular.append(0)
         for elements, covers in lattices:
-            lat = Lattice(covers, elements=elements)
-            semi = is_semimodular(lat)
-            assert semi == oracles.brute_semimodular(covers, elements), covers
-            if not semi:
-                continue
-            semimodular[-1] += 1
-            # no lattice this small is B3, so every one is planar
-            diag = synthesize_embedding(lat)
-            assert diag is not None, covers
-            tree, _ = decompose(diag)
-            assert verify_tree(tree, diag) is None, covers
-            assert serialize_tree(tree) == serialize_tree(recursive_decompose(diag))
-            for node in distinct_nodes(tree):
-                # the dichotomy: a patch, or a gluing found
-                witness = brute_force_gluing_search(node.diagram)
-                assert (witness is None) == is_patch(node.diagram), covers
-                assert isinstance(node, DecompLeaf) == is_patch(node.diagram), covers
-                nodes += 1
+            semi, checked = small_lattice_checked(elements, covers)
+            semimodular[-1] += semi
+            # no lattice this small is B3, so every semimodular one is drawn
+            assert checked or not semi, covers
+            nodes += checked
     assert counts == [1, 1, 2, 5, 15, 53]  # OEIS A006966
     assert semimodular == [1, 1, 2, 4, 8, 17]
     assert nodes == 200
+
+
+def test_every_lattice_with_8_elements():
+    b3 = [("0", "a"), ("0", "b"), ("0", "c"), ("a", "ab"), ("a", "ac"), ("b", "ab"),
+          ("b", "bc"), ("c", "ac"), ("c", "bc"), ("ab", "1"), ("ac", "1"), ("bc", "1")]
+    lattices = oracles.small_lattices(8)
+    assert len(lattices) == 222  # OEIS A006966
+    semimodular, drawn, nodes = 0, 0, 0
+    for elements, covers in lattices:
+        semi, checked = small_lattice_checked(elements, covers)
+        semimodular += semi
+        drawn += checked > 0
+        nodes += checked
+        if semi and not checked:
+            # the one semimodular lattice that is not planar
+            assert oracles.brute_isomorphic(covers, elements, b3,
+                                            ["0", "a", "b", "c", "ab", "ac", "bc", "1"])
+    assert semimodular == 38 and drawn == 37
+    assert nodes == 327
 
 
 def test_only_the_root_hull_is_closed_and_cut(monkeypatch):
