@@ -54,12 +54,16 @@ def diamond_diagram(k):
     return Diagram(lat, [xs.get(name, Fraction(0)) for name in lat.names])
 
 
-def _two_middle_intervals(diag):
-    """Pairs (o, i) whose interval has exactly two middles, by (o, i)."""
-    lat = diag.lattice
-    return [(o, i) for o in range(lat.n)
-            for i, zs in sorted(_middles(lat, o, lat.full_mask).items())
-            if len(zs) == 2]
+def _two_middle_intervals(lat):
+    """Pairs (o, i) whose interval has exactly two middles, by (o, i), each
+    as it is found.  Only an o with two upper covers or more heads an
+    interval with two middles."""
+    upper, full = lat.upper_covers, lat.full_mask
+    for o in range(lat.n):
+        if len(upper[o]) > 1:
+            for i, zs in sorted(_middles(lat, o, full).items()):
+                if len(zs) == 2:
+                    yield o, i
 
 
 def _filter_chains(lat):
@@ -88,8 +92,7 @@ def random_sps_diagram(target, seed):
         sites = find_extension_sites(cur)
         if sites:
             moves.append("extend")
-        spots = _two_middle_intervals(cur)
-        if spots:
+        if next(_two_middle_intervals(cur.lattice), None):  # listed only for an eye
             moves.append("eye")
         if room >= 3:
             moves.append("glue")
@@ -98,7 +101,7 @@ def random_sps_diagram(target, seed):
             cur, _ = one_step_extension(cur, rng.choice(sites))
         elif move == "eye":
             lat = cur.lattice
-            o, i = rng.choice(spots)
+            o, i = rng.choice(list(_two_middle_intervals(lat)))
             label, eye_counter = _first_unused("e", lat.index, eye_counter)
             cur = restore_eyes(cur, [EyeRecord(lat.names[o], lat.names[i], 1, label)])
         elif move == "stack":

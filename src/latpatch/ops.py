@@ -156,19 +156,19 @@ def glue_over_chain(lower, upper, iso, max_synth=16):
     elements = list(la.names) + [rename[n] for n in lb.names if n not in inv]
     glued = Lattice(covers, elements=elements)
 
-    unrename = {fresh: orig for orig, fresh in rename.items()}
-    shifts = [Fraction(0),
-              lower.xcoord[dom_sorted[0]] - upper.xcoord[img_sorted[0]],
-              max(lower.xcoord) + 1 - min(upper.xcoord),
-              min(lower.xcoord) - 1 - max(upper.xcoord)]
-    for shift in shifts:
-        xs = []
-        for name in elements:
-            if name in la.index:
-                xs.append(lower.xcoord[la.id_of(name)])
-            else:
-                xs.append(upper.xcoord[lb.id_of(unrename[name])] + shift)
-        cand = Diagram(glued, xs)
+    # the glued elements are the lower piece's, then the upper piece's
+    # outside the chain, in id order; each shift is computed only once the
+    # one before it fails, since the first or second nearly always draws
+    kept = [upper.xcoord[v] for v in range(lb.n) if lb.names[v] not in inv]
+
+    def shifts():
+        yield Fraction(0)
+        yield lower.xcoord[dom_sorted[0]] - upper.xcoord[img_sorted[0]]
+        yield max(lower.xcoord) + 1 - min(upper.xcoord)
+        yield min(lower.xcoord) - 1 - max(upper.xcoord)
+
+    for shift in shifts():
+        cand = Diagram(glued, lower.xcoord + tuple(x + shift for x in kept))
         if validate_diagram(cand) is None:
             return cand
     if glued.n <= max_synth:
@@ -200,7 +200,7 @@ def find_extension_sites(diag):
 
 
 def _cascades(chains, up, down, lo, hi, bound):
-    """The site process on a slim diagram's two boundary chains alone, one
+    """The site process on a diagram's two boundary chains alone, one
     cascade of steps at a time.  `up` and `down` count each element's upper
     and lower covers, `lo` and `hi` are its links into the input (see
     `_link_cut`), all by id, and each added element takes the next id.  Each
@@ -273,17 +273,17 @@ def _corners(chains, up, down):
 
 
 def _site_process(diag):
-    """One run of the site process on a slim diagram, a cascade at a time
-    (`_cascades`): its final boundary chains, the cover counts `up` and
+    """One run of the site process on a diagram, eyes and all, a cascade at
+    a time (`_cascades`): its final boundary chains, the cover counts `up` and
     `down` and the links `lo` and `hi`, all by id, and the list of its
     cascades, from which `_Hull` grows the hull.
 
     The process extends at the first site, left sites bottom-up before
     right ones, for as long as one is left.  More than n² steps, or a hull
-    that is not rectangular, means the input was not a slim planar
-    semimodular lattice.  `_cascades` counts the steps; `_link_cut`,
-    `_Hull.close` and `rectangularize` report a hull that is not
-    rectangular.
+    that is not rectangular, means the input was not a planar semimodular
+    lattice; eyes are allowed (see `_link_cut`), and count towards n.
+    `_cascades` counts the steps; `_link_cut`, `_Hull.close` and
+    `rectangularize` report a hull that is not rectangular.
 
     The process ends at the first rectangular hull: a slim rectangular
     lattice with corners u_l and u_r has no site a ≺ b ≺ c, say on the
@@ -549,15 +549,17 @@ def choose_x(diag):
     return _choose(diag.lattice, diag.boundary)
 
 
-def _link_cut(slimmed):
-    """The cut of a slim diagram through its rectangular hull with no hull
-    built: the run of the site process (`_site_process`; None for a
-    rectangular diagram, its own hull), the x and pivot in hull ids of the
-    cut that `_choose` and `_cut` give on the closed hull (None for the
-    3-element chain, whose hull is a patch), and the cut's witness on the
-    slim lattice, unchecked.  The cut is read off the run's final chains,
-    their elements' cover counts and the links, with no closure and no
-    cut; a rectangular diagram's boundary data gives its corners.
+def _link_cut(diag):
+    """The cut of a diagram through the rectangular hull of its slim
+    diagram with no hull built and no eye removed: the run of the site
+    process (`_site_process`; None for a rectangular diagram, its own
+    hull), the x and pivot in hull ids of the cut that `_choose` and `_cut`
+    give on the closed hull (None for the 3-element chain, whose hull is a
+    patch), and the cut's witness on the diagram's lattice, unchecked.  The
+    cut is read off the run's final chains, their elements' cover counts
+    and the links, with no closure and no cut; a rectangular diagram's
+    boundary data gives its corners.  The proof below is for a slim
+    diagram; the last item carries it over to one with eyes.
 
     Let H be the hull, L the slim lattice, and lo and hi the links of H's
     elements into L: v and v for an element of L, lo(a) and hi(c) for an
@@ -605,14 +607,40 @@ def _link_cut(slimmed):
       not added on the same side, and y ≤ x iff hi(y) ≤ lo(x).
     - Witness.  The cut's witness (↓x, ↑pivot) on H is (↓lo(x), ↑hi(pivot))
       on L, by the links.
+    - Eyes.  Now let L have eyes and S be its slim lattice, L less its
+      eyes.  An eye is an interior middle of a covering square [o, i]
+      whose two outer atoms stay (Czédli–Schmidt, *Slim semimodular
+      lattices. I. A visual approach*), so the run on L is the run on S,
+      element for element, and the x, pivot and witness are those of S's
+      cut, the witness lifted:
+      - Walks.  All upper covers of an element lie one level above it, so
+        the angularly extreme one has the extreme x.  An eye has atoms of
+        its interval on both sides, so no walk turns onto it, and L's
+        boundary chains are S's.
+      - Counts.  An eye's lower cover o keeps at least two upper covers in
+        S, the outer atoms, and its upper cover i at least two lower
+        covers.  `_cascades`, `_corners` and `_boundary_data` compare a
+        count with 1 only, and their increments keep o and i at two or
+        more, so they decide on L as on S.  The corners' join and meet
+        read off L's masks are S's: an upper bound of two non-eyes that
+        is an eye lies above its lower cover o, an upper bound in S, and
+        dually.
+      - Order.  The links and the pivot test touch no eye, and S keeps
+        L's order on the elements that remain (`Lattice._derived`), so
+        hi(y) ≤ lo(x) has the same answer in L and in S.
+      - Witness.  (↓lo(x), ↑hi(pivot)) read on L is the lift of S's
+        witness to L (`pipeline._lift_through_eyes`), and the 3-element
+        chain, the one patch hull, has no eyes.
+      - Step bound.  The n² bound of `_site_process` counts the eyes too,
+        which only loosens a guard that no planar semimodular L reaches.
     """
-    lat, b = slimmed.lattice, slimmed.boundary
+    lat, b = diag.lattice, diag.boundary
     run = None
-    if is_rectangular(slimmed):
+    if is_rectangular(diag):
         chains, lo, hi = (b.left_chain, b.right_chain), range(lat.n), range(lat.n)
         u_l, u_r = b.u_l, b.u_r
     else:
-        run = chains, up, down, lo, hi, _ = _site_process(slimmed)
+        run = chains, up, down, lo, hi, _ = _site_process(diag)
         u_l, u_r = _corners(chains, up, down)
     if u_l is None or u_r is None:
         raise _stuck(len(lo))

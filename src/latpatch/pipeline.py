@@ -152,12 +152,24 @@ def _lift_through_eyes(witness, full_diag):
     return lifted
 
 
+def _chain_witness(lat):
+    """The closed-form witness (↓c, ↑c) of a chain with n ≥ 3 elements, c
+    at height min(2, n - 2), unchecked (see `_decompose_step`); None for any
+    other lattice."""
+    if lat.n < 3 or len(lat.covers) != lat.n - 1:
+        return None
+    c = lat.upper_covers[lat.bottom][0]
+    if lat.n > 3:
+        c = lat.upper_covers[c][0]
+    return _principal(lat, c, c)
+
+
 def _decompose_step(diag):
-    """One decomposition step, undrawn: None for a patch, else the tuple
-    (witness, eyes, slimmed, found) of the lifted witness, the removed
+    """The root's decomposition step, undrawn: None for a patch, else the
+    tuple (witness, eyes, slimmed, found) of the lifted witness, the removed
     eyes, the slim diagram and what `ops._link_cut` found for it (None for
-    a chain).  No hull is built here; only the root's step becomes a
-    trace, which grows, closes and cuts the root's hull (`_trace`).
+    a chain).  No hull is built here; the root's step becomes a trace,
+    which grows, closes and cuts the root's hull (`_trace`).
 
     A chain 0 = c_0 ≺ c_1 ≺ … ≺ c_{n-1} = 1 with n ≥ 3 (n elements and
     n - 1 covers) gets its witness in closed form, (↓c, ↑c) with c at
@@ -180,18 +192,16 @@ def _decompose_step(diag):
     that is not a patch is slimmed, and its witness is read off its
     boundary chains' links (`_link_cut`).
 
-    Each witness is validated once on each lattice it lives on: one pulled
-    back from a grown hull as a restriction (`ops._checked_restriction`),
-    any other in the eye lift, and a lifted one there too.  Without eyes a
-    pulled-back witness is returned as it is.
+    The root's witness is validated once on each lattice it lives on: one
+    pulled back from a grown hull as a restriction
+    (`ops._checked_restriction`), any other in the eye lift, and a lifted
+    one there too.  Without eyes a pulled-back witness is returned as it
+    is.  Every node below the root takes `_inner_step`, which cuts it on
+    its own diagram, eyes and all.
     """
-    lat = diag.lattice
-    if lat.n >= 3 and len(lat.covers) == lat.n - 1:
-        c = lat.upper_covers[lat.bottom][0]
-        if lat.n > 3:
-            c = lat.upper_covers[c][0]
-        witness = _lift_through_eyes(_principal(lat, c, c), diag)
-        return witness, (), diag, None
+    witness = _chain_witness(diag.lattice)
+    if witness is not None:
+        return _lift_through_eyes(witness, diag), (), diag, None
     if is_patch(diag):
         return None
     slimmed, eyes = slim(diag)
@@ -201,6 +211,24 @@ def _decompose_step(diag):
         if not eyes:
             return linked, (), slimmed, found
     return _lift_through_eyes(linked, diag), tuple(eyes), slimmed, found
+
+
+def _inner_step(diag):
+    """The witness of a node below the root, validated once; None for a
+    patch.  A chain takes its closed form (`_chain_witness`), and any other
+    node the link cut of its own diagram, eyes and all: `_link_cut` reads
+    on it the witness that the slim diagram's cut, lifted, gives (see the
+    eyes in its docstring).  So no node below the root is slimmed, and no
+    witness is lifted."""
+    witness = _chain_witness(diag.lattice)
+    if witness is None:
+        if is_patch(diag):
+            return None
+        witness = _link_cut(diag)[2]
+    reason = validate_witness(witness)
+    if reason is not None:
+        raise AssertionFailed(f"the cut of a node gave an invalid witness: {reason}")
+    return witness
 
 
 def _trace(witness, eyes, slimmed, found):
@@ -272,7 +300,9 @@ def _decompose(root):
     relative id order and ambient covers, so this is the part its parent
     would give (`subdiagram`).  The parts of a node overlap, so the walk
     reaches an interval again and again: `built` keeps each interval's
-    subtree, keyed by its ends, and a repeat gets the same object.
+    subtree, keyed by its ends, and a repeat gets the same object.  The
+    root is cut by `_decompose_step`, which makes its trace, and every
+    other interval by `_inner_step`.
     """
     lat, xs = root.lattice, root.xcoord
     built = {}
@@ -288,16 +318,16 @@ def _decompose(root):
             if node is not None:
                 finished.append(node)
                 continue
-            diag = root
-            if root_trace is not None:
-                members = list(iter_bits(lat.up[y] & lat.down[x]))
-                diag = Diagram(lat._derived(members, y, x), [xs[v] for v in members])
-            step = _decompose_step(diag)
             if root_trace is None:
+                diag, step = root, _decompose_step(root)
                 root_trace = (PipelineTrace((), (), None, False) if step is None
                               else _trace(*step))
-            if step is not None:
-                witness = step[0]
+                witness = None if step is None else step[0]
+            else:
+                members = list(iter_bits(lat.up[y] & lat.down[x]))
+                diag = Diagram(lat._derived(members, y, x), [xs[v] for v in members])
+                witness = _inner_step(diag)
+            if witness is not None:
                 a, b = _ends(witness, lat)
                 stack += [(y, x, (diag, witness)), (b, x, None), (y, a, None)]
                 continue

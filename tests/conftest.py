@@ -1,5 +1,6 @@
 import pytest
 
+import oracles
 from latpatch import (DecompGlue, Diagram, Lattice, decompose, generate,
                       one_step_extension)
 
@@ -73,6 +74,15 @@ def random_corpus_small():
 def ladder_inputs():
     """The benchmark's `ladder` inputs: `random-sps` seed 7 at n = 16, 24, 32."""
     return [(f"sps[{n}]#7", generate("random-sps", [n], seed=7)) for n in (16, 24, 32)]
+
+
+@pytest.fixture(scope="session")
+def eyed_forks():
+    """The fork and S_7 corpora, each input with up to 3 eyes put back
+    (`oracles.with_eyes`, seeded by its position)."""
+    inputs = oracles.fork_corpus() + oracles.s7_glued_corpus()
+    return [(f"{name} +eyes", oracles.with_eyes(diag, 3, seed))
+            for seed, (name, diag) in enumerate(inputs)]
 
 
 def distinct_nodes(tree):

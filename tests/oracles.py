@@ -14,7 +14,9 @@ The document references build each document as a dict and write it with
 The fork inputs are slim semimodular lattices that the generators never
 produce: a grid with a fork added to one 4-cell, built from its labeled
 covers, and S_7 glued by the package's `glue_over_chain` over a 2-element
-chain above or below a grid or a chain.
+chain above or below a grid or a chain.  `with_eyes` puts eyes back into
+such an input with the package's `restore_eyes`, at two-middle intervals
+found on its labeled covers.
 The site process reference grows a hull one step at a time, each at the
 first site of a fresh scan of both boundary chains, on plain cover lists.
 The small-lattice enumeration lists every lattice with a few elements, up
@@ -24,11 +26,12 @@ extensions.
 """
 
 import json
+import random
 from fractions import Fraction
 from itertools import permutations, product
 
 from latpatch import (DecompLeaf, Diagram, EyeRecord, Lattice, find_eyes,
-                      generate, glue_over_chain, is_semimodular)
+                      generate, glue_over_chain, is_semimodular, restore_eyes)
 from latpatch.errors import EmbeddingFailed
 from latpatch.diagram import _interval_boundary, _rectangular
 
@@ -537,6 +540,32 @@ def s7_glued_corpus():
                         out.append((f"s7 {where} {name} over {sorted(iso.items())}",
                                     glued))
     return out
+
+
+def with_eyes(diag, k, seed):
+    """`diag` with up to k eyes put back one at a time, each the one eye of
+    an interval [o, i] with exactly two middles, drawn by a seeded
+    `random.Random` from those intervals sorted by label, and labelled
+    "e1", "e2", … (primed while taken).  Stops early when no interval has
+    two middles."""
+    rng = random.Random(seed)
+    for j in range(1, k + 1):
+        lat = diag.lattice
+        upper = {}
+        for a, b in lat.covers:
+            upper.setdefault(lat.names[a], []).append(lat.names[b])
+        spots = []
+        for o, ups in upper.items():
+            tops = [i for z in ups for i in upper.get(z, ())]
+            spots += [(o, i) for i in set(tops) if tops.count(i) == 2]
+        if not spots:
+            break
+        o, i = rng.choice(sorted(spots))
+        label = f"e{j}"
+        while label in lat.names:
+            label += "'"
+        diag = restore_eyes(diag, [EyeRecord(o, i, 1, label)])
+    return diag
 
 
 def site_process_by_steps(diag):

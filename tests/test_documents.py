@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 import subprocess
@@ -687,6 +688,28 @@ def test_generate_random_is_deterministic():
     assert a == b
     c = serialize(generate("random-sps", [17], seed=10))
     assert a != c
+
+
+# SHA-256 of `serialize(generate("random-sps", [n], seed=s))`, recorded
+# before the generator's gluings stopped computing every shift up front and
+# its rounds stopped listing every two-middle interval
+RANDOM_SPS = {
+    (24, 0): "157281eeb0cfa5f9e89ad39acac64d39d5a5c278210c48d8e5893d3e05dc7ce5",
+    (24, 1): "eff447553fadede84541a348ef8f9095b3b2b2b342d82646e784b98d36266593",
+    (24, 2): "fbc1d990846e8f9306ab4a6ffb80388b033add09a5ed083c78b241010cdd4407",
+    (80, 0): "bd7ec7d75a6df9b5adc02496187d212ae802c972c000b23f83224d13d3617087",
+    (80, 1): "e771a784227ffb1f19206bd53b6ae2330f72153d0230161fe5f944b8f9100b6c",
+    (80, 2): "4189ac5e93cb7afb75fca9c38867bb40dd7c07cdd5a3edf778e6903035418167",
+    (160, 0): "2df07594e64d048e602a41caa6c63e831005b6bb994a6a5ac6430ecb3379bfd1",
+    (160, 1): "d71c6e2787c9ff8d49f9b217d16946844c66884a98754abc1c3e072bf910657f",
+    (160, 2): "fa338304177348e3498e0b9bac872bfb93e20b6c778d33428907e3652bea6fd8",
+}
+
+
+@pytest.mark.parametrize("n, seed", RANDOM_SPS)
+def test_generate_random_is_pinned(n, seed):
+    text = serialize(generate("random-sps", [n], seed=seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == RANDOM_SPS[n, seed]
 
 
 def test_generate_random_hits_target_and_class(random_corpus_small):

@@ -8,6 +8,7 @@ import resource
 import subprocess
 import sys
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -30,7 +31,8 @@ from latpatch.errors import (AssertionFailed, LatpatchError, NoDecomposition,
                              StuckNotRectangular)
 from latpatch.ops import (GluingWitness, _choose, _cut, _Hull, _link_cut,
                           _principal, _pull_back, _site_process)
-from latpatch.pipeline import _decompose_step, _lift_through_eyes, _trace
+from latpatch.pipeline import (_decompose_step, _inner_step, _lift_through_eyes,
+                               _trace)
 
 
 def labeled(lat):
@@ -79,17 +81,24 @@ def test_decompose_never_calls_the_oracle(corpus, random_corpus_small, monkeypat
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle was called")
 
-    real_step = latpatch.pipeline._decompose_step
     fallbacks = []
 
-    def recording(diag):
-        step = real_step(diag)
+    def recording_root(diag):
+        step = _decompose_step(diag)
         if step is not None and _trace(*step).fallback_used:
             fallbacks.append(diag.lattice.n)
         return step
 
+    def recording_inner(diag):
+        # an inner node's hull is a patch when its link cut finds no cut
+        witness = _inner_step(diag)
+        if witness is not None and _link_cut(diag)[1] is None:
+            fallbacks.append(diag.lattice.n)
+        return witness
+
     monkeypatch.setattr(latpatch.pipeline, "brute_force_gluing_search", refuse)
-    monkeypatch.setattr(latpatch.pipeline, "_decompose_step", recording)
+    monkeypatch.setattr(latpatch.pipeline, "_decompose_step", recording_root)
+    monkeypatch.setattr(latpatch.pipeline, "_inner_step", recording_inner)
     for name, diag in corpus + random_corpus_small:
         tree, _ = decompose(diag)
         assert verify_tree(tree, diag) is None, name
@@ -270,6 +279,15 @@ def test_decompose_validates_each_witness_once(corpus, random_corpus_small, monk
             if isinstance(node, DecompGlue):
                 w = node.witness
                 assert (id(w.ambient), w.A, w.B) in checked, name
+        # below the root, each distinct glue node is validated exactly once,
+        # on its own lattice, and nothing else is; the root's witness is
+        # validated on the root and on its slim lattice at most
+        inner = [node for node in distinct_nodes(tree) if node is not tree]
+        lattices = {id(node.diagram.lattice) for node in inner}
+        below = Counter(entry for entry in checked if entry[0] in lattices)
+        assert below == Counter((id(node.witness.ambient), node.witness.A, node.witness.B)
+                                for node in inner if isinstance(node, DecompGlue)), name
+        assert len(checked) - sum(below.values()) <= 2, name
 
 
 def test_a_chain_root_whose_hull_path_disagrees_is_refused(monkeypatch):
@@ -370,6 +388,76 @@ def test_fork_inputs_decompose_and_agree_with_the_hull_path():
             assert isinstance(node, DecompLeaf) == is_patch(node.diagram), name
             checked += link_rule_agrees(node.diagram, name) is not None
     assert checked == 348
+
+
+def test_fork_inputs_with_eyes_decompose_and_obey_the_dichotomy(eyed_forks):
+    # eyes put back into the fork and S_7 inputs land below the root, where
+    # each node is cut on its own diagram, eyes and all
+    eyes = nodes = eyed_nodes = 0
+    for name, diag in eyed_forks:
+        assert validate_diagram(diag) is None and is_semimodular(diag.lattice), name
+        eyes += len(slim(diag)[1])
+        tree, _ = decompose(diag)
+        assert verify_tree(tree, diag) is None, name
+        for node in distinct_nodes(tree):
+            # the dichotomy: a patch, or a gluing found
+            witness = brute_force_gluing_search(node.diagram)
+            assert (witness is None) == is_patch(node.diagram), name
+            assert isinstance(node, DecompLeaf) == is_patch(node.diagram), name
+            nodes += 1
+            eyed_nodes += node is not tree and bool(slim(node.diagram)[1])
+    assert (len(eyed_forks), eyes) == (69, 207)
+    assert eyed_nodes > 100 and (nodes, eyed_nodes) == (893, 356)
+
+
+def hull_label(lat, v):
+    """An element of a run's hull by label: its label in `lat`, or
+    ("t", k) for the k-th element the run added."""
+    return lat.names[v] if v < lat.n else ("t", v - lat.n)
+
+
+def eye_cut_agrees(diag, name):
+    """`_link_cut` on the diagram, eyes and all, gives the cut of its slim
+    diagram: the same final chains and number of cascades, the same x and
+    pivot by label, and the slim witness lifted.  Whether it has eyes."""
+    slimmed, eyes = slim(diag)
+    lat, slat = diag.lattice, slimmed.lattice
+    run, cut, witness = _link_cut(diag)
+    slim_run, slim_cut, slim_witness = _link_cut(slimmed)
+    assert (run is None) == (slim_run is None), name
+    if run is not None:
+        assert len(run[-1]) == len(slim_run[-1]), name
+        assert ([[hull_label(lat, v) for v in chain] for chain in run[0]]
+                == [[hull_label(slat, v) for v in chain] for chain in slim_run[0]]), name
+    assert (cut is None) == (slim_cut is None), name
+    if cut is not None:
+        assert ([hull_label(lat, v) for v in cut]
+                == [hull_label(slat, v) for v in slim_cut]), name
+    assert witness == _lift_through_eyes(slim_witness, diag), name
+    return bool(eyes)
+
+
+def test_the_eyes_and_all_cut_equals_the_slim_cut(corpus, random_corpus_small, eyed_forks):
+    inputs = corpus + random_corpus_small + ladder_inputs() + eyed_forks
+    inputs += oracles.fork_corpus() + oracles.s7_glued_corpus()
+    for n in range(3, 9):
+        for elements, covers in oracles.small_lattices(n):
+            lat = Lattice(covers, elements=elements)
+            diag = is_semimodular(lat) and synthesize_embedding(lat)
+            if diag:
+                inputs.append((f"{covers}", diag))
+    seen = set()
+    nodes = eyed = 0
+    for name, diag in inputs:
+        for node in distinct_nodes(decompose(diag)[0]):
+            lat = node.diagram.lattice
+            key = serialize(node.diagram)
+            if is_patch(node.diagram) or len(lat.covers) == lat.n - 1 or key in seen:
+                continue
+            seen.add(key)
+            nodes += 1
+            eyed += eye_cut_agrees(node.diagram, name)
+    assert eyed > 100 and (nodes, eyed) == (958, 403)
 
 
 def small_lattice_checked(elements, covers):
@@ -585,6 +673,19 @@ def test_an_invalid_lifted_witness_is_refused(monkeypatch):
     monkeypatch.setattr(latpatch.pipeline, "_principal", improper)
     with pytest.raises(NoDecomposition, match="eye lifting produced an invalid witness"):
         decompose(generate("chain", [6]))
+
+
+def test_an_invalid_inner_witness_is_refused(monkeypatch):
+    # the root is no chain; its inner chains get an improper witness
+    chain_witness = latpatch.pipeline._chain_witness
+
+    def improper(lat):
+        found = chain_witness(lat)
+        return found and _principal(lat, lat.top, lat.bottom)
+
+    monkeypatch.setattr(latpatch.pipeline, "_chain_witness", improper)
+    with pytest.raises(AssertionFailed, match="the cut of a node gave an invalid witness"):
+        decompose(generate("random-sps", [24], seed=7))
 
 
 def test_each_part_is_built_once_per_distinct_node(monkeypatch):
@@ -813,17 +914,20 @@ def test_shared_subtrees_match_the_memo_free_reference(corpus, random_corpus_sma
 def test_each_distinct_interval_is_decomposed_once(monkeypatch):
     diag = generate("random-sps", [24], seed=7)
     calls = []
-    step = latpatch.pipeline._decompose_step
 
-    def counted(d):
-        calls.append(d)
-        return step(d)
+    def counted(step):
+        def step_counted(d):
+            calls.append(d)
+            return step(d)
+        return step_counted
 
     with monkeypatch.context() as m:
-        m.setattr(latpatch.pipeline, "_decompose_step", counted)
+        m.setattr(latpatch.pipeline, "_decompose_step", counted(_decompose_step))
+        m.setattr(latpatch.pipeline, "_inner_step", counted(_inner_step))
         tree, _ = decompose(diag)
     nodes = occurrences_of(tree)
     assert (len(calls), len(nodes)) == (67, 245)
+    assert calls[0] is diag
     by_labels = {}
     for node in nodes:
         first = by_labels.setdefault(frozenset(node.diagram.lattice.names), node)
