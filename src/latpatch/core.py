@@ -152,15 +152,19 @@ class Lattice:
                     witness=(names[a], names[b]))
         _check_joins(self.up, self.down, self.names)
 
-    def _fill(self, names, upper_covers, lower_covers, order, bottom, top, index=None):
+    def _fill(self, names, upper_covers, lower_covers, order, bottom, top, index=None,
+              covers=None):
         """Set every field from the cover lists, which must be sorted (so the
         cover pairs come out sorted), and `order`, a linear extension; the
-        masks and heights come from `_closure`."""
+        masks and heights come from `_closure`.  `covers`, when given, must
+        be the sorted cover pairs the lists hold."""
         n = len(names)
         self.names = names
         self.n = n
         self.index = dict(zip(names, range(n))) if index is None else index
-        self.covers = tuple([(v, w) for v, ws in enumerate(upper_covers) for w in ws])
+        if covers is None:
+            covers = tuple([(v, w) for v, ws in enumerate(upper_covers) for w in ws])
+        self.covers = covers
         self.upper_covers = upper_covers
         self.lower_covers = lower_covers
         self.up, self.down, self.height = _closure(upper_covers, lower_covers, order)
@@ -211,10 +215,11 @@ class Lattice:
     def restrict(self, members):
         """Sublattice induced on the given ids, in ascending id order.
 
-        An interval [y, x] of this lattice is derived in O(k) for k members:
-        its covers are the covers of this lattice inside it, and every join
-        and meet of two members stays inside, so nothing can fail.  Each
-        tree node is such an interval of the root (`pipeline._decompose`).
+        An interval [y, x] of this lattice is derived in one pass over its
+        k members (`_derived`): its covers are the covers of this lattice
+        inside it, and every join and meet of two members stays inside, so
+        nothing can fail.  Each tree node is such an interval of the root
+        (`pipeline._decompose`).
         Any other subset gets its covers recomputed and is validated in full.
 
         Derived lattices, made from one already validated: hulls, one-step
@@ -265,20 +270,40 @@ class Lattice:
         v is no join or meet of two others.  Ids keep their relative order,
         so the cover lists stay sorted, and this lattice's heights order the
         members linearly.
+
+        One loop over the members reads each member's upper covers once:
+        every cover (i, j) found there goes to i's upper list, j's lower
+        list and the cover pairs, so all three come out sorted.  The masks
+        and heights come from `_closure`, as for every lattice, and not from
+        this lattice's heights less a constant: in a lattice that is not
+        graded, an interval's own heights need not be such a shift.
         """
         k = len(members)
         pos = dict(zip(members, range(k)))
-        upper_covers, lower_covers = self.upper_covers, self.lower_covers
-        height = self.height
-        upper = tuple([tuple([pos[w] for w in upper_covers[v] if w in pos])
-                       for v in members])
-        lower = tuple([tuple([pos[w] for w in lower_covers[v] if w in pos])
-                       for v in members])
-        order = sorted(range(k), key=[height[v] for v in members].__getitem__)
-        return Lattice._trusted(tuple([self.names[v] for v in members]), upper, lower,
-                                order, pos[bottom], pos[top])
+        get = pos.get
+        upper_covers, height, names = self.upper_covers, self.height, self.names
+        upper, lower = [], [[] for _ in range(k)]
+        covers, heights, labels = [], [], []
+        for i, v in enumerate(members):
+            ups = []
+            for w in upper_covers[v]:
+                j = get(w)
+                if j is not None:
+                    ups.append(j)
+                    lower[j].append(i)
+                    covers.append((i, j))
+            upper.append(tuple(ups))
+            heights.append(height[v])
+            labels.append(names[v])
+        new = Lattice.__new__(Lattice)
+        new._fill(tuple(labels), tuple(upper), tuple(map(tuple, lower)),
+                  sorted(range(k), key=heights.__getitem__), pos[bottom], pos[top],
+                  covers=tuple(covers))
+        return new
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, Lattice)
                 and self.names == other.names and self.covers == other.covers)
 

@@ -29,7 +29,13 @@ class Diagram:
     """A lattice together with an exact planar drawing."""
 
     def __init__(self, lattice, xcoord):
-        xcoord = tuple(x if type(x) is Fraction else Fraction(x) for x in xcoord)
+        """`xcoord` gives one x per element.  A tuple of `Fraction`s is kept
+        as it is, after one type test; anything else becomes a tuple of
+        `Fraction`s, each coordinate that is not exactly a `Fraction`
+        (an int, bool, float or `Fraction` subclass) converted."""
+        xcoord = tuple(xcoord)
+        if not {Fraction}.issuperset(map(type, xcoord)):
+            xcoord = tuple([x if type(x) is Fraction else Fraction(x) for x in xcoord])
         if len(xcoord) != lattice.n:
             raise ValueError("one x coordinate per element required")
         self.lattice = lattice
@@ -40,9 +46,17 @@ class Diagram:
 
     @cached_property
     def boundary(self):
-        """Boundary chains, weak corners and the distinguished corners u_l, u_r."""
+        """Boundary chains, weak corners and the distinguished corners u_l, u_r.
+
+        The walk runs on `_points`, when a caller has set it: integer points
+        of this drawing up to a positive scale and a translation, such as a
+        tree node's members' points in its root (`pipeline._decompose`).  It
+        is dropped here, so the diagram keeps no points after its walk."""
         lat = self.lattice
-        return _interval_boundary(lat, _scaled_points(self), lat.bottom, lat.top)
+        points = self.__dict__.pop("_points", None)
+        if points is None:
+            points = _scaled_points(self)
+        return _interval_boundary(lat, points, lat.bottom, lat.top)
 
     def __eq__(self, other):
         return (isinstance(other, Diagram)
@@ -163,11 +177,14 @@ def validate_diagram(diag):
 # The walk, the corner count, the complementarity test and the slim test
 # all work on an interval [y, x] of a lattice, given by its ends or by its
 # mask ↑y ∩ ↓x; a whole diagram is the interval [bottom, top] with the full
-# mask.  The walk reads the ambient heights, which in a graded lattice
-# (every semimodular one) differ from the interval's own by a constant, and
-# a translation changes no orientation.  The parts of a cut are checked on
-# their ambient's masks and covers alone, in ambient ids, without being
-# built or walked (`_interval_rectangular`, `_slim`).
+# mask.  The walk reads only the signs of orientations, so it may run on
+# any points that differ from the drawing's by a positive scale and a
+# translation.  The ambient heights, which in a graded lattice (every
+# semimodular one) differ from the interval's own by a constant, are such
+# a translation; so a tree node walks on its members' integer points in its
+# root (`Diagram.boundary`), with no scaling of its own.  The parts of a
+# cut are checked on their ambient's masks and covers alone, in ambient
+# ids, without being built or walked (`_interval_rectangular`, `_slim`).
 
 def _next_on_boundary(lat, points, v, side, mask):
     """The angularly leftmost (or rightmost) upper cover of v in `mask`."""

@@ -46,16 +46,18 @@ def _members(items, indent, brackets):
     return f"{brackets[0]}\n{indent}{sep.join(items)}\n{indent[:-2]}{brackets[1]}"
 
 
+_COVER = "[\n      %d,\n      %d\n    ]"  # one cover pair of a `covers` list
+
+
 def _lattice_text(diag, meta="{}"):
     """The `lattice` object of a diagram's document at zero indent, the text
     `json.dumps(..., sort_keys=True, indent=2)` writes for it; `meta` is the
     already indented text of the `meta` value.  Labels must be strings."""
     lat = diag.lattice
     names = lat.names
-    labels = [encode_basestring_ascii(name) for name in names]
+    labels = list(map(encode_basestring_ascii, names))
     xs = diag.xcoord
-    covers = _members(["[\n      %d,\n      %d\n    ]" % pair for pair in lat.covers],
-                      "    ", "[]")
+    covers = _members(list(map(_COVER.__mod__, lat.covers)), "    ", "[]")
     embedding = _members([f'{labels[v]}: "{_format_rational(xs[v])}"'
                           for v in sorted(range(lat.n), key=names.__getitem__)],
                          "    ", "{}")

@@ -11,7 +11,8 @@ ideal of a finite lattice is some ↓x and every nonempty filter some ↑y.
 from dataclasses import dataclass
 
 from .core import _is_chain_mask, is_isomorphic, is_semimodular, iter_bits
-from .diagram import Diagram, _patch, is_patch, slim, validate_diagram
+from .diagram import (Diagram, _patch, _scaled_points, is_patch, slim,
+                      validate_diagram)
 from .errors import (AssertionFailed, NoDecomposition, NotSemimodular,
                      SizeBoundExceeded)
 from .ops import (DecompositionCut, GluingWitness, _checked_restriction,
@@ -121,17 +122,17 @@ def brute_force_gluing_search(diag, bound=None):
 
 # -- decomposition ------------------------------------------------------------
 
-def _ends(witness, lat):
+def _ends(witness, ids):
     """(a, b) for a valid witness (↓a, ↑b): a the highest member of its A
-    and b the lowest of its B, carried to ids of `lat` by label."""
-    names, height = witness.ambient.names, witness.ambient.height.__getitem__
-    return (lat.index[names[max(witness.A, key=height)]],
-            lat.index[names[min(witness.B, key=height)]])
+    and b the lowest of its B, carried to other ids by `ids`, the other id
+    of each id of the witness's ambient."""
+    height = witness.ambient.height.__getitem__
+    return ids[max(witness.A, key=height)], ids[min(witness.B, key=height)]
 
 
 def _lift_through_eyes(witness, full_diag):
     """A witness for the slimmed lattice, lifted to the full one as ↓a and ↑b
-    (`_ends`), and validated.
+    (`_ends`, carried by label), and validated.
 
     Exact: every removed eye has one upper cover and one lower cover, both
     kept, so an eye lies below a exactly when its upper cover does and above
@@ -145,7 +146,8 @@ def _lift_through_eyes(witness, full_diag):
     lat = full_diag.lattice
     lifted = witness
     if witness.ambient is not lat:
-        lifted = _principal(lat, *_ends(witness, lat))
+        by_label = [lat.index[name] for name in witness.ambient.names]
+        lifted = _principal(lat, *_ends(witness, by_label))
     reason = validate_witness(lifted)
     if reason is not None:
         raise NoDecomposition(f"eye lifting produced an invalid witness: {reason}")
@@ -292,19 +294,25 @@ def _decompose(root):
 
     A node is an interval [y, x] of the root, named by its ends in root
     ids; the root is [bottom, top].  The parts of a glue (↓a, ↑b) of
-    [y, x] (`_ends`) are [y, a] and [b, x]: an interval of an interval is
-    an interval of the root.  A part is cut from the root by
+    [y, x] are [y, a] and [b, x]: an interval of an interval is an interval
+    of the root.  a and b are read on the node and carried to root ids
+    through its member list (`_ends`).  A part is cut from the root by
     `Lattice._derived` on the root ids in ↑y ∩ ↓x, with the root's x
     coordinates.  Its parent's ids are its members' root ids in ascending
     order and its covers the root's covers among them, and `_derived` keeps
     relative id order and ambient covers, so this is the part its parent
-    would give (`subdiagram`).  The parts of a node overlap, so the walk
+    would give (`subdiagram`).  The root is scaled to integer points once
+    (`_scaled_points`), and a node that walks its boundary (no chain, more
+    than two elements) walks on its members' root points, which differ
+    from its own scaled points by a positive scale and a height shift
+    (`Diagram.boundary`).  The parts of a node overlap, so the walk
     reaches an interval again and again: `built` keeps each interval's
     subtree, keyed by its ends, and a repeat gets the same object.  The
     root is cut by `_decompose_step`, which makes its trace, and every
     other interval by `_inner_step`.
     """
     lat, xs = root.lattice, root.xcoord
+    points = _scaled_points(root)
     built = {}
     finished = []  # each finished subtree whose parent is open
     root_trace = None
@@ -323,12 +331,16 @@ def _decompose(root):
                 root_trace = (PipelineTrace((), (), None, False) if step is None
                               else _trace(*step))
                 witness = None if step is None else step[0]
+                members = range(lat.n)
             else:
                 members = list(iter_bits(lat.up[y] & lat.down[x]))
-                diag = Diagram(lat._derived(members, y, x), [xs[v] for v in members])
+                part = lat._derived(members, y, x)
+                diag = Diagram(part, [xs[v] for v in members])
+                if part.n > 2 and len(part.covers) != part.n - 1:  # it walks
+                    diag._points = [points[v] for v in members]
                 witness = _inner_step(diag)
             if witness is not None:
-                a, b = _ends(witness, lat)
+                a, b = _ends(witness, members)
                 stack += [(y, x, (diag, witness)), (b, x, None), (y, a, None)]
                 continue
             node = DecompLeaf(diag)

@@ -38,6 +38,35 @@ def test_duplicate_position(b2):
         Diagram(b2.lattice, [0, -1, 1])
 
 
+class _Half(Fraction):
+    """A `Fraction` subclass, which `Diagram` must turn into a `Fraction`."""
+
+
+def test_diagram_coerces_every_coordinate_that_is_no_fraction(b2):
+    lat = b2.lattice
+    inputs = {
+        "ints": [0, -1, 1, 0],
+        "bools": [False, True, False, True],
+        "floats": [0.5, -1.0, 1.25, 0.0],
+        "ints and fractions": [0, Fraction(-1, 2), 1, Fraction(0)],
+        "subclass": [_Half(1, 2), Fraction(-1), Fraction(1), Fraction(0)],
+    }
+    for name, xs in inputs.items():
+        want = tuple(Fraction(x) for x in xs)
+        for given_xs in (xs, tuple(xs), (x for x in xs)):
+            got = Diagram(lat, given_xs).xcoord
+            assert type(got) is tuple and got == want, name
+            assert all(type(x) is Fraction for x in got), name
+    # a tuple or list of Fractions keeps its very objects
+    fractions = (Fraction(0), Fraction(-1, 2), Fraction(1, 2), Fraction(0))
+    assert Diagram(lat, fractions).xcoord is fractions
+    kept = Diagram(lat, list(fractions)).xcoord
+    assert all(a is b for a, b in zip(kept, fractions))
+    for xs in ([0, 1, 2], fractions[:3], (Fraction(k) for k in range(5)), []):
+        with pytest.raises(ValueError, match="one x coordinate per element"):
+            Diagram(lat, xs)
+
+
 def test_hexagon_crossing_detected(hexagon):
     lat = hexagon.lattice
     # transpose the two middle elements: the rungs p->u and q->v now cross

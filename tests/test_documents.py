@@ -712,6 +712,24 @@ def test_generate_random_is_pinned(n, seed):
     assert hashlib.sha256(text.encode()).hexdigest() == RANDOM_SPS[n, seed]
 
 
+# SHA-256 of `serialize_tree(decompose(generate("random-sps", [n], seed=0))[0])`;
+# 320's is also the `t320.json` that CI checks
+CERTIFICATES = {
+    160: "76e446f464575161280d8d681ba0bb06b550cc3db59f4710976a9f24ade60788",
+    320: "4a1c2879b4644d3c180b2f97f027fd59e0a7cdead2c505beaa5c3f044347517b",
+}
+
+
+@pytest.mark.parametrize("n", CERTIFICATES)
+def test_decompose_certificate_is_pinned(n):
+    diag = generate("random-sps", [n], seed=0)
+    text = serialize_tree(decompose(diag)[0])
+    assert hashlib.sha256(text.encode()).hexdigest() == CERTIFICATES[n]
+    parsed = parse_tree_document(text)
+    assert verify_tree(parsed, diag) is None
+    assert serialize_tree(parsed) == text
+
+
 def test_generate_random_hits_target_and_class(random_corpus_small):
     for name, diag in list(random_corpus_small)[:60]:
         assert validate_diagram(diag) is None, name

@@ -460,6 +460,30 @@ def test_the_eyes_and_all_cut_equals_the_slim_cut(corpus, random_corpus_small, e
     assert eyed > 100 and (nodes, eyed) == (958, 403)
 
 
+def test_every_node_walks_on_its_root_points_as_on_its_own(corpus, random_corpus_small,
+                                                          eyed_forks):
+    """A node below the root that walks its boundary (no chain, more than
+    two elements) walks on its members' points in the root; that walk
+    equals a fresh one on the node's own drawing, and no node keeps the
+    points."""
+    inputs = (corpus + random_corpus_small + ladder_inputs() + oracles.fork_corpus()
+              + eyed_forks)
+    walked = 0
+    for name, diag in inputs:
+        tree = decompose(diag)[0]
+        for node in distinct_nodes(tree):
+            d, lat = node.diagram, node.diagram.lattice
+            assert "_points" not in vars(d), name
+            if node is tree:
+                continue
+            walks = lat.n > 2 and len(lat.covers) != lat.n - 1
+            assert ("boundary" in vars(d)) == walks, name
+            if walks:
+                assert d.boundary == Diagram(lat, d.xcoord).boundary, name
+                walked += 1
+    assert walked == 1562
+
+
 def small_lattice_checked(elements, covers):
     """Whether the lattice is semimodular, as `is_semimodular` and the
     oracle agree, and, when it is, the number of tree nodes checked.  A
