@@ -12,11 +12,13 @@ from .errors import CycleDetected, EmptySet, NotALattice, NotBounded, NotCompara
 
 
 def iter_bits(mask):
-    """Positions of the set bits of `mask`, ascending."""
+    """The positions of the set bits of `mask`, as an ascending list."""
+    bits = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        bits.append(low.bit_length() - 1)
         mask ^= low
+    return bits
 
 
 def _closure(upper, lower, order):
@@ -145,7 +147,7 @@ class Lattice:
         for a, b in self.covers:
             between = self.up[a] & self.down[b] & ~((1 << a) | (1 << b))
             if between:
-                z = next(iter_bits(between))
+                z = iter_bits(between)[0]
                 raise NotALattice(
                     f"({names[a]!r}, {names[b]!r}) is not a cover: "
                     f"{names[z]!r} lies between",

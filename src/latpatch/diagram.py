@@ -110,7 +110,22 @@ def _orient(o, a, b):
 
 def _segments_conflict(p1, q1, p2, q2):
     """True when the closed segments share a point that is not an endpoint
-    of both (proper crossings, interior touches, collinear overlaps)."""
+    of both (proper crossings, interior touches, collinear overlaps).
+
+    Segments with a shared end o (p1 == p2 or q1 == q2) and other ends u
+    and v meet elsewhere exactly when u and v lie on one ray from o:
+    orient(o, u, v) = 0 and (u - o)·(v - o) > 0.  The general rule below
+    agrees.  If orient(o, u, v) ≠ 0, only the two orientations of o against
+    the other segment are 0, and o, an end of both, lies strictly inside
+    neither.  If it is 0, all four are, and the overlap has positive length
+    exactly when u and v lie on one side of o, where the dot product is
+    positive; on opposite sides, or when a segment is the point o, the
+    overlap is o alone.
+    """
+    if p1 == p2 or q1 == q2:
+        o, u, v = (p1, q1, q2) if p1 == p2 else (q1, p1, p2)
+        return (_orient(o, u, v) == 0
+                and (u[0] - o[0]) * (v[0] - o[0]) + (u[1] - o[1]) * (v[1] - o[1]) > 0)
     o1 = _orient(p1, q1, p2)
     o2 = _orient(p1, q1, q2)
     o3 = _orient(p2, q2, p1)

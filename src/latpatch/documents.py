@@ -95,12 +95,13 @@ def _derived_child(parent, elements, covers, embedding):
     """
     pdiag, pembedding = parent
     if (pembedding is None or type(embedding) is not dict or type(elements) is not list
-            or not elements):
+            or not elements or type(covers) is not list):
         return None
     plat = pdiag.lattice
     index = plat.index
     members = []
     last = -1
+    mask = 0
     for name in elements:
         if type(name) is not str:
             return None
@@ -108,12 +109,13 @@ def _derived_child(parent, elements, covers, embedding):
         if v is None or v <= last or embedding.get(name) != pembedding[name]:
             return None
         members.append(v)
+        mask |= 1 << v
         last = v
-    ends = plat._interval_ends(members, plat.mask_of(members))
+    ends = plat._interval_ends(members, mask)
     if ends is None:
         return None
     lat = plat._derived(members, *ends)
-    if type(covers) is not list or len(covers) != len(lat.covers):
+    if len(covers) != len(lat.covers):
         return None
     for entry, pair in zip(covers, lat.covers):
         if type(entry) is not list or len(entry) != 2:
@@ -123,7 +125,7 @@ def _derived_child(parent, elements, covers, embedding):
             return None
     heights = plat.height
     shift = heights[ends[0]]
-    if any(heights[v] - shift != h for v, h in zip(members, lat.height)):
+    if tuple([heights[v] - shift for v in members]) != lat.height:
         return None
     xs = pdiag.xcoord
     return Diagram(lat, [xs[v] for v in members])

@@ -73,25 +73,32 @@ class DecompositionCut:
 
 
 def validate_witness(w):
-    """None when the witness is valid and proper; else a reason.  A and B are
-    decided by their generators: A must be ↓ of its highest member and B ↑
-    of its lowest (see `core._is_ideal_mask`)."""
+    """None when the witness is valid and proper; else a reason.  Each set
+    is read once.  A and B are decided by their generators: A must be ↓ of
+    its highest member and B ↑ of its lowest (see `core._is_ideal_mask`).
+    Members tied at A's top height are incomparable, so then no choice
+    makes A an ideal; dually for B.  C is a chain when, sorted by height,
+    each member lies below the next; members of equal height fall next to
+    each other and fail."""
     amb = w.ambient
     if not w.A or not w.B:
         return "empty part"
     a_mask = amb.mask_of(w.A)
     b_mask = amb.mask_of(w.B)
-    if not _is_ideal_mask(amb, a_mask):
+    height = amb.height.__getitem__
+    if amb.down[max(w.A, key=height)] != a_mask:
         return "A is not an ideal"
-    if not _is_filter_mask(amb, b_mask):
+    if amb.up[min(w.B, key=height)] != b_mask:
         return "B is not a filter"
     c_mask = a_mask & b_mask
     if amb.mask_of(w.C) != c_mask:
         return "C is not A ∩ B"
     if not c_mask:
         return "overlap is empty"
-    if not _is_chain_mask(amb, c_mask):
-        return "overlap is not a chain"
+    chain, down = sorted(w.C, key=height), amb.down
+    for a, b in zip(chain, chain[1:]):
+        if not down[b] >> a & 1:
+            return "overlap is not a chain"
     if a_mask | b_mask != amb.full_mask:
         return "A ∪ B does not cover the lattice"
     if not w.proper:
@@ -668,8 +675,8 @@ def _link_cut(diag):
 
 def _principal(lat, a, b):
     """The witness (↓a, ↑b, ↓a ∩ ↑b) on `lat`, unchecked."""
-    down, up = lat.down[a], lat.up[b]
-    return GluingWitness(lat, *(frozenset(iter_bits(m)) for m in (down, up, down & up)))
+    below, above = frozenset(iter_bits(lat.down[a])), frozenset(iter_bits(lat.up[b]))
+    return GluingWitness(lat, below, above, below & above)
 
 
 def witness_from_cut(cut):

@@ -333,7 +333,7 @@ def _decompose(root):
                 witness = None if step is None else step[0]
                 members = range(lat.n)
             else:
-                members = list(iter_bits(lat.up[y] & lat.down[x]))
+                members = iter_bits(lat.up[y] & lat.down[x])
                 part = lat._derived(members, y, x)
                 diag = Diagram(part, [xs[v] for v in members])
                 if part.n > 2 and len(part.covers) != part.n - 1:  # it walks
@@ -395,22 +395,28 @@ def _verify_node(node, path):
     reason = validate_witness(w)
     if reason is not None:
         return TreeViolation(path, "witness_valid", reason)
-    a_labels, b_labels, c_labels = w.labels()
-    if set(a_labels) != set(node.left.diagram.lattice.names):
+    names = amb.names
+    left = node.left.diagram.lattice
+    if {names[v] for v in w.A} != set(left.names):
         return TreeViolation(path, "parts_match",
                              "ideal part does not match the left child")
-    if set(b_labels) != set(node.right.diagram.lattice.names):
+    right = node.right.diagram.lattice
+    if {names[v] for v in w.B} != set(right.names):
         return TreeViolation(path, "parts_match",
                              "filter part does not match the right child")
-    if node.chain_size != len(c_labels):
+    if node.chain_size != len(w.C):
         return TreeViolation(path, "chain_size",
-                             f"recorded {node.chain_size}, actual {len(c_labels)}")
+                             f"recorded {node.chain_size}, actual {len(w.C)}")
     # a valid witness puts every cover of the node inside A or inside B
     # (a ≤ b across the parts passes a ∨ (b ∧ c) ∈ C for any c ∈ C), so the
-    # children, which carry the node's labels, must split its covers exactly
-    reglued = (_labeled_covers(node.left.diagram.lattice)
-               | _labeled_covers(node.right.diagram.lattice))
-    if reglued != _labeled_covers(amb):
+    # children, which carry the node's labels, must split its covers
+    # exactly.  `parts_match` has put every child label in the node, and
+    # labels name node ids one to one, so the covers compare in node ids
+    reglued = set()
+    for child in (left, right):
+        ids = [amb.index[name] for name in child.names]
+        reglued.update([(ids[a], ids[b]) for a, b in child.covers])
+    if reglued != set(amb.covers):
         return TreeViolation(path, "reglue",
                              "the children's covers do not rebuild the node")
     return None

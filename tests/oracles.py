@@ -6,9 +6,11 @@ permutation search) and never touches the package's derived tables.
 The drawing references take element ids, cover pairs of ids and
 `Fraction` x coordinates, and do their geometry on the rational points.
 The slimming reference removes one eye per round, each time rebuilding and
-validating the lattice in full from its labeled covers.  The one exception
-is `walked_interval_rectangular`, which reuses the package's boundary walk:
-it is the reference for the drawing-free test of a part of a cut.
+validating the lattice in full from its labeled covers.  There are two
+exceptions.  `walked_interval_rectangular` reuses the package's boundary
+walk: it is the reference for the drawing-free test of a part of a cut.
+`witness_reason` is `validate_witness` on the package's mask tests: it is
+the reference for the reasons that `validate_witness` gives.
 The document references build each document as a dict and write it with
 `json.dumps(..., sort_keys=True, indent=2)`.
 The fork inputs are slim semimodular lattices that the generators never
@@ -32,6 +34,7 @@ from itertools import permutations, product
 
 from latpatch import (DecompLeaf, Diagram, EyeRecord, Lattice, find_eyes,
                       generate, glue_over_chain, is_semimodular, restore_eyes)
+from latpatch.core import _is_chain_mask, _is_filter_mask, _is_ideal_mask
 from latpatch.errors import EmbeddingFailed
 from latpatch.diagram import _interval_boundary, _rectangular
 
@@ -131,6 +134,34 @@ def gluing_witnesses(covers, elements):
             if c and all((x, y) in leq or (y, x) in leq for x in c for y in c):
                 out.append((a, b, c))
     return out
+
+
+def witness_reason(w):
+    """`validate_witness` on masks, clause by clause: the reference for its
+    reasons and their order.  A and B are decided by the members their
+    masks list, ascending, and C's order by its mask's members sorted by
+    height (see `core._is_ideal_mask`)."""
+    amb = w.ambient
+    if not w.A or not w.B:
+        return "empty part"
+    a_mask = amb.mask_of(w.A)
+    b_mask = amb.mask_of(w.B)
+    if not _is_ideal_mask(amb, a_mask):
+        return "A is not an ideal"
+    if not _is_filter_mask(amb, b_mask):
+        return "B is not a filter"
+    c_mask = a_mask & b_mask
+    if amb.mask_of(w.C) != c_mask:
+        return "C is not A ∩ B"
+    if not c_mask:
+        return "overlap is empty"
+    if not _is_chain_mask(amb, c_mask):
+        return "overlap is not a chain"
+    if a_mask | b_mask != amb.full_mask:
+        return "A ∪ B does not cover the lattice"
+    if not w.proper:
+        return "witness is not proper"
+    return None
 
 
 def brute_semimodular(covers, elements):

@@ -62,6 +62,23 @@ def test_redundant_cover_rejected():
         Lattice([("0", "a"), ("a", "1")], elements=["0", "1"])
 
 
+def test_a_redundant_cover_names_the_lowest_id_between():
+    # y (id 2) and x (id 3) lie between 0 and 1; x is the lower in the order
+    with pytest.raises(NotALattice) as err:
+        Lattice([("0", "x"), ("x", "y"), ("y", "1"), ("0", "1")],
+                elements=["0", "1", "y", "x"])
+    assert str(err.value) == "('0', '1') is not a cover: 'y' lies between"
+    assert err.value.witness == ("0", "1")
+
+
+def test_iter_bits_lists_the_set_bits_ascending():
+    assert iter_bits(0) == []
+    rng = random.Random(3)
+    for bits in list(range(1, 70)) + [200, 1000, 3000] * 10:
+        m = rng.getrandbits(bits) | 1 << (bits - 1)
+        assert iter_bits(m) == [i for i in range(m.bit_length()) if m >> i & 1]
+
+
 def test_missing_bound_rejected():
     covers = [("0", "a"), ("0", "b"), ("a", "c"), ("a", "d"),
               ("b", "c"), ("b", "d"), ("c", "1"), ("d", "1")]

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -92,6 +92,22 @@ def test_segment_conflict_matches_oracle(xs, ybase, yoffs):
     if p1 == q1 or p2 == q2:
         return
     assert _segments_conflict(p1, q1, p2, q2) == oracles.segments_cross(p1, q1, p2, q2)
+
+
+def test_segments_with_a_shared_end_match_the_oracle():
+    # every shared end o and other ends u, v on a small grid, in each of
+    # the four ways the two segments can share o; u or v may be o itself
+    grid = list(product(range(-2, 3), range(-2, 3)))
+    kinds = set()
+    for o, u, v in product(grid, repeat=3):
+        cross = (u[0] - o[0]) * (v[1] - o[1]) - (u[1] - o[1]) * (v[0] - o[0])
+        dot = (u[0] - o[0]) * (v[0] - o[0]) + (u[1] - o[1]) * (v[1] - o[1])
+        kinds.add("a point" if o in (u, v) else "apart" if cross
+                  else "same way" if dot > 0 else "opposite")
+        for segments in ((o, u, o, v), (u, o, v, o), (o, u, v, o), (u, o, o, v)):
+            assert _segments_conflict(*segments) == oracles.segments_cross(*segments), (
+                segments)
+    assert kinds == {"apart", "same way", "opposite", "a point"}
 
 
 def assert_geometry_matches_reference(lat, xs):

@@ -136,6 +136,30 @@ def test_validate_witness_accepts_exactly_the_reference_witnesses(
                        "A ∪ B does not cover the lattice", "witness is not proper"}
 
 
+def test_validate_witness_gives_the_reference_reasons(corpus, random_corpus_small, n5):
+    # every triple of subsets, C too, against the clauses on masks
+    seen = set()
+    reasons = set()
+    for name, diag in corpus + random_corpus_small + [("n5", n5)]:
+        lat = diag.lattice
+        if lat.n > 5 or lat.covers in seen:
+            continue
+        seen.add(lat.covers)
+        subsets = [frozenset()] + nonempty_subsets(lat.n)
+        for a in subsets:
+            for b in subsets:
+                for c in subsets:
+                    w = GluingWitness(lat, a, b, c)
+                    reason = validate_witness(w)
+                    reasons.add(reason)
+                    assert reason == oracles.witness_reason(w), (
+                        name, lat.labels(a), lat.labels(b), lat.labels(c))
+    assert len(seen) > 5
+    assert reasons == {None, "empty part", "A is not an ideal", "B is not a filter",
+                       "C is not A ∩ B", "overlap is empty", "overlap is not a chain",
+                       "A ∪ B does not cover the lattice", "witness is not proper"}
+
+
 # -- extension sites and one-step extensions ------------------------------------
 
 def test_sites_on_chain(c3):

@@ -1196,6 +1196,61 @@ def test_verify_rejects_relabeled_subtree():
     assert (violation.path, violation.clause) == ("root", "reglue")
 
 
+def _chain_leaf(node, rename=None):
+    """A leaf holding a chain on the labels of `node`, drawn upright; with
+    `rename`, one label (old, new) is replaced on the way."""
+    names = [rename[1] if rename and name == rename[0] else name
+             for name in node.diagram.lattice.names]
+    chain = Lattice(list(zip(names, names[1:])), elements=names)
+    return DecompLeaf(Diagram(chain, [0] * len(names)))
+
+
+def _replaced(node, steps, child):
+    """`node` with its descendant down the attribute names `steps` replaced
+    by `child(descendant)`."""
+    if not steps:
+        return child(node)
+    first = steps[0]
+    return dataclasses.replace(
+        node, **{first: _replaced(getattr(node, first), steps[1:], child)})
+
+
+@pytest.mark.parametrize("kind, params, seed", [("grid", [3, 3], 0),
+                                                ("random-sps", [24], 7)])
+def test_verify_rejects_a_child_with_the_labels_but_not_the_covers(kind, params, seed):
+    # a chain on a child's labels passes `parts_match` and `chain_size`, so
+    # only `reglue` can refuse it, in memory and parsed from a document
+    diag = generate(kind, params, seed=seed)
+    tree, _ = decompose(diag)
+    if kind == "random-sps":
+        assert len(distinct_nodes(tree)) < len(occurrences_of(tree))
+    for path, steps in (("root", ["left"]), ("root.left", ["left", "left"])):
+        tampered = _replaced(tree, steps, _chain_leaf)
+        parsed = parse_tree_document(serialize_tree(tampered))
+        for candidate in (tampered, parsed):
+            violation = verify_tree(candidate, diag)
+            assert (violation.path, violation.clause, violation.detail) == (
+                path, "reglue", "the children's covers do not rebuild the node")
+
+
+def test_verify_refuses_a_child_label_outside_its_node_as_parts_match():
+    # `reglue` maps child labels to node ids; `parts_match` must refuse a
+    # foreign label first
+    g = generate("grid", [3, 3])
+    tree, _ = decompose(g)
+
+    def foreign(node):
+        return _chain_leaf(node, rename=(node.diagram.lattice.names[-1], "zz"))
+
+    for path, steps in (("root", ["left"]), ("root", ["right"]),
+                        ("root.left", ["left", "left"]), ("root.left", ["left", "right"])):
+        side = steps[-1]
+        part = "ideal part" if side == "left" else "filter part"
+        violation = verify_tree(_replaced(tree, steps, foreign), g)
+        assert (violation.path, violation.clause, violation.detail) == (
+            path, "parts_match", f"{part} does not match the {side} child")
+
+
 # -- the oracle -----------------------------------------------------------------
 
 def test_oracle_three_chain(c3):
