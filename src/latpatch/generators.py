@@ -69,14 +69,17 @@ def _two_middle_intervals(lat):
 def _filter_chains(lat):
     """Elements b whose up-set [b, 1] is a chain, ascending by chain length.
 
-    ↑b is a chain exactly when none of its elements has two upper covers:
-    two covers of one element are incomparable, and otherwise every
-    element of ↑b lies on the one cover path from b to the top."""
-    upper = lat.upper_covers
-    out = [(lat.up[b].bit_count(), b) for b in range(lat.n)
-           if all(len(upper[v]) < 2 for v in iter_bits(lat.up[b]))]
-    out.sort()
-    return out
+    ↑b is a chain exactly when b is the top, or b has one upper cover c and
+    ↑c is a chain: two covers of one element are incomparable, and ↑b is b
+    and the up-sets of its covers.  So one pass from the top down, in
+    reverse height order, finds every such b with its chain's length."""
+    upper, length = lat.upper_covers, {}
+    for b in sorted(range(lat.n), key=lat.height.__getitem__, reverse=True):
+        if not upper[b]:
+            length[b] = 1
+        elif len(upper[b]) == 1 and upper[b][0] in length:
+            length[b] = length[upper[b][0]] + 1
+    return sorted((k, b) for b, k in length.items())
 
 
 def random_sps_diagram(target, seed):

@@ -454,17 +454,10 @@ def restrict_gluing(witness, step):
     return _pull_back(witness, amb._derived(kept, amb.bottom, amb.top))
 
 
-def _checked_restriction(pulled):
-    """`pulled`, a witness restricted to a smaller lattice, once it is valid."""
-    reason = validate_witness(pulled)
-    if reason is not None:
-        raise AssertionFailed(f"restricted witness is invalid: {reason}")
-    return pulled
-
-
 def _pull_back(witness, base):
     """The witness restricted to the labels of `base`, a lattice the
-    witness's ambient extends by doubly irreducible elements only.
+    witness's ambient extends by doubly irreducible elements only, once it
+    is valid.
 
     Each added t has a ≺ t ≺ c with a < c still in `base`, so dropping all
     of them at once gives the same sets as dropping them one at a time."""
@@ -473,8 +466,11 @@ def _pull_back(witness, base):
     def keep(ids):
         return frozenset(index[names[v]] for v in ids if names[v] in index)
 
-    return _checked_restriction(
-        GluingWitness(base, keep(witness.A), keep(witness.B), keep(witness.C)))
+    pulled = GluingWitness(base, keep(witness.A), keep(witness.B), keep(witness.C))
+    reason = validate_witness(pulled)
+    if reason is not None:
+        raise AssertionFailed(f"restricted witness is invalid: {reason}")
+    return pulled
 
 
 # -- the rectangular cut -----------------------------------------------------
@@ -483,9 +479,9 @@ def _cut(lat, b, x, mode):
     """The pivot and the overlap [pivot, x] of the cut of a slim rectangular
     lattice at x on its upper boundary.  `lat` holds the masks and covers (a
     `Lattice`, or a closed `_Hull`) and `b` its boundary data.
-    `decompose_at` cuts here, and so does the pipeline, on the root's hull
-    only: every other node's cut is read off its boundary chains' links
-    (`_link_cut`), and the root's cut must agree with that.
+    `decompose_at` cuts here, and so does the pipeline, on the root's slim
+    hull only: every node's cut, the root's too, is read off its boundary
+    chains' links (`_link_cut`), and the root's hull cut must agree.
 
     Left mode cuts along [0, x] and [x ∧ u_r, 1]; mirrored mode swaps the
     corner roles.  Every claim made for the cut is asserted, not assumed.
@@ -635,9 +631,10 @@ def _link_cut(diag):
       - Order.  The links and the pivot test touch no eye, and S keeps
         L's order on the elements that remain (`Lattice._derived`), so
         hi(y) ≤ lo(x) has the same answer in L and in S.
-      - Witness.  (↓lo(x), ↑hi(pivot)) read on L is the lift of S's
-        witness to L (`pipeline._lift_through_eyes`), and the 3-element
-        chain, the one patch hull, has no eyes.
+      - Witness.  (↓lo(x), ↑hi(pivot)) read on L, restricted to S, is
+        S's witness, since S keeps L's order; the 3-element chain, the one
+        patch hull, has no eyes.  `pipeline._trace` checks the run, the
+        cut and this restriction on every root's slim hull.
       - Step bound.  The n² bound of `_site_process` counts the eyes too,
         which only loosens a guard that no planar semimodular L reaches.
     """

@@ -15,9 +15,8 @@ from .diagram import (Diagram, _patch, _scaled_points, is_patch, slim,
                       validate_diagram)
 from .errors import (AssertionFailed, NoDecomposition, NotSemimodular,
                      SizeBoundExceeded)
-from .ops import (DecompositionCut, GluingWitness, _checked_restriction,
-                  _choose, _cut, _Hull, _link_cut, _principal,
-                  validate_witness)
+from .ops import (DecompositionCut, GluingWitness, _choose, _cut, _Hull,
+                  _link_cut, _principal, _pull_back, validate_witness)
 
 
 @dataclass(frozen=True)
@@ -39,8 +38,9 @@ class PipelineTrace:
     removed eyes, the hull's `ExtensionStep`s, the `DecompositionCut` on the
     drawn hull (None for a patch hull) and whether the hull was a patch.
 
-    The trace `decompose` returns holds the root's slim diagram, its run of
-    the site process and its cut in hull ids, and no hull (see `_trace`):
+    The trace `decompose` returns holds the root's slim diagram, the final
+    chains and cascades of its run of the site process and its cut, in the
+    slim hull's ids, and no hull (see `_trace`):
     the hull is grown from the run and drawn when `extension_steps` or
     `cut` is first read, and both are then kept.  Traces compare and print
     by their four fields; they are unhashable, like the drawn hull their
@@ -130,53 +130,14 @@ def _ends(witness, ids):
     return ids[max(witness.A, key=height)], ids[min(witness.B, key=height)]
 
 
-def _lift_through_eyes(witness, full_diag):
-    """A witness for the slimmed lattice, lifted to the full one as ↓a and ↑b
-    (`_ends`, carried by label), and validated.
-
-    Exact: every removed eye has one upper cover and one lower cover, both
-    kept, so an eye lies below a exactly when its upper cover does and above
-    b exactly when its lower cover does, and the kept elements keep their
-    order.
-
-    Without eyes the slimmed lattice is the full one, and the witness is
-    validated as it is: a valid A is ↓ of its highest member and a valid B
-    ↑ of its lowest (`validate_witness`), so the lift would rebuild it
-    unchanged."""
-    lat = full_diag.lattice
-    lifted = witness
-    if witness.ambient is not lat:
-        by_label = [lat.index[name] for name in witness.ambient.names]
-        lifted = _principal(lat, *_ends(witness, by_label))
-    reason = validate_witness(lifted)
-    if reason is not None:
-        raise NoDecomposition(f"eye lifting produced an invalid witness: {reason}")
-    return lifted
-
-
 def _chain_witness(lat):
     """The closed-form witness (↓c, ↑c) of a chain with n ≥ 3 elements, c
-    at height min(2, n - 2), unchecked (see `_decompose_step`); None for any
-    other lattice."""
-    if lat.n < 3 or len(lat.covers) != lat.n - 1:
-        return None
-    c = lat.upper_covers[lat.bottom][0]
-    if lat.n > 3:
-        c = lat.upper_covers[c][0]
-    return _principal(lat, c, c)
-
-
-def _decompose_step(diag):
-    """The root's decomposition step, undrawn: None for a patch, else the
-    tuple (witness, eyes, slimmed, found) of the lifted witness, the removed
-    eyes, the slim diagram and what `ops._link_cut` found for it (None for
-    a chain).  No hull is built here; the root's step becomes a trace,
-    which grows, closes and cuts the root's hull (`_trace`).
+    at height min(2, n - 2), unchecked; None for any other lattice.
 
     A chain 0 = c_0 ≺ c_1 ≺ … ≺ c_{n-1} = 1 with n ≥ 3 (n elements and
-    n - 1 covers) gets its witness in closed form, (↓c, ↑c) with c at
-    height min(2, n - 2), and runs no site process.  That is the witness
-    `_link_cut` gives:
+    n - 1 covers) gets this witness with no site process run.  It is the
+    one `_link_cut` gives, which the trace of a chain root checks
+    (`_trace`):
     - Hull.  Both boundary chains are the input, and the left one is
       scanned first.  With t_0 = 0, the site at position i is
       t_i ≺ c_{i+1} ≺ c_{i+2}; it adds t_{i+1} with t_i ≺ t_{i+1} ≺ c_{i+2}
@@ -190,70 +151,84 @@ def _decompose_step(diag):
       c_2; x is an input element.  So the witness is (↓c_2, ↑c_2).
     - n = 3.  The hull {0, c_1, t_1, 1} is a patch, which gives
       (↓c_1, ↑c_1).
-    A chain has no eyes, so it is its own slim diagram.  Any other diagram
-    that is not a patch is slimmed, and its witness is read off its
-    boundary chains' links (`_link_cut`).
-
-    The root's witness is validated once on each lattice it lives on: one
-    pulled back from a grown hull as a restriction
-    (`ops._checked_restriction`), any other in the eye lift, and a lifted
-    one there too.  Without eyes a pulled-back witness is returned as it
-    is.  Every node below the root takes `_inner_step`, which cuts it on
-    its own diagram, eyes and all.
     """
-    witness = _chain_witness(diag.lattice)
-    if witness is not None:
-        return _lift_through_eyes(witness, diag), (), diag, None
-    if is_patch(diag):
+    if lat.n < 3 or len(lat.covers) != lat.n - 1:
         return None
-    slimmed, eyes = slim(diag)
-    found = run, _, linked = _link_cut(slimmed)
-    if run is not None:  # pulled back from a grown hull
-        _checked_restriction(linked)
-        if not eyes:
-            return linked, (), slimmed, found
-    return _lift_through_eyes(linked, diag), tuple(eyes), slimmed, found
+    c = lat.upper_covers[lat.bottom][0]
+    if lat.n > 3:
+        c = lat.upper_covers[c][0]
+    return _principal(lat, c, c)
 
 
-def _inner_step(diag):
-    """The witness of a node below the root, validated once; None for a
-    patch.  A chain takes its closed form (`_chain_witness`), and any other
-    node the link cut of its own diagram, eyes and all: `_link_cut` reads
-    on it the witness that the slim diagram's cut, lifted, gives (see the
-    eyes in its docstring).  So no node below the root is slimmed, and no
-    witness is lifted."""
-    witness = _chain_witness(diag.lattice)
+def _step(diag):
+    """The witness of a node, validated once, and what `ops._link_cut`
+    found for it (None for a chain); None for a patch.  A chain takes its
+    closed form (`_chain_witness`), and any other node, the root included,
+    the link cut of its own diagram, eyes and all: `_link_cut` reads on it
+    the witness that the slim diagram's cut, lifted, gives (see the eyes
+    in its docstring).  So no node is slimmed to be cut, and no witness is
+    lifted; the root's trace checks the root's cut on its slim hull."""
+    witness, found = _chain_witness(diag.lattice), None
     if witness is None:
         if is_patch(diag):
             return None
-        witness = _link_cut(diag)[2]
+        found = _link_cut(diag)
+        witness = found[2]
     reason = validate_witness(witness)
     if reason is not None:
         raise AssertionFailed(f"the cut of a node gave an invalid witness: {reason}")
-    return witness
+    return witness, found
 
 
-def _trace(witness, eyes, slimmed, found):
-    """The `PipelineTrace` of a step from `_decompose_step`, its hull drawn
+def _trace(root, step):
+    """The `PipelineTrace` of the root's step from `_step`, its hull drawn
     when first read (see `_draw`).
 
-    The root's cut is checked here, at once.  A chain root gets its link
-    cut here, which must give its closed-form witness.  The hull is grown
-    from the link cut's run, closed, and cut on its masks by `ops._choose`
-    and `ops._cut`; that cut's (x, pivot) must be the link cut's, and its
-    witness (↓x, ↑pivot) on the hull's first n ids, the slim lattice's,
-    the link witness.  A hull the link cut found a patch must be one on
-    its masks.  The trace then keeps the run, not the hull.  Nothing is
-    validated again: the step has validated the witness it returns."""
+    The root's check runs here, at once, on its slim diagram S.  A chain
+    root, which has no eyes, gets its link cut here, which must give its
+    closed-form witness.  Any other root L was cut eyes and all, and its
+    run and cut are S's element for element (see the eyes in
+    `ops._link_cut`): with eyes they are carried to S's ids by label, an
+    added id shifting by S.n − L.n, and the witness is restricted to S
+    (`ops._pull_back`, which validates it).  The hull is grown from the
+    run, closed, and cut on its masks by `ops._choose` and `ops._cut`; that
+    cut's (x, pivot) must be the link cut's, and its witness (↓x, ↑pivot)
+    on the hull's first n ids, S's, the restricted one.  A hull the link
+    cut found a patch must be one on its masks.  The trace then keeps the
+    run's final chains and cascades, not the hull."""
+    if step is None:
+        return PipelineTrace((), (), None, False)
+    witness, found = step
+    slimmed, eyes = slim(root)
+    eyes = tuple(eyes)  # not after the hull, whose freed memory it kept resident
     if found is None:
-        found = _link_cut(slimmed)
+        found = _link_cut(root)
         if found[2] != witness:
             raise AssertionFailed(
                 "the link cut and the closed form give different witnesses")
-    run, linked_cut, linked = found
-    lat, hull, b = slimmed.lattice, slimmed.lattice, slimmed.boundary
+    run, linked_cut, _ = found
+    lat = slimmed.lattice
     if run is not None:
-        hull = _Hull(slimmed, run[0], run[-1])
+        run = run[0], run[-1]
+    if eyes:
+        witness = _pull_back(witness, lat)
+        names, index, shift = root.lattice.names, lat.index, lat.n - root.lattice.n
+
+        def carried(ids):
+            out = [index.get(names[v]) if v < len(names) else v + shift for v in ids]
+            if None in out:
+                raise AssertionFailed("the root's run or cut holds an eye")
+            return out
+
+        if run is not None:
+            run = ([carried(chain) for chain in run[0]],
+                   [(side, carried(seg)) for side, seg in run[1]])
+        if linked_cut is not None:
+            linked_cut = tuple(carried(linked_cut))
+    if run is None:
+        hull, b = lat, slimmed.boundary
+    else:
+        hull = _Hull(slimmed, *run)
         b = hull.close()
     cut = None
     if linked_cut is None:
@@ -264,7 +239,7 @@ def _trace(witness, eyes, slimmed, found):
         pivot, chain = _cut(hull, b, x, mode)
         down, up = hull.down[x] & lat.full_mask, hull.up[pivot] & lat.full_mask
         masked = (frozenset(iter_bits(m)) for m in (down, up, down & up))
-        if (x, pivot) != linked_cut or GluingWitness(lat, *masked) != linked:
+        if (x, pivot) != linked_cut or GluingWitness(lat, *masked) != witness:
             raise AssertionFailed(
                 "the hull cut and the link cut give different witnesses")
         cut = x, pivot, chain, mode
@@ -274,13 +249,13 @@ def _trace(witness, eyes, slimmed, found):
 
 
 def _draw(slimmed, run, cut):
-    """The extension steps and the cut of a step: its hull grown again from
-    the run (None for a rectangular slim diagram), labelled and drawn from
-    the step tuples, and the cut (x, pivot, chain, mode) on the drawn
-    hull."""
+    """The extension steps and the cut of the root: its hull grown again
+    from the run's final chains and cascades (None for a rectangular slim
+    diagram), labelled and drawn from the step tuples, and the cut (x,
+    pivot, chain, mode) on the drawn hull."""
     rect, extension_steps = slimmed, []
     if run is not None:
-        rect, extension_steps = _Hull(slimmed, run[0], run[-1]).draw()
+        rect, extension_steps = _Hull(slimmed, *run).draw()
     if cut is not None:
         x, pivot, chain, mode = cut
         cut = DecompositionCut(x, pivot, rect, chain, mode)
@@ -307,9 +282,9 @@ def _decompose(root):
     from its own scaled points by a positive scale and a height shift
     (`Diagram.boundary`).  The parts of a node overlap, so the walk
     reaches an interval again and again: `built` keeps each interval's
-    subtree, keyed by its ends, and a repeat gets the same object.  The
-    root is cut by `_decompose_step`, which makes its trace, and every
-    other interval by `_inner_step`.
+    subtree, keyed by its ends, and a repeat gets the same object.  Every
+    interval, the root included, is cut by `_step`; the root's step also
+    makes its trace (`_trace`).
     """
     lat, xs = root.lattice, root.xcoord
     points = _scaled_points(root)
@@ -326,20 +301,19 @@ def _decompose(root):
             if node is not None:
                 finished.append(node)
                 continue
-            if root_trace is None:
-                diag, step = root, _decompose_step(root)
-                root_trace = (PipelineTrace((), (), None, False) if step is None
-                              else _trace(*step))
-                witness = None if step is None else step[0]
-                members = range(lat.n)
+            if root_trace is None:  # the root, popped first
+                diag, members = root, range(lat.n)
             else:
                 members = iter_bits(lat.up[y] & lat.down[x])
                 part = lat._derived(members, y, x)
                 diag = Diagram(part, [xs[v] for v in members])
                 if part.n > 2 and len(part.covers) != part.n - 1:  # it walks
                     diag._points = [points[v] for v in members]
-                witness = _inner_step(diag)
-            if witness is not None:
+            step = _step(diag)
+            if root_trace is None:
+                root_trace = _trace(root, step)
+            if step is not None:
+                witness = step[0]
                 a, b = _ends(witness, members)
                 stack += [(y, x, (diag, witness)), (b, x, None), (y, a, None)]
                 continue

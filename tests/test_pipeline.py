@@ -31,8 +31,7 @@ from latpatch.errors import (AssertionFailed, LatpatchError, NoDecomposition,
                              StuckNotRectangular)
 from latpatch.ops import (GluingWitness, _choose, _cut, _Hull, _link_cut,
                           _principal, _pull_back, _site_process)
-from latpatch.pipeline import (_decompose_step, _inner_step, _lift_through_eyes,
-                               _trace)
+from latpatch.pipeline import _step, _trace
 
 
 def labeled(lat):
@@ -83,22 +82,16 @@ def test_decompose_never_calls_the_oracle(corpus, random_corpus_small, monkeypat
 
     fallbacks = []
 
-    def recording_root(diag):
-        step = _decompose_step(diag)
-        if step is not None and _trace(*step).fallback_used:
+    def recording(diag):
+        # a node's hull is a patch when its link cut finds no cut; a chain,
+        # cut in closed form, gets its link cut here
+        step = _step(diag)
+        if step is not None and (step[1] or _link_cut(diag))[1] is None:
             fallbacks.append(diag.lattice.n)
         return step
 
-    def recording_inner(diag):
-        # an inner node's hull is a patch when its link cut finds no cut
-        witness = _inner_step(diag)
-        if witness is not None and _link_cut(diag)[1] is None:
-            fallbacks.append(diag.lattice.n)
-        return witness
-
     monkeypatch.setattr(latpatch.pipeline, "brute_force_gluing_search", refuse)
-    monkeypatch.setattr(latpatch.pipeline, "_decompose_step", recording_root)
-    monkeypatch.setattr(latpatch.pipeline, "_inner_step", recording_inner)
+    monkeypatch.setattr(latpatch.pipeline, "_step", recording)
     for name, diag in corpus + random_corpus_small:
         tree, _ = decompose(diag)
         assert verify_tree(tree, diag) is None, name
@@ -156,11 +149,19 @@ def test_the_undrawn_step_equals_the_materialized_one(glue_nodes):
     fallbacks = grown = attached = 0
     for name, diag in glue_nodes:
         witness, trace = materialized_step(diag)
-        step = _decompose_step(diag)
-        slimmed, run, cut = _trace(*step)._undrawn
+        step = _step(diag)
+        undrawn = _trace(diag, step)
+        slimmed, run, cut = undrawn._undrawn
         # the same x, pivot, chain and mode, and the same hull once drawn
-        assert _trace(*step) == trace, name
-        assert step[0] == _lift_through_eyes(witness, diag), name
+        assert undrawn == trace, name
+        # the node's witness, read eyes and all, is the slim one lifted
+        found = step[0]
+        assert found.ambient is diag.lattice, name
+        assert (found.A, found.B, found.C) == lift_by_records(
+            witness, trace.eyes, diag.lattice), name
+        # the node's own run, carried to the slim ids, is the slim diagram's
+        slim_run = _link_cut(slimmed)[0]
+        assert run == (slim_run and (slim_run[0], slim_run[-1])), name
         if cut is None:
             fallbacks += 1
             continue
@@ -169,9 +170,9 @@ def test_the_undrawn_step_equals_the_materialized_one(glue_nodes):
             pulled = _principal(slimmed.lattice, x, pivot)
         else:
             # the links of the run: (↓lo(x), ↑hi(pivot)) on the slim lattice
-            lo, hi = run[3], run[4]
+            lo, hi = slim_run[3], slim_run[4]
             pulled = _principal(slimmed.lattice, lo[x], hi[pivot])
-            hull = _Hull(slimmed, run[0], run[-1])
+            hull = _Hull(slimmed, *run)
             grown += 1
             # a later step added covers to an earlier t, which the pull-back
             # must see through
@@ -192,9 +193,10 @@ def test_a_chain_step_equals_the_materialized_one():
         assert validate_diagram(zigzag) is None
         for diag in (straight, zigzag):
             witness, trace = materialized_step(diag)
-            step = _decompose_step(diag)
-            assert step[0] == _lift_through_eyes(witness, diag), n
-            assert _trace(*step) == trace, n
+            step = _step(diag)
+            # a chain has no eyes, and runs no site process until its trace
+            assert step == (witness, None), n
+            assert _trace(diag, step) == trace, n
 
 
 def test_a_chain_grows_only_the_root_hull(monkeypatch):
@@ -270,10 +272,11 @@ def test_decompose_validates_each_witness_once(corpus, random_corpus_small, monk
 
     monkeypatch.setattr(latpatch.ops, "validate_witness", recording)
     monkeypatch.setattr(latpatch.pipeline, "validate_witness", recording)
+    eyed = 0
     for name, diag in corpus + random_corpus_small + ladder_inputs():
         checked.clear()
         alive.clear()
-        tree, _ = decompose(diag)
+        tree, trace = decompose(diag)
         assert len(checked) == len(set(checked)), name
         for node in occurrences_of(tree):
             if isinstance(node, DecompGlue):
@@ -281,22 +284,31 @@ def test_decompose_validates_each_witness_once(corpus, random_corpus_small, monk
                 assert (id(w.ambient), w.A, w.B) in checked, name
         # below the root, each distinct glue node is validated exactly once,
         # on its own lattice, and nothing else is; the root's witness is
-        # validated on the root and on its slim lattice at most
+        # validated once on the root, and once more restricted to its slim
+        # lattice exactly when the root has eyes
         inner = [node for node in distinct_nodes(tree) if node is not tree]
         lattices = {id(node.diagram.lattice) for node in inner}
         below = Counter(entry for entry in checked if entry[0] in lattices)
         assert below == Counter((id(node.witness.ambient), node.witness.A, node.witness.B)
                                 for node in inner if isinstance(node, DecompGlue)), name
-        assert len(checked) - sum(below.values()) <= 2, name
+        expected = []
+        if isinstance(tree, DecompGlue):
+            expected.append(id(diag.lattice))
+            if trace.eyes:
+                expected.append(id(trace._undrawn[0].lattice))
+                eyed += 1
+        assert sorted(entry[0] for entry in checked if entry[0] not in lattices) == sorted(
+            expected), name
+    assert eyed > 20
 
 
 def test_a_chain_root_whose_hull_path_disagrees_is_refused(monkeypatch):
     link_cut = latpatch.pipeline._link_cut
 
-    def disagreeing(slimmed):
-        run, cut, _ = link_cut(slimmed)
-        m = slimmed.lattice.upper_covers[slimmed.lattice.bottom][0]
-        return run, cut, _principal(slimmed.lattice, m, m)
+    def disagreeing(diag):
+        run, cut, _ = link_cut(diag)
+        m = diag.lattice.upper_covers[diag.lattice.bottom][0]
+        return run, cut, _principal(diag.lattice, m, m)
 
     monkeypatch.setattr(latpatch.pipeline, "_link_cut", disagreeing)
     with pytest.raises(AssertionFailed, match="different witnesses"):
@@ -304,13 +316,13 @@ def test_a_chain_root_whose_hull_path_disagrees_is_refused(monkeypatch):
 
 
 def test_an_invalid_pulled_back_witness_is_refused(monkeypatch):
-    # the root's node grows a hull, so its witness is the pulled-back one
-    def improper(lat, a, b):
-        return _principal(lat, lat.top, lat.bottom)
-
-    monkeypatch.setattr(latpatch.ops, "_principal", improper)
-    with pytest.raises(AssertionFailed, match="restricted witness is invalid"):
-        decompose(generate("random-sps", [24], seed=0))
+    # the root has eyes, so its trace restricts the root's witness to its
+    # slim lattice, and validates the restriction there
+    diag = generate("random-sps", [24], seed=0)
+    assert slim(diag)[1]
+    monkeypatch.setattr(latpatch.ops, "validate_witness", lambda w: "refused")
+    with pytest.raises(AssertionFailed, match="restricted witness is invalid: refused"):
+        decompose(diag)
 
 
 def hull_cut(slimmed):
@@ -418,22 +430,25 @@ def hull_label(lat, v):
 
 def eye_cut_agrees(diag, name):
     """`_link_cut` on the diagram, eyes and all, gives the cut of its slim
-    diagram: the same final chains and number of cascades, the same x and
-    pivot by label, and the slim witness lifted.  Whether it has eyes."""
+    diagram: the same final chains and the same segment of every cascade by
+    hull label, the same x and pivot by label, and the slim witness lifted
+    (`lift_by_records`).  Whether it has eyes."""
     slimmed, eyes = slim(diag)
     lat, slat = diag.lattice, slimmed.lattice
     run, cut, witness = _link_cut(diag)
     slim_run, slim_cut, slim_witness = _link_cut(slimmed)
     assert (run is None) == (slim_run is None), name
     if run is not None:
-        assert len(run[-1]) == len(slim_run[-1]), name
         assert ([[hull_label(lat, v) for v in chain] for chain in run[0]]
                 == [[hull_label(slat, v) for v in chain] for chain in slim_run[0]]), name
+        assert ([(side, [hull_label(lat, v) for v in seg]) for side, seg in run[-1]]
+                == [(side, [hull_label(slat, v) for v in seg])
+                    for side, seg in slim_run[-1]]), name
     assert (cut is None) == (slim_cut is None), name
     if cut is not None:
         assert ([hull_label(lat, v) for v in cut]
                 == [hull_label(slat, v) for v in slim_cut]), name
-    assert witness == _lift_through_eyes(slim_witness, diag), name
+    assert (witness.A, witness.B, witness.C) == lift_by_records(slim_witness, eyes, lat), name
     return bool(eyes)
 
 
@@ -570,9 +585,11 @@ def test_only_the_root_hull_is_closed_and_cut(monkeypatch):
         cut.clear()
         _, trace = decompose(diag)
         slimmed, run, _ = trace._undrawn
-        # the one closed hull is the root's, grown from the trace's run
+        # the one closed hull is the root's, grown from the trace's run: a
+        # cascade's segment c_j, …, c_{i+2} holds its steps and two more
         assert len(closed) == (run is not None), name
-        assert all(hull.base is slimmed and len(hull.steps) == len(run[3]) - slimmed.lattice.n
+        assert all(hull.base is slimmed
+                   and len(hull.steps) == sum(len(seg) - 2 for _, seg in run[1])
                    for hull in closed), name
         assert cut == [slimmed.lattice if run is None else closed[0]], name
 
@@ -657,16 +674,31 @@ def test_decompose_keeps_no_hull_alive(monkeypatch):
 def test_a_root_whose_link_witness_disagrees_is_refused(monkeypatch):
     link_cut = latpatch.pipeline._link_cut
 
-    def disagreeing(slimmed):
-        # another valid witness on the slim lattice: the oracle's
-        hull, cut, _ = link_cut(slimmed)
-        return hull, cut, brute_force_gluing_search(slimmed)
+    def disagreeing(diag):
+        # another valid witness on the node's lattice: the oracle's
+        run, cut, _ = link_cut(diag)
+        return run, cut, brute_force_gluing_search(diag)
 
     diag = generate("random-sps", [24], seed=1)
-    slimmed, _ = slim(diag)
-    assert brute_force_gluing_search(slimmed) != _link_cut(slimmed)[2]
+    assert brute_force_gluing_search(diag) != _link_cut(diag)[2]
     monkeypatch.setattr(latpatch.pipeline, "_link_cut", disagreeing)
     with pytest.raises(AssertionFailed, match="different witnesses"):
+        decompose(diag)
+
+
+def test_a_root_cut_that_lands_on_an_eye_is_refused(monkeypatch):
+    # the root's run and cut are carried to its slim lattice by label, where
+    # an eye has no id
+    diag = generate("random-sps", [24], seed=0)
+    eye = diag.lattice.id_of(slim(diag)[1][0].label)
+    link_cut = latpatch.pipeline._link_cut
+
+    def onto_an_eye(node):
+        run, (x, pivot), witness = link_cut(node)
+        return run, (x, eye), witness
+
+    monkeypatch.setattr(latpatch.pipeline, "_link_cut", onto_an_eye)
+    with pytest.raises(AssertionFailed, match="the root's run or cut holds an eye"):
         decompose(diag)
 
 
@@ -691,12 +723,19 @@ def test_an_inner_hull_without_one_corner_per_side_is_refused(corner, monkeypatc
 
 
 def test_an_invalid_lifted_witness_is_refused(monkeypatch):
+    # a root's witness, in closed form for a chain or read eyes and all off
+    # its link cut, is validated like any other node's
     def improper(lat, a, b):
         return _principal(lat, lat.top, lat.bottom)
 
-    monkeypatch.setattr(latpatch.pipeline, "_principal", improper)
-    with pytest.raises(NoDecomposition, match="eye lifting produced an invalid witness"):
-        decompose(generate("chain", [6]))
+    for module, kind, params in ((latpatch.pipeline, "chain", [6]),
+                                 (latpatch.ops, "random-sps", [24])):
+        diag = generate(kind, params)
+        with monkeypatch.context() as m:
+            m.setattr(module, "_principal", improper)
+            with pytest.raises(AssertionFailed,
+                               match="the cut of a node gave an invalid witness"):
+                decompose(diag)
 
 
 def test_an_invalid_inner_witness_is_refused(monkeypatch):
@@ -758,13 +797,20 @@ def small_drawn_lattices(count, seed):
 
 
 def outcome(step, diag):
-    """A root step's result, its trace made at once as `decompose` makes
-    it, or the type and message of the error either raised."""
+    """A root step's witness by its parts on the input, lifted through the
+    eyes for a witness on the slim lattice (`lift_by_records`), and its
+    trace, made at once as `decompose` makes it; or the type and message of
+    the error either raised."""
     try:
         found = step(diag)
-        if found is None or isinstance(found[1], PipelineTrace):
-            return found
-        return found[0], _trace(*found)
+        if found is None:
+            return None
+        witness, trace = found
+        if not isinstance(trace, PipelineTrace):
+            trace = _trace(diag, found)
+        if witness.ambient is not diag.lattice:
+            return lift_by_records(witness, trace.eyes, diag.lattice), trace
+        return (witness.A, witness.B, witness.C), trace
     except LatpatchError as exc:
         return type(exc), str(exc)
 
@@ -773,11 +819,7 @@ def test_the_undrawn_step_fails_as_the_materialized_one():
     errors = {}
     for diag in small_drawn_lattices(600, seed=3):
         expected = outcome(materialized_step, diag)
-        found = outcome(_decompose_step, diag)
-        if found is not None and not isinstance(found[0], type):
-            found = (_lift_through_eyes(found[0], diag), found[1])
-        if expected is not None and not isinstance(expected[0], type):
-            expected = (_lift_through_eyes(expected[0], diag), expected[1])
+        found = outcome(_step, diag)
         assert found == expected, (diag.lattice.covers, diag.xcoord)
         if expected is not None and isinstance(expected[0], type):
             message = expected[1].split(" on a ")[0]
@@ -878,16 +920,19 @@ def lift_by_records(witness, eyes, lat):
 
 
 def test_eye_lift_equals_the_lift_by_eye_records(corpus, random_corpus_small, m3):
+    # a root with eyes is cut eyes and all: its witness is the slim
+    # diagram's link witness lifted by the eye records, and restricts to it
     checked = 0
     for name, diag in corpus + random_corpus_small + [("m3", m3)]:
         slimmed, eyes = slim(diag)
-        witness = brute_force_gluing_search(slimmed)
-        if witness is None or not eyes:
+        step = _step(diag)
+        if step is None or not eyes:
             continue
-        lifted = _lift_through_eyes(witness, diag)
-        assert lifted.ambient is diag.lattice, name
-        assert (lifted.A, lifted.B, lifted.C) == lift_by_records(
-            witness, eyes, diag.lattice), name
+        witness, slim_witness = step[0], _link_cut(slimmed)[2]
+        assert witness.ambient is diag.lattice, name
+        assert (witness.A, witness.B, witness.C) == lift_by_records(
+            slim_witness, eyes, diag.lattice), name
+        assert _pull_back(witness, slimmed.lattice) == slim_witness, name
         checked += 1
     assert checked > 20
 
@@ -910,7 +955,7 @@ def test_trace_replays_exactly(corpus, replay):
 def recursive_decompose(diag):
     """The memo-free recursive decomposition, as a reference on shallow trees:
     every occurrence of an interval is decomposed on its own."""
-    step = latpatch.pipeline._decompose_step(diag)
+    step = latpatch.pipeline._step(diag)
     if step is None:
         return DecompLeaf(diag)
     witness = step[0]
@@ -928,11 +973,7 @@ def test_shared_subtrees_match_the_memo_free_reference(corpus, random_corpus_sma
         expected_entries, expected_parts = sequence_of(expected)
         assert parts == expected_parts, name
         assert entries == expected_entries, name
-        step = latpatch.pipeline._decompose_step(diag)
-        if step is None:
-            assert trace == latpatch.pipeline.PipelineTrace((), (), None, False), name
-        else:
-            assert trace == _trace(*step), name
+        assert trace == _trace(diag, latpatch.pipeline._step(diag)), name
 
 
 def test_each_distinct_interval_is_decomposed_once(monkeypatch):
@@ -946,8 +987,7 @@ def test_each_distinct_interval_is_decomposed_once(monkeypatch):
         return step_counted
 
     with monkeypatch.context() as m:
-        m.setattr(latpatch.pipeline, "_decompose_step", counted(_decompose_step))
-        m.setattr(latpatch.pipeline, "_inner_step", counted(_inner_step))
+        m.setattr(latpatch.pipeline, "_step", counted(_step))
         tree, _ = decompose(diag)
     nodes = occurrences_of(tree)
     assert (len(calls), len(nodes)) == (67, 245)
