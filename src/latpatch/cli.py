@@ -34,7 +34,7 @@ def _read(path):
 
 
 def _write(path, chunks):
-    if path is None or path == "-":
+    if path == "-":
         sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8") as handle:
@@ -108,7 +108,7 @@ def cmd_decompose(args):
             print(f"L{i}: {n} elements (patch)", file=out)
     if args.trace:
         print(f"trace: {len(trace.eyes)} eye(s) removed, "
-              f"{len(trace.extension_steps)} extension step(s), "
+              f"{trace._step_count()} extension step(s), "
               f"fallback_used={trace.fallback_used}", file=sys.stderr)
     return 0
 
@@ -213,10 +213,7 @@ def cli(argv=None):
         return exc.code if exc.code is not None else 2
     try:
         return args.func(args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TreeTooDeep as exc:

@@ -142,7 +142,7 @@ class Lattice:
         if len(maxima) != 1:
             raise NotBounded(
                 f"{len(maxima)} maximal elements: {[names[v] for v in maxima]!r}")
-        self._fill(tuple(names), upper, lower, order, minima[0], maxima[0], index)
+        self._fill(tuple(names), upper, lower, order, minima[0], maxima[0])
 
         for a, b in self.covers:
             between = self.up[a] & self.down[b] & ~((1 << a) | (1 << b))
@@ -154,16 +154,17 @@ class Lattice:
                     witness=(names[a], names[b]))
         _check_joins(self.up, self.down, self.names)
 
-    def _fill(self, names, upper_covers, lower_covers, order, bottom, top, index=None,
-              covers=None):
-        """Set every field from the cover lists, which must be sorted (so the
-        cover pairs come out sorted), and `order`, a linear extension; the
-        masks and heights come from `_closure`.  `covers`, when given, must
-        be the sorted cover pairs the lists hold."""
+    def _fill(self, names, upper_covers, lower_covers, order, bottom, top, covers=None):
+        """Set every field from the labels, the cover lists, which must be
+        sorted (so the cover pairs come out sorted), and `order`, a linear
+        extension: the label index is read off the labels, and the masks and
+        heights come from `_closure`.  `covers`, when given, must be the
+        sorted cover pairs the lists hold; `_derived` collects them in the
+        loop that builds the lists, which reads faster than a second pass."""
         n = len(names)
         self.names = names
         self.n = n
-        self.index = dict(zip(names, range(n))) if index is None else index
+        self.index = dict(zip(names, range(n)))
         if covers is None:
             covers = tuple([(v, w) for v, ws in enumerate(upper_covers) for w in ws])
         self.covers = covers
@@ -175,10 +176,10 @@ class Lattice:
         self.top = top
 
     @staticmethod
-    def _trusted(*fields, index=None):
+    def _trusted(*fields):
         """A lattice derived from a validated one, by `_fill`; unchecked."""
         new = Lattice.__new__(Lattice)
-        new._fill(*fields, index=index)
+        new._fill(*fields)
         return new
 
     # -- order queries ---------------------------------------------------
@@ -352,16 +353,15 @@ class _Growing:
         self.height.append(self.height[a] + 1)
         return t
 
-    def lattice(self, names, index=None):
-        """The grown lattice labelled by `names`, one per id (and `index`,
-        their label -> id map, when the caller keeps one).  Cover lists stay
-        sorted, because every new id is the largest so far."""
+    def lattice(self, names):
+        """The grown lattice labelled by `names`, one per id.  Cover lists
+        stay sorted, because every new id is the largest so far."""
         height = self.height
         return Lattice._trusted(
             tuple(names), tuple(map(tuple, self.upper_covers)),
             tuple(map(tuple, self.lower_covers)),
             sorted(range(len(height)), key=height.__getitem__),
-            self.bottom, self.top, index=index)
+            self.bottom, self.top)
 
 
 def _first_unused(prefix, taken, k):

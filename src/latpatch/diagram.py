@@ -48,15 +48,11 @@ class Diagram:
     def boundary(self):
         """Boundary chains, weak corners and the distinguished corners u_l, u_r.
 
-        The walk runs on `_points`, when a caller has set it: integer points
-        of this drawing up to a positive scale and a translation, such as a
-        tree node's members' points in its root (`pipeline._decompose`).  It
-        is dropped here, so the diagram keeps no points after its walk."""
-        lat = self.lattice
-        points = self.__dict__.pop("_points", None)
-        if points is None:
-            points = _scaled_points(self)
-        return _interval_boundary(lat, points, lat.bottom, lat.top)
+        Walked on this drawing's scaled points when first read, unless a
+        caller has set it: a tree node's walk on its members' points in its
+        root (`pipeline._decompose`), or a hull's final chains
+        (`ops._Hull.draw`)."""
+        return _walk(self.lattice, _scaled_points(self))
 
     def __eq__(self, other):
         return (isinstance(other, Diagram)
@@ -189,68 +185,53 @@ def validate_diagram(diag):
 
 # -- boundaries and corner predicates ------------------------------------
 #
-# The walk, the corner count, the complementarity test and the slim test
-# all work on an interval [y, x] of a lattice, given by its ends or by its
-# mask ↑y ∩ ↓x; a whole diagram is the interval [bottom, top] with the full
-# mask.  The walk reads only the signs of orientations, so it may run on
-# any points that differ from the drawing's by a positive scale and a
+# The walk reads only the signs of orientations, so it may run on any
+# points that differ from the drawing's by a positive scale and a
 # translation.  The ambient heights, which in a graded lattice (every
-# semimodular one) differ from the interval's own by a constant, are such
-# a translation; so a tree node walks on its members' integer points in its
-# root (`Diagram.boundary`), with no scaling of its own.  The parts of a
-# cut are checked on their ambient's masks and covers alone, in ambient
-# ids, without being built or walked (`_interval_rectangular`, `_slim`).
+# semimodular one) differ from an interval's own by a constant, are such a
+# translation; so a tree node, a lattice of its own, walks on its members'
+# integer points in its root (`pipeline._decompose`), with no scaling of
+# its own.  The corner count, the complementarity test and the slim test
+# also work on an interval [y, x] of a lattice, given by its ends or by
+# its mask ↑y ∩ ↓x: the parts of a cut are checked on their ambient's
+# masks and covers alone, in ambient ids, without being built or walked
+# (`_interval_rectangular`, `_slim`).
 
-def _next_on_boundary(lat, points, v, side, mask):
-    """The angularly leftmost (or rightmost) upper cover of v in `mask`."""
+def _next_on_boundary(lat, points, v, side):
+    """The angularly leftmost (or rightmost) upper cover of v."""
     ups = lat.upper_covers[v]
-    if len(ups) == 1:  # below the interval's top, v has a cover inside it
+    if len(ups) == 1:
         return ups[0]
-    best = None
-    for w in ups:
-        if not mask >> w & 1:
-            continue
-        if best is None:
-            best = w
-            continue
+    best = ups[0]
+    for w in ups[1:]:
         cross = _orient(points[v], points[best], points[w])
         if cross > 0 if side == "left" else cross < 0:
             best = w
     return best
 
 
-def _interval_boundary(lat, points, y, x):
-    """Boundary data of the interval [y, x] drawn at `points`, in ids of `lat`."""
-    mask = lat.up[y] & lat.down[x]
+def _walk(lat, points):
+    """Boundary data of a lattice drawn at `points`."""
+
+    top = lat.top
 
     def walk(side):
-        chain = [y]
-        while chain[-1] != x:
-            chain.append(_next_on_boundary(lat, points, chain[-1], side, mask))
+        chain = [lat.bottom]
+        while chain[-1] != top:
+            chain.append(_next_on_boundary(lat, points, chain[-1], side))
         return tuple(chain)
 
-    return _boundary_data(lat, walk("left"), walk("right"), mask)
+    return _boundary_data(lat, walk("left"), walk("right"))
 
 
-def _boundary_data(lat, left, right, mask):
-    """Boundary data of the chains `left` and `right` from y to x of the
-    interval [y, x] that `mask` holds: the weak corners are the inner chain
-    elements with one upper and one lower cover inside the interval."""
+def _boundary_data(lat, left, right):
+    """Boundary data of the chains `left` and `right` from the bottom to the
+    top of a lattice: the weak corners are the inner chain elements with
+    one upper and one lower cover."""
     upper, lower = lat.upper_covers, lat.lower_covers
-    whole = mask == (1 << len(upper)) - 1  # every cover lies inside
-
-    def inside(ws):
-        return sum([mask >> w & 1 for w in ws])
 
     def corners(chain):
-        # an inner element has at least one upper and one lower cover inside
-        out = []
-        for v in chain[1:-1]:
-            ups, downs = upper[v], lower[v]
-            if (len(ups) == 1 == len(downs)
-                    or not whole and inside(ups) == 1 == inside(downs)):
-                out.append(v)
-        return tuple(out)
+        return tuple([v for v in chain[1:-1] if len(upper[v]) == 1 == len(lower[v])])
 
     lc, rc = corners(left), corners(right)
     return BoundaryData(left, right, lc, rc,
@@ -472,7 +453,7 @@ def restore_eyes(diag, records):
         names.append(rec.label)
         insort(row, (x, t))
         xs.append(x)
-    return Diagram(grown.lattice(names, index), xs)
+    return Diagram(grown.lattice(names), xs)
 
 
 # -- embeddings for abstract lattices ------------------------------------

@@ -292,7 +292,8 @@ def _site_process(diag):
     `_cascades` counts the steps; `_link_cut`, `_Hull.close` and
     `rectangularize` report a hull that is not rectangular.
 
-    The process ends at the first rectangular hull: a slim rectangular
+    The process ends at the first rectangular hull, so the run on a
+    rectangular diagram has no cascade at all: a slim rectangular
     lattice with corners u_l and u_r has no site a ≺ b ≺ c, say on the
     left chain (the right one is the mirror).  If a < u_l, then b ≤ u_l;
     the atom r of the chain [0, u_r] lies neither below u_l nor below a,
@@ -343,7 +344,7 @@ class _Hull(_Growing):
                 self.steps.append((seg[q], seg[q + 1], c, side))
                 c = self.add(seg[q], c)
         left, right = map(tuple, chains)
-        self.boundary = _boundary_data(self, left, right, (1 << len(self.height)) - 1)
+        self.boundary = _boundary_data(self, left, right)
 
     def close(self):
         """Add n, the full mask and the ↑ and ↓ masks, in one closure pass
@@ -555,19 +556,20 @@ def choose_x(diag):
 def _link_cut(diag):
     """The cut of a diagram through the rectangular hull of its slim
     diagram with no hull built and no eye removed: the run of the site
-    process (`_site_process`; None for a rectangular diagram, its own
-    hull), the x and pivot in hull ids of the cut that `_choose` and `_cut`
-    give on the closed hull (None for the 3-element chain, whose hull is a
-    patch), and the cut's witness on the diagram's lattice, unchecked.  The
-    cut is read off the run's final chains, their elements' cover counts
-    and the links, with no closure and no cut; a rectangular diagram's
-    boundary data gives its corners.  The proof below is for a slim
-    diagram; the last item carries it over to one with eyes.
+    process (`_site_process`), the x and pivot in hull ids of the cut that
+    `_choose` and `_cut` give on the closed hull (None for the 3-element
+    chain, whose hull is a patch), and the cut's witness on the diagram's
+    lattice, unchecked.  The cut is read off the run's final chains, their
+    elements' cover counts and the links, with no closure and no cut.  The
+    proof below is for a slim diagram; the last item carries it over to
+    one with eyes.
 
     Let H be the hull, L the slim lattice, and lo and hi the links of H's
     elements into L: v and v for an element of L, lo(a) and hi(c) for an
-    added t (`_cascades`); on a rectangular L, H = L and both are the
-    identity.
+    added t (`_cascades`).  A rectangular L has no site (`_site_process`),
+    so its run has no cascade: H = L, both links are the identity, and
+    `_corners` counts L's covers as `_boundary_data` does, which gives L's
+    own corners.
     - Links.  The elements of L below u in H are those below lo(u), and
       those above u are those above hi(u).  Each t was added with
       a ≺ t ≺ c only, and a later step keeps the order among the elements
@@ -638,14 +640,9 @@ def _link_cut(diag):
       - Step bound.  The n² bound of `_site_process` counts the eyes too,
         which only loosens a guard that no planar semimodular L reaches.
     """
-    lat, b = diag.lattice, diag.boundary
-    run = None
-    if is_rectangular(diag):
-        chains, lo, hi = (b.left_chain, b.right_chain), range(lat.n), range(lat.n)
-        u_l, u_r = b.u_l, b.u_r
-    else:
-        run = chains, up, down, lo, hi, _ = _site_process(diag)
-        u_l, u_r = _corners(chains, up, down)
+    lat = diag.lattice
+    run = chains, up, down, lo, hi, _ = _site_process(diag)
+    u_l, u_r = _corners(chains, up, down)
     if u_l is None or u_r is None:
         raise _stuck(len(lo))
     (left, right), top = chains, lat.top

@@ -11,7 +11,7 @@ ideal of a finite lattice is some ↓x and every nonempty filter some ↑y.
 from dataclasses import dataclass
 
 from .core import _is_chain_mask, is_isomorphic, is_semimodular, iter_bits
-from .diagram import (Diagram, _patch, _scaled_points, is_patch, slim,
+from .diagram import (Diagram, _patch, _scaled_points, _walk, is_patch, slim,
                       validate_diagram)
 from .errors import (AssertionFailed, NoDecomposition, NotSemimodular,
                      SizeBoundExceeded)
@@ -40,11 +40,12 @@ class PipelineTrace:
 
     The trace `decompose` returns holds the root's slim diagram, the final
     chains and cascades of its run of the site process and its cut, in the
-    slim hull's ids, and no hull (see `_trace`):
-    the hull is grown from the run and drawn when `extension_steps` or
-    `cut` is first read, and both are then kept.  Traces compare and print
-    by their four fields; they are unhashable, like the drawn hull their
-    cut holds."""
+    slim hull's ids, and no hull (see `_trace`): the hull is grown from the
+    run and drawn when `extension_steps` or `cut` is first read, and both
+    are then kept.  A rectangular root's run has no cascade, and its hull
+    is drawn like any other.  `_step_count` counts the steps without
+    drawing.  Traces compare and print by their four fields; they are
+    unhashable, like the drawn hull their cut holds."""
 
     __slots__ = ("eyes", "fallback_used", "_drawn", "_undrawn")
 
@@ -58,6 +59,14 @@ class PipelineTrace:
         if self._drawn is None:
             self._drawn, self._undrawn = _draw(*self._undrawn), None
         return self._drawn
+
+    def _step_count(self):
+        """len(extension_steps), read off the undrawn run while there is
+        one: a cascade's segment c_j, …, c_{i+2} holds its steps and two
+        more (`ops._cascades`)."""
+        if self._drawn is not None:
+            return len(self._drawn[0])
+        return sum([len(seg) - 2 for _, seg in self._undrawn[1][1]])
 
     @property
     def extension_steps(self):
@@ -191,7 +200,8 @@ def _trace(root, step):
     `ops._link_cut`): with eyes they are carried to S's ids by label, an
     added id shifting by S.n − L.n, and the witness is restricted to S
     (`ops._pull_back`, which validates it).  The hull is grown from the
-    run, closed, and cut on its masks by `ops._choose` and `ops._cut`; that
+    run (S itself for a rectangular root, whose run has no cascade),
+    closed, and cut on its masks by `ops._choose` and `ops._cut`; that
     cut's (x, pivot) must be the link cut's, and its witness (↓x, ↑pivot)
     on the hull's first n ids, S's, the restricted one.  A hull the link
     cut found a patch must be one on its masks.  The trace then keeps the
@@ -206,10 +216,8 @@ def _trace(root, step):
         if found[2] != witness:
             raise AssertionFailed(
                 "the link cut and the closed form give different witnesses")
-    run, linked_cut, _ = found
+    (chains, *_, cascades), linked_cut, _ = found
     lat = slimmed.lattice
-    if run is not None:
-        run = run[0], run[-1]
     if eyes:
         witness = _pull_back(witness, lat)
         names, index, shift = root.lattice.names, lat.index, lat.n - root.lattice.n
@@ -220,16 +228,12 @@ def _trace(root, step):
                 raise AssertionFailed("the root's run or cut holds an eye")
             return out
 
-        if run is not None:
-            run = ([carried(chain) for chain in run[0]],
-                   [(side, carried(seg)) for side, seg in run[1]])
+        chains = [carried(chain) for chain in chains]
+        cascades = [(side, carried(seg)) for side, seg in cascades]
         if linked_cut is not None:
             linked_cut = tuple(carried(linked_cut))
-    if run is None:
-        hull, b = lat, slimmed.boundary
-    else:
-        hull = _Hull(slimmed, *run)
-        b = hull.close()
+    hull = _Hull(slimmed, chains, cascades)
+    b = hull.close()
     cut = None
     if linked_cut is None:
         if not _patch(hull, b):
@@ -244,18 +248,15 @@ def _trace(root, step):
                 "the hull cut and the link cut give different witnesses")
         cut = x, pivot, chain, mode
     trace = PipelineTrace(eyes, None, None, cut is None)
-    trace._drawn, trace._undrawn = None, (slimmed, run, cut)
+    trace._drawn, trace._undrawn = None, (slimmed, (chains, cascades), cut)
     return trace
 
 
 def _draw(slimmed, run, cut):
     """The extension steps and the cut of the root: its hull grown again
-    from the run's final chains and cascades (None for a rectangular slim
-    diagram), labelled and drawn from the step tuples, and the cut (x,
-    pivot, chain, mode) on the drawn hull."""
-    rect, extension_steps = slimmed, []
-    if run is not None:
-        rect, extension_steps = _Hull(slimmed, *run).draw()
+    from the run's final chains and cascades, labelled and drawn from the
+    step tuples, and the cut (x, pivot, chain, mode) on the drawn hull."""
+    rect, extension_steps = _Hull(slimmed, *run).draw()
     if cut is not None:
         x, pivot, chain, mode = cut
         cut = DecompositionCut(x, pivot, rect, chain, mode)
@@ -278,9 +279,10 @@ def _decompose(root):
     relative id order and ambient covers, so this is the part its parent
     would give (`subdiagram`).  The root is scaled to integer points once
     (`_scaled_points`), and a node that walks its boundary (no chain, more
-    than two elements) walks on its members' root points, which differ
-    from its own scaled points by a positive scale and a height shift
-    (`Diagram.boundary`).  The parts of a node overlap, so the walk
+    than two elements), as `_step` does on every such node, gets its walk
+    on its members' root points here, which differ from its own scaled
+    points by a positive scale and a height shift (see the boundary
+    section of `diagram`).  The parts of a node overlap, so the walk
     reaches an interval again and again: `built` keeps each interval's
     subtree, keyed by its ends, and a repeat gets the same object.  Every
     interval, the root included, is cut by `_step`; the root's step also
@@ -308,7 +310,7 @@ def _decompose(root):
                 part = lat._derived(members, y, x)
                 diag = Diagram(part, [xs[v] for v in members])
                 if part.n > 2 and len(part.covers) != part.n - 1:  # it walks
-                    diag._points = [points[v] for v in members]
+                    diag.boundary = _walk(part, [points[v] for v in members])
             step = _step(diag)
             if root_trace is None:
                 root_trace = _trace(root, step)

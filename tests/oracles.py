@@ -34,9 +34,9 @@ from itertools import permutations, product
 
 from latpatch import (DecompLeaf, Diagram, EyeRecord, Lattice, find_eyes,
                       generate, glue_over_chain, is_semimodular, restore_eyes)
-from latpatch.core import _is_chain_mask, _is_filter_mask, _is_ideal_mask
+from latpatch.core import _is_chain_mask, _is_filter_mask, _is_ideal_mask, iter_bits
 from latpatch.errors import EmbeddingFailed
-from latpatch.diagram import _interval_boundary, _rectangular
+from latpatch.diagram import _rectangular, _walk
 
 
 def closure_leq(covers, elements):
@@ -462,10 +462,13 @@ def slim_by_rounds(diag):
 
 def walked_interval_rectangular(lat, points, y, x):
     """`is_rectangular` of the interval [y, x] drawn at the scaled `points`,
-    by walking: its boundary chains hold one weak corner each, and the two
-    are complementary in it."""
-    b = _interval_boundary(lat, points, y, x)
-    return _rectangular(lat, b.u_l, b.u_r, y, x)
+    by walking the part derived on it, on its members' points: its
+    boundary chains hold one weak corner each, and the two are
+    complementary in it."""
+    members = iter_bits(lat.up[y] & lat.down[x])
+    part = lat._derived(members, y, x)
+    b = _walk(part, [points[v] for v in members])
+    return _rectangular(part, b.u_l, b.u_r, part.bottom, part.top)
 
 
 def rational_text(x):

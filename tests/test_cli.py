@@ -7,10 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from latpatch import (brute_force_gluing_search, documents, generate, parse_document,
-                      parse_tree_document, serialize, verify_tree)
+from latpatch import (brute_force_gluing_search, decompose, documents, generate,
+                      parse_document, parse_tree_document, serialize, verify_tree)
 from latpatch.cli import cli
 from latpatch.documents import MAX_TREE_DEPTH
+from latpatch.ops import _Hull
 
 
 @pytest.fixture
@@ -55,6 +56,38 @@ def test_decompose_trace_and_rectangularize_output_is_pinned(kind, params, seed,
     digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in
                     (decomposed.out, decomposed.err, rectangularized))
     assert digests == PINNED_OUTPUT[kind, params, seed]
+
+
+@pytest.mark.parametrize("kind, params, line", [
+    ("chain", [3], "trace: 0 eye(s) removed, 1 extension step(s), fallback_used=True"),
+    ("chain", [12], "trace: 0 eye(s) removed, 10 extension step(s), fallback_used=False"),
+    ("random-sps", [24], "trace: 5 eye(s) removed, 29 extension step(s), fallback_used=False"),
+    ("random-sps", [160],
+     "trace: 18 eye(s) removed, 1444 extension step(s), fallback_used=False"),
+    ("grid", [4, 6], "trace: 0 eye(s) removed, 0 extension step(s), fallback_used=False"),
+    ("diamond", [4], "trace: 0 eye(s) removed, 0 extension step(s), fallback_used=False"),
+])
+def test_the_trace_line_counts_steps_without_drawing(kind, params, line, tmp_path,
+                                                     capsys, monkeypatch):
+    # the steps are counted off the root's undrawn run, and the line is the
+    # one the drawn hull gives
+    diag = generate(kind, params, seed=0)
+    trace = decompose(diag)[1]
+    assert line == (f"trace: {len(trace.eyes)} eye(s) removed, "
+                    f"{len(trace.extension_steps)} extension step(s), "
+                    f"fallback_used={trace.fallback_used}")
+    path = tmp_path / "in.json"
+    path.write_text(serialize(diag))
+    draws = []
+    draw = _Hull.draw
+
+    def counted(hull):
+        draws.append(hull)
+        return draw(hull)
+
+    monkeypatch.setattr(_Hull, "draw", counted)
+    assert cli(["--trace", "decompose", str(path)]) == 0
+    assert capsys.readouterr().err.splitlines() == [line] and draws == []
 
 
 def test_check_grid(grid_file, capsys):

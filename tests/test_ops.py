@@ -20,7 +20,8 @@ from latpatch.errors import (AssertionFailed, BadX, ChainWasSingletonT,
                              IsPatch, IterationBoundExceeded, NotAChain,
                              NotAFilter, NotAnIdeal, NotIso, NotRectangular,
                              StuckNotRectangular)
-from latpatch.ops import _cascades, _Hull, _pull_back, _site_process, _sites
+from latpatch.ops import (_cascades, _corners, _Hull, _pull_back, _site_process,
+                          _sites)
 
 
 def site_names(diag, sites):
@@ -435,6 +436,29 @@ def test_the_cascade_pass_is_the_site_process_step_by_step(corpus):
             steps += len(expected)
     # a cascade makes three steps on average
     assert (nodes, steps, cascades) == (9492, 60869, 18256)
+
+
+def test_a_rectangular_node_runs_no_cascade(corpus, random_corpus_small, eyed_forks):
+    """On every rectangular node that is no patch, eyes and all: the site
+    process finds no site, and `_corners` on its run gives the walked
+    corners.  So `_link_cut` cuts a rectangular node off its run like any
+    other."""
+    inputs = (corpus + random_corpus_small + ladder_inputs() + oracles.fork_corpus()
+              + eyed_forks)
+    nodes = eyed = 0
+    for name, diag in inputs:
+        for node in distinct_nodes(decompose(diag)[0]):
+            d = node.diagram
+            if is_patch(d) or not is_rectangular(d):
+                continue
+            chains, up, down, lo, hi, cascades = _site_process(d)
+            b = d.boundary
+            assert cascades == [], name
+            assert chains == [list(b.left_chain), list(b.right_chain)], name
+            assert _corners(chains, up, down) == [b.u_l, b.u_r], name
+            nodes += 1
+            eyed += bool(slim(d)[1])
+    assert eyed > 100 and (nodes, eyed) == (511, 194)
 
 
 def rectangularize_until_rectangular(diag):

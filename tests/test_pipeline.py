@@ -146,7 +146,7 @@ def materialized_step(diag):
 
 
 def test_the_undrawn_step_equals_the_materialized_one(glue_nodes):
-    fallbacks = grown = attached = 0
+    fallbacks = grown = attached = rectangular = eyed_rectangular = 0
     for name, diag in glue_nodes:
         witness, trace = materialized_step(diag)
         step = _step(diag)
@@ -161,27 +161,32 @@ def test_the_undrawn_step_equals_the_materialized_one(glue_nodes):
             witness, trace.eyes, diag.lattice), name
         # the node's own run, carried to the slim ids, is the slim diagram's
         slim_run = _link_cut(slimmed)[0]
-        assert run == (slim_run and (slim_run[0], slim_run[-1])), name
+        assert run == (slim_run[0], slim_run[-1]), name
         if cut is None:
             fallbacks += 1
             continue
         x, pivot, _, _ = cut
-        if run is None:
-            pulled = _principal(slimmed.lattice, x, pivot)
+        # the links of the run: (↓lo(x), ↑hi(pivot)) on the slim lattice
+        lo, hi = slim_run[3], slim_run[4]
+        pulled = _principal(slimmed.lattice, lo[x], hi[pivot])
+        n = slimmed.lattice.n
+        if not run[1]:
+            # a rectangular slim diagram: a run with no cascade, whose links
+            # are the identity, so the cut is (↓x, ↑pivot) itself
+            assert is_rectangular(slimmed) and lo == hi == list(range(n)), name
+            assert pulled == _principal(slimmed.lattice, x, pivot), name
+            rectangular += 1
+            eyed_rectangular += bool(trace.eyes)
         else:
-            # the links of the run: (↓lo(x), ↑hi(pivot)) on the slim lattice
-            lo, hi = slim_run[3], slim_run[4]
-            pulled = _principal(slimmed.lattice, lo[x], hi[pivot])
             hull = _Hull(slimmed, *run)
             grown += 1
             # a later step added covers to an earlier t, which the pull-back
             # must see through
-            n = slimmed.lattice.n
             attached += any(len(hull.lower_covers[t]) > 1 or len(hull.upper_covers[t]) > 1
                             for t in range(n, len(hull.height)))
         assert pulled == witness, name
-    assert (len(glue_nodes), fallbacks, grown) == (1252, 420, 579)
-    assert attached > 50
+    assert (len(glue_nodes), fallbacks, grown, rectangular) == (1252, 420, 579, 253)
+    assert attached > 50 and eyed_rectangular == 13
 
 
 def test_a_chain_step_equals_the_materialized_one():
@@ -238,11 +243,12 @@ def test_the_root_trace_is_drawn_when_first_read(monkeypatch):
         _, trace = decompose(diag)
         assert hull_draws == draws == [], name
         cut = trace.cut
-        assert len(draws) == 1, name
-        # the 4×6 grid is rectangular: it has no hull to draw
-        assert len(hull_draws) == (name != "grid4x6"), name
+        # the 4×6 grid is rectangular: its run has no cascade, and its hull,
+        # the slim diagram itself, is drawn like any other
+        assert len(draws) == 1 == len(hull_draws), name
         assert trace.extension_steps is trace.extension_steps and cut is trace.cut
-        assert len(draws) == 1 and len(hull_draws) <= 1, name
+        assert len(draws) == 1 == len(hull_draws), name
+        assert (trace.extension_steps == ()) == (name == "grid4x6"), name
         assert trace == materialized_step(diag)[1], name
 
 
@@ -356,7 +362,10 @@ def link_rule_agrees(diag, name):
     slimmed, _ = slim(diag)
     run, (x, pivot), linked = _link_cut(slimmed)
     hull, b, cut, found = hull_cut(slimmed)
-    assert (run is not None) == (hull is not None), name
+    # every such node gets a run; it makes no cascade exactly when the
+    # slim diagram is rectangular, its own hull, whose chains it keeps
+    assert bool(run[-1]) == (hull is not None), name
+    assert run[0] == [list(b.left_chain), list(b.right_chain)], name
     assert cut[:2] == (x, pivot) and found == linked, name
     rect = slimmed.lattice if hull is None else hull
     chain, opposite = (b.right_chain, b.u_r) if cut[3] == "left" else (b.left_chain, b.u_l)
@@ -437,13 +446,11 @@ def eye_cut_agrees(diag, name):
     lat, slat = diag.lattice, slimmed.lattice
     run, cut, witness = _link_cut(diag)
     slim_run, slim_cut, slim_witness = _link_cut(slimmed)
-    assert (run is None) == (slim_run is None), name
-    if run is not None:
-        assert ([[hull_label(lat, v) for v in chain] for chain in run[0]]
-                == [[hull_label(slat, v) for v in chain] for chain in slim_run[0]]), name
-        assert ([(side, [hull_label(lat, v) for v in seg]) for side, seg in run[-1]]
-                == [(side, [hull_label(slat, v) for v in seg])
-                    for side, seg in slim_run[-1]]), name
+    assert ([[hull_label(lat, v) for v in chain] for chain in run[0]]
+            == [[hull_label(slat, v) for v in chain] for chain in slim_run[0]]), name
+    assert ([(side, [hull_label(lat, v) for v in seg]) for side, seg in run[-1]]
+            == [(side, [hull_label(slat, v) for v in seg])
+                for side, seg in slim_run[-1]]), name
     assert (cut is None) == (slim_cut is None), name
     if cut is not None:
         assert ([hull_label(lat, v) for v in cut]
@@ -480,7 +487,7 @@ def test_every_node_walks_on_its_root_points_as_on_its_own(corpus, random_corpus
     """A node below the root that walks its boundary (no chain, more than
     two elements) walks on its members' points in the root; that walk
     equals a fresh one on the node's own drawing, and no node keeps the
-    points."""
+    points or anything else beside its lattice, drawing and walk."""
     inputs = (corpus + random_corpus_small + ladder_inputs() + oracles.fork_corpus()
               + eyed_forks)
     walked = 0
@@ -488,7 +495,7 @@ def test_every_node_walks_on_its_root_points_as_on_its_own(corpus, random_corpus
         tree = decompose(diag)[0]
         for node in distinct_nodes(tree):
             d, lat = node.diagram, node.diagram.lattice
-            assert "_points" not in vars(d), name
+            assert set(vars(d)) <= {"lattice", "xcoord", "boundary"}, name
             if node is tree:
                 continue
             walks = lat.n > 2 and len(lat.covers) != lat.n - 1
@@ -585,13 +592,12 @@ def test_only_the_root_hull_is_closed_and_cut(monkeypatch):
         cut.clear()
         _, trace = decompose(diag)
         slimmed, run, _ = trace._undrawn
-        # the one closed hull is the root's, grown from the trace's run: a
-        # cascade's segment c_j, …, c_{i+2} holds its steps and two more
-        assert len(closed) == (run is not None), name
-        assert all(hull.base is slimmed
-                   and len(hull.steps) == sum(len(seg) - 2 for _, seg in run[1])
-                   for hull in closed), name
-        assert cut == [slimmed.lattice if run is None else closed[0]], name
+        # the one closed hull is the root's, grown from the trace's run (the
+        # 5×5 grid's has no cascade): a cascade's segment c_j, …, c_{i+2}
+        # holds its steps and two more
+        assert len(closed) == 1 and closed[0].base is slimmed, name
+        assert len(closed[0].steps) == sum(len(seg) - 2 for _, seg in run[1]), name
+        assert (run[1] == []) == (name == "grid5x5") and cut == closed, name
 
 
 def test_decompose_builds_no_hull_below_the_root(monkeypatch):
@@ -610,22 +616,24 @@ def test_decompose_builds_no_hull_below_the_root(monkeypatch):
         built.clear()
         _, trace = decompose(diag)
         slimmed, run, _ = trace._undrawn
-        # the 5×5 grid is rectangular: not even its root grows a hull; any
-        # other root grows one, from the trace's run
-        assert [hull.base for hull in built] == ([] if run is None else [slimmed]), name
-        assert (run is None) == (name == "grid5x5"), name
+        # every root grows one hull, from the trace's run; the 5×5 grid is
+        # rectangular, so its run has no cascade and its hull adds nothing
+        assert [hull.base for hull in built] == [slimmed], name
+        assert built[0].steps == [] and not run[1] if name == "grid5x5" else run[1], name
 
 
 def test_decompose_runs_the_site_process_once_per_grown_node(monkeypatch):
-    # one run per non-rectangular slim node that is cut, the root included:
-    # the root's check grows its hull from the run its link cut made, and a
-    # chain root, cut in closed form, runs it there alone
+    # one run per node that is cut and no chain, the root included: the
+    # root's check grows its hull from the run its link cut made, and a
+    # chain root, cut in closed form, runs it there alone.  The run grows
+    # exactly the nodes whose slim diagrams are not rectangular; on a
+    # rectangular one it makes no cascade
     runs = []
     cascades = latpatch.ops._cascades
 
     def counted(*state):
-        runs.append(state[-1])  # the step bound, n²
-        return cascades(*state)
+        runs.append(list(cascades(*state)))
+        return iter(runs[-1])
 
     monkeypatch.setattr(latpatch.ops, "_cascades", counted)
     inputs = ladder_inputs() + [("chain30", generate("chain", [30])),
@@ -633,13 +641,14 @@ def test_decompose_runs_the_site_process_once_per_grown_node(monkeypatch):
     for name, diag in inputs:
         runs.clear()
         tree, _ = decompose(diag)
-        grown = 0
+        cut = grown = 0
         for node in distinct_nodes(tree):
             lat = node.diagram.lattice
             chain = len(lat.covers) == lat.n - 1
-            grown += (isinstance(node, DecompGlue) and (node is tree or not chain)
-                      and not is_rectangular(slim(node.diagram)[0]))
-        assert len(runs) == grown > 0, name
+            if isinstance(node, DecompGlue) and (node is tree or not chain):
+                cut += 1
+                grown += not is_rectangular(slim(node.diagram)[0])
+        assert len(runs) == cut > 0 and sum(map(bool, runs)) == grown > 0, name
 
 
 def test_decompose_keeps_no_hull_alive(monkeypatch):
