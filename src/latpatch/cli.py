@@ -2,10 +2,10 @@
 oracle, gen, dot.
 
 Exit codes: 0 success, 1 failed check or verification, 2 usage and IO
-errors (including malformed documents), 3 an input too large: the
-interpreter's recursion limit or the memory ran out, or `decompose -o` was
-asked to write a certificate deeper than a tree document may be
-(`documents.MAX_TREE_DEPTH`).
+errors (including malformed documents and parameters a generator
+refuses), 3 an input too large: the interpreter's recursion limit or the
+memory ran out, or `decompose -o` was asked to write a certificate deeper
+than a tree document may be (`documents.MAX_TREE_DEPTH`).
 """
 
 import argparse
@@ -18,7 +18,7 @@ from . import diagram as dg
 from .core import is_semimodular
 from .documents import (_tree_chunks, export_dot, parse_document,
                         parse_tree_document, serialize)
-from .errors import EmbeddingFailed, LatpatchError, SchemaError, TreeTooDeep
+from .errors import BadParams, EmbeddingFailed, LatpatchError, SchemaError, TreeTooDeep
 from .generators import generate
 from .ops import rectangularize
 from .pipeline import brute_force_gluing_search, decompose, sequence_of, verify_tree
@@ -213,7 +213,7 @@ def cli(argv=None):
         return exc.code if exc.code is not None else 2
     try:
         return args.func(args)
-    except (SchemaError, OSError) as exc:
+    except (SchemaError, BadParams, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TreeTooDeep as exc:

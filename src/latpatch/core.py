@@ -226,14 +226,15 @@ class Lattice:
         Any other subset gets its covers recomputed and is validated in full.
 
         Derived lattices, made from one already validated: hulls, one-step
-        extensions and eye insertions (grown in place by `_Growing`), and, by
-        `_derived`, intervals (here, and the children of tree documents that
-        match an interval of their parent node, see `parse_tree_document`),
-        slimmed lattices (all eyes removed at once) and the removal of one
-        added t.  Validated in full: lattice documents, the roots of tree
-        documents and any child that does not match its parent, every
-        `Lattice(covers)`, the generators' chains, grids, diamonds and
-        gluings, and non-interval subsets.
+        extensions, eye insertions and gluings over a chain (grown in place
+        by `_Growing`), and, by `_derived`, intervals (here, and the children
+        of tree documents that match an interval of their parent node, see
+        `parse_tree_document`), slimmed lattices (all eyes removed at once)
+        and the removal of one added t.  Validated in full: lattice
+        documents, the roots of tree documents and any child that does not
+        match its parent, every `Lattice(covers)`, the generators' chains,
+        grids, diamonds and random lattices (each built once, when done),
+        and non-interval subsets.
         """
         members = sorted(members)
         mask = self.mask_of(members)
@@ -317,8 +318,11 @@ class Lattice:
 
 
 class _Growing:
-    """A lattice grown in place by doubly irreducible elements; hulls
-    (`ops._Hull`) and eyes (`restore_eyes`) both grow here.
+    """A lattice grown in place.  Hulls (`ops._Hull`) grow here by doubly
+    irreducible elements, and so do drawn diagrams
+    (`diagram._GrowingDiagram`), by eyes and one-step extensions, and by
+    gluings over a chain, which append their own covers and heights
+    (`ops._glue`, whose docstring shows that nothing can fail there).
 
     It holds mutable cover lists and heights under `Lattice`'s field names,
     and no labels or masks.  `add(a, c)` appends a new element t with

@@ -146,13 +146,29 @@ def _segments_conflict(p1, q1, p2, q2):
 def validate_diagram(diag):
     """Check the drawing invariants; None when valid, else the first violation."""
     lat = diag.lattice
-    points = _scaled_points(diag)
+    found = _conflict(lat.covers, lat.height, _scaled_points(diag))
+    if found is None:
+        return None
+    kind, (p, q) = found
+    names = lat.names
+    if kind == "duplicate_position":
+        return DiagramViolation(kind, f"{names[p]!r} and {names[q]!r} share {diag.point(q)}")
+    (a, b), (c, d) = p, q
+    return DiagramViolation(
+        kind, f"edges ({names[a]!r}, {names[b]!r}) and ({names[c]!r}, {names[d]!r}) intersect",
+        edges=(p, q))
+
+
+def _conflict(covers, height, points):
+    """The first violation of a drawing given by its cover pairs, heights
+    and points, by ids: ("duplicate_position", (v, w)), v drawn first at
+    w's point, or ("edge_crossing", (e, f)) for two conflicting edges; None
+    when there is none.  `validate_diagram` reads it on a lattice, and a
+    gluing on its grower's lists (`ops._glue`)."""
     seen = {}
     for v, pt in enumerate(points):
         if pt in seen:
-            return DiagramViolation(
-                "duplicate_position",
-                f"{lat.names[seen[pt]]!r} and {lat.names[v]!r} share {diag.point(v)}")
+            return "duplicate_position", (seen[pt], v)
         seen[pt] = v
     # every edge rises, since y is the height and `core._closure` puts each
     # element above its lower covers.  Edges with disjoint height ranges
@@ -163,23 +179,19 @@ def validate_diagram(diag):
     # both, which is no conflict.  Inside the window, edges whose closed x
     # ranges are disjoint cannot meet either
     sweep = []
-    for a, b in sorted(lat.covers, key=lambda e: (lat.height[e[0]], e)):
+    for h, a, b in sorted([(height[a], a, b) for a, b in covers]):
         xa, xb = points[a][0], points[b][0]
-        sweep.append((lat.height[a], min(xa, xb), max(xa, xb), a, b))
+        sweep.append((h, min(xa, xb), max(xa, xb), a, b))
     for i, (_, lo, hi, a, b) in enumerate(sweep):
         pa, pb = points[a], points[b]
-        top = lat.height[b]
+        top = height[b]
         for h, c_lo, c_hi, c, d in sweep[i + 1:]:
             if h >= top:
                 break
             if c_lo > hi or c_hi < lo:
                 continue
             if _segments_conflict(pa, pb, points[c], points[d]):
-                return DiagramViolation(
-                    "edge_crossing",
-                    f"edges ({lat.names[a]!r}, {lat.names[b]!r}) and "
-                    f"({lat.names[c]!r}, {lat.names[d]!r}) intersect",
-                    edges=((a, b), (c, d)))
+                return "edge_crossing", ((a, b), (c, d))
     return None
 
 
@@ -210,18 +222,20 @@ def _next_on_boundary(lat, points, v, side):
     return best
 
 
+def _climb(lat, points, chain, side):
+    """`chain`, a list that a walk on `side` of a lattice drawn at `points`
+    has gone up so far, extended in place up to the top."""
+    top = lat.top
+    while chain[-1] != top:
+        chain.append(_next_on_boundary(lat, points, chain[-1], side))
+    return chain
+
+
 def _walk(lat, points):
     """Boundary data of a lattice drawn at `points`."""
-
-    top = lat.top
-
-    def walk(side):
-        chain = [lat.bottom]
-        while chain[-1] != top:
-            chain.append(_next_on_boundary(lat, points, chain[-1], side))
-        return tuple(chain)
-
-    return _boundary_data(lat, walk("left"), walk("right"))
+    bottom = lat.bottom
+    return _boundary_data(lat, tuple(_climb(lat, points, [bottom], "left")),
+                          tuple(_climb(lat, points, [bottom], "right")))
 
 
 def _boundary_data(lat, left, right):
@@ -411,27 +425,66 @@ def slim(diag):
             records)
 
 
-def restore_eyes(diag, records):
-    """Replay removed eyes in reverse removal order into one grown lattice,
-    frozen once, at the end.
+class _GrowingDiagram(_Growing):
+    """A diagram grown in place: a `core._Growing` with, beside it, the
+    labels and their index, the x coordinates, their points, and the two
+    boundary chains.
 
-    Each eye lands at its slot between two middles of [lower, upper] in x
-    order; the quadrilateral they bound is empty in any valid drawing, so
-    the midpoint x keeps the diagram planar.  An eye is a middle of its own
-    interval only, so each interval's middles are sorted once, by (x, id)
-    as a stable sort by x of the ascending ids does, and each eye is then
-    inserted in place.  Anchors that are not comparable have no middles,
-    so "no longer lies below" is decided only when the host check fails.
-    Labels are kept beside the grower, because each eye's label is checked
-    and may anchor a later eye.
+    The random generator keeps one for all of its moves, and `restore_eyes`,
+    `ops.one_step_extension` and `ops.glue_over_chain` each make their move
+    on a fresh one of their input: an eye here (`add_eye`), an extension
+    and a gluing in `ops` (`_extend`, `_glue`).  `points` are (x·D, height)
+    for D a common multiple of the x denominators (see `_scaled_points`):
+    D only grows, and the points are scaled up only when a new x needs a
+    larger one.  `lo` and `hi` are the least and the greatest x.
+    `diagram()` freezes the result once, unchecked, carrying the boundary
+    data of the chains.
     """
-    if not records:
-        return diag
-    lat = diag.lattice
-    grown, names, index = _Growing(lat), list(lat.names), dict(lat.index)
-    xs = list(diag.xcoord)
-    mids = {}  # (lo, hi) -> the middles of [lo, hi] as sorted (x, id)
-    for rec in reversed(records):
+
+    def __init__(self, diag):
+        super().__init__(diag.lattice)
+        self.names = list(diag.lattice.names)
+        self.index = dict(diag.lattice.index)
+        b = diag.boundary
+        self.chains = [list(b.left_chain), list(b.right_chain)]
+        self.xcoord, self.points, self.scale = [], [], 1
+        self.place(0, diag.xcoord)
+        self.lo, self.hi = min(self.xcoord), max(self.xcoord)
+
+    def place(self, start, xs):
+        """Draw the ids from `start` on at the `Fraction`s `xs`, one each."""
+        scale = lcm(self.scale, *(x.denominator for x in xs))
+        if scale != self.scale:
+            k = scale // self.scale
+            self.points[:start] = [(x * k, h) for x, h in self.points[:start]]
+            self.scale = scale
+        del self.xcoord[start:], self.points[start:]
+        self.xcoord += xs
+        self.points += [(x.numerator * (scale // x.denominator), h)
+                        for x, h in zip(xs, self.height[start:])]
+
+    def add_drawn(self, a, c, label, x):
+        """Add a new element t with a ≺ t ≺ c only, labelled `label` and
+        drawn at x; t's id."""
+        t = self.add(a, c)
+        self.names.append(label)
+        self.index[label] = t
+        self.place(t, [x])
+        return t
+
+    def add_eye(self, rec, mids):
+        """Put back the eye `rec` at its slot between two middles of
+        [lower, upper] in x order; the quadrilateral they bound is empty in
+        any valid drawing, so the midpoint x keeps the diagram planar.
+
+        An eye is a middle of its own interval only, so `mids` keeps each
+        interval's middles, once sorted by (x, id) as a stable sort by x of
+        the ascending ids does, and each eye is inserted in place.  Anchors
+        that are not comparable have no middles, so "no longer lies below"
+        is decided only when the host check fails.  Eyes are interior, and
+        lower and upper already have two covers each, so no boundary chain
+        and no weak corner changes."""
+        index, xs = self.index, self.xcoord
         lo, hi = index.get(rec.lower), index.get(rec.upper)
         if lo is None or hi is None:
             raise MissingAnchor(f"anchor of {rec.label!r} is gone", record=rec)
@@ -439,21 +492,33 @@ def restore_eyes(diag, records):
             raise MissingAnchor(f"label {rec.label!r} already in use", record=rec)
         row = mids.get((lo, hi))
         if row is None:  # the mask -1 holds every id
-            row = mids[lo, hi] = sorted((xs[z], z)
-                                        for z in _middles(grown, lo, -1).get(hi, ()))
+            row = mids[lo, hi] = sorted((xs[z], z) for z in _middles(self, lo, -1).get(hi, ()))
         if len(row) < 2 or not 1 <= rec.slot <= len(row) - 1:
-            if not grown.lattice(names).lt(lo, hi):
+            if not self.lattice(self.names).lt(lo, hi):
                 raise MissingAnchor(
                     f"{rec.lower!r} no longer lies below {rec.upper!r}", record=rec)
             raise MissingAnchor(
                 f"[{rec.lower!r}, {rec.upper!r}] is not an interval that can "
                 f"host {rec.label!r} at slot {rec.slot}", record=rec)
         x = (row[rec.slot - 1][0] + row[rec.slot][0]) / 2
-        t = index[rec.label] = grown.add(lo, hi)  # lo < hi, not a cover
-        names.append(rec.label)
-        insort(row, (x, t))
-        xs.append(x)
-    return Diagram(grown.lattice(names), xs)
+        insort(row, (x, self.add_drawn(lo, hi, rec.label, x)))  # lo < hi, not a cover
+
+    def diagram(self):
+        lat = self.lattice(self.names)
+        out = Diagram(lat, self.xcoord)
+        out.boundary = _boundary_data(lat, *map(tuple, self.chains))
+        return out
+
+
+def restore_eyes(diag, records):
+    """Replay removed eyes in reverse removal order into one grown diagram
+    (`_GrowingDiagram.add_eye`), frozen once, at the end."""
+    if not records:
+        return diag
+    grown, mids = _GrowingDiagram(diag), {}  # (lo, hi) -> middles as sorted (x, id)
+    for rec in reversed(records):
+        grown.add_eye(rec, mids)
+    return grown.diagram()
 
 
 # -- embeddings for abstract lattices ------------------------------------

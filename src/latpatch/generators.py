@@ -9,20 +9,38 @@ boundary extensions.  Equal seeds give byte-identical output.
 import random
 from fractions import Fraction
 
-from .core import Lattice, _first_unused, is_semimodular, iter_bits
-from .diagram import Diagram, EyeRecord, _middles, restore_eyes, validate_diagram
-from .errors import BadParams, EmbeddingFailed
-from .ops import find_extension_sites, glue_over_chain, one_step_extension
+from .core import Lattice, _first_unused, is_semimodular
+from .diagram import (Diagram, EyeRecord, _GrowingDiagram, _middles,
+                      validate_diagram)
+from .errors import AssertionFailed, BadParams, EmbeddingFailed
+from .ops import _extend, _glue, _sites
+
+
+def _built(grown, xcoord):
+    """The diagram at `xcoord` of the lattice that `grown`, a `Lattice` or a
+    grower, holds, built in full from its labels and cover lists: every
+    lattice axiom is checked."""
+    names = grown.names
+    covers = [(names[v], names[w]) for v, ws in enumerate(grown.upper_covers) for w in ws]
+    return Diagram(Lattice(covers, elements=names), xcoord)
+
+
+def _chain(n):
+    """The n-element chain labelled 0, …, n − 1 from the bottom and drawn
+    vertically, unchecked, since a chain is a lattice; the random
+    generator's chain pieces."""
+    ids = range(n)
+    lat = Lattice._trusted(tuple(map(str, ids)), tuple((v,) for v in ids[1:]) + ((),),
+                           ((),) + tuple((v,) for v in ids[:-1]), ids, 0, n - 1)
+    return Diagram(lat, (Fraction(0),) * n)
 
 
 def chain_diagram(n):
     """The n-element chain, drawn vertically."""
     if n < 1:
         raise BadParams("a chain needs at least one element")
-    labels = [str(i) for i in range(n)]
-    covers = list(zip(labels, labels[1:]))
-    lat = Lattice(covers, elements=labels)
-    return Diagram(lat, [0] * n)
+    chain = _chain(n)
+    return _built(chain.lattice, chain.xcoord)
 
 
 def grid_diagram(m, n):
@@ -54,27 +72,26 @@ def diamond_diagram(k):
     return Diagram(lat, [xs.get(name, Fraction(0)) for name in lat.names])
 
 
-def _two_middle_intervals(lat):
+def _two_middle_intervals(grown):
     """Pairs (o, i) whose interval has exactly two middles, by (o, i), each
     as it is found.  Only an o with two upper covers or more heads an
     interval with two middles."""
-    upper, full = lat.upper_covers, lat.full_mask
-    for o in range(lat.n):
-        if len(upper[o]) > 1:
-            for i, zs in sorted(_middles(lat, o, full).items()):
+    for o, ups in enumerate(grown.upper_covers):
+        if len(ups) > 1:  # the mask -1 holds every id
+            for i, zs in sorted(_middles(grown, o, -1).items()):
                 if len(zs) == 2:
                     yield o, i
 
 
-def _filter_chains(lat):
+def _filter_chains(grown):
     """Elements b whose up-set [b, 1] is a chain, ascending by chain length.
 
     ↑b is a chain exactly when b is the top, or b has one upper cover c and
     ↑c is a chain: two covers of one element are incomparable, and ↑b is b
     and the up-sets of its covers.  So one pass from the top down, in
     reverse height order, finds every such b with its chain's length."""
-    upper, length = lat.upper_covers, {}
-    for b in sorted(range(lat.n), key=lat.height.__getitem__, reverse=True):
+    upper, length = grown.upper_covers, {}
+    for b in sorted(range(len(upper)), key=grown.height.__getitem__, reverse=True):
         if not upper[b]:
             length[b] = 1
         elif len(upper[b]) == 1 and upper[b][0] in length:
@@ -83,66 +100,70 @@ def _filter_chains(lat):
 
 
 def random_sps_diagram(target, seed):
-    """A valid planar semimodular diagram with exactly `target` elements."""
+    """A valid planar semimodular diagram with exactly `target` elements.
+
+    One grown diagram (`diagram._GrowingDiagram`) takes every move in
+    place: a one-step extension (`ops._extend`), an eye (`add_eye`), and a
+    stack or glue move, which glues a generated piece on top over a chain
+    (`ops._glue`).  The result is built in full once, at the end, with
+    every lattice axiom checked."""
     if target < 2:
         raise BadParams("random lattices need at least two elements")
     rng = random.Random(seed)
-    cur = chain_diagram(2)
+    grown = _GrowingDiagram(_chain(2))
     eye_counter = 1
-    while cur.lattice.n < target:
-        room = target - cur.lattice.n
+    while len(grown.height) < target:
+        room = target - len(grown.height)
         moves = ["stack"]
-        sites = find_extension_sites(cur)
+        sites = [site for _, site in _sites(grown, grown.chains)]
         if sites:
             moves.append("extend")
-        if next(_two_middle_intervals(cur.lattice), None):  # listed only for an eye
+        if next(_two_middle_intervals(grown), None):  # listed only for an eye
             moves.append("eye")
         if room >= 3:
             moves.append("glue")
         move = rng.choice(moves)
         if move == "extend":
-            cur, _ = one_step_extension(cur, rng.choice(sites))
+            _extend(grown, rng.choice(sites))
         elif move == "eye":
-            lat = cur.lattice
-            o, i = rng.choice(list(_two_middle_intervals(lat)))
-            label, eye_counter = _first_unused("e", lat.index, eye_counter)
-            cur = restore_eyes(cur, [EyeRecord(lat.names[o], lat.names[i], 1, label)])
+            o, i = rng.choice(list(_two_middle_intervals(grown)))
+            label, eye_counter = _first_unused("e", grown.index, eye_counter)
+            names = grown.names
+            grown.add_eye(EyeRecord(names[o], names[i], 1, label), {})
         elif move == "stack":
-            piece = chain_diagram(rng.randint(2, min(room + 1, 4)))
-            top_label = cur.lattice.names[cur.lattice.top]
-            cur = glue_over_chain(cur, piece, {top_label: piece.lattice.names[0]})
+            piece = _chain(rng.randint(2, min(room + 1, 4)))
+            _glue(grown, piece, [(grown.top, piece.lattice.bottom)])
         else:
-            cur = _try_glue(cur, room, rng) or cur
-    return cur
+            _try_glue(grown, room, rng)
+    return _built(grown, grown.xcoord)
 
 
-def _try_glue(cur, room, rng):
-    """Glue a small generated piece above the current lattice over a longer
-    chain when a planar drawing works out; None when it does not."""
-    lat = cur.lattice
-    chains = [entry for entry in _filter_chains(lat) if entry[0] >= 2]
+def _chain_up(upper, v, length):
+    """The `length` elements from v up along first upper covers."""
+    chain = [v]
+    for _ in range(length - 1):
+        chain.append(upper[chain[-1]][0])
+    return chain
+
+
+def _try_glue(grown, room, rng):
+    """Glue a small generated piece above the grown diagram over a longer
+    chain when a planar drawing works out; else leave it as it is."""
+    chains = [entry for entry in _filter_chains(grown) if entry[0] >= 2]
     if not chains:
-        return None
+        return
     length, b = rng.choice(chains)
     piece = _piece_with_ideal_chain(length, room, rng)
     if piece is None:
-        return None
+        return
+    # ↑b is a chain, and so is the piece's bottom interval of that length
     plat = piece.lattice
-    dom = sorted(iter_bits(lat.up[b]), key=lat.height.__getitem__)
-    img = sorted(iter_bits(plat.down[_chain_top(plat, length)]), key=plat.height.__getitem__)
-    iso = {lat.names[d]: plat.names[i] for d, i in zip(dom, img)}
+    dom = _chain_up(grown.upper_covers, b, length)
+    img = _chain_up(plat.upper_covers, plat.bottom, length)
     try:
-        return glue_over_chain(cur, piece, iso)
+        _glue(grown, piece, list(zip(dom, img)))
     except EmbeddingFailed:
-        return None
-
-
-def _chain_top(plat, length):
-    """The id at height length-1 on the piece lattice's ideal chain."""
-    v = plat.bottom
-    for _ in range(length - 1):
-        v = plat.upper_covers[v][0]
-    return v
+        pass
 
 
 def _piece_with_ideal_chain(length, room, rng):
@@ -161,33 +182,36 @@ def _piece_with_ideal_chain(length, room, rng):
         return None
     kind, p = rng.choice(candidates)
     if kind == "chain":
-        return chain_diagram(p)
+        return _chain(p)
     return grid_diagram(p, length)
 
 
+# the number of integer parameters each generator takes
+_ARITY = {"chain": 1, "grid": 2, "diamond": 1, "random-sps": 1}
+
+
 def generate(kind, params, seed=0):
-    """Build a named corpus diagram; deterministic for fixed arguments."""
+    """Build a named corpus diagram; deterministic for fixed arguments.
+
+    The kind and the number and type of the parameters are checked before
+    the generator runs, so `BadParams` names bad parameters only; an
+    invalid result is a fault of the generator (`AssertionFailed`)."""
     params = list(params)
-    try:
-        if kind == "chain":
-            (n,) = params
-            out = chain_diagram(n)
-        elif kind == "grid":
-            m, n = params
-            out = grid_diagram(m, n)
-        elif kind == "diamond":
-            (k,) = params
-            out = diamond_diagram(k)
-        elif kind == "random-sps":
-            (target,) = params
-            out = random_sps_diagram(target, seed)
-        else:
-            raise BadParams(f"unknown generator kind {kind!r}")
-    except (ValueError, TypeError):
+    if kind not in _ARITY:
+        raise BadParams(f"unknown generator kind {kind!r}")
+    if len(params) != _ARITY[kind] or not all(isinstance(p, int) for p in params):
         raise BadParams(f"wrong parameters for {kind!r}: {params!r}")
+    if kind == "chain":
+        out = chain_diagram(*params)
+    elif kind == "grid":
+        out = grid_diagram(*params)
+    elif kind == "diamond":
+        out = diamond_diagram(*params)
+    else:
+        out = random_sps_diagram(*params, seed)
     violation = validate_diagram(out)
     if violation is not None:
-        raise BadParams(f"generator produced an invalid drawing: {violation.detail}")
+        raise AssertionFailed(f"generator produced an invalid drawing: {violation.detail}")
     if not is_semimodular(out.lattice):
-        raise BadParams("generator produced a non-semimodular lattice")
+        raise AssertionFailed("generator produced a non-semimodular lattice")
     return out

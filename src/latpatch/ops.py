@@ -13,9 +13,9 @@ from functools import cached_property
 
 from .core import (Lattice, _closure, _first_unused, _Growing, _is_chain_mask,
                    _is_filter_mask, _is_ideal_mask, iter_bits)
-from .diagram import (Diagram, _boundary_data, _interval_rectangular, _patch,
-                      _rectangular, _slim, is_rectangular, subdiagram,
-                      synthesize_embedding, validate_diagram)
+from .diagram import (Diagram, _boundary_data, _climb, _conflict, _GrowingDiagram,
+                      _interval_rectangular, _patch, _rectangular, _slim,
+                      is_rectangular, subdiagram, synthesize_embedding)
 from .errors import (AssertionFailed, BadX, ChainWasSingletonT, EmbeddingFailed,
                      ImproperWitness, InvalidSite, IsPatch,
                      IterationBoundExceeded, NotAChain, NotAFilter, NotAnIdeal,
@@ -119,7 +119,8 @@ def glue_over_chain(lower, upper, iso, max_synth=16):
     lower piece with an ideal-chain of the upper one.
 
     `iso` maps lower-piece labels onto upper-piece labels and must be an
-    order isomorphism between the two chains.  Coordinates are reused
+    order isomorphism between the two chains.  Once that is checked, the
+    gluing is `_glue` on a grown copy of `lower`.  Coordinates are reused
     when they still draw planarly (they do whenever the pieces come from
     a recorded cut), otherwise an embedding is synthesized.
     """
@@ -148,42 +149,110 @@ def glue_over_chain(lower, upper, iso, max_synth=16):
         if lb.id_of(iso[la.names[d]]) != i:
             raise NotIso("mapping does not respect the chain order")
 
-    inv = {iso[x]: x for x in iso}
-    taken = set(la.names)
-    rename = {}
-    for name in lb.names:
-        if name in inv:
-            rename[name] = inv[name]
-        else:
-            fresh = _fresh(name, taken)
-            rename[name] = fresh
-            taken.add(fresh)
-    covers = [(la.names[a], la.names[b]) for a, b in la.covers]
-    covers += [(rename[lb.names[a]], rename[lb.names[b]]) for a, b in lb.covers]
-    elements = list(la.names) + [rename[n] for n in lb.names if n not in inv]
-    glued = Lattice(covers, elements=elements)
+    grown = _GrowingDiagram(lower)
+    _glue(grown, upper, list(zip(dom_sorted, img_sorted)), max_synth)
+    return grown.diagram()
 
-    # the glued elements are the lower piece's, then the upper piece's
-    # outside the chain, in id order; each shift is computed only once the
-    # one before it fails, since the first or second nearly always draws
-    kept = [upper.xcoord[v] for v in range(lb.n) if lb.names[v] not in inv]
+
+def _glue(grown, upper, pairs, max_synth=16):
+    """Glue the diagram `upper` on top of the grown diagram `grown`, in
+    place: `pairs` are (d, i), d running up a filter chain ↑b of `grown`
+    and i up an ideal chain of `upper`'s lattice, pairwise.  The elements
+    of `upper` outside its chain are appended in id order, each with the
+    first label its own one gets by adding primes that no element has yet.
+    Coordinates are reused when they still draw planarly (they do whenever
+    the pieces come from a recorded cut), otherwise an embedding is
+    synthesized; then the boundary is walked again.  Raises
+    `EmbeddingFailed`, leaving `grown` as it was, when no drawing is found.
+
+    The gluing K of a lattice L and a lattice U over a filter chain C = ↑b
+    of L and an ideal chain ↓c of U, identified with C in order, is a
+    lattice whose covers are those of L and of U, and whose bottom is L's
+    and top is U's.  Its order: x ≤ y when x ≤ y in L or in U, or x ∈ L,
+    y ∈ U − C and x ≤ e ≤ y for some e ∈ C.  Nothing in L lies above an
+    element of U − C, and nothing in U − C below one of C, since C is an
+    ideal of U.  Joins: for x, y ∈ U, every upper bound lies in U (C is a
+    filter of L), so x ∨ y is their join in U.  For x, y ∈ L, an upper
+    bound u ∈ U − C lies above some e, e' ∈ C with x ≤ e and y ≤ e', and
+    the larger of e, e' lies above x ∨ y in L; so x ∨ y in L is the join.
+    For x ∈ L − C and y ∈ U − C, the upper bounds of x in U are ↑e for
+    e = x ∨ b in L, the least element of C above x; so x ∨ y = e ∨ y in U.
+    A finite poset with a bottom in which every pair has a join is a
+    lattice.  Covers: a cover of L or of U is one of K, since an element
+    between its ends would lie between them in its own piece (for x, y ∈ C
+    and z ∈ L − C, x < z < y puts z ≥ b, in C); and x < y with x ∈ L − C
+    and y ∈ U − C has some e ∈ C strictly between.  So only chain
+    elements gain covers, upper covers outside C, and no old element
+    changes its height, since its down-set stays in L.  A new element's
+    height is one more than the greatest of its lower covers', taken in
+    U's height order; when L is graded, as every semimodular lattice is,
+    that is h(b) plus its height in U.
+    """
+    ub, n = upper.lattice, len(grown.height)
+    new = {i: d for d, i in pairs}  # ids of `upper` -> ids of the gluing
+    added = [v for v in range(ub.n) if v not in new]
+    new.update(zip(added, range(n, n + len(added))))
+    lengths = [len(grown.upper_covers[d]) for d, _ in pairs]
+    for v in added:
+        label = _fresh(ub.names[v], grown.index)
+        grown.index[label] = new[v]
+        grown.names.append(label)
+        grown.upper_covers.append([new[w] for w in ub.upper_covers[v]])
+        grown.lower_covers.append(sorted([new[w] for w in ub.lower_covers[v]]))
+    for d, i in pairs:  # new ids are the largest, so the lists stay sorted
+        grown.upper_covers[d] += [new[w] for w in ub.upper_covers[i] if new[w] >= n]
+    height, lower = grown.height, grown.lower_covers
+    height += [0] * len(added)
+    for v in sorted(added, key=ub.height.__getitem__):
+        height[new[v]] = max([height[w] for w in lower[new[v]]]) + 1
+    top, grown.top = grown.top, new[ub.top]
+
+    # each shift is computed only once the one before it fails, since the
+    # first or second nearly always draws
+    xs = [upper.xcoord[v] for v in added]
+    lo, hi = grown.lo, grown.hi
 
     def shifts():
         yield Fraction(0)
-        yield lower.xcoord[dom_sorted[0]] - upper.xcoord[img_sorted[0]]
-        yield max(lower.xcoord) + 1 - min(upper.xcoord)
-        yield min(lower.xcoord) - 1 - max(upper.xcoord)
+        yield grown.xcoord[pairs[0][0]] - upper.xcoord[pairs[0][1]]
+        yield hi + 1 - min(upper.xcoord)
+        yield lo - 1 - max(upper.xcoord)
 
+    covers = [(v, w) for v, ws in enumerate(grown.upper_covers) for w in ws]
+    found = None
     for shift in shifts():
-        cand = Diagram(glued, lower.xcoord + tuple(x + shift for x in kept))
-        if validate_diagram(cand) is None:
-            return cand
-    if glued.n <= max_synth:
-        found = synthesize_embedding(glued, max_size=max_synth)
-        if found is not None:
-            return found
-    raise EmbeddingFailed(
-        f"no planar drawing found for the {glued.n}-element gluing")
+        grown.place(n, [x + shift for x in xs] if shift else xs)
+        if _conflict(covers, height, grown.points) is None:
+            grown.lo, grown.hi = min([lo, *grown.xcoord[n:]]), max([hi, *grown.xcoord[n:]])
+            break
+    else:
+        if len(height) <= max_synth:
+            found = synthesize_embedding(grown.lattice(grown.names), max_size=max_synth)
+        if found is None:
+            for (d, _), k in zip(pairs, lengths):
+                del grown.upper_covers[d][k:]
+            for label in grown.names[n:]:
+                del grown.index[label]
+            for seq in (grown.names, grown.upper_covers, lower, height,
+                        grown.xcoord, grown.points):
+                del seq[n:]
+            grown.top = top
+            raise EmbeddingFailed(
+                f"no planar drawing found for the {n + len(added)}-element gluing")
+        grown.place(0, found.xcoord)
+        grown.lo, grown.hi = min(grown.xcoord), max(grown.xcoord)
+    # each old chain ends at the old top, in ↑b.  Below the first element of
+    # ↑b that it reaches, a walk meets only old elements outside ↑b, whose
+    # covers and points stay, so it goes as before, and it goes on from
+    # there; a synthesized drawing is walked whole
+    if found is None:
+        glued = {d for d, _ in pairs}
+        starts = [chain[:next(i for i, v in enumerate(chain) if v in glued) + 1]
+                  for chain in grown.chains]
+    else:
+        starts = [[grown.bottom], [grown.bottom]]
+    grown.chains = [_climb(grown, grown.points, chain, side)
+                    for chain, side in zip(starts, ("left", "right"))]
 
 
 # -- one-step extensions and the rectangular hull ----------------------------
@@ -398,24 +467,36 @@ class _Hull(_Growing):
 
 
 def one_step_extension(diag, site):
-    """Add a fresh doubly irreducible t with a < t < c beside the boundary:
-    the hull of one cascade of one step at `site`, a site from `_sites`,
-    drawn.  The lattice and the boundary are derived from the old ones in
-    O(n).
+    """Add a fresh doubly irreducible t with a < t < c beside the boundary,
+    at `site`, a site from `_sites`, on a grown copy of `diag` (`_extend`).
+    The lattice and the boundary are derived from the old ones in O(n)."""
+    grown = _GrowingDiagram(diag)
+    step = _extend(grown, site)
+    return grown.diagram(), step
+
+
+def _extend(grown, site):
+    """The one-step extension at `site` of the grown diagram `grown`, in
+    place; its `ExtensionStep`.  t is labelled and drawn as a hull's first
+    step is (see `_Hull.draw`).
 
     a ≺ b ≺ c lie on a maximal chain, so a < c is not a cover and the
     lattice grows without checks.  t is drawn strictly outside every other
-    element (see `_Hull.draw`), so that side's walk turns from a to t and
-    then to c, t's only upper cover; the other walk still leaves a by b.
-    So t replaces b in that chain and all else stays.
+    element, so that side's walk turns from a to t and then to c, t's only
+    upper cover; the other walk still leaves a by b.  So t replaces b in
+    that chain and all else stays.
     """
-    b = diag.boundary
-    chains = [list(b.left_chain), list(b.right_chain)]
-    for i, found in _sites(diag.lattice, chains):
+    for i, found in _sites(grown, grown.chains):
         if found == site:
-            chains[found[3] == "right"][i + 1] = diag.lattice.n
-            after, (step,) = _Hull(diag, chains, [(found[3], found[:3])]).draw()
-            return after, step
+            a, b, c, side = site
+            label, _ = _first_unused("t", grown.index, 1)
+            if side == "right":
+                x = grown.hi = grown.hi + 1
+            else:
+                x = grown.lo = grown.lo - 1
+            grown.chains[side == "right"][i + 1] = grown.add_drawn(a, c, label, x)
+            names = grown.names
+            return ExtensionStep(names[a], names[b], names[c], side, label)
     raise InvalidSite(f"{site!r} is not an extension site")
 
 

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from latpatch import (brute_force_gluing_search, decompose, documents, generate,
-                      parse_document, parse_tree_document, serialize, verify_tree)
+from latpatch import (DiagramViolation, brute_force_gluing_search, decompose,
+                      documents, generate, parse_document, parse_tree_document,
+                      serialize, verify_tree)
+from latpatch import generators
 from latpatch.cli import cli
 from latpatch.documents import MAX_TREE_DEPTH
 from latpatch.ops import _Hull
@@ -183,6 +185,37 @@ def test_env_seed_is_default(tmp_path, monkeypatch):
     monkeypatch.delenv("LATPATCH_SEED")
     assert cli(["gen", "random-sps", "10", "--seed", "7", "-o", str(b)]) == 0
     assert a.read_text() == b.read_text()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["chain", "0"], "a chain needs at least one element"),
+    (["grid", "3"], "wrong parameters for 'grid': [3]"),
+    (["grid", "2", "0"], "grid sides must be positive"),
+    (["diamond", "2"], "a diamond needs at least three atoms"),
+    (["random-sps", "1"], "random lattices need at least two elements"),
+    (["random-sps", "8", "8"], "wrong parameters for 'random-sps': [8, 8]"),
+])
+def test_gen_refused_parameters_are_a_usage_error(args, message, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert cli(["gen", *args, "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_gen_output_faults_fail_the_generator(monkeypatch, capsys):
+    # an invalid drawing or a lattice that is not semimodular is a fault of
+    # the generator, not of its parameters
+    monkeypatch.setattr(generators, "validate_diagram",
+                        lambda diag: DiagramViolation("edge_crossing", "two edges cross"))
+    assert cli(["gen", "chain", "3"]) == 1
+    assert capsys.readouterr().err == (
+        "error: AssertionFailed: generator produced an invalid drawing: two edges cross\n")
+    monkeypatch.undo()
+    monkeypatch.setattr(generators, "is_semimodular", lambda lat: False)
+    assert cli(["gen", "random-sps", "8"]) == 1
+    assert capsys.readouterr().err == (
+        "error: AssertionFailed: generator produced a non-semimodular lattice\n")
 
 
 def test_malformed_env_seed_fails_gen_alone(grid_file, tmp_path, monkeypatch, capsys):

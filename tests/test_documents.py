@@ -15,6 +15,7 @@ from latpatch import (DecompGlue, DecompLeaf, Diagram, GluingWitness, Lattice, d
                       documents, export_dot, generate, is_rectangular, is_slim,
                       is_semimodular, parse_document, parse_tree_document,
                       serialize, serialize_tree, validate_diagram, verify_tree)
+from latpatch import generators
 from latpatch.documents import MAX_TREE_DEPTH, _format_rational, _tree_from_dict
 from latpatch.errors import (BadParams, EmbeddingFailed, LatpatchError, SchemaError,
                              TreeTooDeep)
@@ -682,6 +683,23 @@ def test_generate_rejects_bad_params():
         generate("random-sps", [1])
 
 
+def test_generate_checks_its_parameters_before_it_runs(monkeypatch):
+    for kind, params in [("chain", []), ("chain", [2, 3]), ("grid", [3]),
+                         ("grid", [3, 3, 3]), ("diamond", [3.0]), ("chain", [2.5]),
+                         ("random-sps", ["8"]), ("random-sps", [None]),
+                         ("grid", [3, "3"])]:
+        with pytest.raises(BadParams, match="wrong parameters"):
+            generate(kind, params)
+
+    # an error inside a generator is its own, not a bad parameter
+    def broken(target, seed):
+        raise TypeError("an internal fault")
+
+    monkeypatch.setattr(generators, "random_sps_diagram", broken)
+    with pytest.raises(TypeError, match="an internal fault"):
+        generate("random-sps", [8])
+
+
 def test_generate_random_is_deterministic():
     a = serialize(generate("random-sps", [17], seed=9))
     b = serialize(generate("random-sps", [17], seed=9))
@@ -692,7 +710,8 @@ def test_generate_random_is_deterministic():
 
 # SHA-256 of `serialize(generate("random-sps", [n], seed=s))`, recorded
 # before the generator's gluings stopped computing every shift up front and
-# its rounds stopped listing every two-middle interval
+# its rounds stopped listing every two-middle interval; (640, 7) before it
+# grew one diagram in place
 RANDOM_SPS = {
     (24, 0): "157281eeb0cfa5f9e89ad39acac64d39d5a5c278210c48d8e5893d3e05dc7ce5",
     (24, 1): "eff447553fadede84541a348ef8f9095b3b2b2b342d82646e784b98d36266593",
@@ -703,6 +722,7 @@ RANDOM_SPS = {
     (160, 0): "2df07594e64d048e602a41caa6c63e831005b6bb994a6a5ac6430ecb3379bfd1",
     (160, 1): "d71c6e2787c9ff8d49f9b217d16946844c66884a98754abc1c3e072bf910657f",
     (160, 2): "fa338304177348e3498e0b9bac872bfb93e20b6c778d33428907e3652bea6fd8",
+    (640, 7): "1de4be817a8ff92fd87104876529ace872cf5874ab9b62dd88cac8abacacddea",
 }
 
 
