@@ -60,8 +60,8 @@ def cmd_check(args):
     except LatpatchError:
         pass
     if diag is not None:
-        flags["lattice"] = True
-        flags["planar"] = dg.validate_diagram(diag) is None
+        # parsing validated the drawing, or synthesized one that passes
+        flags["lattice"] = flags["planar"] = True
         flags["semimodular"] = is_semimodular(diag.lattice)
         flags["slim"] = dg.is_slim(diag)
         flags["rectangular"] = dg.is_rectangular(diag)

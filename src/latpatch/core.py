@@ -318,11 +318,12 @@ class Lattice:
 
 
 class _Growing:
-    """A lattice grown in place.  Hulls (`ops._Hull`) grow here by doubly
-    irreducible elements, and so do drawn diagrams
-    (`diagram._GrowingDiagram`), by eyes and one-step extensions, and by
-    gluings over a chain, which append their own covers and heights
-    (`ops._glue`, whose docstring shows that nothing can fail there).
+    """A lattice grown in place.  The root check's hull (`ops._Hull`) grows
+    here by doubly irreducible elements, and so do drawn diagrams
+    (`diagram._GrowingDiagram`), by eyes and by elements beside the
+    boundary (one-step extensions and drawn hulls), and by gluings over a
+    chain, which append their own covers and heights (`ops._glue`, whose
+    docstring shows that nothing can fail there).
 
     It holds mutable cover lists and heights under `Lattice`'s field names,
     and no labels or masks.  `add(a, c)` appends a new element t with

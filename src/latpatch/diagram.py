@@ -21,7 +21,7 @@ from functools import cached_property
 from itertools import permutations
 from math import lcm
 
-from .core import _Growing, iter_bits
+from .core import _first_unused, _Growing, iter_bits
 from .errors import MissingAnchor, NotRectangular, SizeBoundExceeded
 
 
@@ -50,8 +50,8 @@ class Diagram:
 
         Walked on this drawing's scaled points when first read, unless a
         caller has set it: a tree node's walk on its members' points in its
-        root (`pipeline._decompose`), or a hull's final chains
-        (`ops._Hull.draw`)."""
+        root (`pipeline._decompose`), or the chains of a grown diagram,
+        drawn hulls included (`_GrowingDiagram.diagram`)."""
         return _walk(self.lattice, _scaled_points(self))
 
     def __eq__(self, other):
@@ -176,7 +176,8 @@ def _conflict(covers, height, points):
     # for (a, b) at the first edge starting at b's height `top`.  Such an
     # edge meets y = top only at its lower end, and (a, b) only at b; the
     # positions are distinct, so the two can meet only at b, an endpoint of
-    # both, which is no conflict.  Inside the window, edges whose closed x
+    # both, which is no conflict.  The window is walked by index, with no
+    # copy of the rest of the sweep.  Inside it, edges whose closed x
     # ranges are disjoint cannot meet either
     sweep = []
     for h, a, b in sorted([(height[a], a, b) for a, b in covers]):
@@ -185,7 +186,8 @@ def _conflict(covers, height, points):
     for i, (_, lo, hi, a, b) in enumerate(sweep):
         pa, pb = points[a], points[b]
         top = height[b]
-        for h, c_lo, c_hi, c, d in sweep[i + 1:]:
+        for j in range(i + 1, len(sweep)):
+            h, c_lo, c_hi, c, d = sweep[j]
             if h >= top:
                 break
             if c_lo > hi or c_hi < lo:
@@ -431,14 +433,15 @@ class _GrowingDiagram(_Growing):
     boundary chains.
 
     The random generator keeps one for all of its moves, and `restore_eyes`,
-    `ops.one_step_extension` and `ops.glue_over_chain` each make their move
-    on a fresh one of their input: an eye here (`add_eye`), an extension
-    and a gluing in `ops` (`_extend`, `_glue`).  `points` are (x·D, height)
-    for D a common multiple of the x denominators (see `_scaled_points`):
-    D only grows, and the points are scaled up only when a new x needs a
-    larger one.  `lo` and `hi` are the least and the greatest x.
-    `diagram()` freezes the result once, unchecked, carrying the boundary
-    data of the chains.
+    `ops.one_step_extension`, `ops.glue_over_chain` and every drawn hull
+    (`ops._drawn_hull`) make their moves on a fresh one of their input: an
+    eye (`add_eye`) and an element beside the boundary (`extend`) here, a
+    gluing in `ops` (`_glue`).  `points` are (x·D, height) for D a common
+    multiple of the x denominators (see `_scaled_points`): D only grows,
+    and the points are scaled up only when a new x needs a larger one.
+    `lo` and `hi` are the least and the greatest x, and `next_t` is where
+    the search for `extend`'s next label starts.  `diagram()` freezes the
+    result once, unchecked, carrying the boundary data of the chains.
     """
 
     def __init__(self, diag):
@@ -450,6 +453,7 @@ class _GrowingDiagram(_Growing):
         self.xcoord, self.points, self.scale = [], [], 1
         self.place(0, diag.xcoord)
         self.lo, self.hi = min(self.xcoord), max(self.xcoord)
+        self.next_t = 1
 
     def place(self, start, xs):
         """Draw the ids from `start` on at the `Fraction`s `xs`, one each."""
@@ -471,6 +475,35 @@ class _GrowingDiagram(_Growing):
         self.index[label] = t
         self.place(t, [x])
         return t
+
+    def extend(self, side, i):
+        """The one-step extension at the site a ≺ b ≺ c at positions i,
+        i + 1 and i + 2 of the chain on `side`, in place: a new t with
+        a ≺ t ≺ c only, labelled with the first unused t1, t2, … and drawn
+        one unit outside every other x on `side`, in place of b on that
+        chain.  Returns the labels of a, b and c, `side` and t's label, an
+        `ExtensionStep`'s fields.
+
+        The label search starts at the last t<k> taken: t1, …, t(k−1) stay
+        in use, since no move takes a label back (a gluing that fails
+        takes back only labels it added, which were unused before).
+        a ≺ b ≺ c lie on a maximal chain, so a < c is not a cover and the
+        lattice grows without checks.  t lies one level above a and
+        strictly outside every other element, so its edges hug the
+        boundary and the drawing stays planar; that side's walk turns from
+        a to t and then to c, t's only upper cover, and the other walk
+        still leaves a by b.  So t replaces b in that chain and all else
+        stays."""
+        chain = self.chains[side == "right"]
+        a, b, c = chain[i:i + 3]
+        label, self.next_t = _first_unused("t", self.index, self.next_t)
+        if side == "right":
+            x = self.hi = self.hi + 1
+        else:
+            x = self.lo = self.lo - 1
+        chain[i + 1] = self.add_drawn(a, c, label, x)
+        names = self.names
+        return names[a], names[b], names[c], side, label
 
     def add_eye(self, rec, mids):
         """Put back the eye `rec` at its slot between two middles of

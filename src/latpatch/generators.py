@@ -13,7 +13,7 @@ from .core import Lattice, _first_unused, is_semimodular
 from .diagram import (Diagram, EyeRecord, _GrowingDiagram, _middles,
                       validate_diagram)
 from .errors import AssertionFailed, BadParams, EmbeddingFailed
-from .ops import _extend, _glue, _sites
+from .ops import _glue, _sites
 
 
 def _built(grown, xcoord):
@@ -103,10 +103,10 @@ def random_sps_diagram(target, seed):
     """A valid planar semimodular diagram with exactly `target` elements.
 
     One grown diagram (`diagram._GrowingDiagram`) takes every move in
-    place: a one-step extension (`ops._extend`), an eye (`add_eye`), and a
-    stack or glue move, which glues a generated piece on top over a chain
-    (`ops._glue`).  The result is built in full once, at the end, with
-    every lattice axiom checked."""
+    place: a one-step extension (`extend`, at a site's chain position from
+    `ops._sites`), an eye (`add_eye`), and a stack or glue move, which
+    glues a generated piece on top over a chain (`ops._glue`).  The result
+    is built in full once, at the end, with every lattice axiom checked."""
     if target < 2:
         raise BadParams("random lattices need at least two elements")
     rng = random.Random(seed)
@@ -115,7 +115,7 @@ def random_sps_diagram(target, seed):
     while len(grown.height) < target:
         room = target - len(grown.height)
         moves = ["stack"]
-        sites = [site for _, site in _sites(grown, grown.chains)]
+        sites = list(_sites(grown, grown.chains))
         if sites:
             moves.append("extend")
         if next(_two_middle_intervals(grown), None):  # listed only for an eye
@@ -124,7 +124,8 @@ def random_sps_diagram(target, seed):
             moves.append("glue")
         move = rng.choice(moves)
         if move == "extend":
-            _extend(grown, rng.choice(sites))
+            i, site = rng.choice(sites)
+            grown.extend(site[3], i)
         elif move == "eye":
             o, i = rng.choice(list(_two_middle_intervals(grown)))
             label, eye_counter = _first_unused("e", grown.index, eye_counter)
@@ -148,14 +149,12 @@ def _chain_up(upper, v, length):
 
 def _try_glue(grown, room, rng):
     """Glue a small generated piece above the grown diagram over a longer
-    chain when a planar drawing works out; else leave it as it is."""
-    chains = [entry for entry in _filter_chains(grown) if entry[0] >= 2]
-    if not chains:
-        return
-    length, b = rng.choice(chains)
+    chain when a planar drawing works out; else leave it as it is.
+
+    Some ↑b is a chain of two or more: a coatom b's only upper cover is the
+    top, and a lattice of two or more elements has a coatom."""
+    length, b = rng.choice([entry for entry in _filter_chains(grown) if entry[0] >= 2])
     piece = _piece_with_ideal_chain(length, room, rng)
-    if piece is None:
-        return
     # ↑b is a chain, and so is the piece's bottom interval of that length
     plat = piece.lattice
     dom = _chain_up(grown.upper_covers, b, length)
@@ -168,18 +167,13 @@ def _try_glue(grown, room, rng):
 
 def _piece_with_ideal_chain(length, room, rng):
     """A small generated diagram whose bottom interval of the given length
-    is a chain, small enough to add at most `room` elements."""
-    candidates = []
-    for n in range(length + 1, length + 4):
-        if n - length <= room:
-            candidates.append(("chain", n))
-    for rows in (2, 3):
-        n = rows * length
-        extra = n - length
-        if 0 < extra <= room and length >= 2:
-            candidates.append(("grid", rows))
-    if not candidates:
-        return None
+    (two or more) is a chain, small enough to add at most `room` elements.
+
+    A glue move is offered only when room ≥ 3, so each of the three chain
+    pieces, which add one to three elements, fits; a grid of `rows` rows
+    adds (rows − 1) · length ≥ 2."""
+    candidates = [("chain", n) for n in range(length + 1, length + 4)]
+    candidates += [("grid", rows) for rows in (2, 3) if (rows - 1) * length <= room]
     kind, p = rng.choice(candidates)
     if kind == "chain":
         return _chain(p)

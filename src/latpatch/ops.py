@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .core import (Lattice, _closure, _first_unused, _Growing, _is_chain_mask,
-                   _is_filter_mask, _is_ideal_mask, iter_bits)
+from .core import (Lattice, _closure, _Growing, _is_chain_mask, _is_filter_mask,
+                   _is_ideal_mask, iter_bits)
 from .diagram import (Diagram, _boundary_data, _climb, _conflict, _GrowingDiagram,
                       _interval_rectangular, _patch, _rectangular, _slim,
                       is_rectangular, subdiagram, synthesize_embedding)
@@ -352,7 +352,8 @@ def _site_process(diag):
     """One run of the site process on a diagram, eyes and all, a cascade at
     a time (`_cascades`): its final boundary chains, the cover counts `up` and
     `down` and the links `lo` and `hi`, all by id, and the list of its
-    cascades, from which `_Hull` grows the hull.
+    cascades, from which the root check grows the hull (`_Hull`) and
+    `_drawn_hull` draws it.
 
     The process extends at the first site, left sites bottom-up before
     right ones, for as long as one is left.  More than n² steps, or a hull
@@ -390,14 +391,11 @@ def _stuck(n):
 
 class _Hull(_Growing):
     """A diagram's lattice grown by a recorded run of the site process,
-    undrawn.
+    undrawn and unlabelled: the root check's hull.
 
-    It grows as a `core._Growing`, without labels, and keeps what the cut
-    needs besides: one (a, b, c, side) tuple of ids per step, whose new t
-    takes the next id, and `boundary`, the boundary data of the run's
-    final chains.  `close` adds the ↑ and ↓ masks.  Labels, x coordinates
-    and `ExtensionStep`s come from the step tuples, and only `draw` makes
-    them, where a hull is read.
+    It grows as a `core._Growing` and keeps `boundary`, the boundary data
+    of the run's final chains; `close` adds the ↑ and ↓ masks.  A hull that
+    is read is drawn instead (`_drawn_hull`).
     """
 
     def __init__(self, diag, chains, cascades):
@@ -405,13 +403,10 @@ class _Hull(_Growing):
         `_cascades`): the step at q adds t with c_q ≺ t ≺ c, c the t of
         the step before (c_{i+2} for the first), in place of c_{q+1}."""
         super().__init__(diag.lattice)
-        self.base = diag
-        self.steps = []
-        for side, seg in cascades:
+        for _, seg in cascades:
             c = seg[-1]
-            for q in range(len(seg) - 3, -1, -1):
-                self.steps.append((seg[q], seg[q + 1], c, side))
-                c = self.add(seg[q], c)
+            for a in reversed(seg[:-2]):
+                c = self.add(a, c)
         left, right = map(tuple, chains)
         self.boundary = _boundary_data(self, left, right)
 
@@ -429,87 +424,44 @@ class _Hull(_Growing):
             raise _stuck(self.n)
         return b
 
-    @property
-    def names(self):
-        """The input's labels, then one fresh label per step: the smallest
-        unused t1, t2, ... (k only grows, since labels are only added)."""
-        names = list(self.base.lattice.names)
-        taken = set(names)
-        k = 1
-        for _ in self.steps:
-            label, k = _first_unused("t", taken, k)
-            names.append(label)
-            taken.add(label)
-        return tuple(names)
 
-    def draw(self):
-        """The grown diagram, carrying the boundary data of the final
-        chains, and one `ExtensionStep` per step.
-
-        Each t goes one unit outside the drawing on its site's side, one
-        level above a; the new edges hug the boundary, so the drawing stays
-        planar.  The lattice is frozen once, by `_Growing.lattice`."""
-        base, names = self.base, self.names
-        xs = list(base.xcoord)
-        lo, hi = min(xs), max(xs)
-        steps = []
-        for t, (a, b, c, side) in enumerate(self.steps, start=base.lattice.n):
-            if side == "right":
-                hi += 1
-                xs.append(hi)
-            else:
-                lo -= 1
-                xs.append(lo)
-            steps.append(ExtensionStep(names[a], names[b], names[c], side, names[t]))
-        diagram = Diagram(self.lattice(names), xs)
-        diagram.boundary = self.boundary
-        return diagram, steps
+def _drawn_hull(diag, cascades):
+    """The hull that a run of the site process on `diag` grows, drawn, and
+    its `ExtensionStep`s: each cascade's steps at i, i − 1, …, j (see
+    `_cascades`), made again in that order by `_GrowingDiagram.extend` on
+    a grown copy of `diag`.  The copy's chains go as the run's did, so
+    a cascade's segment c_j, …, c_{i+2} starts at j on its side's chain,
+    and they end as the run's final chains.  The lattice is frozen once."""
+    grown, steps = _GrowingDiagram(diag), []
+    for side, seg in cascades:
+        j = grown.chains[side == "right"].index(seg[0])
+        steps += [ExtensionStep(*grown.extend(side, i))
+                  for i in range(j + len(seg) - 3, j - 1, -1)]
+    return grown.diagram(), steps
 
 
 def one_step_extension(diag, site):
     """Add a fresh doubly irreducible t with a < t < c beside the boundary,
-    at `site`, a site from `_sites`, on a grown copy of `diag` (`_extend`).
-    The lattice and the boundary are derived from the old ones in O(n)."""
+    at `site`, a site from `_sites`, on a grown copy of `diag`
+    (`_GrowingDiagram.extend`).  The lattice and the boundary are derived
+    from the old ones in O(n)."""
     grown = _GrowingDiagram(diag)
-    step = _extend(grown, site)
-    return grown.diagram(), step
-
-
-def _extend(grown, site):
-    """The one-step extension at `site` of the grown diagram `grown`, in
-    place; its `ExtensionStep`.  t is labelled and drawn as a hull's first
-    step is (see `_Hull.draw`).
-
-    a ≺ b ≺ c lie on a maximal chain, so a < c is not a cover and the
-    lattice grows without checks.  t is drawn strictly outside every other
-    element, so that side's walk turns from a to t and then to c, t's only
-    upper cover; the other walk still leaves a by b.  So t replaces b in
-    that chain and all else stays.
-    """
     for i, found in _sites(grown, grown.chains):
         if found == site:
-            a, b, c, side = site
-            label, _ = _first_unused("t", grown.index, 1)
-            if side == "right":
-                x = grown.hi = grown.hi + 1
-            else:
-                x = grown.lo = grown.lo - 1
-            grown.chains[side == "right"][i + 1] = grown.add_drawn(a, c, label, x)
-            names = grown.names
-            return ExtensionStep(names[a], names[b], names[c], side, label)
+            step = ExtensionStep(*grown.extend(site[3], i))
+            return grown.diagram(), step
     raise InvalidSite(f"{site!r} is not an extension site")
 
 
 def rectangularize(diag):
     """The rectangular hull of `diag` by one run of the site process (see
-    `_site_process`), drawn, and its extension steps.  A rectangular
-    diagram is returned as is; a lattice that needs more than n² steps
-    raises `IterationBoundExceeded`, and a drawn hull that is not
+    `_site_process`), drawn (`_drawn_hull`), and its extension steps.  A
+    rectangular diagram is returned as is; a lattice that needs more than
+    n² steps raises `IterationBoundExceeded`, and a drawn hull that is not
     rectangular `StuckNotRectangular`."""
     if is_rectangular(diag):
         return diag, []
-    chains, *_, cascades = _site_process(diag)
-    rect, steps = _Hull(diag, chains, cascades).draw()
+    rect, steps = _drawn_hull(diag, _site_process(diag)[-1])
     if not is_rectangular(rect):
         raise _stuck(rect.lattice.n)
     return rect, steps
@@ -560,7 +512,8 @@ def _pull_back(witness, base):
 def _cut(lat, b, x, mode):
     """The pivot and the overlap [pivot, x] of the cut of a slim rectangular
     lattice at x on its upper boundary.  `lat` holds the masks and covers (a
-    `Lattice`, or a closed `_Hull`) and `b` its boundary data.
+    `Lattice`, or a closed `_Hull`, which has no labels) and `b` its
+    boundary data.
     `decompose_at` cuts here, and so does the pipeline, on the root's slim
     hull only: every node's cut, the root's too, is read off its boundary
     chains' links (`_link_cut`), and the root's hull cut must agree.
@@ -579,7 +532,7 @@ def _cut(lat, b, x, mode):
     else:
         raise BadX(f"unknown mode {mode!r}")
     if x not in chain[chain.index(corner):] or x in (corner, lat.top):
-        raise BadX(f"{lat.names[x]!r} is not a cuttable boundary element")
+        raise BadX(f"element {x!r} is not a cuttable boundary element")
 
     up, down = lat.up, lat.down
     # x ∧ opposite is the highest of their common lower bounds

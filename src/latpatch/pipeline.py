@@ -15,8 +15,8 @@ from .diagram import (Diagram, _patch, _scaled_points, _walk, is_patch, slim,
                       validate_diagram)
 from .errors import (AssertionFailed, NoDecomposition, NotSemimodular,
                      SizeBoundExceeded)
-from .ops import (DecompositionCut, GluingWitness, _choose, _cut, _Hull,
-                  _link_cut, _principal, _pull_back, validate_witness)
+from .ops import (DecompositionCut, GluingWitness, _choose, _cut, _drawn_hull,
+                  _Hull, _link_cut, _principal, _pull_back, validate_witness)
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,8 @@ class PipelineTrace:
 
     The trace `decompose` returns holds the root's slim diagram, the final
     chains and cascades of its run of the site process and its cut, in the
-    slim hull's ids, and no hull (see `_trace`): the hull is grown from the
-    run and drawn when `extension_steps` or `cut` is first read, and both
+    slim hull's ids, and no hull (see `_trace`): the hull is drawn from the
+    run's cascades when `extension_steps` or `cut` is first read, and both
     are then kept.  A rectangular root's run has no cascade, and its hull
     is drawn like any other.  `_step_count` counts the steps without
     drawing.  Traces compare and print by their four fields; they are
@@ -253,10 +253,10 @@ def _trace(root, step):
 
 
 def _draw(slimmed, run, cut):
-    """The extension steps and the cut of the root: its hull grown again
-    from the run's final chains and cascades, labelled and drawn from the
-    step tuples, and the cut (x, pivot, chain, mode) on the drawn hull."""
-    rect, extension_steps = _Hull(slimmed, *run).draw()
+    """The extension steps and the cut of the root: its hull drawn from the
+    run's cascades (`ops._drawn_hull`), and the cut (x, pivot, chain, mode)
+    on the drawn hull."""
+    rect, extension_steps = _drawn_hull(slimmed, run[1])
     if cut is not None:
         x, pivot, chain, mode = cut
         cut = DecompositionCut(x, pivot, rect, chain, mode)

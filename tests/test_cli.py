@@ -10,10 +10,9 @@ import pytest
 from latpatch import (DiagramViolation, brute_force_gluing_search, decompose,
                       documents, generate, parse_document, parse_tree_document,
                       serialize, verify_tree)
-from latpatch import generators
+from latpatch import generators, pipeline
 from latpatch.cli import cli
 from latpatch.documents import MAX_TREE_DEPTH
-from latpatch.ops import _Hull
 
 
 @pytest.fixture
@@ -81,13 +80,13 @@ def test_the_trace_line_counts_steps_without_drawing(kind, params, line, tmp_pat
     path = tmp_path / "in.json"
     path.write_text(serialize(diag))
     draws = []
-    draw = _Hull.draw
+    draw = pipeline._drawn_hull
 
-    def counted(hull):
-        draws.append(hull)
-        return draw(hull)
+    def counted(*run):
+        draws.append(run)
+        return draw(*run)
 
-    monkeypatch.setattr(_Hull, "draw", counted)
+    monkeypatch.setattr(pipeline, "_drawn_hull", counted)
     assert cli(["--trace", "decompose", str(path)]) == 0
     assert capsys.readouterr().err.splitlines() == [line] and draws == []
 
@@ -108,6 +107,20 @@ def test_check_non_semimodular_exits_one(tmp_path, capsys):
     assert cli(["check", str(path)]) == 1
     flags = json.loads(capsys.readouterr().out)
     assert flags["lattice"] and not flags["semimodular"]
+
+
+@pytest.mark.parametrize("elements, covers", [
+    (["0", "a", "b"], [[0, 1], [0, 2]]),                      # two maximal elements
+    (["0", "a", "b", "c", "d", "1"],                         # a and b have no join
+     [[0, 1], [0, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 5], [4, 5]]),
+])
+def test_check_covers_that_are_no_lattice_exit_one(elements, covers, tmp_path, capsys):
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps({"elements": elements, "covers": covers, "meta": {}}))
+    assert cli(["check", str(path)]) == 1
+    flags = json.loads(capsys.readouterr().out)
+    assert flags == dict.fromkeys(["lattice", "patch", "planar", "rectangular",
+                                   "semimodular", "slim"], False)
 
 
 def test_decompose_then_verify(grid_file, tmp_path, capsys):

@@ -11,7 +11,7 @@ from latpatch import (Diagram, EyeRecord, Lattice, classify_subset, decompose,
                       find_eyes, generate, interval, irreducibility, is_isomorphic,
                       is_semimodular, rectangularize, restore_eyes, slim,
                       subdiagram)
-from latpatch.core import _Growing, iter_bits
+from latpatch.core import _Growing, _joint_colors, iter_bits
 from latpatch.errors import (CycleDetected, EmptySet, MissingAnchor, NotALattice,
                              NotBounded, NotComparable)
 
@@ -263,6 +263,45 @@ def test_isomorphic_distinguishes_same_size():
     square_with_top = Lattice(
         [("0", "l"), ("0", "r"), ("l", "c"), ("r", "c"), ("c", "1")])
     assert is_isomorphic(c5, square_with_top) is None
+
+
+def test_isomorphic_refuses_equal_counts_with_different_colors():
+    # five elements and five covers each, the square at the bottom of one
+    # and at the top of the other: the refined colors already differ
+    low = Lattice([("0", "x"), ("x", "a"), ("x", "b"), ("a", "1"), ("b", "1")])
+    high = Lattice([("0", "a"), ("0", "b"), ("a", "c"), ("b", "c"), ("c", "1")])
+    c1, c2 = _joint_colors(low, high)
+    assert sorted(c1) != sorted(c2)
+    assert is_isomorphic(low, high) is None and is_isomorphic(high, low) is None
+
+
+def crown(cycles):
+    """A bottom, a top and, for each k in `cycles`, k atoms and k coatoms,
+    the i-th coatom covering the i-th and the next atom around its cycle.
+    Two atoms share at most one coatom when every k is 3 or more, so every
+    pair has a join and this is a lattice."""
+    covers, start = [], 0
+    for k in cycles:
+        for i in range(start, start + k):
+            nxt = start + (i + 1 - start) % k
+            covers += [("0", f"a{i}"), (f"a{i}", f"c{i}"), (f"a{nxt}", f"c{i}"),
+                       (f"c{i}", "1")]
+        start += k
+    return Lattice(covers)
+
+
+def test_isomorphic_refuses_equal_colors_with_no_isomorphism():
+    # no two lattices of at most 8 elements (`oracles.small_lattices`) share
+    # their refined colors without being isomorphic, but these crowns do:
+    # each atom has two upper covers and each coatom two lower ones, and the
+    # atoms and coatoms make one 12-cycle in one and two 6-cycles in the
+    # other, so only the search refuses them
+    one, two = crown([6]), crown([3, 3])
+    assert (one.n, len(one.covers)) == (two.n, len(two.covers)) == (14, 24)
+    c1, c2 = _joint_colors(one, two)
+    assert sorted(c1) == sorted(c2)
+    assert is_isomorphic(one, two) is None and is_isomorphic(two, one) is None
+    assert is_isomorphic(one, crown([6])) is not None
 
 
 def test_isomorphic_long_chains_need_no_recursion():

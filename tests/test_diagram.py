@@ -66,6 +66,11 @@ def test_diagram_coerces_every_coordinate_that_is_no_fraction(b2):
             Diagram(lat, xs)
 
 
+def test_a_diagram_prints_its_lattice(b2):
+    assert repr(b2) == "Diagram(Lattice(4 elements, 4 covers))"
+    assert repr(generate("chain", [4])) == "Diagram(Lattice(4 elements, 3 covers))"
+
+
 def test_hexagon_crossing_detected(hexagon):
     lat = hexagon.lattice
     # transpose the two middle elements: the rungs p->u and q->v now cross

@@ -69,6 +69,14 @@ def test_parse_rejects_non_string_coordinate():
     assert info.value.path == "$.embedding.a"
 
 
+def test_parse_rejects_an_embedding_that_is_no_object():
+    for embedding in (["0", "0"], "0", 0, True):
+        doc = {"elements": ["a", "b"], "covers": [[0, 1]], "embedding": embedding}
+        with pytest.raises(SchemaError, match="expected an object") as info:
+            parse_document(json.dumps(doc))
+        assert info.value.path == "$.embedding", embedding
+
+
 def test_parse_rejects_boolean_cover_indices():
     # isinstance(True, int) holds, so these once parsed as covers 0->1, 1->2
     doc = {"elements": ["a", "b", "c"], "covers": [[False, True], [True, 2]]}

@@ -10,9 +10,9 @@ import pytest
 
 import oracles
 from conftest import assert_same_lattice
-from latpatch import (Diagram, Lattice, decompose_at, generate, glue_over_chain,
-                      is_patch, one_step_extension, rectangularize, restore_eyes,
-                      slim, validate_diagram)
+from latpatch import (Diagram, ExtensionStep, Lattice, decompose_at, generate,
+                      glue_over_chain, is_patch, one_step_extension, rectangularize,
+                      restore_eyes, slim, validate_diagram)
 from latpatch import generators, ops
 from latpatch.diagram import _GrowingDiagram
 from latpatch.errors import EmbeddingFailed
@@ -40,13 +40,14 @@ def record_moves(n, seed):
     """`random_sps_diagram(n, seed)` and its moves in order, each as (kind,
     argument, the grower's state after it)."""
     moves = []
-    real_extend, real_glue = generators._extend, generators._glue
-    real_eye = _GrowingDiagram.add_eye
+    real_glue = generators._glue
+    real_extend, real_eye = _GrowingDiagram.extend, _GrowingDiagram.add_eye
 
-    def extend(grown, site):
-        step = real_extend(grown, site)
-        moves.append(("extend", (site, step), state(grown)))
-        return step
+    def extend(grown, side, i):
+        site = (*grown.chains[side == "right"][i:i + 3], side)
+        fields = real_extend(grown, side, i)
+        moves.append(("extend", (site, ExtensionStep(*fields)), state(grown)))
+        return fields
 
     def glue(grown, piece, pairs):
         iso = {grown.names[d]: piece.lattice.names[i] for d, i in pairs}
@@ -62,7 +63,7 @@ def record_moves(n, seed):
         moves.append(("eye", rec, state(grown)))
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(generators, "_extend", extend)
+        patch.setattr(_GrowingDiagram, "extend", extend)
         patch.setattr(generators, "_glue", glue)
         patch.setattr(_GrowingDiagram, "add_eye", add_eye)
         out = generators.random_sps_diagram(n, seed)

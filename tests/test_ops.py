@@ -20,8 +20,8 @@ from latpatch.errors import (AssertionFailed, BadX, ChainWasSingletonT,
                              IsPatch, IterationBoundExceeded, NotAChain,
                              NotAFilter, NotAnIdeal, NotIso, NotRectangular,
                              StuckNotRectangular)
-from latpatch.ops import (_cascades, _corners, _Hull, _pull_back, _site_process,
-                          _sites)
+from latpatch.ops import (_cascades, _corners, _drawn_hull, _Hull, _pull_back,
+                          _site_process, _sites)
 
 
 def site_names(diag, sites):
@@ -402,8 +402,10 @@ def test_rectangularize_replay_reproduces(corpus):
 def test_the_cascade_pass_is_the_site_process_step_by_step(corpus):
     """On every slim node: `_cascades` on the boundary chains alone gives
     the chains, cover counts, links and step count of the reference's
-    first-site loop, and `_Hull`, grown from `_site_process`'s record, its
-    step tuples and cover lists."""
+    first-site loop; `_Hull`, grown from `_site_process`'s record, its
+    cover lists; and the hull drawn from that record (`_drawn_hull`) its
+    steps, by the ids of their labels, each t taking the next id, and its
+    final chains."""
     inputs = corpus + ladder_inputs()
     inputs += [(f"sps[{n}]#7", generate("random-sps", [n], seed=7)) for n in (80, 160)]
     inputs += [(f"sps[{2 + seed % 23}]#{seed}",
@@ -429,7 +431,13 @@ def test_the_cascade_pass_is_the_site_process_step_by_step(corpus):
             run = _site_process(slimmed)
             assert run[:5] == state, name
             hull = _Hull(slimmed, run[0], run[-1])
-            assert hull.steps == expected, name
+            rect, drawn = _drawn_hull(slimmed, run[-1])
+            index = rect.lattice.index
+            assert [(index[s.a], index[s.b], index[s.c], s.side) for s in drawn] == \
+                expected, name
+            assert [index[s.t] for s in drawn] == list(range(lat.n, len(state[3]))), name
+            assert [rect.boundary.left_chain, rect.boundary.right_chain] == \
+                list(map(tuple, chains)), name
             assert (hull.upper_covers, hull.lower_covers) == (upper, lower), name
             assert (run[0], run[3], run[4]) == (list(chains), lo, hi), name
             nodes += 1
@@ -577,7 +585,7 @@ def test_cut_rejects_patch_corners(b2):
             decompose_at(b2, x, "left")
 
 
-def test_cut_rejects_bad_input(c3, m3):
+def test_cut_rejects_bad_input(c3, c4, m3):
     with pytest.raises(BadX, match="not rectangular"):
         decompose_at(c3, c3.lattice.id_of("b"), "left")
     with pytest.raises(BadX, match="not slim"):
@@ -586,6 +594,19 @@ def test_cut_rejects_bad_input(c3, m3):
     x, _ = choose_x(g)
     with pytest.raises(BadX, match="unknown mode"):
         decompose_at(g, x, "up")
+    # an uncuttable x is named by its id: below the corner, the corner
+    # itself, the top, off the chain and no element at all; and on the root
+    # check's closed hull, which has no labels
+    b = g.boundary
+    for x in (g.lattice.bottom, b.u_l, g.lattice.top, b.u_r, 99, -1):
+        with pytest.raises(BadX, match=f"^element {x} is not a cuttable boundary element$"):
+            decompose_at(g, x, "left")
+    run = _site_process(c4)
+    hull = _Hull(c4, run[0], run[-1])
+    b = hull.close()
+    assert not hasattr(hull, "names")
+    with pytest.raises(BadX, match=f"^element {b.u_l} is not a cuttable"):
+        latpatch.ops._cut(hull, b, b.u_l, "left")
 
 
 def test_choose_x_values(b2, c3):

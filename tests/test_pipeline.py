@@ -29,8 +29,9 @@ from latpatch.core import iter_bits
 from latpatch.errors import (AssertionFailed, LatpatchError, NoDecomposition,
                              NotSemimodular, SizeBoundExceeded,
                              StuckNotRectangular)
-from latpatch.ops import (GluingWitness, _choose, _cut, _Hull, _link_cut,
-                          _principal, _pull_back, _site_process)
+from latpatch.diagram import _GrowingDiagram
+from latpatch.ops import (GluingWitness, _choose, _cut, _drawn_hull, _Hull,
+                          _link_cut, _principal, _pull_back, _site_process)
 from latpatch.pipeline import _step, _trace
 
 
@@ -105,7 +106,7 @@ def test_a_patch_hull_of_a_larger_slim_lattice_is_refused(c3, c4, monkeypatch):
     # step, with each id moved to the c4 element of its label (t to c4's
     # next id)
     chains, up, down, *rest = run = _site_process(c3)
-    assert len(run[-1]) == 1 and is_patch(_Hull(c3, chains, run[-1]).draw()[0])
+    assert len(run[-1]) == 1 and is_patch(_drawn_hull(c3, run[-1])[0])
     lat = c4.lattice
     moved = [lat.id_of(name) for name in c3.lattice.names] + [lat.n]
 
@@ -223,17 +224,17 @@ def test_a_chain_grows_only_the_root_hull(monkeypatch):
 
 def test_the_root_trace_is_drawn_when_first_read(monkeypatch):
     hull_draws, draws = [], []
-    hull_draw, draw = latpatch.ops._Hull.draw, latpatch.pipeline._draw
+    hull_draw, draw = latpatch.pipeline._drawn_hull, latpatch.pipeline._draw
 
-    def counted_hull_draw(hull):
-        hull_draws.append(hull)
-        return hull_draw(hull)
+    def counted_hull_draw(*run):
+        hull_draws.append(run)
+        return hull_draw(*run)
 
     def counted_draw(*undrawn):
         draws.append(undrawn)
         return draw(*undrawn)
 
-    monkeypatch.setattr(latpatch.ops._Hull, "draw", counted_hull_draw)
+    monkeypatch.setattr(latpatch.pipeline, "_drawn_hull", counted_hull_draw)
     monkeypatch.setattr(latpatch.pipeline, "_draw", counted_draw)
     inputs = ladder_inputs() + [("grid4x6", generate("grid", [4, 6])),
                                 ("sps[24]#0", generate("random-sps", [24], seed=0))]
@@ -264,6 +265,20 @@ def test_traces_are_unhashable():
         with pytest.raises(TypeError):
             hash(trace)
     assert kinds == [(False, False, False), (True, True, False), (True, False, True)]
+
+
+def test_a_drawn_trace_prints_and_compares_by_its_fields():
+    _, trace = decompose(generate("chain", [4]))
+    assert repr(trace) == (
+        "PipelineTrace(eyes=(), extension_steps=("
+        "ExtensionStep(a='0', b='1', c='2', side='left', t='t1'), "
+        "ExtensionStep(a='t1', b='2', c='3', side='left', t='t2')), "
+        "cut=DecompositionCut(x=2, pivot=4, ambient=Diagram(Lattice(6 elements, "
+        "7 covers)), chain=(2, 4), mode='mirrored'), fallback_used=False)")
+    # a trace is equal to no other kind of object
+    for other in (None, (), trace._fields(), "trace"):
+        assert trace.__eq__(other) is NotImplemented
+        assert trace != other and not trace == other
 
 
 def test_decompose_validates_each_witness_once(corpus, random_corpus_small, monkeypatch):
@@ -572,7 +587,11 @@ def test_every_lattice_with_8_elements():
 
 def test_only_the_root_hull_is_closed_and_cut(monkeypatch):
     closed, cut = [], []
-    close, cut_at = _Hull.close, latpatch.pipeline._cut
+    init, close, cut_at = _Hull.__init__, _Hull.close, latpatch.pipeline._cut
+
+    def based(hull, diag, *run):
+        init(hull, diag, *run)
+        hull.base = diag
 
     def counted_close(hull):
         closed.append(hull)
@@ -582,6 +601,7 @@ def test_only_the_root_hull_is_closed_and_cut(monkeypatch):
         cut.append(lat)
         return cut_at(lat, *args)
 
+    monkeypatch.setattr(latpatch.ops._Hull, "__init__", based)
     monkeypatch.setattr(latpatch.ops._Hull, "close", counted_close)
     monkeypatch.setattr(latpatch.pipeline, "_cut", counted_cut)
     inputs = ladder_inputs() + [("chain30", generate("chain", [30])),
@@ -594,9 +614,9 @@ def test_only_the_root_hull_is_closed_and_cut(monkeypatch):
         slimmed, run, _ = trace._undrawn
         # the one closed hull is the root's, grown from the trace's run (the
         # 5×5 grid's has no cascade): a cascade's segment c_j, …, c_{i+2}
-        # holds its steps and two more
+        # holds its steps and two more, and each step adds one element
         assert len(closed) == 1 and closed[0].base is slimmed, name
-        assert len(closed[0].steps) == sum(len(seg) - 2 for _, seg in run[1]), name
+        assert closed[0].n - slimmed.lattice.n == sum(len(seg) - 2 for _, seg in run[1]), name
         assert (run[1] == []) == (name == "grid5x5") and cut == closed, name
 
 
@@ -605,7 +625,7 @@ def test_decompose_builds_no_hull_below_the_root(monkeypatch):
     init = _Hull.__init__
 
     def counted(hull, diag, *run):
-        built.append(hull)
+        built.append((hull, diag))
         init(hull, diag, *run)
 
     inputs = ladder_inputs() + [("chain30", generate("chain", [30])),
@@ -618,8 +638,9 @@ def test_decompose_builds_no_hull_below_the_root(monkeypatch):
         slimmed, run, _ = trace._undrawn
         # every root grows one hull, from the trace's run; the 5×5 grid is
         # rectangular, so its run has no cascade and its hull adds nothing
-        assert [hull.base for hull in built] == [slimmed], name
-        assert built[0].steps == [] and not run[1] if name == "grid5x5" else run[1], name
+        assert [diag for _, diag in built] == [slimmed], name
+        grew = len(built[0][0].height) > slimmed.lattice.n
+        assert not grew and not run[1] if name == "grid5x5" else grew and run[1], name
 
 
 def test_decompose_runs_the_site_process_once_per_grown_node(monkeypatch):
@@ -652,31 +673,40 @@ def test_decompose_runs_the_site_process_once_per_grown_node(monkeypatch):
 
 
 def test_decompose_keeps_no_hull_alive(monkeypatch):
-    hulls, draws = [], []
-    init, draw = _Hull.__init__, _Hull.draw
+    hulls, growers, draws = [], [], []
+    init, grow, draw = _Hull.__init__, _GrowingDiagram.__init__, latpatch.pipeline._drawn_hull
 
     def recorded(hull, *args):
         hulls.append(weakref.ref(hull))
         init(hull, *args)
 
-    def counted_draw(hull):
-        draws.append(hull)
-        return draw(hull)
+    def recorded_grower(grown, diag):
+        growers.append(weakref.ref(grown))
+        grow(grown, diag)
+
+    def counted_draw(*run):
+        draws.append(run)
+        return draw(*run)
 
     monkeypatch.setattr(_Hull, "__init__", recorded)
-    monkeypatch.setattr(_Hull, "draw", counted_draw)
+    monkeypatch.setattr(_GrowingDiagram, "__init__", recorded_grower)
+    monkeypatch.setattr(latpatch.pipeline, "_drawn_hull", counted_draw)
     inputs = ladder_inputs() + [("chain30", generate("chain", [30])),
                                 ("sps[80]#7", generate("random-sps", [80], seed=7))]
     for name, diag in inputs:
         hulls.clear()
+        growers.clear()
         draws.clear()
         _, trace = decompose(diag)
         gc.collect()
         # the root's hull was grown, closed and cut, and is gone
-        assert len(hulls) == 1 and hulls[0]() is None and draws == [], name
+        assert len(hulls) == 1 and hulls[0]() is None and draws == growers == [], name
         trace.cut
-        # reading the trace grows the hull once more and draws it once
-        assert len(hulls) == 2 and draws == [hulls[1]()], name
+        gc.collect()
+        # reading the trace draws the hull once, on one grower, which is
+        # gone too, and grows no undrawn hull
+        assert len(hulls) == 1 and len(draws) == 1 == len(growers), name
+        assert growers[0]() is None, name
         assert trace == materialized_step(diag)[1], name
 
 
