@@ -226,9 +226,10 @@ class Lattice:
         Any other subset gets its covers recomputed and is validated in full.
 
         Derived lattices, made from one already validated: hulls, one-step
-        extensions, eye insertions and gluings over a chain (grown in place
-        by `_Growing`), and, by `_derived`, intervals (here, and the children
-        of tree documents that match an interval of their parent node, see
+        extensions, eye insertions and gluings over a chain (grown by
+        `_Growing`, drawn ones by `diagram._GrowingDiagram`), and, by
+        `_derived`, intervals (here, and the children of tree documents
+        that match an interval of their parent node, see
         `parse_tree_document`), slimmed lattices (all eyes removed at once)
         and the removal of one added t.  Validated in full: lattice
         documents, the roots of tree documents and any child that does not
@@ -322,8 +323,9 @@ class _Growing:
     here by doubly irreducible elements, and so do drawn diagrams
     (`diagram._GrowingDiagram`), by eyes and by elements beside the
     boundary (one-step extensions and drawn hulls), and by gluings over a
-    chain, which append their own covers and heights (`ops._glue`, whose
-    docstring shows that nothing can fail there).
+    chain, which append their own covers and heights
+    (`diagram._GrowingDiagram.glue`, whose docstring shows that nothing
+    can fail there).
 
     It holds mutable cover lists and heights under `Lattice`'s field names,
     and no labels or masks.  `add(a, c)` appends a new element t with
@@ -506,6 +508,14 @@ def is_isomorphic(lat1, lat2):
 
     Invariant refinement first, then backtracking over color classes;
     deterministic for fixed inputs.
+
+    A completed map takes covers onto covers, bijectively, with no check
+    at the end: `consistent` tests each cover of lat1 when its second end
+    is mapped, so the image of every cover is a cover of lat2; the map is
+    injective (`used`), so distinct covers have distinct images; and both
+    lattices have as many covers, checked on entry, so the images are all
+    of lat2's covers.  A bijection that preserves and reflects covers
+    preserves and reflects the order, their transitive closure.
     """
     if lat1.n != lat2.n or len(lat1.covers) != len(lat2.covers):
         return None
@@ -548,8 +558,5 @@ def is_isomorphic(lat1, lat2):
             mapping[v], used[cands[k]], next_try[i] = cands[k], True, k + 1
             i += 1
     if i < 0:
-        return None
-    image = {(mapping[a], mapping[b]) for a, b in lat1.covers}
-    if image != set(lat2.covers):
         return None
     return {v: mapping[v] for v in range(lat1.n)}

@@ -11,7 +11,8 @@ Scaling x by a positive constant multiplies every orientation determinant
 by D and keeps the order of x values, so every sign, collinearity,
 betweenness and lexicographic comparison, and hence every answer, is the
 same as on the rational points.  `Diagram` keeps its `Fraction` coordinates
-for documents and equality.
+for documents and equality; a grown diagram (`_GrowingDiagram`) keeps no
+points, and a gluing on it scales each drawing it checks.
 """
 
 from bisect import bisect_right, insort
@@ -22,7 +23,7 @@ from itertools import permutations
 from math import lcm
 
 from .core import _first_unused, _Growing, iter_bits
-from .errors import MissingAnchor, NotRectangular, SizeBoundExceeded
+from .errors import EmbeddingFailed, MissingAnchor, NotRectangular, SizeBoundExceeded
 
 
 class Diagram:
@@ -52,7 +53,7 @@ class Diagram:
         caller has set it: a tree node's walk on its members' points in its
         root (`pipeline._decompose`), or the chains of a grown diagram,
         drawn hulls included (`_GrowingDiagram.diagram`)."""
-        return _walk(self.lattice, _scaled_points(self))
+        return _walk(self.lattice, _scaled_points(self.xcoord, self.lattice.height))
 
     def __eq__(self, other):
         return (isinstance(other, Diagram)
@@ -92,12 +93,11 @@ class EyeRecord:
 
 # -- exact segment geometry ----------------------------------------------
 
-def _scaled_points(diag):
-    """Each element's point as (x·D, height), D the lcm of the x denominators."""
-    xs = diag.xcoord
+def _scaled_points(xs, heights):
+    """Each element's point as (x·D, height), D the lcm of the denominators
+    of the `Fraction`s `xs`: the one rule that scales a drawing."""
     d = lcm(*(x.denominator for x in xs))
-    return [(x.numerator * (d // x.denominator), h)
-            for x, h in zip(xs, diag.lattice.height)]
+    return [(x.numerator * (d // x.denominator), h) for x, h in zip(xs, heights)]
 
 
 def _orient(o, a, b):
@@ -146,7 +146,7 @@ def _segments_conflict(p1, q1, p2, q2):
 def validate_diagram(diag):
     """Check the drawing invariants; None when valid, else the first violation."""
     lat = diag.lattice
-    found = _conflict(lat.covers, lat.height, _scaled_points(diag))
+    found = _conflict(lat.covers, lat.height, _scaled_points(diag.xcoord, lat.height))
     if found is None:
         return None
     kind, (p, q) = found
@@ -164,7 +164,7 @@ def _conflict(covers, height, points):
     and points, by ids: ("duplicate_position", (v, w)), v drawn first at
     w's point, or ("edge_crossing", (e, f)) for two conflicting edges; None
     when there is none.  `validate_diagram` reads it on a lattice, and a
-    gluing on its grower's lists (`ops._glue`)."""
+    gluing on its grower's lists (`_GrowingDiagram.glue`)."""
     seen = {}
     for v, pt in enumerate(points):
         if pt in seen:
@@ -427,21 +427,26 @@ def slim(diag):
             records)
 
 
+def _fresh(label, taken):
+    while label in taken:
+        label = f"{label}'"
+    return label
+
+
 class _GrowingDiagram(_Growing):
     """A diagram grown in place: a `core._Growing` with, beside it, the
-    labels and their index, the x coordinates, their points, and the two
-    boundary chains.
+    labels and their index, the x coordinates and the two boundary chains.
 
     The random generator keeps one for all of its moves, and `restore_eyes`,
     `ops.one_step_extension`, `ops.glue_over_chain` and every drawn hull
     (`ops._drawn_hull`) make their moves on a fresh one of their input: an
-    eye (`add_eye`) and an element beside the boundary (`extend`) here, a
-    gluing in `ops` (`_glue`).  `points` are (x·D, height) for D a common
-    multiple of the x denominators (see `_scaled_points`): D only grows,
-    and the points are scaled up only when a new x needs a larger one.
-    `lo` and `hi` are the least and the greatest x, and `next_t` is where
-    the search for `extend`'s next label starts.  `diagram()` freezes the
-    result once, unchecked, carrying the boundary data of the chains.
+    eye (`add_eye`), an element beside the boundary (`extend`) and a gluing
+    over a chain (`glue`); no other module writes a grower's fields.  A new
+    element only appends its x, and a gluing scales each drawing it checks
+    (`_scaled_points`).  `lo` and `hi` are the least and the greatest x,
+    and `next_t` is where the search for `extend`'s next label starts.
+    `diagram()` freezes the result once, unchecked, carrying the boundary
+    data of the chains.
     """
 
     def __init__(self, diag):
@@ -450,22 +455,9 @@ class _GrowingDiagram(_Growing):
         self.index = dict(diag.lattice.index)
         b = diag.boundary
         self.chains = [list(b.left_chain), list(b.right_chain)]
-        self.xcoord, self.points, self.scale = [], [], 1
-        self.place(0, diag.xcoord)
+        self.xcoord = list(diag.xcoord)
         self.lo, self.hi = min(self.xcoord), max(self.xcoord)
         self.next_t = 1
-
-    def place(self, start, xs):
-        """Draw the ids from `start` on at the `Fraction`s `xs`, one each."""
-        scale = lcm(self.scale, *(x.denominator for x in xs))
-        if scale != self.scale:
-            k = scale // self.scale
-            self.points[:start] = [(x * k, h) for x, h in self.points[:start]]
-            self.scale = scale
-        del self.xcoord[start:], self.points[start:]
-        self.xcoord += xs
-        self.points += [(x.numerator * (scale // x.denominator), h)
-                        for x, h in zip(xs, self.height[start:])]
 
     def add_drawn(self, a, c, label, x):
         """Add a new element t with a ≺ t ≺ c only, labelled `label` and
@@ -473,7 +465,7 @@ class _GrowingDiagram(_Growing):
         t = self.add(a, c)
         self.names.append(label)
         self.index[label] = t
-        self.place(t, [x])
+        self.xcoord.append(x)
         return t
 
     def extend(self, side, i):
@@ -535,6 +527,108 @@ class _GrowingDiagram(_Growing):
                 f"host {rec.label!r} at slot {rec.slot}", record=rec)
         x = (row[rec.slot - 1][0] + row[rec.slot][0]) / 2
         insort(row, (x, self.add_drawn(lo, hi, rec.label, x)))  # lo < hi, not a cover
+
+    def glue(self, upper, pairs, max_synth=16):
+        """Glue the diagram `upper` on top of this grown diagram, in place:
+        `pairs` are (d, i), d running up a filter chain ↑b of this lattice
+        and i up an ideal chain of `upper`'s lattice, pairwise.  The elements
+        of `upper` outside its chain are appended in id order, each with the
+        first label its own one gets by adding primes that no element has yet.
+        Coordinates are reused when they still draw planarly (they do whenever
+        the pieces come from a recorded cut), otherwise an embedding is
+        synthesized; then the boundary is walked again, on the scaled points
+        of the drawing that passed.  Raises `EmbeddingFailed`, leaving the
+        grower as it was, when no drawing is found.
+
+        The gluing K of a lattice L and a lattice U over a filter chain C = ↑b
+        of L and an ideal chain ↓c of U, identified with C in order, is a
+        lattice whose covers are those of L and of U, and whose bottom is L's
+        and top is U's.  Its order: x ≤ y when x ≤ y in L or in U, or x ∈ L,
+        y ∈ U − C and x ≤ e ≤ y for some e ∈ C.  Nothing in L lies above an
+        element of U − C, and nothing in U − C below one of C, since C is an
+        ideal of U.  Joins: for x, y ∈ U, every upper bound lies in U (C is a
+        filter of L), so x ∨ y is their join in U.  For x, y ∈ L, an upper
+        bound u ∈ U − C lies above some e, e' ∈ C with x ≤ e and y ≤ e', and
+        the larger of e, e' lies above x ∨ y in L; so x ∨ y in L is the join.
+        For x ∈ L − C and y ∈ U − C, the upper bounds of x in U are ↑e for
+        e = x ∨ b in L, the least element of C above x; so x ∨ y = e ∨ y in U.
+        A finite poset with a bottom in which every pair has a join is a
+        lattice.  Covers: a cover of L or of U is one of K, since an element
+        between its ends would lie between them in its own piece (for x, y ∈ C
+        and z ∈ L − C, x < z < y puts z ≥ b, in C); and x < y with x ∈ L − C
+        and y ∈ U − C has some e ∈ C strictly between.  So only chain
+        elements gain covers, upper covers outside C, and no old element
+        changes its height, since its down-set stays in L.  A new element's
+        height is one more than the greatest of its lower covers', taken in
+        U's height order; when L is graded, as every semimodular lattice is,
+        that is h(b) plus its height in U.
+        """
+        ub, n = upper.lattice, len(self.height)
+        new = {i: d for d, i in pairs}  # ids of `upper` -> ids of the gluing
+        added = [v for v in range(ub.n) if v not in new]
+        new.update(zip(added, range(n, n + len(added))))
+        lengths = [len(self.upper_covers[d]) for d, _ in pairs]
+        for v in added:
+            label = _fresh(ub.names[v], self.index)
+            self.index[label] = new[v]
+            self.names.append(label)
+            self.upper_covers.append([new[w] for w in ub.upper_covers[v]])
+            self.lower_covers.append(sorted([new[w] for w in ub.lower_covers[v]]))
+        for d, i in pairs:  # new ids are the largest, so the lists stay sorted
+            self.upper_covers[d] += [new[w] for w in ub.upper_covers[i] if new[w] >= n]
+        height, lower, xcoord = self.height, self.lower_covers, self.xcoord
+        height += [0] * len(added)
+        for v in sorted(added, key=ub.height.__getitem__):
+            height[new[v]] = max([height[w] for w in lower[new[v]]]) + 1
+        top, self.top = self.top, new[ub.top]
+
+        # each shift is computed only once the one before it fails, since the
+        # first or second nearly always draws
+        xs = [upper.xcoord[v] for v in added]
+        lo, hi = self.lo, self.hi
+
+        def shifts():
+            yield Fraction(0)
+            yield xcoord[pairs[0][0]] - upper.xcoord[pairs[0][1]]
+            yield hi + 1 - min(upper.xcoord)
+            yield lo - 1 - max(upper.xcoord)
+
+        covers = [(v, w) for v, ws in enumerate(self.upper_covers) for w in ws]
+        found = None
+        for shift in shifts():
+            xcoord[n:] = [x + shift for x in xs] if shift else xs
+            points = _scaled_points(xcoord, height)
+            if _conflict(covers, height, points) is None:
+                self.lo, self.hi = min([lo, *xcoord[n:]]), max([hi, *xcoord[n:]])
+                break
+        else:
+            if len(height) <= max_synth:
+                found = synthesize_embedding(self.lattice(self.names), max_size=max_synth)
+            if found is None:
+                for (d, _), k in zip(pairs, lengths):
+                    del self.upper_covers[d][k:]
+                for label in self.names[n:]:
+                    del self.index[label]
+                for seq in (self.names, self.upper_covers, lower, height, xcoord):
+                    del seq[n:]
+                self.top = top
+                raise EmbeddingFailed(
+                    f"no planar drawing found for the {n + len(added)}-element gluing")
+            xcoord[:] = found.xcoord
+            points = _scaled_points(xcoord, height)
+            self.lo, self.hi = min(xcoord), max(xcoord)
+        # each old chain ends at the old top, in ↑b.  Below the first element of
+        # ↑b that it reaches, a walk meets only old elements outside ↑b, whose
+        # covers and x stay (a new scale turns no walk), so it goes as before,
+        # and it goes on from there; a synthesized drawing is walked whole
+        if found is None:
+            glued = {d for d, _ in pairs}
+            starts = [chain[:next(i for i, v in enumerate(chain) if v in glued) + 1]
+                      for chain in self.chains]
+        else:
+            starts = [[self.bottom], [self.bottom]]
+        self.chains = [_climb(self, points, chain, side)
+                       for chain, side in zip(starts, ("left", "right"))]
 
     def diagram(self):
         lat = self.lattice(self.names)

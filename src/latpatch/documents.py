@@ -189,7 +189,9 @@ def _diagram_from_dict(doc, path, max_synth=16, parent=None):
 
 
 def _load_json(text):
-    """The JSON value of `text`.  Malformed JSON, and a document nested
+    """The JSON value of `text`.  Malformed JSON, an integer longer than
+    `int` converts (4300 digits by default; a plain `ValueError`, where a
+    syntax error is a `json.JSONDecodeError`), and a document nested
     deeper than `json.loads` takes (its limit varies with the Python
     version), are a `SchemaError` at `$`.
 
@@ -205,7 +207,7 @@ def _load_json(text):
             from concurrent.futures import ThreadPoolExecutor
             with ThreadPoolExecutor(max_workers=1) as pool:
                 return pool.submit(json.loads, text).result()
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise SchemaError("$", f"not valid JSON: {exc}")
     except RecursionError:
         raise SchemaError("$", "document nests too deeply") from None

@@ -13,7 +13,7 @@ from .core import Lattice, _first_unused, is_semimodular
 from .diagram import (Diagram, EyeRecord, _GrowingDiagram, _middles,
                       validate_diagram)
 from .errors import AssertionFailed, BadParams, EmbeddingFailed
-from .ops import _glue, _sites
+from .ops import _sites
 
 
 def _built(grown, xcoord):
@@ -102,11 +102,12 @@ def _filter_chains(grown):
 def random_sps_diagram(target, seed):
     """A valid planar semimodular diagram with exactly `target` elements.
 
-    One grown diagram (`diagram._GrowingDiagram`) takes every move in
-    place: a one-step extension (`extend`, at a site's chain position from
-    `ops._sites`), an eye (`add_eye`), and a stack or glue move, which
-    glues a generated piece on top over a chain (`ops._glue`).  The result
-    is built in full once, at the end, with every lattice axiom checked."""
+    Every move is a method of one grown diagram
+    (`diagram._GrowingDiagram`): a one-step extension (`extend`, at a
+    site's chain position from `ops._sites`), an eye (`add_eye`), and a
+    stack or glue move, which glues a generated piece on top over a chain
+    (`glue`).  The result is built in full once, at the end, with every
+    lattice axiom checked."""
     if target < 2:
         raise BadParams("random lattices need at least two elements")
     rng = random.Random(seed)
@@ -133,7 +134,7 @@ def random_sps_diagram(target, seed):
             grown.add_eye(EyeRecord(names[o], names[i], 1, label), {})
         elif move == "stack":
             piece = _chain(rng.randint(2, min(room + 1, 4)))
-            _glue(grown, piece, [(grown.top, piece.lattice.bottom)])
+            grown.glue(piece, [(grown.top, piece.lattice.bottom)])
         else:
             _try_glue(grown, room, rng)
     return _built(grown, grown.xcoord)
@@ -160,7 +161,7 @@ def _try_glue(grown, room, rng):
     dom = _chain_up(grown.upper_covers, b, length)
     img = _chain_up(plat.upper_covers, plat.bottom, length)
     try:
-        _glue(grown, piece, list(zip(dom, img)))
+        grown.glue(piece, list(zip(dom, img)))
     except EmbeddingFailed:
         pass
 

@@ -1,25 +1,24 @@
 """Constructive steps on planar semimodular diagrams.
 
-Gluing two lattices over a chain, adding a doubly irreducible element
-beside a boundary triple, pulling a gluing witness back through such an
+Gluing two lattices over a chain (checked here, made on the drawn grower
+`diagram._GrowingDiagram`), adding a doubly irreducible element beside a
+boundary triple, pulling a gluing witness back through such an
 extension, extending a lattice until it is rectangular, cutting a slim
 rectangular lattice at a boundary element, and reading that cut of a slim
 lattice's hull off one run of the site process.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .core import (Lattice, _closure, _Growing, _is_chain_mask, _is_filter_mask,
                    _is_ideal_mask, iter_bits)
-from .diagram import (Diagram, _boundary_data, _climb, _conflict, _GrowingDiagram,
-                      _interval_rectangular, _patch, _rectangular, _slim,
-                      is_rectangular, subdiagram, synthesize_embedding)
-from .errors import (AssertionFailed, BadX, ChainWasSingletonT, EmbeddingFailed,
-                     ImproperWitness, InvalidSite, IsPatch,
-                     IterationBoundExceeded, NotAChain, NotAFilter, NotAnIdeal,
-                     NotIso, NotRectangular, StuckNotRectangular)
+from .diagram import (Diagram, _boundary_data, _GrowingDiagram, _interval_rectangular,
+                      _patch, _rectangular, _slim, is_rectangular, subdiagram)
+from .errors import (AssertionFailed, BadX, ChainWasSingletonT, ImproperWitness,
+                     InvalidSite, IsPatch, IterationBoundExceeded, NotAChain,
+                     NotAFilter, NotAnIdeal, NotIso, NotRectangular,
+                     StuckNotRectangular)
 
 
 @dataclass(frozen=True)
@@ -108,21 +107,16 @@ def validate_witness(w):
 
 # -- gluing over a chain ---------------------------------------------------
 
-def _fresh(label, taken):
-    while label in taken:
-        label = f"{label}'"
-    return label
-
-
 def glue_over_chain(lower, upper, iso, max_synth=16):
     """Glue `upper` on top of `lower`, identifying a filter-chain of the
     lower piece with an ideal-chain of the upper one.
 
     `iso` maps lower-piece labels onto upper-piece labels and must be an
     order isomorphism between the two chains.  Once that is checked, the
-    gluing is `_glue` on a grown copy of `lower`.  Coordinates are reused
-    when they still draw planarly (they do whenever the pieces come from
-    a recorded cut), otherwise an embedding is synthesized.
+    gluing is made in place on a grown copy of `lower`
+    (`diagram._GrowingDiagram.glue`), which reuses the coordinates when
+    they still draw planarly (they do whenever the pieces come from a
+    recorded cut), and otherwise synthesizes an embedding.
     """
     la, lb = lower.lattice, upper.lattice
     if not iso:
@@ -150,109 +144,8 @@ def glue_over_chain(lower, upper, iso, max_synth=16):
             raise NotIso("mapping does not respect the chain order")
 
     grown = _GrowingDiagram(lower)
-    _glue(grown, upper, list(zip(dom_sorted, img_sorted)), max_synth)
+    grown.glue(upper, list(zip(dom_sorted, img_sorted)), max_synth)
     return grown.diagram()
-
-
-def _glue(grown, upper, pairs, max_synth=16):
-    """Glue the diagram `upper` on top of the grown diagram `grown`, in
-    place: `pairs` are (d, i), d running up a filter chain ↑b of `grown`
-    and i up an ideal chain of `upper`'s lattice, pairwise.  The elements
-    of `upper` outside its chain are appended in id order, each with the
-    first label its own one gets by adding primes that no element has yet.
-    Coordinates are reused when they still draw planarly (they do whenever
-    the pieces come from a recorded cut), otherwise an embedding is
-    synthesized; then the boundary is walked again.  Raises
-    `EmbeddingFailed`, leaving `grown` as it was, when no drawing is found.
-
-    The gluing K of a lattice L and a lattice U over a filter chain C = ↑b
-    of L and an ideal chain ↓c of U, identified with C in order, is a
-    lattice whose covers are those of L and of U, and whose bottom is L's
-    and top is U's.  Its order: x ≤ y when x ≤ y in L or in U, or x ∈ L,
-    y ∈ U − C and x ≤ e ≤ y for some e ∈ C.  Nothing in L lies above an
-    element of U − C, and nothing in U − C below one of C, since C is an
-    ideal of U.  Joins: for x, y ∈ U, every upper bound lies in U (C is a
-    filter of L), so x ∨ y is their join in U.  For x, y ∈ L, an upper
-    bound u ∈ U − C lies above some e, e' ∈ C with x ≤ e and y ≤ e', and
-    the larger of e, e' lies above x ∨ y in L; so x ∨ y in L is the join.
-    For x ∈ L − C and y ∈ U − C, the upper bounds of x in U are ↑e for
-    e = x ∨ b in L, the least element of C above x; so x ∨ y = e ∨ y in U.
-    A finite poset with a bottom in which every pair has a join is a
-    lattice.  Covers: a cover of L or of U is one of K, since an element
-    between its ends would lie between them in its own piece (for x, y ∈ C
-    and z ∈ L − C, x < z < y puts z ≥ b, in C); and x < y with x ∈ L − C
-    and y ∈ U − C has some e ∈ C strictly between.  So only chain
-    elements gain covers, upper covers outside C, and no old element
-    changes its height, since its down-set stays in L.  A new element's
-    height is one more than the greatest of its lower covers', taken in
-    U's height order; when L is graded, as every semimodular lattice is,
-    that is h(b) plus its height in U.
-    """
-    ub, n = upper.lattice, len(grown.height)
-    new = {i: d for d, i in pairs}  # ids of `upper` -> ids of the gluing
-    added = [v for v in range(ub.n) if v not in new]
-    new.update(zip(added, range(n, n + len(added))))
-    lengths = [len(grown.upper_covers[d]) for d, _ in pairs]
-    for v in added:
-        label = _fresh(ub.names[v], grown.index)
-        grown.index[label] = new[v]
-        grown.names.append(label)
-        grown.upper_covers.append([new[w] for w in ub.upper_covers[v]])
-        grown.lower_covers.append(sorted([new[w] for w in ub.lower_covers[v]]))
-    for d, i in pairs:  # new ids are the largest, so the lists stay sorted
-        grown.upper_covers[d] += [new[w] for w in ub.upper_covers[i] if new[w] >= n]
-    height, lower = grown.height, grown.lower_covers
-    height += [0] * len(added)
-    for v in sorted(added, key=ub.height.__getitem__):
-        height[new[v]] = max([height[w] for w in lower[new[v]]]) + 1
-    top, grown.top = grown.top, new[ub.top]
-
-    # each shift is computed only once the one before it fails, since the
-    # first or second nearly always draws
-    xs = [upper.xcoord[v] for v in added]
-    lo, hi = grown.lo, grown.hi
-
-    def shifts():
-        yield Fraction(0)
-        yield grown.xcoord[pairs[0][0]] - upper.xcoord[pairs[0][1]]
-        yield hi + 1 - min(upper.xcoord)
-        yield lo - 1 - max(upper.xcoord)
-
-    covers = [(v, w) for v, ws in enumerate(grown.upper_covers) for w in ws]
-    found = None
-    for shift in shifts():
-        grown.place(n, [x + shift for x in xs] if shift else xs)
-        if _conflict(covers, height, grown.points) is None:
-            grown.lo, grown.hi = min([lo, *grown.xcoord[n:]]), max([hi, *grown.xcoord[n:]])
-            break
-    else:
-        if len(height) <= max_synth:
-            found = synthesize_embedding(grown.lattice(grown.names), max_size=max_synth)
-        if found is None:
-            for (d, _), k in zip(pairs, lengths):
-                del grown.upper_covers[d][k:]
-            for label in grown.names[n:]:
-                del grown.index[label]
-            for seq in (grown.names, grown.upper_covers, lower, height,
-                        grown.xcoord, grown.points):
-                del seq[n:]
-            grown.top = top
-            raise EmbeddingFailed(
-                f"no planar drawing found for the {n + len(added)}-element gluing")
-        grown.place(0, found.xcoord)
-        grown.lo, grown.hi = min(grown.xcoord), max(grown.xcoord)
-    # each old chain ends at the old top, in ↑b.  Below the first element of
-    # ↑b that it reaches, a walk meets only old elements outside ↑b, whose
-    # covers and points stay, so it goes as before, and it goes on from
-    # there; a synthesized drawing is walked whole
-    if found is None:
-        glued = {d for d, _ in pairs}
-        starts = [chain[:next(i for i, v in enumerate(chain) if v in glued) + 1]
-                  for chain in grown.chains]
-    else:
-        starts = [[grown.bottom], [grown.bottom]]
-    grown.chains = [_climb(grown, grown.points, chain, side)
-                    for chain, side in zip(starts, ("left", "right"))]
 
 
 # -- one-step extensions and the rectangular hull ----------------------------

@@ -289,7 +289,7 @@ def _decompose(root):
     makes its trace (`_trace`).
     """
     lat, xs = root.lattice, root.xcoord
-    points = _scaled_points(root)
+    points = _scaled_points(xs, lat.height)
     built = {}
     finished = []  # each finished subtree whose parent is open
     root_trace = None

@@ -9,7 +9,7 @@ import pytest
 
 from latpatch import (DiagramViolation, brute_force_gluing_search, decompose,
                       documents, generate, parse_document, parse_tree_document,
-                      serialize, verify_tree)
+                      serialize, serialize_tree, verify_tree)
 from latpatch import generators, pipeline
 from latpatch.cli import cli
 from latpatch.documents import MAX_TREE_DEPTH
@@ -305,6 +305,34 @@ def test_check_non_string_coordinate_is_a_schema_error(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines() == ["error: $.embedding.a: not a rational: 0"]
+
+
+C3 = serialize(generate("chain", [3]))
+C3_TREE = json.loads(serialize_tree(decompose(generate("chain", [3]))[0]))
+
+
+@pytest.mark.parametrize("command, lattice, tree", [
+    # an integer longer than `int` converts, a truncated document, a
+    # coordinate that is not in lowest terms, a cover that names no element,
+    # children that are no list, and a chain label that is no string
+    ("check", C3.replace('"0",', '"0", ' + "7" * 5000 + ",", 1), None),
+    ("decompose", C3[:40], None),
+    ("rectangularize", C3.replace('"1": "0"', '"1": "0/2"'), None),
+    ("slim", C3.replace("2\n    ]", "9\n    ]"), None),
+    ("verify", C3, json.dumps({**C3_TREE, "children": "x"})),
+    ("verify", C3, json.dumps({**C3_TREE, "chain": [1]})),
+])
+def test_a_malformed_document_is_one_error_line(command, lattice, tree, tmp_path):
+    paths = [tmp_path / "lattice.json"]
+    paths[0].write_text(lattice)
+    if tree is not None:
+        paths.append(tmp_path / "tree.json")
+        paths[1].write_text(tree)
+    proc = run_cli(command, *map(str, paths))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: $"), lines
 
 
 def test_verify_deeply_nested_tree_is_a_schema_error(tmp_path):

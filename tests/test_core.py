@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -313,6 +314,36 @@ def test_isomorphic_long_chains_need_no_recursion():
         high = interval(lat, lat.id_of(f"c{2001 - n}"), lat.top)
         assert low.names != high.names
         assert is_isomorphic(low, high) == {v: v for v in range(n)}
+
+
+def test_every_isomorphism_takes_covers_onto_covers():
+    # `is_isomorphic` keeps no check of the finished map: each map it returns
+    # must send the covers of one lattice onto those of the other, bijectively
+    def checked(lat1, lat2):
+        send = is_isomorphic(lat1, lat2)
+        if send is not None:
+            assert sorted(send) == sorted(send.values()) == list(range(lat2.n))
+            image = [(send[a], send[b]) for a, b in lat1.covers]
+            assert sorted(image) == sorted(lat2.covers)
+        return send
+
+    rng = random.Random(5)
+    found = Counter()
+    for n in range(2, 8):
+        lattices = [Lattice(covers, elements=labels)
+                    for labels, covers in oracles.small_lattices(n)]
+        for lat1, lat2 in combinations(lattices, 2):
+            if len(lat1.covers) == len(lat2.covers):
+                assert checked(lat1, lat2) is None and checked(lat2, lat1) is None
+                found["refused"] += 1
+        for lat in lattices:
+            order = rng.sample(range(lat.n), lat.n)
+            renamed = {v: f"v{k}" for k, v in enumerate(order)}
+            other = Lattice([(renamed[a], renamed[b]) for a, b in lat.covers],
+                            elements=[renamed[v] for v in rng.sample(order, lat.n)])
+            assert checked(lat, other) is not None and checked(other, lat) is not None
+            found["relabeled"] += 1
+    assert found == {"refused": 508, "relabeled": 77}
 
 
 def test_isomorphic_reflexive_and_symmetric(corpus):

@@ -281,7 +281,7 @@ def test_interval_predicates_match_the_built_part(corpus, random_corpus_small, m
     seen = {}
     for name, diag in diagrams:
         lat = diag.lattice
-        points = _scaled_points(diag)
+        points = _scaled_points(diag.xcoord, lat.height)
         for y in range(lat.n):
             for x in iter_bits(lat.up[y]):
                 mask = lat.up[y] & lat.down[x]
@@ -299,7 +299,7 @@ def test_the_drawing_free_part_test_equals_the_walked_one(glue_nodes):
     for name, diag in glue_nodes:
         hull, _ = rectangularize(slim(diag)[0])
         lat = hull.lattice
-        points = _scaled_points(hull)
+        points = _scaled_points(hull.xcoord, lat.height)
         for y in range(lat.n):
             for x in iter_bits(lat.up[y]):
                 walked = oracles.walked_interval_rectangular(lat, points, y, x)

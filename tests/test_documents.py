@@ -2,8 +2,10 @@ import copy
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -222,6 +224,117 @@ def test_mutated_tree_documents_raise_only_domain_errors(data):
         verify_tree(tree, tree.diagram)
     except LatpatchError:
         pass
+
+
+# -- the seeded mutation net: every reader, a few thousand fixed cases --------
+
+NET_INPUTS = [generate("grid", [3, 3]), generate("random-sps", [14], seed=3),
+              generate("chain", [5])]
+NET_DOCS = [(kind, text, k) for k, diag in enumerate(NET_INPUTS)
+            for kind, text in (("lattice", serialize(diag)),
+                               ("tree", serialize_tree(decompose(diag)[0])))]
+# markers that the document's text replaces: an integer longer than `int`
+# converts by default, and lists nested deeper than `json.loads` reads
+NET_TEXT = {json.dumps("\0huge"): "9" * 5000, json.dumps("\0deep"): "[" * 3000 + "]" * 3000}
+NET_VALUES = [None, True, False, -1, 0, 1, 2, 7, 2 ** 64, -2 ** 63, 0.5, 1e300,
+              "", "0", "1", "x", "leaf", "glue", "kind", "chain", "children",
+              # coordinate strings that `serialize` never writes
+              "1/2", "2/4", "-0", "+1", " 1", "1.0", "1e3", "1/0", "0/1", "1/-2",
+              "\uff11", "\u0663", "1" * 5000, "1/" + "3" * 5000, "a" * 10000,
+              "\0huge", "\0deep", [], {}, [0, 1], [[0, 1]], {"a": "0"}, ["0"]]
+NET_PATHS = {text: list(json_paths(json.loads(text))) for _, text, _ in NET_DOCS}
+
+
+def net_case(text, rng):
+    """The text of a document mutated at one to three positions, each drawn
+    depth first: deleted, replaced by a value of `NET_VALUES`, swapped with
+    a sibling, overwritten by a copy of another position's value, or its
+    key renamed; rarely, the text is cut short.  A position an earlier
+    mutation removed is skipped."""
+    doc, paths = json.loads(text), NET_PATHS[text]
+    depths = sorted({len(p) for p in paths})
+
+    def pick():
+        depth = rng.choice(depths)
+        return rng.choice([p for p in paths if len(p) == depth])
+
+    def at(path):
+        value = doc
+        for key in path:
+            value = value[key]
+        return value
+
+    for _ in range(rng.randint(1, 3)):
+        path = pick()
+        if not path:
+            doc = rng.choice(NET_VALUES + [[doc], {"x": doc}])
+            continue
+        try:
+            parent, key = at(path[:-1]), path[-1]
+            parent[key]
+        except (KeyError, IndexError, TypeError):
+            continue
+        if not isinstance(parent, (list, dict)):
+            continue
+        op = rng.choice(["delete", "replace", "replace", "swap", "copy", "rename"])
+        if op == "delete":
+            del parent[key]
+        elif op == "swap" and isinstance(parent, list) and len(parent) > 1:
+            other = rng.randrange(len(parent))
+            parent[key], parent[other] = parent[other], parent[key]
+        elif op == "copy":
+            try:
+                parent[key] = json.loads(json.dumps(at(pick())))
+            except (KeyError, IndexError, TypeError):
+                pass
+        elif op == "rename" and isinstance(parent, dict):
+            parent[rng.choice(NET_VALUES[12:36])] = parent.pop(key)
+        else:
+            parent[key] = rng.choice(NET_VALUES)
+    out = json.dumps(doc)
+    for marker, raw in NET_TEXT.items():
+        out = out.replace(marker, raw)
+    if rng.random() < 0.05:
+        out = out[:rng.randrange(len(out))]
+    return out
+
+
+def test_the_seeded_mutation_net_ends_every_case_in_a_result_or_a_domain_error():
+    # a mutated lattice document is parsed, decomposed and verified; a
+    # mutated tree document is parsed and verified against its input.  Any
+    # exception but a `LatpatchError` fails with the document that raised it
+    rng, outcomes = random.Random(19), Counter()
+    for case in range(3000):
+        kind, text, k = NET_DOCS[case % len(NET_DOCS)]
+        mutant = net_case(text, rng)
+        try:
+            if kind == "lattice":
+                diag = parse_document(mutant)
+                tree = decompose(diag)[0]
+                outcome = "verified" if verify_tree(tree, diag) is None else "refused"
+            else:
+                tree = parse_tree_document(mutant)
+                outcome = "verified" if verify_tree(tree, NET_INPUTS[k]) is None else "refused"
+        except LatpatchError as exc:
+            outcome = type(exc).__name__
+        except Exception as exc:
+            pytest.fail(f"case {case} ({kind} of input {k}) raised {exc!r} on {mutant!r}")
+        outcomes[kind, outcome] += 1
+    # the net reaches past the schema checks into the lattice axioms,
+    # decomposition and verification, on both kinds of document
+    for kind in ("lattice", "tree"):
+        assert outcomes[kind, "SchemaError"] > 1000
+        assert outcomes[kind, "NotBounded"] > 10 and outcomes[kind, "verified"] > 30
+    assert outcomes["tree", "refused"] > 5 and outcomes["lattice", "NotSemimodular"] > 0
+
+
+def test_an_integer_past_the_conversion_limit_is_a_schema_error():
+    # `json.loads` raises a plain `ValueError`, no `JSONDecodeError`, for it
+    text = '{"elements": ["a"], "covers": [[' + "1" * 5000 + ', 0]]}'
+    with pytest.raises(SchemaError, match=r"^\$: not valid JSON: Exceeds the limit"):
+        parse_document(text)
+    with pytest.raises(SchemaError, match=r"^\$: not valid JSON: Exceeds the limit"):
+        parse_tree_document('{"kind": "leaf", "lattice": ' + text + "}")
 
 
 # -- the writer: byte-identical to json.dumps ---------------------------------------

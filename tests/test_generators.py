@@ -1,8 +1,8 @@
 """The random generator grows one diagram in place.  Each of its moves must
 be the move of the public `one_step_extension`, `restore_eyes` or
 `glue_over_chain` on the frozen diagram before it, each candidate drawing
-of a gluing must get `validate_diagram`'s answer, and every gluing must
-equal a full build."""
+of a gluing must get `validate_diagram`'s answer, only a gluing may scale
+the grown drawing, and every gluing must equal a full build."""
 
 from collections import Counter
 
@@ -13,9 +13,10 @@ from conftest import assert_same_lattice
 from latpatch import (Diagram, ExtensionStep, Lattice, decompose_at, generate,
                       glue_over_chain, is_patch, one_step_extension, rectangularize,
                       restore_eyes, slim, validate_diagram)
-from latpatch import generators, ops
+from latpatch import diagram, generators
 from latpatch.diagram import _GrowingDiagram
 from latpatch.errors import EmbeddingFailed
+from latpatch.ops import _sites
 
 # (n, generator seed) of n = 2..60 at three seeds, and of the random inputs
 # of the benchmark's `corpus` and `certify` workloads
@@ -40,7 +41,7 @@ def record_moves(n, seed):
     """`random_sps_diagram(n, seed)` and its moves in order, each as (kind,
     argument, the grower's state after it)."""
     moves = []
-    real_glue = generators._glue
+    real_glue = _GrowingDiagram.glue
     real_extend, real_eye = _GrowingDiagram.extend, _GrowingDiagram.add_eye
 
     def extend(grown, side, i):
@@ -49,10 +50,10 @@ def record_moves(n, seed):
         moves.append(("extend", (site, ExtensionStep(*fields)), state(grown)))
         return fields
 
-    def glue(grown, piece, pairs):
+    def glue(grown, piece, pairs, max_synth=16):
         iso = {grown.names[d]: piece.lattice.names[i] for d, i in pairs}
         try:
-            real_glue(grown, piece, pairs)
+            real_glue(grown, piece, pairs, max_synth)
         except EmbeddingFailed:
             moves.append(("failed glue", (piece, iso), state(grown)))
             raise
@@ -64,7 +65,7 @@ def record_moves(n, seed):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_GrowingDiagram, "extend", extend)
-        patch.setattr(generators, "_glue", glue)
+        patch.setattr(_GrowingDiagram, "glue", glue)
         patch.setattr(_GrowingDiagram, "add_eye", add_eye)
         out = generators.random_sps_diagram(n, seed)
     return out, moves
@@ -102,17 +103,25 @@ def test_every_generator_move_is_the_public_move_on_the_frozen_diagram():
 
 
 def test_every_candidate_check_on_the_grower_is_validate_diagrams_answer(monkeypatch):
-    placed, answers = [], Counter()
-    real_place, real_conflict = _GrowingDiagram.place, ops._conflict
+    gluing, answers = [], Counter()  # the grower whose gluing is under way
+    real_glue, real_conflict = _GrowingDiagram.glue, diagram._conflict
 
-    def place(grown, start, xs):
-        placed[:] = [grown]
-        real_place(grown, start, xs)
+    def glue(grown, *args):
+        gluing.append(grown)
+        try:
+            real_glue(grown, *args)
+        finally:
+            gluing.pop()
 
     def conflict(covers, height, points):
         found = real_conflict(covers, height, points)
-        grown = placed[0]
-        violation = validate_diagram(Diagram(grown.lattice(grown.names), grown.xcoord))
+        if not gluing:  # `validate_diagram`'s own sweep, below or in `generate`
+            return found
+        grown = gluing.pop()
+        try:
+            violation = validate_diagram(Diagram(grown.lattice(grown.names), grown.xcoord))
+        finally:
+            gluing.append(grown)
         if found is None:
             assert violation is None
         else:
@@ -122,13 +131,76 @@ def test_every_candidate_check_on_the_grower_is_validate_diagrams_answer(monkeyp
         answers[kind if found else None] += 1
         return found
 
-    monkeypatch.setattr(_GrowingDiagram, "place", place)
-    monkeypatch.setattr(ops, "_conflict", conflict)
+    monkeypatch.setattr(_GrowingDiagram, "glue", glue)
+    monkeypatch.setattr(diagram, "_conflict", conflict)
     for n, seed in SPECS:
         generate("random-sps", [n], seed=seed)
     oracles.s7_glued_corpus()
     assert answers[None] > 2000 and answers["edge_crossing"] > 100
     assert answers["duplicate_position"] > 10
+
+
+def test_only_a_gluing_scales_a_grown_drawing(monkeypatch):
+    # extensions and eyes append an x; the one scaling outside a gluing is
+    # the walk of the input's boundary when a grower is made from it
+    calls, real_scale = [], diagram._scaled_points
+
+    def scaled(xs, heights):
+        calls.append(len(xs))
+        return real_scale(xs, heights)
+
+    monkeypatch.setattr(diagram, "_scaled_points", scaled)
+    slimmed = slim(generate("random-sps", [320]))[0]
+    del calls[:]
+    steps = rectangularize(slimmed)[1]
+    assert (len(steps), len(calls)) == (4151, 1)
+
+    cur = slim(generate("random-sps", [24]))[0]
+    del calls[:]
+    for _ in range(20):
+        b = cur.boundary
+        site = next(_sites(cur.lattice, [b.left_chain, b.right_chain]))[1]
+        cur = one_step_extension(cur, site)[0]
+    assert len(calls) == 1
+
+    slimmed, records = slim(generate("random-sps", [160]))
+    del calls[:]
+    restore_eyes(slimmed, records)
+    assert (len(records), len(calls)) == (18, 1)
+
+    # a gluing scales each candidate drawing it checks, and a synthesized
+    # drawing, checked on its own integer points, once more for its walk
+    per_glue, checks = Counter(), [0, 0]  # per gluing: (candidates checked, synthesized)
+    real_glue, real_conflict, real_synth = (_GrowingDiagram.glue, diagram._conflict,
+                                            diagram.synthesize_embedding)
+
+    def glue(grown, *args):
+        del calls[:]
+        checks[:] = [0, 0]
+        try:
+            real_glue(grown, *args)
+        finally:
+            assert len(calls) == checks[0] + checks[1]
+            per_glue[tuple(checks)] += 1
+
+    def conflict(*args):
+        checks[0] += 1
+        return real_conflict(*args)
+
+    def synth(*args, **kwargs):
+        found = real_synth(*args, **kwargs)
+        checks[1] += found is not None
+        return found
+
+    monkeypatch.setattr(_GrowingDiagram, "glue", glue)
+    monkeypatch.setattr(diagram, "_conflict", conflict)
+    monkeypatch.setattr(diagram, "synthesize_embedding", synth)
+    for n, seed in SMALL_SPECS:
+        generators.random_sps_diagram(n, seed)
+    oracles.s7_glued_corpus()
+    assert sum(per_glue.values()) > 1500
+    assert sum(k for (checked, _), k in per_glue.items() if checked > 1) > 100
+    assert sum(k for (_, synthesized), k in per_glue.items() if synthesized) > 5
 
 
 def checked_glue(lower, upper, iso, max_synth=16):
@@ -176,10 +248,10 @@ def test_a_failed_gluing_leaves_the_grower_as_it_was(m3, b2):
     lat = m3.lattice
     pairs = [(lat.id_of("m"), b2.lattice.id_of("0")), (lat.top, b2.lattice.id_of("l"))]
     with pytest.raises(EmbeddingFailed, match="no planar drawing found for the 7-element"):
-        ops._glue(grown, b2, pairs, max_synth=0)
+        grown.glue(b2, pairs, max_synth=0)
     assert (state(grown), dict(grown.index), grown.top, grown.lo, grown.hi) == before
     assert grown.diagram() == m3
-    ops._glue(grown, b2, pairs)  # and it still glues, by synthesis
+    grown.glue(b2, pairs)  # and it still glues, by synthesis
     assert grown.diagram() == glue_over_chain(m3, b2, {"m": "0", "1": "l"})
 
 
