@@ -19,7 +19,7 @@ from bisect import bisect_right, insort
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import permutations
+from itertools import accumulate, permutations
 from math import lcm
 
 from .core import _first_unused, _Growing, iter_bits
@@ -162,14 +162,25 @@ def validate_diagram(diag):
 def _conflict(covers, height, points):
     """The first violation of a drawing given by its cover pairs, heights
     and points, by ids: ("duplicate_position", (v, w)), v drawn first at
-    w's point, or ("edge_crossing", (e, f)) for two conflicting edges; None
-    when there is none.  `validate_diagram` reads it on a lattice, and a
-    gluing on its grower's lists (`_GrowingDiagram.glue`)."""
+    w's point, or ("edge_crossing", (e, f)) for two conflicting edges
+    (`_crossing`); None when there is none.  `validate_diagram` reads it
+    on a lattice, and a gluing on its grower's lists
+    (`_GrowingDiagram.glue`)."""
     seen = {}
     for v, pt in enumerate(points):
         if pt in seen:
             return "duplicate_position", (seen[pt], v)
         seen[pt] = v
+    return _crossing(covers, height, points)
+
+
+def _crossing(covers, height, points):
+    """The first pair of conflicting edges among `covers`, as
+    ("edge_crossing", (e, f)), or None; `points` maps each end of a cover
+    to its point (a list by id, or a dict), and no two ends share one.
+    `_conflict` reads it after its duplicate-position pass, and the
+    embedding search on the covers of the levels it has placed
+    (`synthesize_embedding`)."""
     # every edge rises, since y is the height and `core._closure` puts each
     # element above its lower covers.  Edges with disjoint height ranges
     # cannot conflict: sweep the edges by their lower end's height, and stop
@@ -497,14 +508,12 @@ class _GrowingDiagram(_Growing):
         names = self.names
         return names[a], names[b], names[c], side, label
 
-    def add_eye(self, rec, mids):
+    def add_eye(self, rec):
         """Put back the eye `rec` at its slot between two middles of
         [lower, upper] in x order; the quadrilateral they bound is empty in
         any valid drawing, so the midpoint x keeps the diagram planar.
 
-        An eye is a middle of its own interval only, so `mids` keeps each
-        interval's middles, once sorted by (x, id) as a stable sort by x of
-        the ascending ids does, and each eye is inserted in place.  Anchors
+        The middles are read and sorted by (x, id) on each call.  Anchors
         that are not comparable have no middles, so "no longer lies below"
         is decided only when the host check fails.  Eyes are interior, and
         lower and upper already have two covers each, so no boundary chain
@@ -515,9 +524,8 @@ class _GrowingDiagram(_Growing):
             raise MissingAnchor(f"anchor of {rec.label!r} is gone", record=rec)
         if rec.label in index:
             raise MissingAnchor(f"label {rec.label!r} already in use", record=rec)
-        row = mids.get((lo, hi))
-        if row is None:  # the mask -1 holds every id
-            row = mids[lo, hi] = sorted((xs[z], z) for z in _middles(self, lo, -1).get(hi, ()))
+        # the mask -1 holds every id
+        row = sorted((xs[z], z) for z in _middles(self, lo, -1).get(hi, ()))
         if len(row) < 2 or not 1 <= rec.slot <= len(row) - 1:
             if not self.lattice(self.names).lt(lo, hi):
                 raise MissingAnchor(
@@ -526,7 +534,7 @@ class _GrowingDiagram(_Growing):
                 f"[{rec.lower!r}, {rec.upper!r}] is not an interval that can "
                 f"host {rec.label!r} at slot {rec.slot}", record=rec)
         x = (row[rec.slot - 1][0] + row[rec.slot][0]) / 2
-        insort(row, (x, self.add_drawn(lo, hi, rec.label, x)))  # lo < hi, not a cover
+        self.add_drawn(lo, hi, rec.label, x)  # lo < hi, not a cover
 
     def glue(self, upper, pairs, max_synth=16):
         """Glue the diagram `upper` on top of this grown diagram, in place:
@@ -642,9 +650,9 @@ def restore_eyes(diag, records):
     (`_GrowingDiagram.add_eye`), frozen once, at the end."""
     if not records:
         return diag
-    grown, mids = _GrowingDiagram(diag), {}  # (lo, hi) -> middles as sorted (x, id)
+    grown = _GrowingDiagram(diag)
     for rec in reversed(records):
-        grown.add_eye(rec, mids)
+        grown.add_eye(rec)
     return grown.diagram()
 
 
@@ -657,6 +665,15 @@ def synthesize_embedding(lat, max_size=16):
     Inputs beyond `max_size` elements are refused.  Slot i of a level of
     `width` elements is x = (2i - (width - 1)) / 2; candidates are tested
     on the doubled, integer x.
+
+    The levels are placed depth first, from the bottom, on an explicit
+    stack of their orders (`permutations`, tried in order), so a tall
+    lattice does not reach the interpreter's recursion limit.  An order is
+    kept when `_crossing` finds no conflict among the covers up to its
+    level; those below it had none, so only a pair with a cover into the
+    new level can conflict.  Points on one level differ in x and on two
+    levels in y, so no two share a position, and the points an abandoned
+    level leaves are overwritten before they are read again.
     """
     if lat.n > max_size:
         raise SizeBoundExceeded(
@@ -665,43 +682,25 @@ def synthesize_embedding(lat, max_size=16):
     for v in range(lat.n):
         by_level.setdefault(lat.height[v], []).append(v)
     levels = [sorted(by_level[h]) for h in sorted(by_level)]
-    xs = {}
-    done_edges = []
-
-    def level_edges(members):
-        placed = set(xs)
-        return [(a, b) for a, b in lat.covers if b in members and a in placed]
-
-    def place(li):
-        if li == len(levels):
-            return True
-        members = levels[li]
-        width = len(members)
-        for perm in permutations(members):
-            for i, v in enumerate(perm):
-                xs[v] = 2 * i - (width - 1)
-            new = level_edges(set(members))
-            pts = {v: (xs[v], lat.height[v]) for v in xs}
-            ok = True
-            for k, (a, b) in enumerate(new):
-                for c, d in done_edges + new[:k]:
-                    if _segments_conflict(pts[a], pts[b], pts[c], pts[d]):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                done_edges.extend(new)
-                if place(li + 1):
-                    return True
-                del done_edges[len(done_edges) - len(new):]
-            for v in members:
-                xs.pop(v, None)
-        return False
-
-    if not place(0):
-        return None
-    return Diagram(lat, [Fraction(xs[v], 2) for v in range(lat.n)])
+    # the covers up to each level, the upper end's level ascending: a cover
+    # rises, so its lower end is placed when its upper end is
+    covers = [(a, b) for level in levels for b in level for a in lat.lower_covers[b]]
+    ends = list(accumulate(sum(len(lat.lower_covers[b]) for b in level) for level in levels))
+    points = {}
+    stack = [permutations(levels[0])]
+    while stack:
+        order = next(stack[-1], None)
+        if order is None:
+            stack.pop()
+            continue
+        li = len(stack) - 1
+        for i, v in enumerate(order):
+            points[v] = (2 * i - (len(order) - 1), lat.height[v])
+        if _crossing(covers[:ends[li]], lat.height, points) is None:
+            if li + 1 == len(levels):
+                return Diagram(lat, [Fraction(points[v][0], 2) for v in range(lat.n)])
+            stack.append(permutations(levels[li + 1]))
+    return None
 
 
 def subdiagram(diag, members):

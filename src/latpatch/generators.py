@@ -131,7 +131,7 @@ def random_sps_diagram(target, seed):
             o, i = rng.choice(list(_two_middle_intervals(grown)))
             label, eye_counter = _first_unused("e", grown.index, eye_counter)
             names = grown.names
-            grown.add_eye(EyeRecord(names[o], names[i], 1, label), {})
+            grown.add_eye(EyeRecord(names[o], names[i], 1, label))
         elif move == "stack":
             piece = _chain(rng.randint(2, min(room + 1, 4)))
             grown.glue(piece, [(grown.top, piece.lattice.bottom)])

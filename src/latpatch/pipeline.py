@@ -371,27 +371,24 @@ def _verify_node(node, path):
     reason = validate_witness(w)
     if reason is not None:
         return TreeViolation(path, "witness_valid", reason)
-    names = amb.names
-    left = node.left.diagram.lattice
-    if {names[v] for v in w.A} != set(left.names):
-        return TreeViolation(path, "parts_match",
-                             "ideal part does not match the left child")
-    right = node.right.diagram.lattice
-    if {names[v] for v in w.B} != set(right.names):
-        return TreeViolation(path, "parts_match",
-                             "filter part does not match the right child")
+    # each child's labels are read once, as node ids: labels name node ids
+    # one to one, and a label foreign to the node maps to None, in neither
+    # part, so the ids equal a part exactly when the labels do.  A valid
+    # witness puts every cover of the node inside A or inside B (a ≤ b
+    # across the parts passes a ∨ (b ∧ c) ∈ C for any c ∈ C), so the
+    # children must split its covers exactly; they compare in node ids
+    reglued = set()
+    parts = ((node.left, w.A, "ideal part does not match the left child"),
+             (node.right, w.B, "filter part does not match the right child"))
+    for child, part, which in parts:
+        lat = child.diagram.lattice
+        ids = [amb.index.get(name) for name in lat.names]
+        if set(ids) != part:
+            return TreeViolation(path, "parts_match", which)
+        reglued.update([(ids[a], ids[b]) for a, b in lat.covers])
     if node.chain_size != len(w.C):
         return TreeViolation(path, "chain_size",
                              f"recorded {node.chain_size}, actual {len(w.C)}")
-    # a valid witness puts every cover of the node inside A or inside B
-    # (a ≤ b across the parts passes a ∨ (b ∧ c) ∈ C for any c ∈ C), so the
-    # children, which carry the node's labels, must split its covers
-    # exactly.  `parts_match` has put every child label in the node, and
-    # labels name node ids one to one, so the covers compare in node ids
-    reglued = set()
-    for child in (left, right):
-        ids = [amb.index[name] for name in child.names]
-        reglued.update([(ids[a], ids[b]) for a, b in child.covers])
     if reglued != set(amb.covers):
         return TreeViolation(path, "reglue",
                              "the children's covers do not rebuild the node")

@@ -250,7 +250,8 @@ def small_lattices(n):
     n - 2 inner elements gets a bottom "0" and a top "1"; it is kept when
     every pair has a join, and only at the first poset of its canonical
     form (`_canonical`).  Every finite lattice arises: its inner elements
-    have a natural labelling, any linear extension.  Sensible for n ≤ 8."""
+    have a natural labelling, any linear extension.  Sensible for n ≤ 9,
+    which takes a few seconds."""
     k = n - 2
     inner = [chr(ord("a") + i) for i in range(k)]
     elements = ["0"] + inner + ["1"]

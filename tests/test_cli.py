@@ -421,37 +421,47 @@ def test_check_deeply_nested_lattice_document_is_a_schema_error(tmp_path):
     assert proc.stderr.splitlines() == ["error: $: document nests too deeply"]
 
 
-def test_recursion_limit_is_one_error_line(tmp_path):
-    # synthesizing a drawing recurses once per level, so a 1100-element
-    # chain without an embedding passes the default recursion limit
+def test_recursion_limit_is_one_error_line(grid_file, monkeypatch, capsys):
+    def too_deep(diag):
+        raise RecursionError
+
+    monkeypatch.setattr("latpatch.cli.decompose", too_deep)
+    assert cli(["decompose", grid_file]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: input too large: the interpreter's recursion limit was reached"]
+
+
+def bare_chain(n):
+    """The n-element chain as a document without an embedding."""
+    return {"elements": [str(i) for i in range(n)],
+            "covers": [[i, i + 1] for i in range(n - 1)]}
+
+
+def test_check_chain_without_embedding_past_the_recursion_limit(tmp_path):
+    # the search for a drawing keeps its levels on an explicit stack, so a
+    # chain taller than the recursion limit is drawn
     n = 1100
     path = tmp_path / "chain.json"
-    path.write_text(json.dumps({"elements": [str(i) for i in range(n)],
-                                "covers": [[i, i + 1] for i in range(n - 1)]}))
+    path.write_text(json.dumps(bare_chain(n)))
     proc = run_cli("--max-synth", str(n), "check", str(path))
-    assert proc.returncode == 3
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.splitlines() == [
-        "error: input too large: the interpreter's recursion limit was reached"]
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ('{"lattice": true, "patch": false, "planar": true, '
+                           '"rectangular": false, "semimodular": true, "slim": true}\n')
 
 
 def test_tree_leaf_without_embedding_past_the_recursion_limit(tmp_path):
-    # the tree document nests four levels; the recursion is in synthesizing
-    # the leaf's drawing, so `verify` ends as `check` does on that lattice
+    # the leaf's drawing is synthesized as `check` synthesizes the lattice's,
+    # and a long chain is no patch lattice
     n = 1100
-    elements = [str(i) for i in range(n)]
-    covers = [[i, i + 1] for i in range(n - 1)]
+    doc = bare_chain(n)
     lattice = tmp_path / "chain.json"
-    lattice.write_text(json.dumps({"elements": elements, "covers": covers,
-                                   "embedding": {e: "0" for e in elements}}))
+    lattice.write_text(json.dumps({**doc, "embedding": {e: "0" for e in doc["elements"]}}))
     tree = tmp_path / "tree.json"
-    tree.write_text(json.dumps({"kind": "leaf", "lattice": {"elements": elements,
-                                                            "covers": covers}}))
+    tree.write_text(json.dumps({"kind": "leaf", "lattice": doc}))
     proc = run_cli("--max-synth", str(n), "verify", str(lattice), str(tree))
-    assert proc.returncode == 3
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.splitlines() == [
-        "error: input too large: the interpreter's recursion limit was reached"]
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ("violation at root [leaf_patch]: Lattice(1100 elements, "
+                           "1099 covers) is not a patch lattice\n")
 
 
 def test_memory_error_is_one_error_line(grid_file, monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -508,13 +509,35 @@ def test_one_element_lattice_predicates():
     assert classify_subset(one.lattice, [0]).is_chain
 
 
+def boolean_cube():
+    labels = [f"{i}{j}{k}" for i in (0, 1) for j in (0, 1) for k in (0, 1)]
+    covers = [(a, b) for a in labels for b in labels
+              if sum(x != y for x, y in zip(a, b)) == 1 and a < b]
+    return Lattice(covers, elements=labels)
+
+
 def test_synthesize_reports_nonplanar():
     # the Boolean cube has order dimension 3: no drawing exists
-    labels = [f"{i}{j}{k}" for i in (0, 1) for j in (0, 1) for k in (0, 1)]
-    covers = []
-    for a in labels:
-        for b in labels:
-            if sum(x != y for x, y in zip(a, b)) == 1 and a < b:
-                covers.append((a, b))
-    cube = Lattice(covers, elements=labels)
-    assert synthesize_embedding(cube) is None
+    assert synthesize_embedding(boolean_cube()) is None
+
+
+def test_synthesized_drawings_are_pinned():
+    # every lattice with 2 to 8 elements, every grid of at most 16
+    # elements, `random-sps` at n = 10, 13 and 16 for seeds 0-39, and the
+    # cube; the count drawn and the digest of the drawings pin the order in
+    # which the search tries the levels' orders
+    lattices = [Lattice(covers, elements=elements)
+                for n in range(2, 9) for elements, covers in oracles.small_lattices(n)]
+    lattices += [generate("grid", [m, n]).lattice
+                 for m in range(2, 9) for n in range(2, 9) if m * n <= 16]
+    lattices += [generate("random-sps", [n], seed=seed).lattice
+                 for n in (10, 13, 16) for seed in range(40)]
+    lattices.append(boolean_cube())
+    digest, drawn = hashlib.sha256(), 0
+    for lat in lattices:
+        diag = synthesize_embedding(lat)
+        drawn += diag is not None
+        digest.update(repr(diag and diag.xcoord).encode())
+    assert (len(lattices), drawn) == (439, 364)
+    assert digest.hexdigest() == (
+        "fe3b037f3a4a192272ccc499d424635e253216ac2cb0db4f8915cad127739604")

@@ -46,6 +46,16 @@ def test_parse_without_embedding_synthesizes(m3):
     assert validate_diagram(diag) is None
 
 
+def test_parse_without_embedding_draws_a_chain_past_the_recursion_limit():
+    # the search places one level per stack entry, not per call
+    n = 1500
+    doc = {"elements": [str(i) for i in range(n)],
+           "covers": [[i, i + 1] for i in range(n - 1)]}
+    diag = parse_document(json.dumps(doc), max_synth=2000)
+    assert diag.lattice.names == tuple(doc["elements"])
+    assert diag.xcoord == (Fraction(0),) * n
+
+
 def test_parse_rejects_cycle():
     doc = {"elements": ["a", "b"], "covers": [[0, 1], [1, 0]], "meta": {}}
     with pytest.raises(SchemaError):

@@ -59,8 +59,8 @@ def record_moves(n, seed):
             raise
         moves.append(("glue", (piece, iso), state(grown)))
 
-    def add_eye(grown, rec, mids):
-        real_eye(grown, rec, mids)
+    def add_eye(grown, rec):
+        real_eye(grown, rec)
         moves.append(("eye", rec, state(grown)))
 
     with pytest.MonkeyPatch.context() as patch:

@@ -585,6 +585,19 @@ def test_every_lattice_with_8_elements():
     assert nodes == 327
 
 
+def test_every_lattice_with_9_elements():
+    lattices = oracles.small_lattices(9)
+    assert len(lattices) == 1078  # OEIS A006966
+    semimodular, drawn, nodes = 0, 0, 0
+    for elements, covers in lattices:
+        semi, checked = small_lattice_checked(elements, covers)
+        semimodular += semi
+        drawn += checked > 0
+        nodes += checked
+    assert semimodular == 88 and drawn == 83
+    assert nodes == 856
+
+
 def test_only_the_root_hull_is_closed_and_cut(monkeypatch):
     closed, cut = [], []
     init, close, cut_at = _Hull.__init__, _Hull.close, latpatch.pipeline._cut
