@@ -12,7 +12,8 @@ by D and keeps the order of x values, so every sign, collinearity,
 betweenness and lexicographic comparison, and hence every answer, is the
 same as on the rational points.  `Diagram` keeps its `Fraction` coordinates
 for documents and equality; a grown diagram (`_GrowingDiagram`) keeps no
-points, and a gluing on it scales each drawing it checks.
+points, and a gluing on it scales, of each drawing it checks, only the band
+above the chain it glues over, where alone a violation can arise.
 """
 
 from bisect import bisect_right, insort
@@ -163,14 +164,17 @@ def _conflict(covers, height, points):
     """The first violation of a drawing given by its cover pairs, heights
     and points, by ids: ("duplicate_position", (v, w)), v drawn first at
     w's point, or ("edge_crossing", (e, f)) for two conflicting edges
-    (`_crossing`); None when there is none.  `validate_diagram` reads it
-    on a lattice, and a gluing on its grower's lists
-    (`_GrowingDiagram.glue`)."""
+    (`_crossing`); None when there is none.  `points` is a list by id, and
+    an element it holds `None` for is in no pair and in no cover.
+    `validate_diagram` reads it on a whole lattice, and a gluing on the band
+    of its grower that the gluing touches (`_GrowingDiagram.glue`), whose
+    first violation is the whole drawing's."""
     seen = {}
     for v, pt in enumerate(points):
-        if pt in seen:
-            return "duplicate_position", (seen[pt], v)
-        seen[pt] = v
+        if pt is not None:
+            if pt in seen:
+                return "duplicate_position", (seen[pt], v)
+            seen[pt] = v
     return _crossing(covers, height, points)
 
 
@@ -179,8 +183,8 @@ def _crossing(covers, height, points):
     ("edge_crossing", (e, f)), or None; `points` maps each end of a cover
     to its point (a list by id, or a dict), and no two ends share one.
     `_conflict` reads it after its duplicate-position pass, and the
-    embedding search on the covers of the levels it has placed
-    (`synthesize_embedding`)."""
+    embedding search on the covers into a new level and the placed covers
+    that can meet them (`synthesize_embedding`)."""
     # every edge rises, since y is the height and `core._closure` puts each
     # element above its lower covers.  Edges with disjoint height ranges
     # cannot conflict: sweep the edges by their lower end's height, and stop
@@ -546,7 +550,29 @@ class _GrowingDiagram(_Growing):
         the pieces come from a recorded cut), otherwise an embedding is
         synthesized; then the boundary is walked again, on the scaled points
         of the drawing that passed.  Raises `EmbeddingFailed`, leaving the
-        grower as it was, when no drawing is found.
+        grower as it was, when no drawing is found.  The grower's drawing
+        must be valid: every move of the generator keeps it so, and
+        `ops.glue_over_chain` checks its input.
+
+        Each candidate drawing is checked on the band the gluing touches: the
+        covers whose upper end lies above h(b), b = `pairs[0][0]` the foot of
+        ↑b, scaled (`_scaled_points`) at their ends alone.  `_conflict` then
+        gives the answer of the whole drawing, kind and pair.  The old drawing
+        is valid, so a violation involves a new element or edge.  A new
+        element lies above b, so a point it shares has height above h(b); an
+        element there is the upper end of a band cover, so both ids of every
+        repeat are in the band, and the first repeat in id order is the whole
+        pass's.  A new edge rises from ↑b or a new
+        element, at height h(b) or more, and meets height h(b) only at b; an
+        old cover whose upper end is at height h(b) or less meets that height
+        only at its upper end, b or a point apart from b's, where the two
+        edges share at most b, an end of both and no conflict.  So every
+        conflicting pair of edges is a pair of band covers, and since the
+        sweep of `_crossing` orders and cuts off a subset of covers as it
+        does all of them, its first conflicting pair is the whole sweep's.
+        The band also holds every point the walk of the new boundary reads
+        (below).  h(b) bounds the band, not ↑b: in a lattice that is not
+        graded, an element below h(b) may be the lower end of such a cover.
 
         The gluing K of a lattice L and a lattice U over a filter chain C = ↑b
         of L and an ideal chain ↓c of U, identified with C in order, is a
@@ -601,11 +627,17 @@ class _GrowingDiagram(_Growing):
             yield hi + 1 - min(upper.xcoord)
             yield lo - 1 - max(upper.xcoord)
 
-        covers = [(v, w) for v, ws in enumerate(self.upper_covers) for w in ws]
+        # the band: the covers whose upper end lies above h(b), and their ends
+        hb = height[pairs[0][0]]
+        covers = [(v, w) for w, h in enumerate(height) if h > hb for v in lower[w]]
+        band = list({v for cover in covers for v in cover})
+        band_height = [height[v] for v in band]
+        points = [None] * len(height)
         found = None
         for shift in shifts():
             xcoord[n:] = [x + shift for x in xs] if shift else xs
-            points = _scaled_points(xcoord, height)
+            for v, pt in zip(band, _scaled_points([xcoord[v] for v in band], band_height)):
+                points[v] = pt
             if _conflict(covers, height, points) is None:
                 self.lo, self.hi = min([lo, *xcoord[n:]]), max([hi, *xcoord[n:]])
                 break
@@ -628,7 +660,9 @@ class _GrowingDiagram(_Growing):
         # each old chain ends at the old top, in ↑b.  Below the first element of
         # ↑b that it reaches, a walk meets only old elements outside ↑b, whose
         # covers and x stay (a new scale turns no walk), so it goes as before,
-        # and it goes on from there; a synthesized drawing is walked whole
+        # and it goes on from there, on the band: an element of ↑b and its
+        # upper covers are ends of covers rising above h(b).  A synthesized
+        # drawing is walked whole
         if found is None:
             glued = {d for d, _ in pairs}
             starts = [chain[:next(i for i, v in enumerate(chain) if v in glued) + 1]
@@ -669,11 +703,17 @@ def synthesize_embedding(lat, max_size=16):
     The levels are placed depth first, from the bottom, on an explicit
     stack of their orders (`permutations`, tried in order), so a tall
     lattice does not reach the interpreter's recursion limit.  An order is
-    kept when `_crossing` finds no conflict among the covers up to its
-    level; those below it had none, so only a pair with a cover into the
-    new level can conflict.  Points on one level differ in x and on two
-    levels in y, so no two share a position, and the points an abandoned
-    level leaves are overwritten before they are read again.
+    kept when `_crossing` finds no conflict between the covers into its
+    level and the placed covers that can meet them.  The covers below it
+    had none, so only a pair with a cover into the new level can conflict,
+    and a placed cover whose upper end lies at or below the lowest lower
+    end m of the new level's covers meets one of them, if at all, at height
+    m, at its own upper end and the other's lower end: one point, an end
+    of both, which is no conflict.  The covers are listed by their upper
+    end's level, so those checked are a slice of the list.  Points on one
+    level differ in x and on two levels in y, so no two share a position,
+    and the points an abandoned level leaves are overwritten before they
+    are read again.
     """
     if lat.n > max_size:
         raise SizeBoundExceeded(
@@ -686,6 +726,11 @@ def synthesize_embedding(lat, max_size=16):
     # rises, so its lower end is placed when its upper end is
     covers = [(a, b) for level in levels for b in level for a in lat.lower_covers[b]]
     ends = list(accumulate(sum(len(lat.lower_covers[b]) for b in level) for level in levels))
+    # each level's slice starts at the first cover rising above the lowest
+    # lower end of the covers into it
+    tops = [lat.height[b] for _, b in covers]
+    starts = [bisect_right(tops, min([lat.height[a] for a, _ in covers[lo:hi]], default=0))
+              for lo, hi in zip([0, *ends], ends)]
     points = {}
     stack = [permutations(levels[0])]
     while stack:
@@ -696,7 +741,7 @@ def synthesize_embedding(lat, max_size=16):
         li = len(stack) - 1
         for i, v in enumerate(order):
             points[v] = (2 * i - (len(order) - 1), lat.height[v])
-        if _crossing(covers[:ends[li]], lat.height, points) is None:
+        if _crossing(covers[starts[li]:ends[li]], lat.height, points) is None:
             if li + 1 == len(levels):
                 return Diagram(lat, [Fraction(points[v][0], 2) for v in range(lat.n)])
             stack.append(permutations(levels[li + 1]))

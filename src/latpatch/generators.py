@@ -8,6 +8,7 @@ boundary extensions.  Equal seeds give byte-identical output.
 
 import random
 from fractions import Fraction
+from functools import cache
 
 from .core import Lattice, _first_unused, is_semimodular
 from .diagram import (Diagram, EyeRecord, _GrowingDiagram, _middles,
@@ -106,11 +107,13 @@ def random_sps_diagram(target, seed):
     (`diagram._GrowingDiagram`): a one-step extension (`extend`, at a
     site's chain position from `ops._sites`), an eye (`add_eye`), and a
     stack or glue move, which glues a generated piece on top over a chain
-    (`glue`).  The result is built in full once, at the end, with every
-    lattice axiom checked."""
+    (`glue`).  Each piece shape, a chain or a grid, is built once per
+    call: a gluing only reads its piece.  The result is built in full once,
+    at the end, with every lattice axiom checked."""
     if target < 2:
         raise BadParams("random lattices need at least two elements")
     rng = random.Random(seed)
+    chain, grid = cache(_chain), cache(grid_diagram)  # this call's pieces alone
     grown = _GrowingDiagram(_chain(2))
     eye_counter = 1
     while len(grown.height) < target:
@@ -133,10 +136,10 @@ def random_sps_diagram(target, seed):
             names = grown.names
             grown.add_eye(EyeRecord(names[o], names[i], 1, label))
         elif move == "stack":
-            piece = _chain(rng.randint(2, min(room + 1, 4)))
+            piece = chain(rng.randint(2, min(room + 1, 4)))
             grown.glue(piece, [(grown.top, piece.lattice.bottom)])
         else:
-            _try_glue(grown, room, rng)
+            _try_glue(grown, room, rng, chain, grid)
     return _built(grown, grown.xcoord)
 
 
@@ -148,14 +151,15 @@ def _chain_up(upper, v, length):
     return chain
 
 
-def _try_glue(grown, room, rng):
+def _try_glue(grown, room, rng, chain, grid):
     """Glue a small generated piece above the grown diagram over a longer
     chain when a planar drawing works out; else leave it as it is.
+    `chain` and `grid` build the pieces (`random_sps_diagram`).
 
     Some ↑b is a chain of two or more: a coatom b's only upper cover is the
     top, and a lattice of two or more elements has a coatom."""
     length, b = rng.choice([entry for entry in _filter_chains(grown) if entry[0] >= 2])
-    piece = _piece_with_ideal_chain(length, room, rng)
+    piece = _piece_with_ideal_chain(length, room, rng, chain, grid)
     # ↑b is a chain, and so is the piece's bottom interval of that length
     plat = piece.lattice
     dom = _chain_up(grown.upper_covers, b, length)
@@ -166,7 +170,7 @@ def _try_glue(grown, room, rng):
         pass
 
 
-def _piece_with_ideal_chain(length, room, rng):
+def _piece_with_ideal_chain(length, room, rng, chain, grid):
     """A small generated diagram whose bottom interval of the given length
     (two or more) is a chain, small enough to add at most `room` elements.
 
@@ -177,8 +181,8 @@ def _piece_with_ideal_chain(length, room, rng):
     candidates += [("grid", rows) for rows in (2, 3) if (rows - 1) * length <= room]
     kind, p = rng.choice(candidates)
     if kind == "chain":
-        return _chain(p)
-    return grid_diagram(p, length)
+        return chain(p)
+    return grid(p, length)
 
 
 # the number of integer parameters each generator takes

@@ -14,10 +14,11 @@ from functools import cached_property
 from .core import (Lattice, _closure, _Growing, _is_chain_mask, _is_filter_mask,
                    _is_ideal_mask, iter_bits)
 from .diagram import (Diagram, _boundary_data, _GrowingDiagram, _interval_rectangular,
-                      _patch, _rectangular, _slim, is_rectangular, subdiagram)
-from .errors import (AssertionFailed, BadX, ChainWasSingletonT, ImproperWitness,
-                     InvalidSite, IsPatch, IterationBoundExceeded, NotAChain,
-                     NotAFilter, NotAnIdeal, NotIso, NotRectangular,
+                      _patch, _rectangular, _slim, is_rectangular, subdiagram,
+                      validate_diagram)
+from .errors import (AssertionFailed, BadX, ChainWasSingletonT, EmbeddingFailed,
+                     ImproperWitness, InvalidSite, IsPatch, IterationBoundExceeded,
+                     NotAChain, NotAFilter, NotAnIdeal, NotIso, NotRectangular,
                      StuckNotRectangular)
 
 
@@ -116,7 +117,10 @@ def glue_over_chain(lower, upper, iso, max_synth=16):
     gluing is made in place on a grown copy of `lower`
     (`diagram._GrowingDiagram.glue`), which reuses the coordinates when
     they still draw planarly (they do whenever the pieces come from a
-    recorded cut), and otherwise synthesizes an embedding.
+    recorded cut), and otherwise synthesizes an embedding.  That gluing
+    checks each drawing only where the upper piece goes, so `lower`'s own
+    drawing must be valid: an invalid one raises `EmbeddingFailed`, naming
+    the violation.
     """
     la, lb = lower.lattice, upper.lattice
     if not iso:
@@ -143,6 +147,9 @@ def glue_over_chain(lower, upper, iso, max_synth=16):
         if lb.id_of(iso[la.names[d]]) != i:
             raise NotIso("mapping does not respect the chain order")
 
+    violation = validate_diagram(lower)
+    if violation is not None:
+        raise EmbeddingFailed(f"the lower piece's drawing is invalid: {violation.detail}")
     grown = _GrowingDiagram(lower)
     grown.glue(upper, list(zip(dom_sorted, img_sorted)), max_synth)
     return grown.diagram()

@@ -242,6 +242,29 @@ def test_every_gluing_of_the_test_corpora_equals_a_full_build(corpus, random_cor
     assert len(calls) > 100
 
 
+def test_a_gluing_over_an_ungraded_piece_checks_the_covers_rising_past_its_foot(
+        n5, b2, monkeypatch):
+    # the pentagon 0 ≺ x ≺ y ≺ 1, 0 ≺ z ≺ 1 glued over ↑y = {y, 1} with a
+    # square over its bottom two elements: the cover (z, 1) rises above
+    # h(y) = 2 from z, at height 1, and the new edge (y, r) of the first
+    # and third candidates crosses it; the second puts r on 1's point
+    answers, real_conflict = [], diagram._conflict
+
+    def conflict(*args):
+        answers.append(real_conflict(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(diagram, "_conflict", conflict)
+    square = Diagram(b2.lattice, [0, -1, 2, 0])  # r drawn across (z, 1)
+    glued = checked_glue(n5, square, {"y": "0", "1": "l"})
+    z, y, one, r = map(glued.lattice.id_of, ("z", "y", "1", "r"))
+    crossing = ("edge_crossing", ((z, one), (y, r)))
+    # the lower piece's check, four candidates, and `checked_glue`'s check
+    assert answers == [None, crossing, ("duplicate_position", (one, r)), crossing,
+                       None, None]
+    assert glued.xcoord[r] == -2  # the fourth shift, left of every x
+
+
 def test_a_failed_gluing_leaves_the_grower_as_it_was(m3, b2):
     grown = _GrowingDiagram(m3)
     before = state(grown), dict(grown.index), grown.top, grown.lo, grown.hi

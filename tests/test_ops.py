@@ -71,6 +71,15 @@ def test_glue_onto_interior_chain_needs_synthesis(m3, b2):
         glue_over_chain(m3, b2, {"m": "0", "1": "l"}, max_synth=0)
 
 
+def test_glue_refuses_an_invalid_lower_drawing(b2):
+    # the gluing checks each candidate only above the chain it glues over,
+    # so a violation below it would go unseen: the lower piece is checked
+    # once, and an invalid drawing is refused with its violation named
+    shared = Diagram(b2.lattice, [0, 0, 0, 1])  # l and r at one point
+    with pytest.raises(EmbeddingFailed, match="invalid: 'l' and 'r' share"):
+        glue_over_chain(shared, generate("chain", [2]), {"1": "0"})
+
+
 def test_glue_role_errors(b2):
     other = Diagram(b2.lattice, b2.xcoord)
     with pytest.raises(NotAFilter):
